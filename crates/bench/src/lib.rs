@@ -1,13 +1,9 @@
 //! Shared harness for the experiment suite (DESIGN.md E1–E10): standard
-//! workloads, a micro-timer for the report binaries, and table printing.
-//!
-//! Two front ends share this code:
-//!
-//! * `cargo bench -p bench` — Criterion micro-benchmarks (statistically
-//!   sound timings of the hot operations);
-//! * `cargo run --release -p bench --bin report_e*` — report binaries that
-//!   print the paper-style tables (counts, bits, sizes, and median
-//!   timings), one per experiment.
+//! workloads, a micro-timer, and table printing for the report binaries
+//! (`cargo run --release -p bench --bin report_e*`), which print the
+//! paper-style tables (counts, bits, sizes, and median timings), one per
+//! experiment. The service built around the scheme is measured by
+//! `scoreboard/`, not here.
 
 use std::time::{Duration, Instant};
 
@@ -43,8 +39,8 @@ pub fn default_partition() -> Pc {
 }
 
 /// Median wall-clock time of `f` over `rounds` runs (after one warm-up).
-/// Coarse by design — Criterion owns the precise numbers; the reports use
-/// this to print comparable medians alongside counted quantities.
+/// Coarse by design: the reports use this to print comparable medians
+/// alongside counted quantities.
 pub fn median_time<T>(rounds: usize, mut f: impl FnMut() -> T) -> Duration {
     std::hint::black_box(f());
     let mut samples: Vec<Duration> = (0..rounds.max(1))

@@ -1,13 +1,20 @@
 //! Integration tests for the `ruid-xml` command dispatcher.
 
 use std::path::PathBuf;
+use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ruid_cli::{run, serve_start};
 
+static COUNTER: AtomicUsize = AtomicUsize::new(0);
+
+/// A sample document in a file of its own (pid + counter): tests run on
+/// parallel threads, and a shared path lets one test read the file while
+/// another has it truncated for rewriting.
 fn sample_file() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ruid-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sample.xml");
+    let path = dir.join(format!("sample-{}.xml", COUNTER.fetch_add(1, Ordering::Relaxed)));
     std::fs::write(
         &path,
         "<catalog><book id=\"b1\"><title>A</title><price>35</price></book>\
@@ -33,18 +40,28 @@ fn label_runs_with_options() {
     run(&args(&["label", file.to_str().unwrap(), "--depth", "2", "--limit", "5"])).unwrap();
 }
 
+/// Every engine the CLI offers prints the same hit list (label and
+/// subtree per hit, on standard output) for the same query.
 #[test]
 fn query_all_engines_agree_on_success() {
     let file = sample_file();
-    for engine in ["tree", "uid", "ruid", "indexed"] {
-        run(&args(&[
-            "query",
-            file.to_str().unwrap(),
-            "//book[price > 25]/title",
-            "--engine",
-            engine,
-        ]))
-        .unwrap_or_else(|e| panic!("engine {engine}: {e}"));
+    let printed = |engine: &str| {
+        let output = Command::new(env!("CARGO_BIN_EXE_ruid-xml"))
+            .args(["query", file.to_str().unwrap(), "//book[price > 25]/title", "--engine", engine])
+            .output()
+            .expect("run ruid-xml");
+        assert!(
+            output.status.success(),
+            "engine {engine}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let oracle = printed("tree");
+    assert_eq!(oracle.lines().count(), 1, "one book costs more than 25: {oracle}");
+    assert!(oracle.contains("<title>A</title>"), "{oracle}");
+    for engine in ["uid", "ruid", "indexed", "interval", "ancestry", "planned"] {
+        assert_eq!(printed(engine), oracle, "engine {engine} differs from tree");
     }
 }
 

@@ -186,83 +186,142 @@ fn uid_parent_formula_shape() {
     assert_eq!(cur, Uint::one());
 }
 
-/// Property tests need the `proptest` dev-dependency, which the
-/// offline build environment cannot resolve; restore it in
-/// Cargo.toml and enable `--features proptest-tests` to run these.
-#[cfg(feature = "proptest-tests")]
+/// Property tests over a fixed ladder of seeds: every run checks the same
+/// cases, and a failure names the seed that replays it.
 mod props {
     use super::*;
-    use proptest::prelude::*;
 
-proptest! {
-    #[test]
-    fn prop_add_matches_u128(a in any::<u64>(), b in any::<u64>()) {
-        let s = Uint::from(a).add_ref(&Uint::from(b));
-        prop_assert_eq!(s.to_u128(), Some(u128::from(a) + u128::from(b)));
+    const CASES: u64 = 256;
+
+    /// SplitMix64 (Steele, Lea, Flood), local because this crate sits
+    /// below `xmlgen` and depends on nothing.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Shifted so that every bit length occurs, not only 127 and 128.
+        fn next_u128(&mut self) -> u128 {
+            let wide = u128::from(self.next_u64()) << 64 | u128::from(self.next_u64());
+            wide >> (self.next_u64() % 128)
+        }
+
+        /// A value of `min..max` limbs (the modulo bias is irrelevant
+        /// for choosing a length).
+        fn uint(&mut self, min: u64, max: u64) -> Uint {
+            let len = min + self.next_u64() % (max - min);
+            Uint::from_limbs((0..len).map(|_| self.next_u64()).collect())
+        }
+    }
+
+    /// Names the case's seed when the property panics.
+    struct SeedOnPanic(u64);
+
+    impl Drop for SeedOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("failing seed: {:#x}", self.0);
+            }
+        }
+    }
+
+    /// Runs `property` once per seed `base..base + CASES`.
+    fn for_each_seed(base: u64, property: impl Fn(&mut SplitMix64)) {
+        for seed in base..base + CASES {
+            let _named = SeedOnPanic(seed);
+            property(&mut SplitMix64(seed));
+        }
     }
 
     #[test]
-    fn prop_add_sub_round_trip(a_limbs in proptest::collection::vec(any::<u64>(), 0..5),
-                               b_limbs in proptest::collection::vec(any::<u64>(), 0..5)) {
-        let a = Uint::from_limbs(a_limbs);
-        let b = Uint::from_limbs(b_limbs);
-        let s = a.add_ref(&b);
-        prop_assert_eq!(s.checked_sub(&b).unwrap(), a.clone());
-        prop_assert_eq!(s.checked_sub(&a).unwrap(), b);
+    fn add_matches_u128() {
+        for_each_seed(0x1000, |rng| {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            let s = Uint::from(a).add_ref(&Uint::from(b));
+            assert_eq!(s.to_u128(), Some(u128::from(a) + u128::from(b)));
+        });
     }
 
     #[test]
-    fn prop_mul_div_round_trip(a_limbs in proptest::collection::vec(any::<u64>(), 0..4),
-                               d in 1u64..) {
-        let a = Uint::from_limbs(a_limbs);
-        let prod = a.mul_u64(d);
-        let (q, r) = prod.div_rem_u64(d);
-        prop_assert_eq!(q, a);
-        prop_assert_eq!(r, 0);
+    fn add_sub_round_trip() {
+        for_each_seed(0x2000, |rng| {
+            let (a, b) = (rng.uint(0, 5), rng.uint(0, 5));
+            let s = a.add_ref(&b);
+            assert_eq!(s.checked_sub(&b).unwrap(), a);
+            assert_eq!(s.checked_sub(&a).unwrap(), b);
+        });
     }
 
     #[test]
-    fn prop_div_rem_reconstructs(a_limbs in proptest::collection::vec(any::<u64>(), 0..4),
-                                 b_limbs in proptest::collection::vec(any::<u64>(), 1..3)) {
-        let a = Uint::from_limbs(a_limbs);
-        let b = Uint::from_limbs(b_limbs);
-        prop_assume!(!b.is_zero());
-        let (q, r) = a.div_rem(&b);
-        prop_assert!(r < b);
-        prop_assert_eq!(q.mul_ref(&b).add_ref(&r), a);
+    fn mul_div_round_trip() {
+        for_each_seed(0x3000, |rng| {
+            let a = rng.uint(0, 4);
+            let d = rng.next_u64().max(1);
+            let (q, r) = a.mul_u64(d).div_rem_u64(d);
+            assert_eq!(q, a);
+            assert_eq!(r, 0);
+        });
     }
 
     #[test]
-    fn prop_decimal_round_trip(limbs in proptest::collection::vec(any::<u64>(), 0..4)) {
-        let a = Uint::from_limbs(limbs);
-        let s = a.to_string();
-        prop_assert_eq!(Uint::from_str(&s).unwrap(), a);
+    fn div_rem_reconstructs() {
+        for_each_seed(0x4000, |rng| {
+            let (a, b) = (rng.uint(0, 4), rng.uint(1, 3));
+            if b.is_zero() {
+                return;
+            }
+            let (q, r) = a.div_rem(&b);
+            assert!(r < b);
+            assert_eq!(q.mul_ref(&b).add_ref(&r), a);
+        });
     }
 
     #[test]
-    fn prop_bytes_round_trip(limbs in proptest::collection::vec(any::<u64>(), 0..5)) {
-        let a = Uint::from_limbs(limbs);
-        prop_assert_eq!(Uint::from_le_bytes(&a.to_le_bytes()), a);
+    fn decimal_round_trip() {
+        for_each_seed(0x5000, |rng| {
+            let a = rng.uint(0, 4);
+            assert_eq!(Uint::from_str(&a.to_string()).unwrap(), a);
+        });
     }
 
     #[test]
-    fn prop_shift_round_trip(limbs in proptest::collection::vec(any::<u64>(), 0..4),
-                             s in 0u64..200) {
-        let a = Uint::from_limbs(limbs);
-        prop_assert_eq!(a.shl_bits(s).shr_bits(s), a);
+    fn bytes_round_trip() {
+        for_each_seed(0x6000, |rng| {
+            let a = rng.uint(0, 5);
+            assert_eq!(Uint::from_le_bytes(&a.to_le_bytes()), a);
+        });
     }
 
     #[test]
-    fn prop_cmp_matches_u128(a in any::<u128>(), b in any::<u128>()) {
-        prop_assert_eq!(Uint::from(a).cmp(&Uint::from(b)), a.cmp(&b));
+    fn shift_round_trip() {
+        for_each_seed(0x7000, |rng| {
+            let a = rng.uint(0, 4);
+            let s = rng.next_u64() % 200;
+            assert_eq!(a.shl_bits(s).shr_bits(s), a);
+        });
     }
 
     #[test]
-    fn prop_bits_matches_u128(a in any::<u128>()) {
-        let expected = (128 - a.leading_zeros()) as u64;
-        prop_assert_eq!(Uint::from(a).bits(), expected);
+    fn cmp_matches_u128() {
+        for_each_seed(0x8000, |rng| {
+            let (a, b) = (rng.next_u128(), rng.next_u128());
+            assert_eq!(Uint::from(a).cmp(&Uint::from(b)), a.cmp(&b));
+        });
     }
-}
+
+    #[test]
+    fn bits_matches_u128() {
+        for_each_seed(0x9000, |rng| {
+            let a = rng.next_u128();
+            assert_eq!(Uint::from(a).bits(), u64::from(128 - a.leading_zeros()));
+        });
+    }
 }
 
 #[test]

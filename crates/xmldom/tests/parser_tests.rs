@@ -206,68 +206,98 @@ fn serialize_escapes_attr_specials() {
 
 // --- property tests ------------------------------------------------------
 
-/// Gated off by default: `proptest` cannot resolve in the offline
-/// build environment (see Cargo.toml).
-#[cfg(feature = "proptest-tests")]
+/// Over a fixed ladder of SplitMix64 seeds: every run checks the same
+/// documents, and a failure names the seed that replays it.
 mod props {
     use super::*;
-    use proptest::prelude::*;
+    use xmlgen::SplitMix64;
 
-/// Strategy producing a random document as a nested element structure.
-fn arb_tree() -> impl Strategy<Value = String> {
-    let name = proptest::sample::select(vec!["a", "b", "c", "item", "x-y", "n_1"]);
-    let text = "[ -~]{0,12}"; // printable ASCII
-    let leaf = (name.clone(), text).prop_map(|(n, t)| {
-        let escaped = t.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;");
-        if escaped.trim().is_empty() {
-            format!("<{n}/>")
-        } else {
-            format!("<{n}>{escaped}</{n}>")
-        }
-    });
-    leaf.prop_recursive(4, 64, 5, move |inner| {
-        (
-            proptest::sample::select(vec!["r", "s", "t"]),
-            proptest::collection::vec(inner, 0..5),
-        )
-            .prop_map(|(n, kids)| {
-                if kids.is_empty() {
-                    format!("<{n}/>")
-                } else {
-                    format!("<{n}>{}</{n}>", kids.join(""))
-                }
-            })
-    })
-}
+    const CASES: u64 = 256;
 
-proptest! {
-    #[test]
-    fn prop_parse_serialize_round_trip(src in arb_tree()) {
-        let doc = Document::parse(&src).unwrap();
-        let out = doc.to_xml_string();
-        let doc2 = Document::parse(&out).unwrap();
-        prop_assert!(doc.subtree_eq(doc.root(), &doc2, doc2.root()),
-            "round trip changed the tree: {src} -> {out}");
-        // Serialization is a fixed point after one round.
-        prop_assert_eq!(doc2.to_xml_string(), out);
-    }
+    /// Names the case's seed when the property panics.
+    struct SeedOnPanic(u64);
 
-    #[test]
-    fn prop_descendant_count_matches_node_count(src in arb_tree()) {
-        let doc = Document::parse(&src).unwrap();
-        prop_assert_eq!(doc.descendants(doc.root()).count(), doc.node_count());
-    }
-
-    #[test]
-    fn prop_document_order_total(src in arb_tree()) {
-        let doc = Document::parse(&src).unwrap();
-        let nodes: Vec<_> = doc.descendants(doc.root()).collect();
-        // cmp_document_order must agree with preorder position.
-        for (i, &x) in nodes.iter().enumerate().step_by(3) {
-            for (j, &y) in nodes.iter().enumerate().step_by(5) {
-                prop_assert_eq!(doc.cmp_document_order(x, y), i.cmp(&j));
+    impl Drop for SeedOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("failing seed: {:#x}", self.0);
             }
         }
     }
-}
+
+    /// Runs `property` on one random document per seed `base..base + CASES`.
+    fn for_each_tree(base: u64, property: impl Fn(&str)) {
+        for seed in base..base + CASES {
+            let _named = SeedOnPanic(seed);
+            let mut src = String::new();
+            tree(&mut SplitMix64::seed_from_u64(seed), 4, &mut src);
+            property(&src);
+        }
+    }
+
+    /// A random document as a nested element structure: up to `depth`
+    /// levels of `r`/`s`/`t` elements with up to four children each, over
+    /// leaves holding up to twelve printable ASCII characters.
+    fn tree(rng: &mut SplitMix64, depth: usize, out: &mut String) {
+        if depth == 0 || rng.gen_bool(0.3) {
+            let n = ["a", "b", "c", "item", "x-y", "n_1"][rng.gen_range(0..6usize)];
+            let text: String =
+                (0..rng.gen_range(0..=12usize)).map(|_| rng.gen_range(b' '..=b'~') as char).collect();
+            let escaped = text.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;");
+            if escaped.trim().is_empty() {
+                out.push_str(&format!("<{n}/>"));
+            } else {
+                out.push_str(&format!("<{n}>{escaped}</{n}>"));
+            }
+            return;
+        }
+        let n = ["r", "s", "t"][rng.gen_range(0..3usize)];
+        let kids = rng.gen_range(0..5usize);
+        if kids == 0 {
+            out.push_str(&format!("<{n}/>"));
+            return;
+        }
+        out.push_str(&format!("<{n}>"));
+        for _ in 0..kids {
+            tree(rng, depth - 1, out);
+        }
+        out.push_str(&format!("</{n}>"));
+    }
+
+    #[test]
+    fn parse_serialize_round_trip() {
+        for_each_tree(0x1000, |src| {
+            let doc = Document::parse(src).unwrap();
+            let out = doc.to_xml_string();
+            let doc2 = Document::parse(&out).unwrap();
+            assert!(
+                doc.subtree_eq(doc.root(), &doc2, doc2.root()),
+                "round trip changed the tree: {src} -> {out}"
+            );
+            // Serialization is a fixed point after one round.
+            assert_eq!(doc2.to_xml_string(), out);
+        });
+    }
+
+    #[test]
+    fn descendant_count_matches_node_count() {
+        for_each_tree(0x2000, |src| {
+            let doc = Document::parse(src).unwrap();
+            assert_eq!(doc.descendants(doc.root()).count(), doc.node_count());
+        });
+    }
+
+    #[test]
+    fn document_order_total() {
+        for_each_tree(0x3000, |src| {
+            let doc = Document::parse(src).unwrap();
+            let nodes: Vec<_> = doc.descendants(doc.root()).collect();
+            // cmp_document_order must agree with preorder position.
+            for (i, &x) in nodes.iter().enumerate().step_by(3) {
+                for (j, &y) in nodes.iter().enumerate().step_by(5) {
+                    assert_eq!(doc.cmp_document_order(x, y), i.cmp(&j));
+                }
+            }
+        });
+    }
 }
