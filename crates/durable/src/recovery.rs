@@ -337,4 +337,40 @@ mod tests {
         assert!(r.report.quarantined.iter().all(|(id, _)| *id == 5));
         assert_eq!(r.next_doc_id, 7);
     }
+
+    /// A record an older binary journaled — an insert whose parent label
+    /// resolves to a text node — is refused by the shared apply path:
+    /// replay quarantines that document with the same error the live
+    /// commit and a follower's apply give, and recovery carries on.
+    #[test]
+    fn insert_under_a_text_node_quarantines_on_replay() {
+        use schemes::NumberingScheme;
+        let dir = crate::test_dir("rec_insert_under_text");
+        let xml = "<a>t<b/></a>";
+        let mut state =
+            DocState::build(1, "doc1.xml".into(), xml, PartitionConfig::by_depth(2), false)
+                .unwrap();
+        let root = state.doc.root_element().unwrap();
+        let text = state.doc.first_child(root).unwrap();
+        assert!(state.doc.text(text).is_some());
+        let op = WalOp::Insert {
+            doc_id: 1,
+            parent: state.scheme.label_of(text),
+            position: 0,
+            content: NodeContent::Element { name: "n".into(), attributes: vec![] },
+        };
+        let arena = state.doc.arena_len();
+        let live = state.apply(&op).unwrap_err();
+        assert!(live.contains("non-element"), "{live}");
+        assert_eq!(state.doc.arena_len(), arena, "refused before the arena is touched");
+
+        let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
+        w.append(&load_op(1, xml)).unwrap();
+        w.append(&op).unwrap();
+        w.append(&load_op(2, "<ok/>")).unwrap();
+        let r = recover(&dir).unwrap();
+        assert_eq!(r.report.replayed, 3, "the bad record does not end the replay");
+        assert_eq!(r.report.quarantined, vec![(1, live)]);
+        assert_eq!(r.docs.iter().map(|d| d.id).collect::<Vec<_>>(), vec![2]);
+    }
 }

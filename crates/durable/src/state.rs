@@ -137,7 +137,12 @@ impl DocState {
     }
 
     /// Inserts `content` as the `position`-th child of the node labelled
-    /// `parent` and renumbers incrementally.
+    /// `parent` and renumbers incrementally. Only an element can take a
+    /// child: a label that resolves to a text, comment or PI node is
+    /// refused before the arena is touched — the serializer would never
+    /// write such a child, so the tree and a reload of it would disagree.
+    /// Live commits, WAL replay and follower apply all come through here,
+    /// so a record an older binary journaled fails identically everywhere.
     pub fn insert(
         &mut self,
         parent: &ruid_core::Ruid2,
@@ -146,6 +151,9 @@ impl DocState {
     ) -> Result<Applied, String> {
         let parent_node =
             self.scheme.node_of(parent).ok_or_else(|| format!("no node labelled {parent}"))?;
+        if !self.doc.is_element(parent_node) {
+            return Err(format!("{parent} labels a non-element node; cannot insert under it"));
+        }
         let new_node = content.create_in(&mut self.doc);
         match self.doc.children(parent_node).nth(position as usize) {
             Some(anchor) => self.doc.insert_before(anchor, new_node),

@@ -7,12 +7,18 @@
 //! plan forces materialization. A fully-structural query like `//a//b`
 //! therefore costs two summary transitions plus one member merge, no
 //! matter how many million nodes the document has.
+//!
+//! An operator with value-probes never lists its states' members at all:
+//! its candidates are the probes' hits, so `//item[@id='item7']` costs one
+//! binary search per `item` path however many items there are.
+
+use std::borrow::Cow;
 
 use xmldom::{DocOrder, Document, NodeId};
 use xpath::{AxisProvider, EvalError, Evaluator};
 
-use crate::planner::{OpKind, Plan};
-use crate::summary::PathSummary;
+use crate::planner::{OpKind, Plan, ValueProbe};
+use crate::summary::{PathSummary, SummaryId};
 
 /// What executing a plan actually did — per-operator output sizes for
 /// EXPLAIN's estimated-vs-actual columns, and operator counts for the
@@ -22,6 +28,10 @@ pub struct ExecStats {
     /// Actual output cardinality of each operator, parallel to
     /// [`Plan::ops`].
     pub op_actuals: Vec<usize>,
+    /// Rows each value-probe found on its own, parallel to
+    /// [`PlanOp::probes`](crate::PlanOp::probes) within [`Plan::ops`];
+    /// shorter than that list where an earlier probe came back empty.
+    pub(crate) probe_actuals: Vec<Vec<usize>>,
     /// Output cardinality of the fallback tail, when one ran.
     pub tail_actual: Option<usize>,
     /// Scan operators executed.
@@ -30,10 +40,67 @@ pub struct ExecStats {
     pub child_joins: u64,
     /// Containment-interval joins executed.
     pub containment_joins: u64,
+    /// Value-probes executed.
+    pub value_probes: u64,
     /// AST steps delegated to the step-by-step evaluator (fallback walks).
     pub fallback_steps: u64,
     /// Predicate filter passes applied by plan operators.
     pub predicate_filters: u64,
+}
+
+/// The members of the probe's target states that satisfy its predicate,
+/// in document order: each posting hit lifted to the member it sits
+/// `levels` below, plus the unindexed members' owners the evaluator
+/// passes, merged by rank.
+fn run_probe<A: AxisProvider>(
+    probe: &ValueProbe,
+    doc: &Document,
+    summary: &PathSummary,
+    order: &DocOrder,
+    ev: &Evaluator<'_, A>,
+) -> Result<Vec<NodeId>, EvalError> {
+    let owner = |hit: NodeId| {
+        (0..probe.levels).fold(hit, |n, _| doc.parent(n).expect("a posted node is attached"))
+    };
+    let by_rank = |nodes: &mut Vec<NodeId>| {
+        nodes.sort_unstable_by_key(|&n| order.rank(n));
+        nodes.dedup();
+    };
+    let mut owners = Vec::new();
+    let mut unindexed = Vec::new();
+    for (source, run) in &probe.sources {
+        let hits = summary.posted(*source, probe.key, &probe.needle, run.clone());
+        owners.extend(hits.iter().map(|&n| owner(n)));
+        unindexed.extend(summary.unindexed(*source, probe.key).iter().map(|&n| owner(n)));
+    }
+    if !unindexed.is_empty() {
+        by_rank(&mut unindexed);
+        owners.extend(ev.filter_predicates(unindexed, std::slice::from_ref(&probe.predicate))?);
+    }
+    by_rank(&mut owners);
+    Ok(owners)
+}
+
+/// The members of `states` that are children of a context node, in
+/// document order — the child step driven from the (filtered, hence
+/// smaller) context side: its cost is the context's children, not the
+/// target paths' cardinality.
+fn children_on_paths(
+    doc: &Document,
+    summary: &PathSummary,
+    order: &DocOrder,
+    context: &[NodeId],
+    states: &[SummaryId],
+) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = context
+        .iter()
+        .flat_map(|&c| doc.children(c))
+        .filter(|&n| summary.sid(n).is_some_and(|sid| states.binary_search(&sid).is_ok()))
+        .collect();
+    // Context nodes can nest (one tag at several depths), which
+    // interleaves their children.
+    out.sort_unstable_by_key(|&n| order.rank(n));
+    out
 }
 
 /// The running node-set: either still exact (implicitly the member union
@@ -59,20 +126,44 @@ pub fn execute<A: AxisProvider>(
 ) -> Result<(Vec<NodeId>, ExecStats), EvalError> {
     let mut stats = ExecStats::default();
     let mut set = NodeSet::Lazy;
-    let initial_states: Vec<crate::summary::SummaryId> =
-        summary.root_sid().into_iter().collect();
-    let mut last_states: &[crate::summary::SummaryId] = &initial_states;
+    let initial_states: Vec<SummaryId> = summary.root_sid().into_iter().collect();
+    let mut last_states: &[SummaryId] = &initial_states;
     let mut empty = false;
     for op in &plan.ops {
         if empty {
             stats.op_actuals.push(0);
+            stats.probe_actuals.push(Vec::new());
             continue;
         }
-        let produced: Vec<NodeId>;
-        match op.kind {
-            OpKind::Scan => {
+        let mut probed = Vec::with_capacity(op.probes.len());
+        // The intersection of the probes' answers, when there are any.
+        let mut hits: Option<Vec<NodeId>> = None;
+        for probe in &op.probes {
+            stats.value_probes += 1;
+            let found = run_probe(probe, doc, summary, order, ev)?;
+            probed.push(found.len());
+            hits = Some(match hits {
+                None => found,
+                Some(mut hits) => {
+                    hits.retain(|&n| {
+                        found.binary_search_by_key(&order.rank(n), |&m| order.rank(m)).is_ok()
+                    });
+                    hits
+                }
+            });
+            if hits.as_ref().is_some_and(Vec::is_empty) {
+                break;
+            }
+        }
+        stats.probe_actuals.push(probed);
+        let context = || match &set {
+            NodeSet::Lazy => Cow::Owned(summary.merged_members(last_states, order)),
+            NodeSet::Nodes(nodes) => Cow::Borrowed(nodes.as_slice()),
+        };
+        let mut produced = match (op.kind, hits) {
+            (OpKind::Scan, hits) => {
                 stats.scans += 1;
-                if op.predicates.is_empty() {
+                if hits.is_none() && op.predicates.is_empty() {
                     // Stay lazy: cardinality is known without touching
                     // the tree.
                     let actual = summary.cardinality(&op.states);
@@ -82,33 +173,25 @@ pub fn execute<A: AxisProvider>(
                     empty = actual == 0;
                     continue;
                 }
-                let members = summary.merged_members(&op.states, order);
-                stats.predicate_filters += op.predicates.len() as u64;
-                produced = ev.filter_predicates(members, &op.predicates)?;
+                hits.unwrap_or_else(|| summary.merged_members(&op.states, order))
             }
-            OpKind::ChildJoin | OpKind::ContainmentJoin => {
-                let context = match &set {
-                    NodeSet::Lazy => summary.merged_members(last_states, order),
-                    NodeSet::Nodes(nodes) => nodes.clone(),
-                };
-                let candidates = summary.merged_members(&op.states, order);
-                let joined = match op.kind {
-                    OpKind::ChildJoin => {
-                        stats.child_joins += 1;
-                        xpath::parent_join(doc, order, &context, &candidates)
-                    }
-                    _ => {
-                        stats.containment_joins += 1;
-                        xpath::containment_join(order, &context, &candidates)
-                    }
-                };
-                if op.predicates.is_empty() {
-                    produced = joined;
-                } else {
-                    stats.predicate_filters += op.predicates.len() as u64;
-                    produced = ev.filter_predicates(joined, &op.predicates)?;
+            (OpKind::ChildJoin, hits) => {
+                stats.child_joins += 1;
+                match hits {
+                    Some(hits) => xpath::parent_join(doc, order, &context(), &hits),
+                    None => children_on_paths(doc, summary, order, &context(), &op.states),
                 }
             }
+            (OpKind::ContainmentJoin, hits) => {
+                stats.containment_joins += 1;
+                let candidates =
+                    hits.unwrap_or_else(|| summary.merged_members(&op.states, order));
+                xpath::containment_join(order, &context(), &candidates)
+            }
+        };
+        if !op.predicates.is_empty() {
+            stats.predicate_filters += op.predicates.len() as u64;
+            produced = ev.filter_predicates(produced, &op.predicates)?;
         }
         stats.op_actuals.push(produced.len());
         empty = produced.is_empty();

@@ -8,11 +8,13 @@
 //!
 //! * [`PathSummary`] — a DataGuide over the document's distinct element
 //!   paths, built at load/recovery time. Structural XPath prefixes run
-//!   over summary nodes instead of document nodes, and per-path member
-//!   counts double as exact selectivity estimates.
+//!   over summary nodes instead of document nodes, per-path member
+//!   counts double as exact selectivity estimates, and per-path value
+//!   postings turn `[@id = '…']`-shaped predicates into binary searches.
 //! * [`plan`] / [`execute`] — compile the longest structural prefix of a
-//!   parsed path into Scan / ChildJoin / ContainmentJoin operators
-//!   (predicates reordered cheapest-first), run them, and hand any
+//!   parsed path into Scan / ChildJoin / ContainmentJoin operators (each
+//!   predicate answered by a value-probe where its shape allows, the
+//!   others reordered cheapest-first), run them, and hand any
 //!   unplannable remainder to the ordinary [`Evaluator`]. Results are
 //!   byte-identical to unplanned evaluation by construction.
 //! * [`ResultCache`] — a generation-keyed response cache; the service
@@ -109,17 +111,43 @@ pub fn render_explain(
             }
             lines.push(format!("   paths: {}", paths.join(", ")));
         }
-        if !op.predicates.is_empty() {
-            let rendered: Vec<String> = op
-                .pred_order
-                .iter()
-                .zip(&op.pred_sels)
-                .map(|(&orig, sel)| format!("#{} sel={:.3}", orig + 1, sel))
-                .collect();
+        let rendered: Vec<String> = op
+            .pred_order
+            .iter()
+            .zip(&op.pred_sels)
+            .map(|(&orig, sel)| format!("#{} sel={:.3}", orig + 1, sel))
+            .collect();
+        for (k, probe) in op.probes.iter().enumerate() {
+            let actual = stats
+                .probe_actuals
+                .get(i)
+                .and_then(|found| found.get(k))
+                .map(|a| a.to_string())
+                .unwrap_or_else(|| "-".into());
+            lines.push(format!(
+                "   value-probe #{}: {} est={} actual={}",
+                probe.pred_index + 1,
+                probe.rendered,
+                probe.est,
+                actual,
+            ));
+        }
+        if !op.probes.is_empty() {
+            lines.push(if rendered.is_empty() {
+                "   residual predicates: none".to_string()
+            } else {
+                format!(
+                    "   residual predicates ({} of {}, selectivity order): {}",
+                    rendered.len(),
+                    rendered.len() + op.probes.len(),
+                    rendered.join(", "),
+                )
+            });
+        } else if !rendered.is_empty() {
             lines.push(format!(
                 "   predicates ({} of {}, selectivity order): {}",
-                op.predicates.len(),
-                op.predicates.len(),
+                rendered.len(),
+                rendered.len(),
                 rendered.join(", "),
             ));
         }
@@ -289,5 +317,79 @@ mod tests {
         assert!(text.contains("est="), "{text}");
         assert!(text.contains("actual="), "{text}");
         assert!(text.contains("/site/regions/africa/item"), "{text}");
+    }
+
+    fn valued() -> Document {
+        Document::parse(
+            "<site><regions>\
+               <africa>\
+                 <item id=\"i1\"><location>asia</location><quantity>2</quantity></item>\
+                 <item id=\"i2\"><location>europe</location><quantity>2.0</quantity></item>\
+               </africa><asia>\
+                 <item id=\"i3\"><location>asia</location><quantity>5</quantity></item>\
+                 <item id=\"i4\"><location>europe</location><quantity>7</quantity></item>\
+               </asia>\
+             </regions></site>",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn probe_able_predicates_become_value_probes() {
+        let doc = valued();
+        let (nodes, plan, stats) = run_planned(&doc, "//item[@id='i3']");
+        let op = plan.ops.last().unwrap();
+        assert_eq!(op.probes.len(), 1);
+        assert!(op.predicates.is_empty(), "nothing is left to filter");
+        assert_eq!((op.probes[0].est, op.est, nodes.len()), (1, 1, 1), "the estimate is the count");
+        assert_eq!(stats.value_probes, 1);
+        assert_eq!(stats.predicate_filters, 0);
+        assert_eq!(stats.probe_actuals.last().unwrap(), &[1]);
+        // `//item` spans two summary paths; the probe searches both.
+        assert_eq!(op.probes[0].sources.len(), 2);
+    }
+
+    #[test]
+    fn two_probes_intersect_and_other_shapes_stay_filters() {
+        let doc = valued();
+        let (nodes, plan, stats) =
+            run_planned(&doc, "//item[quantity = 2][location = 'asia'][@id != 'x']");
+        let op = plan.ops.last().unwrap();
+        let probed: Vec<usize> = op.probes.iter().map(|p| p.pred_index).collect();
+        assert_eq!(probed, vec![0, 1], "equal counts keep the written order");
+        assert_eq!(op.pred_order, vec![2], "`!=` is never probed");
+        assert_eq!(nodes.len(), 1, "i1 only: i2 is in europe, i3 and i4 hold other quantities");
+        assert_eq!(stats.value_probes, 2);
+        assert_eq!(stats.predicate_filters, 1);
+        // Fewest postings first, whatever the written order; an empty
+        // intersection stops the rest from running.
+        let (nodes, plan, stats) = run_planned(&doc, "//item[quantity > 0][@id='i1']");
+        let op = plan.ops.last().unwrap();
+        let probed: Vec<&str> = op.probes.iter().map(|p| p.rendered.as_str()).collect();
+        assert_eq!(probed, vec!["@id = 'i1'", "quantity > 0"]);
+        assert_eq!((nodes.len(), stats.value_probes), (1, 2));
+        let (nodes, _, stats) = run_planned(&doc, "//item[quantity > 0][@id='none']");
+        assert_eq!((nodes.len(), stats.value_probes), (0, 1));
+    }
+
+    #[test]
+    fn explain_names_the_probe_and_the_residual() {
+        let doc = valued();
+        let q = "//item[contains(location, 'a')][quantity >= 2.0]/location";
+        let (nodes, plan, stats) = run_planned(&doc, q);
+        let summary = PathSummary::build(&doc);
+        let text = render_explain(q, &plan, &stats, &summary, &doc, nodes.len()).join("\n");
+        assert!(text.contains("value-probe #2: quantity >= 2 est=4 actual=4"), "{text}");
+        assert!(
+            text.contains("residual predicates (1 of 2, selectivity order): #1 sel=0.500"),
+            "{text}"
+        );
+        assert!(text.contains("child-join child::location"), "{text}");
+        let (nodes, plan, stats) = run_planned(&doc, "//item[@id='i2']");
+        let text =
+            render_explain("//item[@id='i2']", &plan, &stats, &summary, &doc, nodes.len())
+                .join("\n");
+        assert!(text.contains("value-probe #1: @id = 'i2' est=1 actual=1"), "{text}");
+        assert!(text.contains("residual predicates: none"), "{text}");
     }
 }

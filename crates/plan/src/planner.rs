@@ -19,6 +19,16 @@
 //!   (`xpath::containment_join`) — the paper's O(1) containment test,
 //!   amortized into a sorted merge.
 //!
+//! A predicate of the shape `operand op literal` — `operand` being `@a`
+//! or a predicate-free `child::name(/child::name)*` path optionally ending
+//! in `/@a`, `op` any of `= < <= > >=`, `literal` a string or a number —
+//! is a **value-probe**: a binary search of the summary's value postings
+//! below the step's target states, each hit lifted to the member it
+//! qualifies. A step's probes run fewest postings first and their
+//! intersection replaces "all members" as the step's candidates; every
+//! other predicate (`!=`, `or`/`not`, `contains`, path-vs-path, ...)
+//! filters the survivors.
+//!
 //! Predicates on a planned step are reordered cheapest-selectivity-first
 //! using path-summary cardinalities (safe: position-insensitive predicate
 //! verdicts are per-node and order-independent). Everything past the
@@ -27,10 +37,15 @@
 //! the step-by-step evaluator, which keeps planned results byte-identical
 //! to unplanned ones by construction.
 
-use xmldom::Document;
-use xpath::{expr_is_position_sensitive, Axis, Expr, LocationPath, NodeTest, Step, Value};
+use std::ops::Range;
 
-use crate::summary::{PathSummary, SummaryId};
+use xmldom::Document;
+use xpath::{
+    expr_is_position_sensitive, parse_number, Axis, CmpOp, Expr, LocationPath, NodeTest, Step,
+    Value,
+};
+
+use crate::summary::{Needle, PathSummary, SummaryId, ValueKey};
 
 /// The structural axis of a planned step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +88,33 @@ impl OpKind {
     }
 }
 
+/// A predicate answered from the value postings rather than member by
+/// member. Opaque outside the crate: EXPLAIN renders it and
+/// [`ExecStats::value_probes`](crate::ExecStats::value_probes) counts it.
+#[derive(Debug)]
+pub struct ValueProbe {
+    /// Index of the predicate as written in the query.
+    pub(crate) pred_index: usize,
+    /// The predicate itself: what unindexed members are filtered by.
+    pub(crate) predicate: Expr,
+    /// The comparison as EXPLAIN shows it, e.g. `bidder/increase > 7.5`.
+    pub(crate) rendered: String,
+    /// Which posting list of each source is searched.
+    pub(crate) key: ValueKey,
+    /// What the posted values are compared with.
+    pub(crate) needle: Needle,
+    /// The summary nodes holding the operand's values — the one reached by
+    /// the operand's path below each target state that has it — each with
+    /// the run of its posting list the needle matched, searched once here
+    /// and read back by the executor.
+    pub(crate) sources: Vec<(SummaryId, Range<usize>)>,
+    /// How many levels a posted node sits below the member it qualifies.
+    pub(crate) levels: usize,
+    /// Postings in range plus unindexed members — the rows the probe can
+    /// produce, exact unless one member owns several of them.
+    pub(crate) est: usize,
+}
+
 /// One physical operator of a plan.
 #[derive(Debug)]
 pub struct PlanOp {
@@ -86,7 +128,12 @@ pub struct PlanOp {
     pub states: Vec<SummaryId>,
     /// Estimated output cardinality (after predicates).
     pub est: usize,
-    /// Predicates in execution order (selectivity-ascending).
+    /// The predicates answered by value-probes, fewest postings first;
+    /// their intersection supplies the step's candidates in place of the
+    /// states' members.
+    pub probes: Vec<ValueProbe>,
+    /// The other predicates in execution order (selectivity-ascending),
+    /// filtered node at a time.
     pub predicates: Vec<Expr>,
     /// Original index of each entry of `predicates` as written in the
     /// query — `[1, 0]` means the second written predicate runs first.
@@ -165,10 +212,86 @@ fn structural_step(steps: &[Step], i: usize) -> Option<Structural<'_>> {
     Some(Structural { axis, test: &step.test, predicates: &step.predicates, consumed: 1 })
 }
 
+/// The operand of a probe-able comparison: the child names leading to
+/// the node that carries the value, and the attribute read there (`None`
+/// for its string-value).
+fn probe_operand(value: &Value) -> Option<(Vec<&str>, Option<&str>)> {
+    let path = match value {
+        Value::Attribute(name) => return Some((Vec::new(), Some(name))),
+        Value::Path(path) if !path.absolute => path,
+        _ => return None,
+    };
+    let mut names = Vec::new();
+    let mut attribute = None;
+    for (i, step) in path.steps.iter().enumerate() {
+        let NodeTest::Name(name) = &step.test else { return None };
+        if !step.predicates.is_empty() {
+            return None;
+        }
+        match step.axis {
+            Axis::Child => names.push(name.as_str()),
+            Axis::Attribute if i + 1 == path.steps.len() => attribute = Some(name.as_str()),
+            _ => return None,
+        }
+    }
+    Some((names, attribute))
+}
+
+/// Compiles the `index`-th predicate of a step into a value-probe over
+/// `targets`, when it has the shape the postings answer.
+fn compile_probe(
+    index: usize,
+    expr: &Expr,
+    targets: &[SummaryId],
+    summary: &PathSummary,
+    doc: &Document,
+) -> Option<ValueProbe> {
+    let Expr::Comparison { left, op, right } = expr else { return None };
+    let (needle, literal) = match (op, right) {
+        (CmpOp::Ne, _) => return None,
+        (CmpOp::Eq, Value::Literal(s)) => (Needle::Str(s.clone()), format!("'{s}'")),
+        // Relational operators compare numbers; a literal that is not one
+        // matches nothing, which is what NaN does.
+        (_, Value::Literal(s)) => {
+            (Needle::Num(*op, parse_number(s).unwrap_or(f64::NAN)), format!("'{s}'"))
+        }
+        (_, Value::Number(x)) => (Needle::Num(*op, *x), x.to_string()),
+        _ => return None,
+    };
+    let (names, attribute) = probe_operand(left)?;
+    // A name the document never interned is carried by no node; such a
+    // predicate stays with the evaluator, which finds that out its own way.
+    let key = match attribute {
+        Some(name) => ValueKey::Attr(doc.name_id(name)?),
+        None => ValueKey::Text,
+    };
+    let ids = names.iter().map(|name| doc.name_id(name)).collect::<Option<Vec<_>>>()?;
+    let sources: Vec<(SummaryId, Range<usize>)> = targets
+        .iter()
+        .filter_map(|&t| ids.iter().try_fold(t, |sid, &name| summary.child_named(sid, name)))
+        .map(|s| (s, summary.probe(doc, s, key, &needle)))
+        .collect();
+    let est = sources.iter().map(|(s, run)| run.len() + summary.unindexed(*s, key).len()).sum();
+    let mut operand: Vec<String> = names.iter().map(|name| name.to_string()).collect();
+    operand.extend(attribute.map(|name| format!("@{name}")));
+    Some(ValueProbe {
+        pred_index: index,
+        predicate: expr.clone(),
+        rendered: format!("{} {op} {literal}", operand.join("/")),
+        key,
+        needle,
+        sources,
+        levels: names.len(),
+        est,
+    })
+}
+
 /// Estimated fraction of context nodes a predicate keeps, from path-
 /// summary cardinalities. Coarse by design — it only has to *order*
 /// predicates, not price them — but exact zeros are real: a relative path
 /// whose structural prefix reaches no summary state matches nothing.
+/// (A predicate that is itself a probe-able comparison never gets here:
+/// its posting count is exact.)
 fn predicate_selectivity(
     expr: &Expr,
     states: &[SummaryId],
@@ -253,26 +376,53 @@ fn path_selectivity(
     (summary.cardinality(&sim) as f64 / context_card as f64).min(1.0)
 }
 
-/// Reorders a step's predicates selectivity-ascending (cheapest filter
-/// first), stable on ties so equal estimates keep the written order.
-/// Returns `(predicates, original_indices, selectivities)`.
+/// A step's predicates, split and ordered for execution.
+struct OrderedPredicates {
+    probes: Vec<ValueProbe>,
+    predicates: Vec<Expr>,
+    pred_order: Vec<usize>,
+    pred_sels: Vec<f64>,
+    /// Product of every predicate's selectivity, the probes' included.
+    selectivity: f64,
+}
+
+/// Splits a step's predicates into value-probes (fewest postings first)
+/// and filters (selectivity-ascending, cheapest first; stable on ties so
+/// equal estimates keep the written order). A probe-able predicate's
+/// selectivity is its exact posting count over the states' cardinality.
 fn order_predicates(
     predicates: &[Expr],
     states: &[SummaryId],
     summary: &PathSummary,
     doc: &Document,
-) -> (Vec<Expr>, Vec<usize>, Vec<f64>) {
-    let sels: Vec<f64> = predicates
-        .iter()
-        .map(|p| predicate_selectivity(p, states, summary, doc))
-        .collect();
-    let mut idx: Vec<usize> = (0..predicates.len()).collect();
+) -> OrderedPredicates {
+    let members = summary.cardinality(states).max(1);
+    let mut probes = Vec::new();
+    let mut idx = Vec::new();
+    let mut sels = Vec::with_capacity(predicates.len());
+    for (i, p) in predicates.iter().enumerate() {
+        match compile_probe(i, p, states, summary, doc) {
+            Some(probe) => {
+                sels.push((probe.est as f64 / members as f64).min(1.0));
+                probes.push(probe);
+            }
+            None => {
+                sels.push(predicate_selectivity(p, states, summary, doc));
+                idx.push(i);
+            }
+        }
+    }
+    probes.sort_by_key(|probe| probe.est);
     idx.sort_by(|&a, &b| {
         sels[a].partial_cmp(&sels[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
     });
-    let ordered: Vec<Expr> = idx.iter().map(|&i| predicates[i].clone()).collect();
-    let ordered_sels: Vec<f64> = idx.iter().map(|&i| sels[i]).collect();
-    (ordered, idx, ordered_sels)
+    OrderedPredicates {
+        probes,
+        predicates: idx.iter().map(|&i| predicates[i].clone()).collect(),
+        pred_sels: idx.iter().map(|&i| sels[i]).collect(),
+        pred_order: idx,
+        selectivity: sels.iter().product(),
+    }
 }
 
 /// Renders a node test for EXPLAIN output.
@@ -291,8 +441,10 @@ fn render_test(test: &NodeTest) -> String {
 ///
 /// Both absolute and relative paths are planned from the root element —
 /// the evaluation start the service uses (`Evaluator::query`). The plan
-/// is pure data: executing it (see [`crate::execute`]) touches the
-/// document, planning does not.
+/// is pure data tied to `summary` (its states and its value-probes'
+/// posting runs index into it); planning reads the document only to
+/// binary-search those runs, executing it (see [`crate::execute`]) against
+/// the same summary does the rest.
 pub fn plan(path: &LocationPath, summary: &PathSummary, doc: &Document) -> Plan {
     let mut ops = Vec::new();
     let steps = &path.steps;
@@ -329,11 +481,10 @@ pub fn plan(path: &LocationPath, summary: &PathSummary, doc: &Document) -> Plan 
                 ((summary.cardinality(&targets) as f64) * keep).ceil() as usize
             }
         };
-        let (predicates, pred_order, pred_sels) =
-            order_predicates(s.predicates, &targets, summary, doc);
-        let sel_product: f64 = pred_sels.iter().product();
-        est = ((structural_est as f64) * sel_product).ceil() as usize;
-        if !predicates.is_empty() {
+        let ordered = order_predicates(s.predicates, &targets, summary, doc);
+        // The epsilon keeps `n * (k / n)` from ceiling to `k + 1`.
+        est = ((structural_est as f64) * ordered.selectivity - 1e-9).ceil().max(0.0) as usize;
+        if !s.predicates.is_empty() {
             exact = false;
         }
         ops.push(PlanOp {
@@ -342,9 +493,10 @@ pub fn plan(path: &LocationPath, summary: &PathSummary, doc: &Document) -> Plan 
             test: render_test(s.test),
             states: targets.clone(),
             est,
-            predicates,
-            pred_order,
-            pred_sels,
+            probes: ordered.probes,
+            predicates: ordered.predicates,
+            pred_order: ordered.pred_order,
+            pred_sels: ordered.pred_sels,
         });
         states = targets;
         consumed += s.consumed;

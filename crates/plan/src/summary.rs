@@ -9,17 +9,165 @@
 //! surviving summary nodes *are* the answer, with per-path cardinalities
 //! falling out for free as the planner's selectivity estimates.
 //!
+//! Each summary node also carries **value postings**: per attribute name
+//! and for the element string-value, the members sorted by (value,
+//! document order), plus a numeric twin sorted by the parsed number for
+//! the values that parse. The postings are plain id arrays — a value is
+//! read from the [`Document`] whenever two are compared — so a predicate
+//! like `[@id = 'item7']` or `[increase > 7.5]` is one binary search
+//! instead of a comparison per member. Members whose string-value cannot
+//! be lent by the tree ([`Document::simple_text`] is `None`: mixed
+//! content, an element child, two text nodes) sit on a per-path
+//! *unindexed* list that the executor filters through the evaluator.
+//!
 //! The summary is a pure derivation of the tree (same contract as the
 //! name index and the document-order ranks): it is rebuilt at load time
 //! and again after crash recovery, never persisted.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use xmldom::{DocOrder, Document, NameId, NodeId};
-use xpath::NodeTest;
+use xpath::{parse_number, CmpOp, NodeTest};
 
 /// Index of a summary node within its [`PathSummary`].
 pub type SummaryId = u32;
+
+/// `sid_of` entry of a node that is not a summarized element.
+const NO_SID: SummaryId = SummaryId::MAX;
+
+/// What a posting list is keyed by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ValueKey {
+    /// The value of the attribute with this interned name.
+    Attr(NameId),
+    /// The element's string-value.
+    Text,
+}
+
+impl ValueKey {
+    /// The value `node` is posted under, lent by the tree.
+    fn posted(self, doc: &Document, node: NodeId) -> &str {
+        match self {
+            ValueKey::Attr(name) => doc.attribute_by_id(node, name),
+            ValueKey::Text => doc.simple_text(node),
+        }
+        .expect("a posted node carries its key")
+    }
+
+    fn posted_number(self, doc: &Document, node: NodeId) -> f64 {
+        parse_number(self.posted(doc, node)).expect("a number-posted value parses")
+    }
+}
+
+/// Splices `node` into a document-ordered list at its rank.
+fn insert_in_order(list: &mut Vec<NodeId>, order: &DocOrder, node: NodeId) {
+    let rank = order.rank(node);
+    let at = list.partition_point(|&m| order.rank(m) < rank);
+    list.insert(at, node);
+}
+
+/// The number a value is posted under in the numeric twin. `NaN` parses
+/// but satisfies none of `= < <= > >=`, so it is never posted.
+fn posting_number(value: &str) -> Option<f64> {
+    parse_number(value).filter(|x| !x.is_nan())
+}
+
+/// The literal side of a probe-able comparison, reduced to what XPath
+/// actually compares: `= 'text'` is string equality, every other pairing
+/// (a number on the right, or a relational operator) is numeric.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Needle {
+    /// Values equal to this string.
+    Str(String),
+    /// Values whose number stands in this relation (never `!=`, which no
+    /// range answers) to the given one.
+    Num(CmpOp, f64),
+}
+
+/// The value postings of one key on one summary node.
+#[derive(Debug, Default, Clone)]
+struct Postings {
+    /// Members carrying the key, sorted by (value, document order).
+    by_value: Vec<NodeId>,
+    /// The subset whose value parses as a number, sorted by (number,
+    /// document order).
+    by_number: Vec<NodeId>,
+}
+
+impl Postings {
+    /// Sorts `nodes` (given in document order) into postings. Both sorts
+    /// are stable and by value only, which is what keeps ties in document
+    /// order.
+    fn sorted(doc: &Document, key: ValueKey, nodes: &[NodeId]) -> Postings {
+        let mut keyed: Vec<(&str, NodeId)> =
+            nodes.iter().map(|&n| (key.posted(doc, n), n)).collect();
+        let mut numbered: Vec<(f64, NodeId)> =
+            keyed.iter().filter_map(|&(v, n)| posting_number(v).map(|x| (x, n))).collect();
+        keyed.sort_by(|a, b| a.0.cmp(b.0));
+        numbered.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN is never posted"));
+        Postings {
+            by_value: keyed.into_iter().map(|(_, n)| n).collect(),
+            by_number: numbered.into_iter().map(|(_, n)| n).collect(),
+        }
+    }
+
+    /// Files `node` at its (value, rank) position — one binary search per
+    /// list, sound because an update never reorders surviving nodes.
+    fn insert(&mut self, doc: &Document, order: &DocOrder, key: ValueKey, node: NodeId) {
+        let (value, rank) = (key.posted(doc, node), order.rank(node));
+        let at = self
+            .by_value
+            .partition_point(|&m| (key.posted(doc, m), order.rank(m)) < (value, rank));
+        self.by_value.insert(at, node);
+        if let Some(x) = posting_number(value) {
+            let at = self.by_number.partition_point(|&m| {
+                let y = key.posted_number(doc, m);
+                y < x || (y == x && order.rank(m) < rank)
+            });
+            self.by_number.insert(at, node);
+        }
+    }
+
+    fn retain(&mut self, keep: impl Fn(&NodeId) -> bool) {
+        self.by_value.retain(&keep);
+        self.by_number.retain(&keep);
+    }
+
+    /// The list `needle` is searched in.
+    fn list(&self, needle: &Needle) -> &[NodeId] {
+        match needle {
+            Needle::Str(_) => &self.by_value,
+            Needle::Num(..) => &self.by_number,
+        }
+    }
+
+    /// The posted nodes matching `needle` — one contiguous run of
+    /// [`list`](Postings::list) — as positions in it.
+    fn range(&self, doc: &Document, key: ValueKey, needle: &Needle) -> Range<usize> {
+        let list = self.list(needle);
+        match needle {
+            Needle::Str(s) => {
+                let lo = list.partition_point(|&m| key.posted(doc, m) < s.as_str());
+                lo..lo + list[lo..].partition_point(|&m| key.posted(doc, m) == s)
+            }
+            Needle::Num(_, x) if x.is_nan() => 0..0,
+            Needle::Num(op, x) => {
+                let below = list.partition_point(|&m| key.posted_number(doc, m) < *x);
+                let upto =
+                    below + list[below..].partition_point(|&m| key.posted_number(doc, m) <= *x);
+                match op {
+                    CmpOp::Eq => below..upto,
+                    CmpOp::Lt => 0..below,
+                    CmpOp::Le => 0..upto,
+                    CmpOp::Gt => upto..list.len(),
+                    CmpOp::Ge => below..list.len(),
+                    CmpOp::Ne => unreachable!("the planner never probes `!=`"),
+                }
+            }
+        }
+    }
+}
 
 /// One distinct element path: its tag, its place in the summary tree, and
 /// the document nodes that realize it.
@@ -35,12 +183,71 @@ pub struct SummaryNode {
     pub children: Vec<SummaryId>,
     /// Document nodes on this path, in document order.
     pub members: Vec<NodeId>,
+    /// String-value postings of the members the tree can lend one for.
+    text: Postings,
+    /// The other members — their string-value has to be built — in
+    /// document order.
+    unindexed: Vec<NodeId>,
+    /// Postings per attribute name some member carries.
+    attrs: Vec<(NameId, Postings)>,
+}
+
+impl SummaryNode {
+    fn new(name: NameId, parent: Option<SummaryId>, depth: u32) -> SummaryNode {
+        SummaryNode {
+            name,
+            parent,
+            depth,
+            children: Vec::new(),
+            members: Vec::new(),
+            text: Postings::default(),
+            unindexed: Vec::new(),
+            attrs: Vec::new(),
+        }
+    }
+
+    fn postings(&self, key: ValueKey) -> Option<&Postings> {
+        match key {
+            ValueKey::Text => Some(&self.text),
+            ValueKey::Attr(name) => self.attrs.iter().find(|(n, _)| *n == name).map(|(_, p)| p),
+        }
+    }
+
+    fn attr_postings(&mut self, name: NameId) -> &mut Postings {
+        let at = match self.attrs.iter().position(|(n, _)| *n == name) {
+            Some(at) => at,
+            None => {
+                self.attrs.push((name, Postings::default()));
+                self.attrs.len() - 1
+            }
+        };
+        &mut self.attrs[at].1
+    }
+
+    /// Files `element`'s string-value where its current content puts it:
+    /// the text postings, or the unindexed list.
+    fn file_text(&mut self, doc: &Document, order: &DocOrder, element: NodeId) {
+        if doc.simple_text(element).is_some() {
+            self.text.insert(doc, order, ValueKey::Text, element);
+        } else {
+            insert_in_order(&mut self.unindexed, order, element);
+        }
+    }
 }
 
 /// A DataGuide over one document's element paths.
 #[derive(Debug, Default, Clone)]
 pub struct PathSummary {
     nodes: Vec<SummaryNode>,
+    /// Each element's summary node, dense by arena index ([`NO_SID`] for
+    /// everything else) — what lets a delete, which is told node ids
+    /// only, touch just the paths it removes from.
+    sid_of: Vec<SummaryId>,
+    /// Set by [`patch_delete`](PathSummary::patch_delete), cleared by
+    /// [`refresh_text`](PathSummary::refresh_text): in between, the deleted
+    /// subtree's parent may be filed under a string-value it no longer
+    /// has, which breaks the order every binary search here relies on.
+    refresh_pending: bool,
 }
 
 impl PathSummary {
@@ -50,39 +257,55 @@ impl PathSummary {
             return PathSummary::default();
         };
         let root_name = doc.element_name(root).expect("root element has a name");
-        let mut nodes = vec![SummaryNode {
-            name: root_name,
-            parent: None,
-            depth: 0,
-            children: Vec::new(),
-            members: vec![root],
-        }];
-        // Each element's summary node, dense by arena index, valid only
-        // for elements already visited (pre-order guarantees parents come
-        // before children).
-        let mut sid_of = vec![0u32; doc.arena_len()];
+        let mut nodes = vec![SummaryNode::new(root_name, None, 0)];
+        // Pre-order guarantees a parent's entry is set before its
+        // children look it up.
+        let mut sid_of = vec![NO_SID; doc.arena_len()];
         let mut by_edge: HashMap<(SummaryId, NameId), SummaryId> = HashMap::new();
-        for node in doc.descendants(root).skip(1) {
+        for node in doc.descendants(root) {
             let Some(name) = doc.element_name(node) else { continue };
-            let parent = doc.parent(node).expect("non-root element has a parent");
-            let psid = sid_of[parent.index()];
-            let sid = *by_edge.entry((psid, name)).or_insert_with(|| {
-                let sid = nodes.len() as SummaryId;
-                let depth = nodes[psid as usize].depth + 1;
-                nodes.push(SummaryNode {
-                    name,
-                    parent: Some(psid),
-                    depth,
-                    children: Vec::new(),
-                    members: Vec::new(),
-                });
-                nodes[psid as usize].children.push(sid);
-                sid
-            });
-            nodes[sid as usize].members.push(node);
+            let sid = if node == root {
+                0
+            } else {
+                let parent = doc.parent(node).expect("non-root element has a parent");
+                let psid = sid_of[parent.index()];
+                if psid == NO_SID {
+                    // Under a text or comment node — a tree only a binary
+                    // that predates the INSERT parent check could commit,
+                    // and may have snapshotted. It has no element path.
+                    continue;
+                }
+                *by_edge.entry((psid, name)).or_insert_with(|| {
+                    let sid = nodes.len() as SummaryId;
+                    let depth = nodes[psid as usize].depth + 1;
+                    nodes.push(SummaryNode::new(name, Some(psid), depth));
+                    nodes[psid as usize].children.push(sid);
+                    sid
+                })
+            };
             sid_of[node.index()] = sid;
+            // Until the pass ends the posting lists hold their nodes in
+            // document order; one stable sort by value each finishes them.
+            let entry = &mut nodes[sid as usize];
+            entry.members.push(node);
+            if doc.simple_text(node).is_some() {
+                entry.text.by_value.push(node);
+            } else {
+                entry.unindexed.push(node);
+            }
+            // `set_attribute` keeps names unique per element, so each
+            // attribute posts its element exactly once.
+            for attribute in doc.attributes(node) {
+                entry.attr_postings(attribute.name).by_value.push(node);
+            }
         }
-        PathSummary { nodes }
+        for entry in &mut nodes {
+            entry.text = Postings::sorted(doc, ValueKey::Text, &entry.text.by_value);
+            for (name, postings) in &mut entry.attrs {
+                *postings = Postings::sorted(doc, ValueKey::Attr(*name), &postings.by_value);
+            }
+        }
+        PathSummary { nodes, sid_of, refresh_pending: false }
     }
 
     /// Number of distinct element paths (summary nodes).
@@ -183,93 +406,176 @@ impl PathSummary {
         out
     }
 
-    /// The summary node realized by `element`, resolved by walking its tag
-    /// path down from the root — `None` when the path has no summary node
-    /// (the summary is stale or the node is not an element of this tree).
-    fn sid_of_element(&self, doc: &Document, element: NodeId) -> Option<SummaryId> {
-        let mut names = Vec::new();
-        let mut cur = element;
-        loop {
-            names.push(doc.element_name(cur)?);
-            match doc.parent(cur).filter(|&p| doc.element_name(p).is_some()) {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        let root_name = names.pop()?;
-        let mut sid = self.root_sid()?;
-        if self.node(sid).name != root_name {
-            return None;
-        }
-        while let Some(name) = names.pop() {
-            sid = *self
-                .node(sid)
-                .children
-                .iter()
-                .find(|&&c| self.node(c).name == name)?;
-        }
-        Some(sid)
+    /// The summary node `node` is a member of, `None` for anything but a
+    /// summarized element.
+    pub(crate) fn sid(&self, node: NodeId) -> Option<SummaryId> {
+        self.sid_of.get(node.index()).copied().filter(|&sid| sid != NO_SID)
     }
 
-    /// Incrementally absorbs one freshly inserted element (no children),
-    /// splicing it into the members of its path at document-order rank.
-    /// Returns `false` when the insert creates a path the summary has
-    /// never seen — the caller must rebuild from scratch. Non-element
-    /// nodes never appear in the summary, so pass elements only.
+    /// The child path of `sid` whose last step is `name`.
+    pub(crate) fn child_named(&self, sid: SummaryId, name: NameId) -> Option<SummaryId> {
+        self.node(sid).children.iter().copied().find(|&c| self.node(c).name == name)
+    }
+
+    /// Where the members of `sid` posted under `key` whose value matches
+    /// `needle` sit: one contiguous run of a posting list, found by binary
+    /// search, as positions for [`posted`](PathSummary::posted) to read.
+    pub(crate) fn probe(
+        &self,
+        doc: &Document,
+        sid: SummaryId,
+        key: ValueKey,
+        needle: &Needle,
+    ) -> Range<usize> {
+        debug_assert!(!self.refresh_pending, "patch_delete was not followed by refresh_text");
+        self.node(sid).postings(key).map_or(0..0, |p| p.range(doc, key, needle))
+    }
+
+    /// The run a [`probe`](PathSummary::probe) of this same summary found,
+    /// in (value, document order).
+    pub(crate) fn posted(
+        &self,
+        sid: SummaryId,
+        key: ValueKey,
+        needle: &Needle,
+        run: Range<usize>,
+    ) -> &[NodeId] {
+        self.node(sid).postings(key).map_or(&[], |p| &p.list(needle)[run])
+    }
+
+    /// The members of `sid` that carry `key` but are in no posting list —
+    /// elements whose string-value has to be built — in document order. A
+    /// probe's answer is its posting run plus whichever of these match.
+    pub(crate) fn unindexed(&self, sid: SummaryId, key: ValueKey) -> &[NodeId] {
+        match key {
+            ValueKey::Text => &self.node(sid).unindexed,
+            ValueKey::Attr(_) => &[],
+        }
+    }
+
+    /// Incrementally absorbs one freshly inserted node: an element (no
+    /// children) is spliced into the members and postings of its path at
+    /// document-order rank, and — whatever was inserted — the parent's
+    /// string-value is re-filed, since a new child changes it. Returns
+    /// `false` when the insert creates a path the summary has never seen —
+    /// the caller must rebuild from scratch.
     ///
     /// Note the summary stays *semantically* identical to a from-scratch
-    /// rebuild (same path set, same members per path, document order
-    /// preserved) but sid numbering may differ: `build` numbers paths by
-    /// first encounter in pre-order, and an insert can reorder first
-    /// encounters. All planner entry points (`child_states`,
-    /// `descendant_states`, `cardinality`, `merged_members`) are
+    /// rebuild (same path set, same members and postings per path,
+    /// document order preserved) but sid numbering may differ: `build`
+    /// numbers paths by first encounter in pre-order, and an insert can
+    /// reorder first encounters. All planner entry points (`child_states`,
+    /// `descendant_states`, `cardinality`, `merged_members`, `probe`) are
     /// invariant under sid renumbering; tests compare via [`canonical`].
     ///
     /// [`canonical`]: PathSummary::canonical
     #[must_use]
     pub fn patch_insert(&mut self, doc: &Document, order: &DocOrder, node: NodeId) -> bool {
-        if doc.element_name(node).is_none() {
-            return true; // text/comment/pi: not summarized
+        debug_assert!(!self.refresh_pending, "patch_delete was not followed by refresh_text");
+        let Some(parent) = doc.parent(node) else { return true };
+        if let Some(name) = doc.element_name(node) {
+            let Some(sid) = self.sid(parent).and_then(|psid| self.child_named(psid, name))
+            else {
+                return false;
+            };
+            self.sid_of.resize(doc.arena_len(), NO_SID);
+            self.sid_of[node.index()] = sid;
+            let entry = &mut self.nodes[sid as usize];
+            insert_in_order(&mut entry.members, order, node);
+            entry.file_text(doc, order, node);
+            for attribute in doc.attributes(node) {
+                let key = ValueKey::Attr(attribute.name);
+                entry.attr_postings(attribute.name).insert(doc, order, key, node);
+            }
         }
-        let Some(sid) = self.sid_of_element(doc, node) else {
-            return false;
-        };
-        let members = &mut self.nodes[sid as usize].members;
-        let rank = order.rank(node);
-        let at = members.partition_point(|&m| order.rank(m) < rank);
-        members.insert(at, node);
+        self.refresh_text(doc, order, parent);
         true
     }
 
-    /// Incrementally removes a detached subtree's elements from every
-    /// member list. Returns `false` when a path loses its last member —
-    /// a from-scratch rebuild would drop the summary node entirely, so
-    /// the caller must rebuild.
+    /// Re-files `element`'s string-value after its children changed (a
+    /// node inserted under it, a child subtree deleted): it may move
+    /// within the text postings, or between them and the unindexed list.
+    /// [`patch_insert`] does this for the new node's parent itself; after
+    /// a [`patch_delete`] — which is told node ids only and cannot read
+    /// the tree — the caller passes the parent the subtree hung under. A
+    /// no-op for anything but a summarized element.
+    ///
+    /// [`patch_insert`]: PathSummary::patch_insert
+    /// [`patch_delete`]: PathSummary::patch_delete
+    pub fn refresh_text(&mut self, doc: &Document, order: &DocOrder, element: NodeId) {
+        self.refresh_pending = false;
+        let Some(sid) = self.sid(element) else { return };
+        let entry = &mut self.nodes[sid as usize];
+        // The value it was filed under is gone from the tree, so it is
+        // found by id; the scan is no dearer than the shift `remove` does.
+        entry.text.retain(|&m| m != element);
+        entry.unindexed.retain(|&m| m != element);
+        entry.file_text(doc, order, element);
+    }
+
+    /// Incrementally removes a detached subtree's elements from the
+    /// members and postings of their paths; other paths are not touched.
+    /// Returns `false` when a path loses its last member — a from-scratch
+    /// rebuild would drop the summary node entirely, so the caller must
+    /// rebuild. Otherwise the caller must follow up with [`refresh_text`]
+    /// on the subtree's former parent before the summary is probed or
+    /// patched again (debug builds assert it).
+    ///
+    /// [`refresh_text`]: PathSummary::refresh_text
     #[must_use]
     pub fn patch_delete(&mut self, removed: &[NodeId]) -> bool {
-        let gone: std::collections::HashSet<NodeId> = removed.iter().copied().collect();
+        self.refresh_pending = true;
+        let gone: HashSet<NodeId> = removed.iter().copied().collect();
+        let mut affected: Vec<SummaryId> = removed.iter().filter_map(|&n| self.sid(n)).collect();
+        affected.sort_unstable();
+        affected.dedup();
         let mut intact = true;
-        for node in &mut self.nodes {
-            let before = node.members.len();
-            if before == 0 {
-                continue;
+        for sid in affected {
+            let entry = &mut self.nodes[sid as usize];
+            let keep = |m: &NodeId| !gone.contains(m);
+            entry.members.retain(keep);
+            entry.unindexed.retain(keep);
+            entry.text.retain(keep);
+            for (_, postings) in &mut entry.attrs {
+                postings.retain(keep);
             }
-            node.members.retain(|m| !gone.contains(m));
-            if node.members.is_empty() {
-                intact = false;
+            entry.attrs.retain(|(_, postings)| !postings.by_value.is_empty());
+            intact &= !entry.members.is_empty();
+        }
+        for node in removed {
+            if let Some(slot) = self.sid_of.get_mut(node.index()) {
+                *slot = NO_SID;
             }
         }
         intact
     }
 
-    /// The sid-numbering-independent view: `(path string, members)` pairs
-    /// sorted by path. Two summaries with equal canonical forms answer
-    /// every planner question identically; differential tests compare
-    /// incrementally patched summaries against rebuilds through this.
+    /// The sid-numbering-independent view: one `(path string, members)`
+    /// row per path plus one row per non-empty posting list and unindexed
+    /// list of it (`path text()`, `path number(@id)`, ...), sorted. Two
+    /// summaries with equal canonical forms answer every planner question
+    /// identically; differential tests compare incrementally patched
+    /// summaries against rebuilds through this.
     pub fn canonical(&self, doc: &Document) -> Vec<(String, Vec<NodeId>)> {
-        let mut out: Vec<(String, Vec<NodeId>)> = (0..self.nodes.len() as SummaryId)
-            .map(|sid| (self.path_string(doc, sid), self.members(sid).to_vec()))
-            .collect();
+        let mut out = Vec::new();
+        for sid in 0..self.nodes.len() as SummaryId {
+            let path = self.path_string(doc, sid);
+            let entry = self.node(sid);
+            let mut lists = vec![("unindexed".to_string(), &entry.unindexed)];
+            let keyed = std::iter::once(("text()".to_string(), &entry.text)).chain(
+                entry.attrs.iter().map(|(name, p)| (format!("@{}", doc.name_text(*name)), p)),
+            );
+            for (key, postings) in keyed {
+                lists.push((format!("number({key})"), &postings.by_number));
+                lists.push((key, &postings.by_value));
+            }
+            for (label, list) in lists {
+                if !list.is_empty() {
+                    out.push((format!("{path} {label}"), list.clone()));
+                }
+            }
+            out.push((path, entry.members.clone()));
+        }
         out.sort();
         out
     }
@@ -406,5 +712,119 @@ mod tests {
             doc.descendants(people).filter(|&n| doc.element_name(n).is_some()).collect();
         doc.detach(people);
         assert!(!s.patch_delete(&removed), "an emptied path must force a rebuild");
+    }
+
+    fn valued() -> Document {
+        Document::parse(
+            "<r><i id=\"b\"><q>2</q></i><i id=\"a\"><q> 2.0 </q></i>\
+             <i id=\"b\"><q>10</q></i><i><q>NaN</q></i><i id=\"c\"><q>x<e/>y</q></i>\
+             <i id=\"\"><q/></i></r>",
+        )
+        .unwrap()
+    }
+
+    fn hits(
+        s: &PathSummary,
+        doc: &Document,
+        sid: SummaryId,
+        key: ValueKey,
+        needle: Needle,
+    ) -> Vec<NodeId> {
+        s.posted(sid, key, &needle, s.probe(doc, sid, key, &needle)).to_vec()
+    }
+
+    fn named(doc: &Document, name: &str) -> Vec<NodeId> {
+        doc.descendants(doc.root()).filter(|&n| doc.tag_name(n) == Some(name)).collect()
+    }
+
+    #[test]
+    fn probes_find_value_runs_in_document_order() {
+        let doc = valued();
+        let s = PathSummary::build(&doc);
+        let items = named(&doc, "i");
+        let i_sid = s.sid(items[0]).unwrap();
+        let id = ValueKey::Attr(doc.name_id("id").unwrap());
+        let eq = |v: &str| hits(&s, &doc, i_sid, id, Needle::Str(v.into()));
+        assert_eq!(eq("b"), vec![items[0], items[2]], "ties keep document order");
+        assert_eq!(eq("a"), vec![items[1]]);
+        assert_eq!(eq(""), vec![items[5]], "an empty value is a value");
+        assert!(eq("zz").is_empty());
+        assert!(s.unindexed(i_sid, id).is_empty(), "attributes always post");
+
+        let qs = named(&doc, "q");
+        let q_sid = s.sid(qs[0]).unwrap();
+        let num = |op, x| hits(&s, &doc, q_sid, ValueKey::Text, Needle::Num(op, x));
+        assert_eq!(num(CmpOp::Eq, 2.0), vec![qs[0], qs[1]], "\"2\" and \" 2.0 \" are one number");
+        assert_eq!(num(CmpOp::Gt, 2.0), vec![qs[2]]);
+        assert_eq!(num(CmpOp::Ge, 2.0), vec![qs[0], qs[1], qs[2]]);
+        assert_eq!(num(CmpOp::Lt, 10.0), vec![qs[0], qs[1]]);
+        assert_eq!(num(CmpOp::Le, 1.0), vec![]);
+        assert!(num(CmpOp::Ge, f64::NAN).is_empty(), "nothing compares with NaN");
+        assert!(num(CmpOp::Le, f64::INFINITY).len() == 3, "the NaN text is never number-posted");
+        // Mixed content is not posted; it waits on the unindexed list.
+        assert_eq!(s.unindexed(q_sid, ValueKey::Text), &[qs[4]]);
+        let text = |v: &str| hits(&s, &doc, q_sid, ValueKey::Text, Needle::Str(v.into()));
+        assert_eq!(text(""), vec![qs[5]], "a childless element's string-value is empty");
+        assert!(text("xy").is_empty());
+    }
+
+    #[test]
+    fn text_edits_refile_the_parent() {
+        let mut doc = valued();
+        let mut s = PathSummary::build(&doc);
+        let qs = named(&doc, "q");
+        // A second text node beside the first: "2" + "5" can no longer be lent.
+        let extra = doc.create_text("5");
+        doc.append_child(qs[0], extra);
+        let order = DocOrder::build(&doc);
+        assert!(s.patch_insert(&doc, &order, extra));
+        assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
+        // An element under a former leaf.
+        let under = doc.create_element("e");
+        doc.append_child(qs[5], under);
+        let order = DocOrder::build(&doc);
+        assert!(s.patch_insert(&doc, &order, under));
+        assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
+        // Deleting the element child of the mixed <q> leaves two text nodes;
+        // deleting one of those makes it postable again.
+        let e = doc.children(qs[4]).find(|&c| doc.is_element(c)).unwrap();
+        doc.detach(e);
+        assert!(s.patch_delete(&[e]));
+        s.refresh_text(&doc, &order, qs[4]);
+        assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
+        let y = doc.last_child(qs[4]).unwrap();
+        doc.detach(y);
+        assert!(s.patch_delete(&[]));
+        s.refresh_text(&doc, &order, qs[4]);
+        assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
+        let q_sid = s.sid(qs[4]).unwrap();
+        assert_eq!(hits(&s, &doc, q_sid, ValueKey::Text, Needle::Str("x".into())), vec![qs[4]]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not followed by refresh_text")]
+    fn a_forgotten_refresh_is_loud() {
+        let mut doc = valued();
+        let mut s = PathSummary::build(&doc);
+        let qs = named(&doc, "q");
+        let text = doc.first_child(qs[0]).unwrap();
+        doc.detach(text);
+        assert!(s.patch_delete(&[]));
+        // <q> is still filed under "2"; searching now could answer wrongly.
+        let _ = s.probe(&doc, s.sid(qs[0]).unwrap(), ValueKey::Text, &Needle::Str("".into()));
+    }
+
+    #[test]
+    fn deleting_the_last_carrier_drops_the_attribute_postings() {
+        let mut doc = valued();
+        let items = named(&doc, "i");
+        doc.set_attribute(items[3], "k", "1");
+        let mut s = PathSummary::build(&doc);
+        let removed: Vec<NodeId> =
+            doc.descendants(items[3]).filter(|&n| doc.is_element(n)).collect();
+        doc.detach(items[3]);
+        assert!(s.patch_delete(&removed), "no path lost its last member");
+        assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
     }
 }

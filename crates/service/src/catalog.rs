@@ -45,9 +45,10 @@ pub struct LoadedDoc {
     /// Precomputed document-order ranks: query engines sort result unions
     /// by integer key instead of per-comparison label arithmetic.
     pub order: DocOrder,
-    /// Path summary (DataGuide) backing the `planned` query engine and
-    /// `EXPLAIN` — like the name index and order ranks, a pure derivation
-    /// of the tree, rebuilt at load time and after crash recovery.
+    /// Path summary (DataGuide) and its value postings, backing the
+    /// `planned` query engine and `EXPLAIN` — like the name index and
+    /// order ranks, a pure derivation of the tree, rebuilt at load time
+    /// and after crash recovery.
     pub summary: PathSummary,
     /// Identifier-keyed storage rows (`SCAN` serves from here); optional
     /// because pure labeling workloads don't need the extra copy.
@@ -219,7 +220,11 @@ impl LoadedDoc {
             Applied::Deleted { elements, parent, root, .. } => {
                 index.patch_delete(elements);
                 let removed: Vec<NodeId> = elements.iter().map(|&(_, n)| n).collect();
-                if !summary.patch_delete(&removed) {
+                if summary.patch_delete(&removed) {
+                    // Losing a child changes the parent's string-value;
+                    // the summary must not be probed before it is re-filed.
+                    summary.refresh_text(&doc, &order, *parent);
+                } else {
                     summary = PathSummary::build(&doc);
                 }
                 interval.on_delete(&doc, *parent, *root);

@@ -393,10 +393,11 @@ pub struct Metrics {
 pub const UPDATE_OPS: [&str; 3] = ["insert", "delete", "relabel"];
 
 /// The plan-operator kinds the planner metrics distinguish, in counter
-/// order: the three physical operators plus the per-step fallback walks
-/// delegated to the step-by-step evaluator.
-pub const PLAN_OPERATORS: [&str; 4] =
-    ["scan", "child-join", "containment-join", "fallback-step"];
+/// order: the three physical operators, the value-probes that supplied
+/// their candidates, and the per-step fallback walks delegated to the
+/// step-by-step evaluator.
+pub const PLAN_OPERATORS: [&str; 5] =
+    ["scan", "child-join", "containment-join", "value-probe", "fallback-step"];
 
 /// One command's row of the per-command metrics, the single source both
 /// wire renderings and the Prometheus exposition format from.
@@ -540,8 +541,8 @@ impl Metrics {
     }
 
     /// Accumulates the operator counts of one executed plan
-    /// (scans, child joins, containment joins, evaluator fallback steps —
-    /// [`PLAN_OPERATORS`] order).
+    /// (scans, child joins, containment joins, value-probes, evaluator
+    /// fallback steps — [`PLAN_OPERATORS`] order).
     pub fn record_plan_ops(&self, counts: [u64; PLAN_OPERATORS.len()]) {
         for (counter, count) in self.plan_ops.iter().zip(counts) {
             if count > 0 {
@@ -939,9 +940,9 @@ mod tests {
     #[test]
     fn plan_op_accounting() {
         let m = Metrics::new();
-        m.record_plan_ops([2, 0, 1, 3]);
-        m.record_plan_ops([1, 1, 0, 0]);
-        assert_eq!(m.plan_ops(), [3, 1, 1, 3]);
+        m.record_plan_ops([2, 0, 1, 4, 3]);
+        m.record_plan_ops([1, 1, 0, 1, 0]);
+        assert_eq!(m.plan_ops(), [3, 1, 1, 5, 3]);
         m.record_planner_time(Duration::from_micros(5));
         assert_eq!(m.planner_time().total(), 1);
     }

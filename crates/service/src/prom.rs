@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn plan_families_render() {
         let m = Metrics::new();
-        m.record_plan_ops([5, 1, 2, 3]);
+        m.record_plan_ops([5, 1, 2, 4, 3]);
         m.record_planner_time(Duration::from_micros(7));
         let cache = plan::ResultCache::new(4);
         cache.insert(1, "//a", 1, "OK 0".into());
@@ -585,6 +585,7 @@ mod tests {
         assert!(body.contains("ruid_plan_operators_total{op=\"scan\"} 5"), "{body}");
         assert!(body.contains("ruid_plan_operators_total{op=\"child-join\"} 1"), "{body}");
         assert!(body.contains("ruid_plan_operators_total{op=\"containment-join\"} 2"), "{body}");
+        assert!(body.contains("ruid_plan_operators_total{op=\"value-probe\"} 4"), "{body}");
         assert!(body.contains("ruid_plan_operators_total{op=\"fallback-step\"} 3"), "{body}");
         assert!(body.contains("ruid_planner_duration_seconds_count{engine=\"planned\"} 1"), "{body}");
         assert!(body.contains("ruid_plan_cache_hits_total 1"), "{body}");

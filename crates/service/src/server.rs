@@ -1495,6 +1495,7 @@ fn run_planned(
         stats.scans,
         stats.child_joins,
         stats.containment_joins,
+        stats.value_probes,
         stats.fallback_steps,
     ]);
     metrics.record_axis_steps(&ev.step_stats());

@@ -69,6 +69,45 @@ fn fabricated_labels_answer_err_on_every_verb() {
     handle.stop();
 }
 
+/// Labels the numbering *did* issue, but to nodes that cannot take a
+/// child: `INSERT` under a text, comment or PI node must answer `ERR` and
+/// change nothing — the serializer never writes such a child, so the live
+/// tree and a reload of it would disagree.
+#[test]
+fn insert_under_a_non_element_answers_err() {
+    let (handle, mut client) = start();
+    let resp = client.request("INSERT 1 1 1 true 0 t").unwrap();
+    assert!(resp.starts_with("OK"), "{resp}");
+    let resp = client.request("INSERT 1 1 1 true 0 <!--c-->").unwrap();
+    assert!(resp.starts_with("OK"), "{resp}");
+    let resp = client.request("INSERT 1 1 1 true 0 <?p d?>").unwrap();
+    assert!(resp.starts_with("OK"), "{resp}");
+    let before = client.request("GET 1 1 1 true").unwrap();
+    let mut refused = 0;
+    for test in ["text()", "comment()", "processing-instruction()"] {
+        let found = client.request(&format!("QUERY 1 /{test} tree")).unwrap();
+        let label = found.strip_prefix("OK 1 (").and_then(|l| l.strip_suffix(')')).unwrap_or_else(
+            || panic!("/{test} must find the inserted node: {found}"),
+        );
+        let label = label.replace(',', " ");
+        for fragment in ["<x/>", "t", "<!--c-->"] {
+            let line = format!("INSERT 1 {label} 0 {fragment}");
+            let resp = client.request(&line).unwrap();
+            assert!(resp.starts_with("ERR") && resp.contains("non-element"), "{line} -> {resp}");
+            assert_eq!(client.request("PING").unwrap(), "OK pong", "server wedged after {line}");
+            refused += 1;
+        }
+    }
+    assert_eq!(refused, 9);
+    let after = client.request("GET 1 1 1 true").unwrap();
+    assert_eq!(after, before, "a refused INSERT changed the tree");
+    for engine in ENGINES {
+        let resp = client.request(&format!("QUERY 1 //x {engine}")).unwrap();
+        assert!(resp.starts_with("OK 0"), "{engine}: {resp}");
+    }
+    handle.stop();
+}
+
 #[test]
 fn truncated_and_mangled_text_verbs_answer_err() {
     let (handle, mut client) = start();

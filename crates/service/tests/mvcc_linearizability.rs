@@ -10,7 +10,10 @@
 //! same code the live copy-on-write commit and WAL recovery run — while
 //! the live bundle's name index and path summary are patched
 //! incrementally, so the comparison also catches any drift between the
-//! patched and rebuilt derivations.
+//! patched and rebuilt derivations. The final committed bundle must also
+//! answer, on every engine, like a bundle reloaded from its own text —
+//! which racing writers used to break by landing a child under a text or
+//! comment node their stale label had come to name.
 //!
 //! The second half sweeps a torn WAL write through the commit critical
 //! section (the established crash-sweep idiom): after the injected
@@ -279,6 +282,37 @@ fn run_oracle(seed: u64, writers: usize, readers: usize) {
          {} committed ops",
         committed.len()
     );
+    assert_answers_like_a_reload(&final_snapshot, &format!("seed {seed} {writers}x{readers}"));
+}
+
+/// The end of a copy-on-write commit chain answers like a bundle reloaded
+/// from the committed document's text (UNLOAD + LOAD, what a commit
+/// replaces): the same subtrees in the same order on every engine. Labels
+/// are not compared — an incremental renumbering need not equal a fresh
+/// one.
+fn assert_answers_like_a_reload(loaded: &LoadedDoc, ctx: &str) {
+    let text = loaded.doc.to_xml_string();
+    let reloaded = LoadedDoc::build("reload.xml", &text, DEPTH, false).unwrap();
+    let subtrees = |bundle: &LoadedDoc, query: &str, engine: Engine| -> Vec<String> {
+        let (hits, _) = run_query(bundle, query, engine).unwrap();
+        hits.iter().map(|&node| bundle.doc.subtree_to_xml_string(node)).collect()
+    };
+    for query in ["//x", "//y[@k]", "//c", "//b//c", "/*/*"] {
+        for engine in [
+            Engine::Tree,
+            Engine::Ruid,
+            Engine::Indexed,
+            Engine::Interval,
+            Engine::Ancestry,
+            Engine::Planned,
+        ] {
+            assert_eq!(
+                subtrees(loaded, query, engine),
+                subtrees(&reloaded, query, engine),
+                "{ctx}: commit chain and reload from text disagree on {query} ({engine:?})"
+            );
+        }
+    }
 }
 
 #[test]

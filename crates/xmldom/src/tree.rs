@@ -1,5 +1,6 @@
 //! The arena-backed document tree.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::interner::{Interner, NameId};
@@ -228,7 +229,11 @@ impl Document {
 
     /// Value of the attribute named `name`, if present.
     pub fn attribute(&self, id: NodeId, name: &str) -> Option<&str> {
-        let name = self.names.get(name)?;
+        self.attribute_by_id(id, self.names.get(name)?)
+    }
+
+    /// Value of the attribute with the interned name `name`, if present.
+    pub fn attribute_by_id(&self, id: NodeId, name: NameId) -> Option<&str> {
         self.attributes(id).iter().find(|a| a.name == name).map(|a| a.value.as_ref())
     }
 
@@ -511,6 +516,36 @@ impl Document {
             }
         }
         out
+    }
+
+    /// The string-value of `id` when it can be lent without concatenation:
+    /// a text node's own content, or — for a node with no element child and
+    /// at most one text child — that child's text (`""` when there is
+    /// none). `None` for mixed content, an element child or two text
+    /// nodes, where [`Document::string_value`] has to build it. O(children).
+    pub fn simple_text(&self, id: NodeId) -> Option<&str> {
+        if let NodeKind::Text(t) = &self.node(id).kind {
+            return Some(t);
+        }
+        let mut text = None;
+        for child in self.children(id) {
+            match &self.node(child).kind {
+                NodeKind::Element { .. } => return None,
+                NodeKind::Text(_) if text.is_some() => return None,
+                NodeKind::Text(t) => text = Some(t.as_ref()),
+                _ => {}
+            }
+        }
+        Some(text.unwrap_or(""))
+    }
+
+    /// [`Document::string_value`], borrowed from the tree whenever
+    /// [`Document::simple_text`] can lend it.
+    pub fn string_value_cow(&self, id: NodeId) -> Cow<'_, str> {
+        match self.simple_text(id) {
+            Some(text) => Cow::Borrowed(text),
+            None => Cow::Owned(self.string_value(id)),
+        }
     }
 
     /// Structural equality of two subtrees in (possibly) different documents:

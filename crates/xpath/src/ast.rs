@@ -206,6 +206,21 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Whether `a op b` holds for two numbers (IEEE semantics: every
+    /// operator but `!=` is false when either side is NaN).
+    pub fn holds(self, a: f64, b: f64) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+        }
+    }
+}
+
 impl fmt::Display for CmpOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

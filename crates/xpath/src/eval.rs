@@ -1,6 +1,7 @@
 //! The evaluation engine: one implementation of XPath semantics over any
 //! [`AxisProvider`].
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 
@@ -30,10 +31,11 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Result of evaluating a path that may end in an attribute step.
-enum PathValues {
+/// Result of evaluating a path that may end in an attribute step, whose
+/// values are lent by the document.
+enum PathValues<'d> {
     Nodes(Vec<NodeId>),
-    Strings(Vec<String>),
+    Strings(Vec<&'d str>),
 }
 
 /// Per-axis location-step counters accumulated by an [`Evaluator`]
@@ -151,7 +153,7 @@ impl<'a, A: AxisProvider> Evaluator<'a, A> {
         Ok(out)
     }
 
-    fn eval_path(&self, path: &LocationPath, context: NodeId) -> Result<PathValues, EvalError> {
+    fn eval_path(&self, path: &LocationPath, context: NodeId) -> Result<PathValues<'a>, EvalError> {
         let start = if path.absolute {
             self.doc.root_element().unwrap_or_else(|| self.doc.root())
         } else {
@@ -164,7 +166,8 @@ impl<'a, A: AxisProvider> Evaluator<'a, A> {
         &self,
         steps: &[Step],
         mut current: Vec<NodeId>,
-    ) -> Result<PathValues, EvalError> {
+    ) -> Result<PathValues<'a>, EvalError> {
+        let doc: &'a Document = self.doc;
         let mut skip_next = false;
         for (i, step) in steps.iter().enumerate() {
             if skip_next {
@@ -211,14 +214,10 @@ impl<'a, A: AxisProvider> Evaluator<'a, A> {
                 for &n in &current {
                     match &step.test {
                         NodeTest::Name(name) => {
-                            if let Some(v) = self.doc.attribute(n, name) {
-                                strings.push(v.to_owned());
-                            }
+                            strings.extend(doc.attribute(n, name));
                         }
                         NodeTest::Wildcard | NodeTest::AnyNode => {
-                            for a in self.doc.attributes(n) {
-                                strings.push(a.value.to_string());
-                            }
+                            strings.extend(doc.attributes(n).iter().map(|a| a.value.as_ref()));
                         }
                         _ => {}
                     }
@@ -251,17 +250,7 @@ impl<'a, A: AxisProvider> Evaluator<'a, A> {
         if context.len() > 1 {
             self.sort_doc_order(&mut out);
         }
-        for predicate in predicates {
-            let size = out.len();
-            let mut kept = Vec::with_capacity(size);
-            for (i, &n) in out.iter().enumerate() {
-                if self.eval_predicate(predicate, n, i + 1, size)? {
-                    kept.push(n);
-                }
-            }
-            out = kept;
-        }
-        Ok(Some(out))
+        self.filter_predicates(out, predicates).map(Some)
     }
 
     /// Sorts a node-set union into document order and deduplicates, using
@@ -292,18 +281,8 @@ impl<'a, A: AxisProvider> Evaluator<'a, A> {
             };
             if let Some(per_ctx) = fast {
                 let mut out: Vec<NodeId> = Vec::new();
-                for mut matched in per_ctx {
-                    for predicate in &step.predicates {
-                        let size = matched.len();
-                        let mut kept = Vec::with_capacity(size);
-                        for (i, &n) in matched.iter().enumerate() {
-                            if self.eval_predicate(predicate, n, i + 1, size)? {
-                                kept.push(n);
-                            }
-                        }
-                        matched = kept;
-                    }
-                    out.extend(matched);
+                for matched in per_ctx {
+                    out.extend(self.filter_predicates(matched, &step.predicates)?);
                 }
                 if context.len() > 1 {
                     self.sort_doc_order(&mut out);
@@ -416,12 +395,12 @@ impl<'a, A: AxisProvider> Evaluator<'a, A> {
             Expr::Contains(a, b) => {
                 let a = self.string_of(a, node, position, size)?;
                 let b = self.string_of(b, node, position, size)?;
-                Ok(a.contains(&b))
+                Ok(a.contains(&*b))
             }
             Expr::StartsWith(a, b) => {
                 let a = self.string_of(a, node, position, size)?;
                 let b = self.string_of(b, node, position, size)?;
-                Ok(a.starts_with(&b))
+                Ok(a.starts_with(&*b))
             }
             Expr::Comparison { left, op, right } => {
                 let lv = self.resolve_value(left, node, position, size)?;
@@ -438,57 +417,65 @@ impl<'a, A: AxisProvider> Evaluator<'a, A> {
         })
     }
 
-    fn resolve_value(
-        &self,
-        value: &Value,
+    /// Resolves an operand for `node`. Strings are borrowed wherever the
+    /// document or the expression can lend them — an attribute's value, an
+    /// element's single text child, the literal itself — so comparing a
+    /// candidate allocates only for mixed content.
+    fn resolve_value<'v>(
+        &'v self,
+        value: &'v Value,
         node: NodeId,
         position: usize,
         size: usize,
-    ) -> Result<Resolved, EvalError> {
+    ) -> Result<Resolved<'v>, EvalError> {
+        let doc: &'a Document = self.doc;
         Ok(match value {
             Value::Number(n) => Resolved::Number(*n),
             Value::Position => Resolved::Number(position as f64),
             Value::Last => Resolved::Number(size as f64),
-            Value::Literal(s) => Resolved::Strings(vec![s.clone()]),
-            Value::Attribute(name) => Resolved::Strings(
-                self.doc.attribute(node, name).map(str::to_owned).into_iter().collect(),
-            ),
+            Value::Literal(s) => Resolved::one(Some(s.as_str())),
+            Value::Attribute(name) => Resolved::one(doc.attribute(node, name)),
             Value::Count(path) => Resolved::Number(self.count(path, node)?),
             Value::StringLength(inner) => {
                 let s = self.string_of(inner, node, position, size)?;
                 Resolved::Number(s.chars().count() as f64)
             }
-            Value::Name => Resolved::Strings(
-                self.doc.tag_name(node).map(str::to_owned).into_iter().collect(),
-            ),
+            Value::Name => Resolved::one(doc.tag_name(node)),
             Value::Path(path) => match self.eval_path(path, node)? {
-                PathValues::Strings(s) => Resolved::Strings(s),
+                PathValues::Strings(s) => {
+                    Resolved::Strings(s.into_iter().map(Cow::Borrowed).collect())
+                }
                 PathValues::Nodes(nodes) => Resolved::Strings(
-                    nodes.into_iter().map(|n| self.doc.string_value(n)).collect(),
+                    nodes.into_iter().map(|n| doc.string_value_cow(n)).collect(),
                 ),
             },
         })
     }
-}
 
-impl<A: AxisProvider> Evaluator<'_, A> {
     /// XPath `string()` conversion of a value: the first node's string
     /// value for node-sets, the literal/number text otherwise.
-    fn string_of(
-        &self,
-        value: &Value,
+    fn string_of<'v>(
+        &'v self,
+        value: &'v Value,
         node: NodeId,
         position: usize,
         size: usize,
-    ) -> Result<String, EvalError> {
-        Ok(match self.resolve_value(value, node, position, size)? {
-            Resolved::Number(n) => {
-                if n.fract() == 0.0 {
-                    format!("{}", n as i64)
-                } else {
-                    format!("{n}")
-                }
+    ) -> Result<Cow<'v, str>, EvalError> {
+        if let Value::Path(path) = value {
+            // Only the first node's string-value is wanted; build no others.
+            return Ok(match self.eval_path(path, node)? {
+                PathValues::Strings(s) => s.first().copied().map(Cow::Borrowed),
+                PathValues::Nodes(nodes) => nodes.first().map(|&n| self.doc.string_value_cow(n)),
             }
+            .unwrap_or_default());
+        }
+        Ok(match self.resolve_value(value, node, position, size)? {
+            Resolved::Number(n) => Cow::Owned(if n.fract() == 0.0 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            }),
+            Resolved::One(s) => s.unwrap_or_default(),
             Resolved::Strings(set) => set.into_iter().next().unwrap_or_default(),
         })
     }
@@ -520,46 +507,62 @@ pub fn expr_is_position_sensitive(expr: &Expr) -> bool {
 }
 
 /// A resolved predicate operand.
-enum Resolved {
+enum Resolved<'v> {
     Number(f64),
-    Strings(Vec<String>),
+    /// A string-set of at most one member (a literal, an attribute, a
+    /// name), held without a vector.
+    One(Option<Cow<'v, str>>),
+    Strings(Vec<Cow<'v, str>>),
+}
+
+impl<'v> Resolved<'v> {
+    fn one(s: Option<&'v str>) -> Resolved<'v> {
+        Resolved::One(s.map(Cow::Borrowed))
+    }
+
+    /// The string-set, `None` for a number.
+    fn strings(&self) -> Option<&[Cow<'v, str>]> {
+        match self {
+            Resolved::Number(_) => None,
+            Resolved::One(s) => Some(s.as_slice()),
+            Resolved::Strings(set) => Some(set),
+        }
+    }
+
+    /// The operand as numbers: the number itself, or each string that
+    /// parses as one.
+    fn numbers(&self) -> impl Iterator<Item = f64> + '_ {
+        let (number, set) = match self {
+            Resolved::Number(n) => (Some(*n), None),
+            strings => (None, strings.strings()),
+        };
+        number.into_iter().chain(set.into_iter().flatten().filter_map(|s| parse_number(s)))
+    }
+}
+
+/// XPath `number()` of a string as this subset reads it: surrounding
+/// whitespace ignored, then Rust's `f64` grammar (so `"2.0"`, `" 2 "`,
+/// `"inf"` and `"NaN"` all parse). Every numeric comparison — the
+/// evaluator's and a value index's — goes through here, so the two can
+/// never disagree about what a value's number is.
+pub fn parse_number(s: &str) -> Option<f64> {
+    s.trim().parse().ok()
 }
 
 /// XPath comparison semantics: node-set operands compare existentially.
-fn compare(left: &Resolved, op: CmpOp, right: &Resolved) -> bool {
-    match (left, right) {
-        (Resolved::Number(a), Resolved::Number(b)) => cmp_f64(*a, op, *b),
-        (Resolved::Strings(set), Resolved::Number(b)) => set
-            .iter()
-            .filter_map(|s| s.trim().parse::<f64>().ok())
-            .any(|a| cmp_f64(a, op, *b)),
-        (Resolved::Number(a), Resolved::Strings(set)) => set
-            .iter()
-            .filter_map(|s| s.trim().parse::<f64>().ok())
-            .any(|b| cmp_f64(*a, op, b)),
-        (Resolved::Strings(sa), Resolved::Strings(sb)) => match op {
-            CmpOp::Eq => sa.iter().any(|a| sb.iter().any(|b| a == b)),
-            CmpOp::Ne => sa.iter().any(|a| sb.iter().any(|b| a != b)),
+fn compare(left: &Resolved<'_>, op: CmpOp, right: &Resolved<'_>) -> bool {
+    if let (Some(sa), Some(sb)) = (left.strings(), right.strings()) {
+        match op {
+            CmpOp::Eq => return sa.iter().any(|a| sb.contains(a)),
+            CmpOp::Ne => return sa.iter().any(|a| sb.iter().any(|b| a != b)),
             // Relational operators on strings compare numerically, per XPath.
-            _ => sa
-                .iter()
-                .filter_map(|s| s.trim().parse::<f64>().ok())
-                .any(|a| {
-                    sb.iter()
-                        .filter_map(|s| s.trim().parse::<f64>().ok())
-                        .any(|b| cmp_f64(a, op, b))
-                }),
-        },
+            _ => {}
+        }
     }
-}
-
-fn cmp_f64(a: f64, op: CmpOp, b: f64) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
+    if let Resolved::Number(b) = right {
+        return left.numbers().any(|a| op.holds(a, *b));
     }
+    // The right side's numbers are parsed once, not once per left value.
+    let right: Vec<f64> = right.numbers().collect();
+    left.numbers().any(|a| right.iter().any(|&b| op.holds(a, b)))
 }

@@ -34,7 +34,7 @@ mod parser;
 
 pub use ast::{Axis, CmpOp, Expr, LocationPath, NodeTest, Step, Value};
 pub use axes::{AxisProvider, RuidAxes, SpanAxes, TreeAxes, UidAxes};
-pub use eval::{expr_is_position_sensitive, EvalError, Evaluator, StepStats};
+pub use eval::{expr_is_position_sensitive, parse_number, EvalError, Evaluator, StepStats};
 pub use join::{containment_join, parent_join};
 pub use nameindex::{NameIndex, NameIndexed};
 pub use lexer::{LexError, Token};

@@ -100,7 +100,7 @@ wait "$SRV" 2>/dev/null || true
 # cumulative histogram buckets.
 OBS_DIR=target/ci-observability
 rm -rf "$OBS_DIR"; mkdir -p "$OBS_DIR"
-printf '<r><x><y/></x><x><y/><y/></x></r>' > "$OBS_DIR/sample.xml"
+printf '<r><x><y/></x><x><y/><y/></x><item id="item7"/></r>' > "$OBS_DIR/sample.xml"
 "$RUID_XML" serve --addr 127.0.0.1:7443 --data-dir "$OBS_DIR/data" \
     --fsync always --metrics-addr 127.0.0.1:7444 &
 SRV=$!
@@ -126,6 +126,13 @@ case "$Z" in
     "OK 1 "*) ;;
     *) echo "ci: INSERT not visible to QUERY: $Z" >&2; exit 1 ;;
 esac
+# A value predicate runs as a value-probe, and EXPLAIN says so.
+"$RUID_XML" client 127.0.0.1:7443 "QUERY 1 //item[@id='item7']" >/dev/null
+PROBE=$("$RUID_XML" client 127.0.0.1:7443 "EXPLAIN 1 //item[@id='item7']")
+case "$PROBE" in
+    *"value-probe"*) ;;
+    *) echo "ci: EXPLAIN names no value-probe: $PROBE" >&2; exit 1 ;;
+esac
 SLOWLOG=$("$RUID_XML" client 127.0.0.1:7443 "SLOWLOG 5")
 case "$SLOWLOG" in
     *"cmd=QUERY"*"parse_ns="*"eval_ns="*"write_ns="*) ;;
@@ -150,11 +157,12 @@ printf '%s\n' "$SCRAPE" | awk '
     /^ruid_pool_jobs_submitted_total /                { have["pool"]   = 1 }
     /^ruid_slowlog_captured_total /                   { have["trace"]  = 1 }
     /^ruid_plan_operators_total\{op="scan"\} /        { have["plan"]   = 1 }
+    /^ruid_plan_operators_total\{op="value-probe"\} / { if ($2 + 0 >= 1) have["probe"] = 1 }
     /^ruid_plan_cache_misses_total /                  { have["cache"]  = 1 }
     /^ruid_updates_total\{op="insert"\} /             { if ($2 + 0 >= 1) have["update"] = 1 }
     /^ruid_generation /                               { if ($2 + 0 >= 2) have["gen"]    = 1 }
     END {
-        split("query axis robust wal unsync pool trace plan cache update gen", need, " ")
+        split("query axis robust wal unsync pool trace plan probe cache update gen", need, " ")
         for (i in need) if (!have[need[i]]) { print "ci: missing family: " need[i]; bad = 1 }
         if (buckets < 20) { print "ci: bucket ladder too short: " buckets; bad = 1 }
         exit bad

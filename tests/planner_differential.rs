@@ -11,6 +11,10 @@
 //!    wildcards, structural and positional predicates.
 //! 2. **XMark**: a generated auction document with the E4 benchmark corpus
 //!    (value predicates, `count()`, attribute tests), planner on vs. off.
+//! 3. **Value semantics**: a hand-written document of the values a posting
+//!    list can get wrong — `2` / `2.0` / ` 2 `, empty elements, `NaN`,
+//!    `inf`, `-0`, mixed content, repeated children — against every
+//!    predicate shape a value-probe takes and the shapes it must leave.
 
 use ruid::prelude::*;
 use ruid::{
@@ -300,7 +304,11 @@ fn updates_preserve_engine_agreement_on_every_small_tree() {
                 scheme.on_delete(&doc, parent, victim);
                 interval.on_delete(&doc, parent, victim);
                 ancestry.on_delete(&doc, parent, victim);
-                if !summary.patch_delete(&removed) {
+                if summary.patch_delete(&removed) {
+                    // Ranks are stale but survivors keep their relative
+                    // order, which is all the re-filing compares.
+                    summary.refresh_text(&doc, &order, parent);
+                } else {
                     summary = PathSummary::build(&doc);
                 }
                 assert_eq!(
@@ -343,4 +351,151 @@ fn planner_agrees_on_xmark_corpus() {
     ];
     let doc = xmark::generate(&xmark::XmarkConfig::scaled_to(6_000, 42));
     assert_planner_agrees(&doc, "<xmark scaled_to=6000 seed=42>", XMARK_QUERIES);
+}
+
+/// A document of awkward values: numerically equal but textually different
+/// quantities, empty elements, `NaN` / `inf` / `-0` text, a string-value
+/// split over two text nodes and one in mixed content (both unindexed), a
+/// repeated child, an id shared by items on two summary paths, several
+/// bidders per auction, attributes that need trimming to parse.
+const VALUE_DOC: &str = "<site><regions>\
+    <africa>\
+      <item id=\"i1\" k=\"x\"><quantity>2</quantity><x></x><name>gold ring</name></item>\
+      <item id=\"i2\"><quantity>2.0</quantity><x>v</x><name>old map</name></item>\
+      <item id=\"i3\"><quantity> 2 </quantity><name>golden</name></item>\
+    </africa>\
+    <asia>\
+      <item id=\"i4\"><quantity>NaN</quantity><x/></item>\
+      <item id=\"i5\"><quantity>inf</quantity></item>\
+      <item id=\"i6\"><quantity>-0</quantity></item>\
+      <item id=\"i1\"><quantity>1e1</quantity><quantity>3</quantity></item>\
+      <item id=\"i8\"><quantity>2<!--c-->.5</quantity></item>\
+      <item id=\"i9\"><quantity>1<b>2</b></quantity></item>\
+    </asia>\
+  </regions>\
+  <open_auctions>\
+    <open_auction id=\"o1\"><bidder><increase>3</increase></bidder>\
+      <bidder><increase>12.5</increase></bidder></open_auction>\
+    <open_auction id=\"o2\"><bidder><increase>1</increase></bidder></open_auction>\
+    <open_auction id=\"o3\"/>\
+    <open_auction id=\"o4\"><bidder><increase>x</increase></bidder><bidder/></open_auction>\
+  </open_auctions>\
+  <people><person id=\"p1\"><profile income=\"50000.5\"/></person>\
+    <person id=\"p2\"><profile income=\" 7 \"/><profile income=\"90000\"/></person>\
+    <person id=\"p3\"/></people></site>";
+
+const VALUE_QUERIES: &[&str] = &[
+    // String vs numeric equality.
+    "//item[quantity = 2]",
+    "//item[quantity = '2']",
+    "//item[quantity = '2.0']",
+    "//item[quantity = ' 2 ']",
+    // Empty elements and missing operands.
+    "//item[x = '']",
+    "//item[x]",
+    "//item[nosuch = 'a']",
+    "//item[@nosuch = 'a']",
+    "//item[@k = 'x']",
+    "//open_auction[bidder/increase = '']",
+    // NaN, inf, -0.
+    "//item[quantity = 'NaN']",
+    "//item[quantity >= 0]",
+    "//item[quantity = 0]",
+    "//item[quantity < 1]",
+    "//item[quantity > 1000000]",
+    "//item[quantity <= 2]",
+    // Relational operators against a literal compare numbers.
+    "//item[quantity > '2']",
+    "//item[quantity < 'abc']",
+    // Existential semantics over repeated children.
+    "//item[quantity = 3]",
+    "//item[quantity > 9]",
+    "//open_auction[bidder/increase > 10]",
+    "//open_auction[bidder/increase > 2]",
+    "//open_auction[bidder/increase < 2]",
+    "//open_auction[bidder/increase = 'x']",
+    "//person[profile/@income > 50000]",
+    "//person[profile/@income = 7]",
+    "//person[profile/@income = ' 7 ']",
+    // Unindexed members: two text nodes, mixed content.
+    "//item[quantity = 2.5]",
+    "//item[quantity = '2.5']",
+    "//item[quantity = 12]",
+    "//item[quantity > 11]",
+    // Shapes that are never probed.
+    "//item[quantity != 2]",
+    "//item[@id != 'i1']",
+    "//item[@id = 'i1' or quantity = 3]",
+    "//item[not(quantity = 2)]",
+    "//item[contains(name, 'gold')]",
+    "//item[starts-with(name, 'gold')]",
+    "//item['i1' = @id]",
+    "//item[2 = quantity]",
+    "//item[quantity = quantity]",
+    "//item[quantity//b = 2]",
+    "//item[attribute::* = 'x']",
+    "//item[count(quantity) = 2]",
+    "//item[string-length(name) > 6]",
+    "//item[/site/regions/africa/item/quantity = 2]",
+    // Positional predicates before and after a probe-able one.
+    "//item[1][@id = 'i1']",
+    "//item[@id = 'i1'][1]",
+    "//africa/item[quantity = 2][2]",
+    "//item[quantity = 2][last()]",
+    // One attribute name on several summary paths.
+    "//item[@id = 'i1']",
+    "//*[@id = 'i1']",
+    "//*[@id = 'p1']",
+    "/regions/*/item[@id = 'i1']",
+    // Probes feeding joins, probes on joins, several probes on one step.
+    "//item[quantity = 2]/name",
+    "//regions//item[@id = 'i1']/quantity",
+    "//item[@id = 'i1'][quantity = 2]/name",
+    "//item[quantity = 2][x = 'v']",
+    "//item[quantity >= 2][@id = 'i1']",
+    "//item[quantity = 2][contains(name, 'gold')]/name",
+    "//open_auction[@id = 'o1']/bidder[increase > 10]",
+    "//open_auction[bidder]/bidder[increase > 2]/increase",
+    "//site//open_auction[@id = 'o1']//increase",
+    "//regions[africa]//item[quantity = 2]",
+];
+
+/// Planned vs `tree` (and every other engine) on the value-semantics
+/// corpus.
+#[test]
+fn planner_agrees_on_value_semantics() {
+    let doc = Document::parse(VALUE_DOC).unwrap();
+    assert_planner_agrees(&doc, "<value semantics document>", VALUE_QUERIES);
+    // The corpus is only a test of the probes if it reaches them — and of
+    // the unindexed list if something sits on it.
+    let summary = PathSummary::build(&doc);
+    let probed = VALUE_QUERIES
+        .iter()
+        .filter(|q| {
+            let path = ruid::parse_xpath(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            ruid::plan_query(&path, &summary, &doc).ops.iter().any(|op| !op.probes.is_empty())
+        })
+        .count();
+    assert!(probed >= 40, "only {probed} corpus queries plan a value-probe");
+    assert!(summary.canonical(&doc).iter().any(|(row, _)| row.ends_with("/quantity unindexed")));
+}
+
+/// The borrowed string-value is the built one, on every node: of all 197
+/// shapes (elements only), and of a document with every kind of content.
+#[test]
+fn borrowed_string_value_equals_the_built_one() {
+    let mixed = "<a>t<b>u<!--c-->v</b><c/><d>w</d><?p q?><e><f>x</f>y</e>\
+                 <g><![CDATA[z]]>z</g><h><!--only--></h></a>";
+    let corpus =
+        (1..=7).flat_map(|n| trees(n, 0)).chain([mixed.to_string(), VALUE_DOC.to_string()]);
+    let mut lent = 0usize;
+    for xml in corpus {
+        let doc = Document::parse(&xml).unwrap();
+        for node in doc.descendants(doc.root()) {
+            let borrowed = doc.string_value_cow(node);
+            assert_eq!(borrowed, doc.string_value(node), "node {node:?} of {xml}");
+            lent += usize::from(matches!(borrowed, std::borrow::Cow::Borrowed(_)));
+        }
+    }
+    assert!(lent > 197, "leaves and single-text elements must be lent, not built: {lent}");
 }
