@@ -25,11 +25,11 @@
 //! `NumberingScheme` impl (and one axis provider) serve both modes.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
-use xmldom::{Document, NodeId};
+use xmldom::{DocOrder, Document, NodeId};
 
-use crate::interval::{preorder_markers, varint_len, SpanIndex};
+use crate::interval::{varint_len, SpanIndex};
 use crate::traits::{NumberingScheme, RelabelStats};
 
 /// A compact ancestry label: a slot interval plus the node's depth.
@@ -84,37 +84,35 @@ impl AncestryMode {
     }
 }
 
-/// Compact ancestry labelling of one document subtree.
+/// What an [`AncestryScheme`] works out from its span — a pure function
+/// of the table, so it is computed on first use and dropped with it.
+#[derive(Debug)]
+struct Allocation {
+    mode: AncestryMode,
+    /// Labels by pre-order position; `(start, depth)` ascends with it.
+    labels: Vec<AncestryLabel>,
+}
+
+/// Compact ancestry labelling of one document subtree: an encoder over a
+/// [`SpanIndex`]. The slot allocation is derived from the span on first
+/// use, not maintained.
 #[derive(Debug, Clone)]
 pub struct AncestryScheme {
-    root: NodeId,
-    mode: AncestryMode,
-    labels: Vec<Option<AncestryLabel>>,
-    by_key: HashMap<(u64, u32), NodeId>,
     index: SpanIndex,
-    last_diff: usize,
+    allocation: OnceLock<Arc<Allocation>>,
 }
 
 impl AncestryScheme {
     /// Labels the subtree under the document's root element.
     pub fn build(doc: &Document) -> Self {
         let root = doc.root_element().unwrap_or_else(|| doc.root());
-        Self::build_at(doc, root)
+        Self::over(&DocOrder::build_at(doc, root), root)
     }
 
-    /// Labels the subtree rooted at `root`.
-    pub fn build_at(doc: &Document, root: NodeId) -> Self {
-        let mut scheme = AncestryScheme {
-            root,
-            mode: AncestryMode::SmallDepth,
-            labels: Vec::new(),
-            by_key: HashMap::new(),
-            index: SpanIndex::from_markers(vec![(0, 0, root)]).expect("single marker"),
-            last_diff: 0,
-        };
-        scheme.assign(doc);
-        scheme.last_diff = 0;
-        scheme
+    /// Labels `root`'s subtree from an order that already ranks it (see
+    /// [`crate::interval::IntervalScheme::over`]).
+    pub fn over(order: &DocOrder, root: NodeId) -> Self {
+        AncestryScheme { index: order.subtree(root), allocation: OnceLock::new() }
     }
 
     /// Number of labelled nodes.
@@ -127,12 +125,12 @@ impl AncestryScheme {
         self.index.is_empty()
     }
 
-    /// Which allocation mode the last assignment chose.
+    /// Which allocation mode the tree's current shape selects.
     pub fn mode(&self) -> AncestryMode {
-        self.mode
+        self.allocation().mode
     }
 
-    /// The reconstructed position tables the axis provider reads.
+    /// The position tables the axis provider reads.
     pub fn span_index(&self) -> &SpanIndex {
         &self.index
     }
@@ -142,7 +140,7 @@ impl AncestryScheme {
     /// output) costs one exponent byte; any other width is a varint.
     pub fn encoded_bytes(&self, label: &AncestryLabel) -> usize {
         let width = label.end - label.start + 1;
-        let width_bytes = if self.mode == AncestryMode::Compact && width.is_power_of_two() {
+        let width_bytes = if self.mode() == AncestryMode::Compact && width.is_power_of_two() {
             1
         } else {
             varint_len(width)
@@ -150,153 +148,128 @@ impl AncestryScheme {
         varint_len(label.start) + width_bytes + varint_len(u64::from(label.depth))
     }
 
-    fn set_label(&mut self, node: NodeId, label: AncestryLabel) {
-        let idx = node.index();
-        if self.labels.len() <= idx {
-            self.labels.resize(idx + 1, None);
-        }
-        self.labels[idx] = Some(label);
-        self.by_key.insert((label.start, label.depth), node);
+    fn allocation(&self) -> &Arc<Allocation> {
+        self.allocation.get_or_init(|| Arc::new(allocate(&self.index)))
     }
 
-    /// Recompute-and-diff: rebuild the position tables, pick the mode
-    /// from the tree's shape, allocate slots, and diff against the
-    /// previous assignment (the honest update-locality cost E18
-    /// measures).
-    fn assign(&mut self, doc: &Document) {
-        self.index = SpanIndex::from_markers(preorder_markers(doc, self.root))
-            .expect("pre-order markers are always laminar");
-        let n = self.index.len();
-
-        // Depths straight off the parent table.
-        let mut depth = vec![0u32; n];
-        let mut max_depth = 0u32;
-        for pos in 1..n as u32 {
-            let d = depth[self.index.parent_of(pos).expect("non-root has parent") as usize] + 1;
-            depth[pos as usize] = d;
-            max_depth = max_depth.max(d);
+    /// Splices the span with `splice` (which reports where and how many
+    /// positions it added or removed) and counts the surviving labels the
+    /// new allocation changes — the honest update-locality cost E18
+    /// measures: slots are dealt from the whole tree's shape, so a local
+    /// edit can move labels anywhere.
+    fn respan(&mut self, splice: impl FnOnce(&mut SpanIndex) -> (u32, u32)) -> RelabelStats {
+        fn differing(old: &[AncestryLabel], new: &[AncestryLabel]) -> usize {
+            old.iter().zip(new).filter(|(a, b)| a != b).count()
         }
-        let log2n = 64 - (n as u64).leading_zeros(); // floor(lg n) + 1
-        self.mode = if u64::from(max_depth) <= u64::from(log2n) {
-            AncestryMode::SmallDepth
-        } else {
-            AncestryMode::Compact
-        };
-
-        let old = std::mem::take(&mut self.labels);
-        self.by_key.clear();
-        match self.mode {
-            AncestryMode::SmallDepth => self.assign_small_depth(&depth),
-            AncestryMode::Compact => self.assign_compact(&depth),
-        }
-
-        self.last_diff = 0;
-        for (idx, old_label) in old.iter().enumerate() {
-            if let Some(old_label) = old_label {
-                if let Some(new_label) = self.labels.get(idx).and_then(|l| l.as_ref()) {
-                    if new_label != old_label {
-                        self.last_diff += 1;
-                    }
-                }
-            }
+        let old = Arc::clone(self.allocation());
+        let (at, count) = splice(&mut self.index);
+        self.allocation = OnceLock::new();
+        let (old, new) = (&old.labels[..], &self.allocation().labels[..]);
+        let (at, count) = (at as usize, count as usize);
+        let (old_tail, new_tail) =
+            if new.len() < old.len() { (at + count, at) } else { (at, at + count) };
+        RelabelStats {
+            relabeled: differing(&old[..at], &new[..at])
+                + differing(&old[old_tail..], &new[new_tail..]),
+            dropped: old.len().saturating_sub(new.len()),
+            full_rebuild: false,
         }
     }
+}
 
-    /// Small-depth allocation: slots are leaf indices; every node is
-    /// labelled by the range of leaves in its subtree. Leaf sets of
-    /// disjoint subtrees are disjoint, so containment + depth decides
-    /// ancestry exactly.
-    fn assign_small_depth(&mut self, depth: &[u32]) {
-        let n = self.index.len();
-        // first/last leaf slot per position, folded upward in one
-        // reverse pass (children sit after their parents).
-        let mut first = vec![u64::MAX; n];
-        let mut last = vec![0u64; n];
-        let mut leaf_slot = 0u64;
-        for pos in 0..n as u32 {
-            if self.index.last_of(pos) == pos {
-                first[pos as usize] = leaf_slot;
-                last[pos as usize] = leaf_slot;
-                leaf_slot += 1;
-            }
-        }
-        for pos in (1..n as u32).rev() {
-            let p = self.index.parent_of(pos).expect("non-root has parent") as usize;
-            first[p] = first[p].min(first[pos as usize]);
-            last[p] = last[p].max(last[pos as usize]);
-        }
-        for pos in 0..n as u32 {
-            let node = self.index.node_at(pos);
-            self.set_label(
-                node,
-                AncestryLabel {
-                    start: first[pos as usize],
-                    end: last[pos as usize],
-                    depth: depth[pos as usize],
-                },
-            );
+/// Picks the mode from the tree's shape and allocates slots.
+fn allocate(index: &SpanIndex) -> Allocation {
+    let n = index.len();
+    // Depths straight off the parent table.
+    let mut depth = vec![0u32; n];
+    let mut max_depth = 0u32;
+    for pos in 1..n as u32 {
+        let d = depth[index.parent_of(pos).expect("non-root has parent") as usize] + 1;
+        depth[pos as usize] = d;
+        max_depth = max_depth.max(d);
+    }
+    let log2n = 64 - (n as u64).leading_zeros(); // floor(lg n) + 1
+    let mode = if u64::from(max_depth) <= u64::from(log2n) {
+        AncestryMode::SmallDepth
+    } else {
+        AncestryMode::Compact
+    };
+    let slots = match mode {
+        AncestryMode::SmallDepth => small_depth_slots(index),
+        AncestryMode::Compact => compact_slots(index),
+    };
+    let labels = slots
+        .into_iter()
+        .zip(depth)
+        .map(|((start, end), depth)| AncestryLabel { start, end, depth })
+        .collect();
+    Allocation { mode, labels }
+}
+
+/// Small-depth allocation: slots are leaf indices; every node is
+/// labelled by the range of leaves in its subtree. Leaf sets of
+/// disjoint subtrees are disjoint, so containment + depth decides
+/// ancestry exactly.
+fn small_depth_slots(index: &SpanIndex) -> Vec<(u64, u64)> {
+    let n = index.len();
+    // first/last leaf slot per position, folded upward in one
+    // reverse pass (children sit after their parents).
+    let mut slots = vec![(u64::MAX, 0u64); n];
+    let mut leaf_slot = 0u64;
+    for pos in 0..n as u32 {
+        if index.last_of(pos) == pos {
+            slots[pos as usize] = (leaf_slot, leaf_slot);
+            leaf_slot += 1;
         }
     }
-
-    /// Compact allocation: bottom-up, each subtree's slot count is
-    /// rounded up to a power of two (`size(v) = 2^ceil(lg(1 + sum
-    /// child sizes))`), then intervals are dealt out top-down with the
-    /// parent owning the first slot. Interval widths being powers of
-    /// two is what makes `end` one exponent byte on disk. Rounding
-    /// compounds along deep spines; if the rounded sizes would overflow
-    /// `u64`, exact subtree counts are used instead (widths are then
-    /// plain counts and labels stay correct).
-    fn assign_compact(&mut self, depth: &[u32]) {
-        let n = self.index.len();
-        let size = self.compact_sizes_rounded().unwrap_or_else(|| self.compact_sizes_exact());
-        // Top-down slot dealing: next free slot inside each open interval.
-        let mut start = vec![0u64; n];
-        let mut next_free = vec![0u64; n];
-        next_free[0] = 1; // root occupies slot 0 of its interval
-        for pos in 1..n as u32 {
-            let p = self.index.parent_of(pos).expect("non-root has parent") as usize;
-            start[pos as usize] = next_free[p];
-            next_free[p] += size[pos as usize];
-            next_free[pos as usize] = start[pos as usize] + 1;
-        }
-        for pos in 0..n as u32 {
-            let node = self.index.node_at(pos);
-            let s = start[pos as usize];
-            self.set_label(
-                node,
-                AncestryLabel {
-                    start: s,
-                    end: s + size[pos as usize] - 1,
-                    depth: depth[pos as usize],
-                },
-            );
-        }
+    for pos in (1..n as u32).rev() {
+        let p = index.parent_of(pos).expect("non-root has parent") as usize;
+        let (first, last) = slots[pos as usize];
+        slots[p] = (slots[p].0.min(first), slots[p].1.max(last));
     }
+    slots
+}
 
-    /// Power-of-two-rounded subtree sizes, or `None` if the rounding
-    /// overflows `u64` anywhere.
-    fn compact_sizes_rounded(&self) -> Option<Vec<u64>> {
-        let n = self.index.len();
-        let mut size = vec![1u64; n];
-        for pos in (1..n as u32).rev() {
-            let rounded = size[pos as usize].checked_next_power_of_two()?;
-            let p = self.index.parent_of(pos).expect("non-root has parent") as usize;
-            size[p] = size[p].checked_add(rounded)?;
-            size[pos as usize] = rounded;
-        }
-        size[0] = size[0].checked_next_power_of_two()?;
-        Some(size)
+/// Compact allocation: bottom-up, each subtree's slot count is
+/// rounded up to a power of two (`size(v) = 2^ceil(lg(1 + sum
+/// child sizes))`), then intervals are dealt out top-down with the
+/// parent owning the first slot. Interval widths being powers of
+/// two is what makes `end` one exponent byte on disk. Rounding
+/// compounds along deep spines; if the rounded sizes would overflow
+/// `u64`, exact subtree counts are used instead (widths are then
+/// plain counts and labels stay correct).
+fn compact_slots(index: &SpanIndex) -> Vec<(u64, u64)> {
+    let n = index.len();
+    let size = compact_sizes_rounded(index).unwrap_or_else(|| {
+        // Exact subtree node counts — the overflow fallback.
+        (0..n as u32).map(|pos| u64::from(index.last_of(pos) - pos + 1)).collect()
+    });
+    // Top-down slot dealing: next free slot inside each open interval.
+    let mut start = vec![0u64; n];
+    let mut next_free = vec![0u64; n];
+    next_free[0] = 1; // root occupies slot 0 of its interval
+    for pos in 1..n as u32 {
+        let p = index.parent_of(pos).expect("non-root has parent") as usize;
+        start[pos as usize] = next_free[p];
+        next_free[p] += size[pos as usize];
+        next_free[pos as usize] = start[pos as usize] + 1;
     }
+    start.into_iter().zip(size).map(|(s, size)| (s, s + size - 1)).collect()
+}
 
-    /// Exact subtree node counts — the overflow fallback.
-    fn compact_sizes_exact(&self) -> Vec<u64> {
-        let n = self.index.len();
-        (0..n as u32).map(|pos| u64::from(self.index.last_of(pos) - pos + 1)).collect()
+/// Power-of-two-rounded subtree sizes, or `None` if the rounding
+/// overflows `u64` anywhere.
+fn compact_sizes_rounded(index: &SpanIndex) -> Option<Vec<u64>> {
+    let n = index.len();
+    let mut size = vec![1u64; n];
+    for pos in (1..n as u32).rev() {
+        let rounded = size[pos as usize].checked_next_power_of_two()?;
+        let p = index.parent_of(pos).expect("non-root has parent") as usize;
+        size[p] = size[p].checked_add(rounded)?;
+        size[pos as usize] = rounded;
     }
-
-    fn take_diff(&mut self) -> usize {
-        std::mem::take(&mut self.last_diff)
-    }
+    size[0] = size[0].checked_next_power_of_two()?;
+    Some(size)
 }
 
 impl NumberingScheme for AncestryScheme {
@@ -307,16 +280,18 @@ impl NumberingScheme for AncestryScheme {
     }
 
     fn numbering_root(&self) -> NodeId {
-        self.root
+        self.index.root()
     }
 
     fn label_of(&self, node: NodeId) -> AncestryLabel {
-        self.labels.get(node.index()).and_then(|l| *l).expect("node is not labelled")
+        let (pos, _) = self.index.extent(node).expect("node is not labelled");
+        self.allocation().labels[pos as usize]
     }
 
     fn node_of(&self, label: &AncestryLabel) -> Option<NodeId> {
-        let node = self.by_key.get(&(label.start, label.depth)).copied()?;
-        (self.label_of(node) == *label).then_some(node)
+        // `Ord` on labels is (start, depth), which ascends with position.
+        let pos = self.allocation().labels.binary_search(label).ok()?;
+        (self.allocation().labels[pos] == *label).then(|| self.index.node_at(pos as u32))
     }
 
     fn supports_parent_computation(&self) -> bool {
@@ -335,15 +310,12 @@ impl NumberingScheme for AncestryScheme {
         a.cmp(b)
     }
 
-    fn on_insert(&mut self, doc: &Document, _new_node: NodeId) -> RelabelStats {
-        self.assign(doc);
-        RelabelStats { relabeled: self.take_diff(), dropped: 0, full_rebuild: false }
+    fn on_insert(&mut self, doc: &Document, new_node: NodeId) -> RelabelStats {
+        self.respan(|index| index.insert_subtree(doc, new_node))
     }
 
-    fn on_delete(&mut self, doc: &Document, _old_parent: NodeId, removed: NodeId) -> RelabelStats {
-        let dropped = doc.descendants(removed).count();
-        self.assign(doc);
-        RelabelStats { relabeled: self.take_diff(), dropped, full_rebuild: false }
+    fn on_delete(&mut self, _doc: &Document, _old_parent: NodeId, removed: NodeId) -> RelabelStats {
+        self.respan(|index| index.remove_subtree(removed))
     }
 }
 

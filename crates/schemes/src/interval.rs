@@ -10,24 +10,22 @@
 //!   `a.rank < b.rank && b.rank <= a.last`;
 //! * **flat reconstruction** — the tree's edges are recoverable from the
 //!   bag of `(rank, last)` markers alone with one stack pass over the
-//!   markers sorted by `rank` ([`SpanIndex::from_markers`]), which is
-//!   what lets `LOADSTREAM` ingest interval-encoded event streams
-//!   without ever materializing XML text
+//!   markers sorted by `rank`, which is what lets `LOADSTREAM` ingest
+//!   interval-encoded event streams without ever materializing XML text
 //!   ([`document_from_stream`]).
 //!
 //! The trade-off against rUID is update locality: any structural change
-//! shifts every rank to its right, so [`IntervalScheme::on_insert`] /
-//! [`IntervalScheme::on_delete`] recompute and report the (large) diff —
-//! the honest cost experiment E18 measures.
+//! shifts every rank to its right. Labels are not stored — they are read
+//! off the shared pre-order span table ([`xmldom::DocOrder`]) on demand —
+//! so [`IntervalScheme::on_insert`] / [`IntervalScheme::on_delete`] splice
+//! that table and report how many labels the shift changed (the honest
+//! cost experiment E18 measures) without materialising them.
 
 use std::cmp::Ordering;
 
-use xmldom::{Document, NodeId};
+use xmldom::{DocOrder, Document, NodeId};
 
 use crate::traits::{NumberingScheme, RelabelStats};
-
-/// Sentinel position: "no parent" / "not labelled".
-pub const NO_POS: u32 = u32::MAX;
 
 /// A nested-set interval label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,183 +66,31 @@ pub fn varint_len(v: u64) -> usize {
     ((64 - v.leading_zeros() as usize).max(1)).div_ceil(7)
 }
 
-/// The flat position tables reconstructed from interval markers: one
-/// stack pass over the markers sorted by start position recovers every
-/// edge. Both [`IntervalScheme`] and the ancestry scheme serve their
-/// axis arithmetic from this table, and `LOADSTREAM` validation is the
-/// same pass with document construction hooked in.
-#[derive(Debug, Clone)]
-pub struct SpanIndex {
-    /// Pre-order position -> node.
-    pre: Vec<NodeId>,
-    /// Position -> position of the last descendant.
-    last: Vec<u32>,
-    /// Position -> parent position (`NO_POS` at the reconstruction root).
-    parent: Vec<u32>,
-    /// `node.index()` -> position (`NO_POS` when unlabelled).
-    pos: Vec<u32>,
-}
+/// The pre-order span of one numbering: the ranks of its root's subtree
+/// ([`DocOrder::subtree`]), counted from the root. Both [`IntervalScheme`]
+/// and the ancestry scheme encode their labels from it and serve their
+/// axis arithmetic from it; neither keeps a copy of the table behind it.
+pub type SpanIndex = DocOrder;
 
-impl SpanIndex {
-    /// Reconstructs the edge structure from flat `(start, end, node)`
-    /// markers: sort by `start`, then one stack pass — pop while the top
-    /// marker closes before the next one opens; whatever remains on top
-    /// is the parent. Rejects marker bags no tree can produce
-    /// (duplicate starts, partially overlapping intervals, multiple
-    /// roots).
-    pub fn from_markers(mut markers: Vec<(u64, u64, NodeId)>) -> Result<SpanIndex, String> {
-        markers.sort_unstable_by_key(|&(start, _, _)| start);
-        let n = markers.len();
-        if n == 0 {
-            return Err("no interval markers".into());
-        }
-        let max_index = markers.iter().map(|&(_, _, node)| node.index()).max().unwrap_or(0);
-        let mut index = SpanIndex {
-            pre: Vec::with_capacity(n),
-            last: vec![0; n],
-            parent: vec![NO_POS; n],
-            pos: vec![NO_POS; max_index + 1],
-        };
-        // Stack of (end, position) of the currently open intervals.
-        let mut stack: Vec<(u64, u32)> = Vec::new();
-        for (i, &(start, end, node)) in markers.iter().enumerate() {
-            if end < start {
-                return Err(format!("marker {start}:{end} ends before it starts"));
-            }
-            if i > 0 && markers[i - 1].0 == start {
-                return Err(format!("duplicate marker start {start}"));
-            }
-            while matches!(stack.last(), Some(&(open_end, _)) if open_end < start) {
-                stack.pop();
-            }
-            match stack.last() {
-                Some(&(open_end, parent_pos)) => {
-                    if end > open_end {
-                        return Err(format!(
-                            "marker {start}:{end} overlaps its enclosing interval \
-                             (ends at {open_end})"
-                        ));
-                    }
-                    index.parent[i] = parent_pos;
-                }
-                None if i > 0 => {
-                    return Err(format!("marker {start}:{end} lies outside the root interval"));
-                }
-                None => {}
-            }
-            if index.pos[node.index()] != NO_POS {
-                return Err(format!("node appears under two markers (second at {start})"));
-            }
-            index.pos[node.index()] = i as u32;
-            index.pre.push(node);
-            stack.push((end, i as u32));
-        }
-        // Children occupy higher positions than their parents, so one
-        // reverse pass folds subtree extents upward.
-        for i in (1..n).rev() {
-            index.last[i] = index.last[i].max(i as u32);
-            let p = index.parent[i] as usize;
-            index.last[p] = index.last[p].max(index.last[i]);
-        }
-        Ok(index)
-    }
-
-    /// Number of positions (= labelled nodes).
-    pub fn len(&self) -> usize {
-        self.pre.len()
-    }
-
-    /// True when the table is empty (never after construction).
-    pub fn is_empty(&self) -> bool {
-        self.pre.is_empty()
-    }
-
-    /// The node at pre-order position `pos`.
-    pub fn node_at(&self, pos: u32) -> NodeId {
-        self.pre[pos as usize]
-    }
-
-    /// The pre-order position of `node`, if it is labelled.
-    pub fn pos_of(&self, node: NodeId) -> Option<u32> {
-        match self.pos.get(node.index()) {
-            Some(&p) if p != NO_POS => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Position of the last descendant of the node at `pos`.
-    pub fn last_of(&self, pos: u32) -> u32 {
-        self.last[pos as usize]
-    }
-
-    /// Parent position of the node at `pos` (`None` at the root).
-    pub fn parent_of(&self, pos: u32) -> Option<u32> {
-        match self.parent[pos as usize] {
-            NO_POS => None,
-            p => Some(p),
-        }
-    }
-
-    /// The nodes at positions `from..=to`, in document order.
-    pub fn slice(&self, from: u32, to: u32) -> &[NodeId] {
-        &self.pre[from as usize..=to as usize]
-    }
-}
-
-/// Pre-order `(enter, leave, node)` markers of the subtree at `root`,
-/// with enter/leave drawn from one global counter — the flat stream a
-/// containment-style encoder would emit for the tree.
-pub fn preorder_markers(doc: &Document, root: NodeId) -> Vec<(u64, u64, NodeId)> {
-    let mut markers: Vec<(u64, u64, NodeId)> = Vec::new();
-    let mut slots: Vec<usize> = Vec::new();
-    let mut counter = 0u64;
-    let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
-    while let Some((node, visited)) = stack.pop() {
-        if visited {
-            let slot = slots.pop().expect("marker slot");
-            markers[slot].1 = counter;
-            counter += 1;
-        } else {
-            counter += 1;
-            slots.push(markers.len());
-            markers.push((counter, 0, node));
-            stack.push((node, true));
-            let kids: Vec<_> = doc.children(node).collect();
-            for &c in kids.iter().rev() {
-                stack.push((c, false));
-            }
-        }
-    }
-    markers
-}
-
-/// Nested-set `[rank, last]` labelling of one document subtree.
+/// Nested-set `[rank, last]` labelling of one document subtree: an
+/// encoder over a [`SpanIndex`], holding no label table of its own.
 #[derive(Debug, Clone)]
 pub struct IntervalScheme {
-    root: NodeId,
-    labels: Vec<Option<IntervalLabel>>,
     index: SpanIndex,
-    last_diff: usize,
 }
 
 impl IntervalScheme {
     /// Labels the subtree under the document's root element.
     pub fn build(doc: &Document) -> Self {
         let root = doc.root_element().unwrap_or_else(|| doc.root());
-        Self::build_at(doc, root)
+        IntervalScheme { index: DocOrder::build_at(doc, root) }
     }
 
-    /// Labels the subtree rooted at `root`.
-    pub fn build_at(doc: &Document, root: NodeId) -> Self {
-        let mut scheme = IntervalScheme {
-            root,
-            labels: Vec::new(),
-            index: SpanIndex::from_markers(vec![(0, 0, root)]).expect("single marker"),
-            last_diff: 0,
-        };
-        scheme.assign(doc);
-        scheme.last_diff = 0;
-        scheme
+    /// Labels `root`'s subtree from an order that already ranks it — the
+    /// catalog shares one table between its order keys and both span
+    /// numberings.
+    pub fn over(order: &DocOrder, root: NodeId) -> Self {
+        IntervalScheme { index: order.subtree(root) }
     }
 
     /// Number of labelled nodes.
@@ -257,7 +103,7 @@ impl IntervalScheme {
         self.index.is_empty()
     }
 
-    /// The reconstructed position tables the axis provider reads.
+    /// The position tables the axis provider reads.
     pub fn span_index(&self) -> &SpanIndex {
         &self.index
     }
@@ -268,36 +114,12 @@ impl IntervalScheme {
         varint_len(u64::from(label.rank)) + varint_len(u64::from(label.last - label.rank))
     }
 
-    /// Recompute-and-diff: emit the flat markers, reconstruct the edge
-    /// tables from the *markers alone* (the stack pass), and diff the
-    /// resulting labels against the previous assignment.
-    fn assign(&mut self, doc: &Document) {
-        let markers = preorder_markers(doc, self.root);
-        self.index =
-            SpanIndex::from_markers(markers).expect("pre-order markers are always laminar");
-        let old = std::mem::take(&mut self.labels);
-        for pos in 0..self.index.len() as u32 {
-            let node = self.index.node_at(pos);
-            let idx = node.index();
-            if self.labels.len() <= idx {
-                self.labels.resize(idx + 1, None);
-            }
-            self.labels[idx] = Some(IntervalLabel { rank: pos, last: self.index.last_of(pos) });
-        }
-        self.last_diff = 0;
-        for (idx, old_label) in old.iter().enumerate() {
-            if let Some(old_label) = old_label {
-                if let Some(new_label) = self.labels.get(idx).and_then(|l| l.as_ref()) {
-                    if new_label != old_label {
-                        self.last_diff += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn take_diff(&mut self) -> usize {
-        std::mem::take(&mut self.last_diff)
+    /// How many surviving labels a splice of `count` positions at `at`
+    /// changes: every rank after the splice point shifts, and every
+    /// ancestor's `last` moves with it.
+    fn relabeled(&self, at: u32, count: u32) -> usize {
+        let ancestors = std::iter::successors(Some(at), |&p| self.index.parent_of(p)).skip(1);
+        self.len() - (at + count) as usize + ancestors.count()
     }
 }
 
@@ -309,19 +131,19 @@ impl NumberingScheme for IntervalScheme {
     }
 
     fn numbering_root(&self) -> NodeId {
-        self.root
+        self.index.root()
     }
 
     fn label_of(&self, node: NodeId) -> IntervalLabel {
-        self.labels.get(node.index()).and_then(|l| *l).expect("node is not labelled")
+        let (rank, last) = self.index.extent(node).expect("node is not labelled");
+        IntervalLabel { rank, last }
     }
 
     fn node_of(&self, label: &IntervalLabel) -> Option<NodeId> {
         if (label.rank as usize) >= self.index.len() {
             return None;
         }
-        let node = self.index.node_at(label.rank);
-        (self.label_of(node) == *label).then_some(node)
+        (self.index.last_of(label.rank) == label.last).then(|| self.index.node_at(label.rank))
     }
 
     fn supports_parent_computation(&self) -> bool {
@@ -340,15 +162,16 @@ impl NumberingScheme for IntervalScheme {
         a.rank.cmp(&b.rank)
     }
 
-    fn on_insert(&mut self, doc: &Document, _new_node: NodeId) -> RelabelStats {
-        self.assign(doc);
-        RelabelStats { relabeled: self.take_diff(), dropped: 0, full_rebuild: false }
+    fn on_insert(&mut self, doc: &Document, new_node: NodeId) -> RelabelStats {
+        let (at, count) = self.index.insert_subtree(doc, new_node);
+        RelabelStats { relabeled: self.relabeled(at, count), dropped: 0, full_rebuild: false }
     }
 
-    fn on_delete(&mut self, doc: &Document, _old_parent: NodeId, removed: NodeId) -> RelabelStats {
-        let dropped = doc.descendants(removed).count();
-        self.assign(doc);
-        RelabelStats { relabeled: self.take_diff(), dropped, full_rebuild: false }
+    fn on_delete(&mut self, _doc: &Document, _old_parent: NodeId, removed: NodeId) -> RelabelStats {
+        let (at, last) = self.index.extent(removed).expect("removed node is not labelled");
+        let relabeled = self.relabeled(at, last - at + 1);
+        let (_, dropped) = self.index.remove_subtree(removed);
+        RelabelStats { relabeled, dropped: dropped as usize, full_rebuild: false }
     }
 }
 
@@ -415,8 +238,9 @@ pub fn parse_stream_event(token: &str) -> Result<StreamEvent, String> {
 
 /// Builds a [`Document`] directly from an interval-encoded flat event
 /// stream (whitespace-separated `start:end:name` / `start:end:=text`
-/// tokens), without materializing any XML text: the same stack pass as
-/// [`SpanIndex::from_markers`], with node construction hooked in. All
+/// tokens), without materializing any XML text: sort by `start`, then one
+/// stack pass — pop while the top interval closes before the next one
+/// opens; whatever remains on top is the parent. All
 /// structural defects (overlapping intervals, duplicate starts, multiple
 /// roots, text nodes with children) are reported as `Err`, never panics.
 pub fn document_from_stream(stream: &str) -> Result<Document, String> {
@@ -538,23 +362,8 @@ mod tests {
         let d = doc.next_sibling(b).unwrap();
         assert_eq!(idx.parent_of(0), None);
         assert_eq!(idx.node_at(0), a);
-        assert_eq!(idx.parent_of(idx.pos_of(c).unwrap()), idx.pos_of(b));
-        assert_eq!(idx.parent_of(idx.pos_of(d).unwrap()), idx.pos_of(a));
-    }
-
-    #[test]
-    fn from_markers_rejects_invalid_bags() {
-        let doc = Document::parse("<a><b/></a>").unwrap();
-        let a = doc.root_element().unwrap();
-        let b = doc.first_child(a).unwrap();
-        // Partially overlapping intervals.
-        assert!(SpanIndex::from_markers(vec![(1, 5, a), (3, 8, b)]).is_err());
-        // Duplicate starts.
-        assert!(SpanIndex::from_markers(vec![(1, 5, a), (1, 3, b)]).is_err());
-        // Two roots.
-        assert!(SpanIndex::from_markers(vec![(1, 2, a), (5, 6, b)]).is_err());
-        // Empty.
-        assert!(SpanIndex::from_markers(vec![]).is_err());
+        assert_eq!(idx.parent_of(idx.rank(c)), Some(idx.rank(b)));
+        assert_eq!(idx.parent_of(idx.rank(d)), Some(idx.rank(a)));
     }
 
     #[test]

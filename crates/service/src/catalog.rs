@@ -15,20 +15,20 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use durable::{Applied, DocState, WalOp};
 use par::Executor;
 use plan::PathSummary;
-use ruid_core::{PartitionConfig, Ruid2Scheme};
+use ruid_core::{PartitionConfig, Ruid2, Ruid2Scheme};
 use schemes::ancestry::AncestryScheme;
 use schemes::interval::{document_from_stream, IntervalScheme};
 use schemes::NumberingScheme;
 use xmldom::{DocOrder, Document, NodeId};
-use xmlstore::{MemPager, XmlStore};
 use xpath::NameIndex;
 
 /// Identifies one loaded document within a [`Catalog`].
 pub type DocId = u64;
 
 /// Everything the service needs to answer queries about one document:
-/// the parsed tree, its rUID numbering, the element-name index, and the
-/// identifier-sorted storage rows.
+/// the parsed tree, its rUID numbering, the pre-order span table with the
+/// two numberings that encode it, the element-name index and the path
+/// summary.
 pub struct LoadedDoc {
     /// Where the document came from (a path, or `"<inline>"`).
     pub path: String,
@@ -36,23 +36,30 @@ pub struct LoadedDoc {
     pub doc: Document,
     /// The rUID numbering (labels, table K, axis routines).
     pub scheme: Ruid2Scheme,
-    /// The nested-set numbering backing the `interval` query engine.
+    /// The nested-set numbering backing the `interval` query engine: an
+    /// encoder over the table `order` holds, not a copy of it.
     pub interval: IntervalScheme,
-    /// The compact-ancestry numbering backing the `ancestry` engine.
+    /// The compact-ancestry numbering backing the `ancestry` engine, over
+    /// the same table.
     pub ancestry: AncestryScheme,
     /// Element-name index backing the `indexed` query engine.
     pub index: NameIndex,
-    /// Precomputed document-order ranks: query engines sort result unions
-    /// by integer key instead of per-comparison label arithmetic.
+    /// The document's pre-order span table, held once per generation:
+    /// query engines sort result unions by its integer ranks instead of
+    /// per-comparison label arithmetic, structural joins read its subtree
+    /// extents, and `interval` / `ancestry` share it.
     pub order: DocOrder,
     /// Path summary (DataGuide) and its value postings, backing the
     /// `planned` query engine and `EXPLAIN` — like the name index and
     /// order ranks, a pure derivation of the tree, rebuilt at load time
     /// and after crash recovery.
     pub summary: PathSummary,
-    /// Identifier-keyed storage rows (`SCAN` serves from here); optional
-    /// because pure labeling workloads don't need the extra copy.
-    pub store: Option<XmlStore<MemPager>>,
+    /// `Some` when the document was loaded `with_store`, i.e. `SCAN` is
+    /// allowed. Nothing is stored: `SCAN` rows are a derivation of `doc`
+    /// and `scheme` ([`LoadedDoc::scan_area`]), so no write path builds
+    /// them. Kept as a flag-shaped `Option` because WAL `Load` records,
+    /// snapshots and the benchmark harness carry `with_store` through it.
+    pub store: Option<()>,
     /// Result-cache generation: the WAL sequence number of the operation
     /// that established this document state (or the doc id when running
     /// without durability). Any logged update produces a new generation,
@@ -102,28 +109,25 @@ impl LoadedDoc {
         }
         let scheme = Ruid2Scheme::try_build_with(&doc, &PartitionConfig::by_depth(depth), exec)
             .map_err(|e| e.to_string())?;
-        let interval = IntervalScheme::build(&doc);
-        let ancestry = AncestryScheme::build(&doc);
-        let index = NameIndex::build_with(&doc, exec);
+        Ok(LoadedDoc::derive(path.to_owned(), doc, scheme, with_store, exec))
+    }
+
+    /// Everything that is a pure derivation of the tree, around a tree and
+    /// numbering that already exist: one span table, the two numberings
+    /// over it, the name index and the path summary.
+    fn derive(
+        path: String,
+        doc: Document,
+        scheme: Ruid2Scheme,
+        with_store: bool,
+        exec: &Executor,
+    ) -> LoadedDoc {
         let order = DocOrder::build(&doc);
+        let (interval, ancestry) = span_schemes(&doc, &order);
+        let index = NameIndex::build_with(&doc, exec);
         let summary = PathSummary::build(&doc);
-        let store = with_store.then(|| {
-            let mut store = XmlStore::in_memory();
-            store.load_document(&doc, &scheme);
-            store
-        });
-        Ok(LoadedDoc {
-            path: path.to_owned(),
-            doc,
-            scheme,
-            interval,
-            ancestry,
-            index,
-            order,
-            summary,
-            store,
-            generation: 0,
-        })
+        let store = with_store.then_some(());
+        LoadedDoc { path, doc, scheme, interval, ancestry, index, order, summary, store, generation: 0 }
     }
 
     /// Builds the bundle from an interval-encoded flat event stream
@@ -140,27 +144,17 @@ impl LoadedDoc {
     }
 
     /// Rebuilds the serving bundle around a document and numbering that
-    /// recovery already reconstructed (snapshot + WAL replay). The name
-    /// index, document order, path summary and optional store are pure
-    /// derivations of the tree, so recomputing them here keeps the
-    /// durable format down to what cannot be re-derived.
+    /// recovery already reconstructed (snapshot + WAL replay). The span
+    /// table, name index and path summary are pure derivations of the
+    /// tree, so recomputing them here keeps the durable format down to
+    /// what cannot be re-derived.
     pub fn from_recovered(
         path: String,
         doc: Document,
         scheme: Ruid2Scheme,
         with_store: bool,
     ) -> LoadedDoc {
-        let interval = IntervalScheme::build(&doc);
-        let ancestry = AncestryScheme::build(&doc);
-        let index = NameIndex::build(&doc);
-        let order = DocOrder::build(&doc);
-        let summary = PathSummary::build(&doc);
-        let store = with_store.then(|| {
-            let mut store = XmlStore::in_memory();
-            store.load_document(&doc, &scheme);
-            store
-        });
-        LoadedDoc { path, doc, scheme, interval, ancestry, index, order, summary, store, generation: 0 }
+        LoadedDoc::derive(path, doc, scheme, with_store, &Executor::new(1))
     }
 
     /// Copy-on-write structural update: clones the tree and numbering,
@@ -195,29 +189,23 @@ impl LoadedDoc {
         };
         let applied = state.apply_detailed(op)?;
         let DocState { doc, scheme, .. } = state;
-        // Order ranks shift globally on any structural change: rebuild
-        // (one pre-order pass). The name index and summary patch in
+        // The span table is spliced, not rebuilt: one copy of its columns
+        // with the edit applied. The name index and summary patch in
         // O(affected) — NodeIds are arena-stable across the clone, so the
         // old member lists stay valid for untouched nodes.
-        let order = DocOrder::build(&doc);
+        let mut order = self.order.clone();
         let mut index = self.index.clone();
         let mut summary = self.summary.clone();
-        // The interval and ancestry numberings ride the same commit: they
-        // go through their own incremental on_insert/on_delete hooks so a
-        // long update sequence exercises the maintenance path rather than
-        // silently rebuilding from scratch each commit.
-        let mut interval = self.interval.clone();
-        let mut ancestry = self.ancestry.clone();
         match &applied {
             Applied::Inserted { node, .. } => {
+                order.insert_subtree(&doc, *node);
                 index.patch_insert(&doc, &order, *node);
                 if !summary.patch_insert(&doc, &order, *node) {
                     summary = PathSummary::build(&doc);
                 }
-                interval.on_insert(&doc, *node);
-                ancestry.on_insert(&doc, *node);
             }
             Applied::Deleted { elements, parent, root, .. } => {
+                order.remove_subtree(*root);
                 index.patch_delete(elements);
                 let removed: Vec<NodeId> = elements.iter().map(|&(_, n)| n).collect();
                 if summary.patch_delete(&removed) {
@@ -227,20 +215,15 @@ impl LoadedDoc {
                 } else {
                     summary = PathSummary::build(&doc);
                 }
-                interval.on_delete(&doc, *parent, *root);
-                ancestry.on_delete(&doc, *parent, *root);
             }
             // Repartitioning renumbers rUID labels but leaves the tree —
-            // and every tree-derived index — untouched.
+            // and every tree-derived index — untouched: the next
+            // generation shares this one's span table.
             Applied::Repartitioned { .. } => {}
         }
-        // The store keys rows by label, which updates (and especially
-        // relabels) rewrite; reload it from the new tree.
-        let store = self.store.as_ref().map(|_| {
-            let mut store = XmlStore::in_memory();
-            store.load_document(&doc, &scheme);
-            store
-        });
+        // The interval and ancestry numberings are encoders over the
+        // table, so handing them the spliced one is their whole update.
+        let (interval, ancestry) = span_schemes(&doc, &order);
         Ok((
             LoadedDoc {
                 path: self.path.clone(),
@@ -251,11 +234,28 @@ impl LoadedDoc {
                 index,
                 order,
                 summary,
-                store,
+                store: self.store,
                 generation,
             },
             applied,
         ))
+    }
+
+    /// The rows `SCAN <global>` answers: the root of UID-local area
+    /// `global` and the area's interior nodes, in storage-key order — what
+    /// an identifier-sorted node table would return from one range scan,
+    /// read off the tree and the labels instead. An unknown area is empty.
+    pub fn scan_area(&self, global: u64) -> Vec<(Ruid2, NodeId)> {
+        let mut rows = Vec::new();
+        let mut stack: Vec<NodeId> = self.scheme.area_root_node(global).into_iter().collect();
+        while let Some(node) = stack.pop() {
+            rows.push((self.scheme.label_of(node), node));
+            // A child that roots an area of its own is keyed under that
+            // area, and so is everything below it.
+            stack.extend(self.doc.children(node).filter(|&c| !self.scheme.is_area_root(c)));
+        }
+        rows.sort_unstable_by_key(|&(label, _)| label);
+        rows
     }
 
     /// Reads and builds from a file on disk.
@@ -274,6 +274,13 @@ impl LoadedDoc {
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         LoadedDoc::build_with(path, &text, depth, with_store, exec)
     }
+}
+
+/// The interval and ancestry numberings of `doc`'s root element, over the
+/// whole-document table `order`.
+fn span_schemes(doc: &Document, order: &DocOrder) -> (IntervalScheme, AncestryScheme) {
+    let root = doc.root_element().unwrap_or_else(|| doc.root());
+    (IntervalScheme::over(order, root), AncestryScheme::over(order, root))
 }
 
 /// A sharded `DocId -> Arc<LoadedDoc>` map with MVCC generations.
@@ -391,22 +398,30 @@ impl Catalog {
 
     /// Swaps in a new generation of an already-loaded document. Takes one
     /// shard's write lock only for the pointer swap; readers holding the
-    /// previous `Arc` are untouched. Returns `false` (and installs
-    /// nothing) when the document was unloaded in the meantime.
+    /// previous `Arc` are untouched, and the displaced generation is
+    /// dropped after the lock is released (freeing a bundle is tens of
+    /// megabytes of small frees). Returns `false` (and installs nothing)
+    /// when the document was unloaded in the meantime.
     pub fn replace(&self, id: DocId, doc: LoadedDoc) -> bool {
-        let mut shard = self.shard(id).write().unwrap();
-        match shard.entry(id) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.insert(Arc::new(doc));
-                true
-            }
-            std::collections::hash_map::Entry::Vacant(_) => false,
-        }
+        let next = Arc::new(doc);
+        let displaced = match self.shard(id).write().unwrap().get_mut(&id) {
+            Some(slot) => std::mem::replace(slot, next),
+            None => return false,
+        };
+        drop(displaced);
+        true
     }
 
-    /// Drops a document. Takes one shard's write lock.
+    /// Unlinks a document and hands its bundle to the caller, so the
+    /// shard's write lock is released before the bundle can be freed.
+    fn take(&self, id: DocId) -> Option<Arc<LoadedDoc>> {
+        self.shard(id).write().unwrap().remove(&id)
+    }
+
+    /// Drops a document. Takes one shard's write lock for the map removal
+    /// only.
     pub fn remove(&self, id: DocId) -> bool {
-        self.shard(id).write().unwrap().remove(&id).is_some()
+        self.take(id).is_some()
     }
 
     /// All loaded ids, ascending.
@@ -532,6 +547,32 @@ mod tests {
     }
 
     #[test]
+    fn an_unlinked_bundle_is_freed_outside_the_shard_lock() {
+        // One shard: every id contends for the same lock.
+        let catalog = Catalog::new(1);
+        let big = catalog.insert(tiny("big.xml"));
+        let other = catalog.insert(tiny("other.xml"));
+        let unlinked = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                unlinked.wait();
+                // The bundle is out of the map but not freed yet, and a
+                // reader of the same shard gets through.
+                assert!(catalog.get(big).is_none());
+                assert_eq!(catalog.get(other).unwrap().path, "other.xml");
+                unlinked.wait();
+            });
+            let bundle = catalog.take(big).expect("loaded");
+            assert_eq!(Arc::strong_count(&bundle), 1, "the last reference left the lock's scope");
+            unlinked.wait();
+            unlinked.wait();
+            drop(bundle);
+        });
+        assert!(!catalog.remove(big));
+        assert!(catalog.remove(other));
+    }
+
+    #[test]
     fn deleting_the_root_element_is_rejected() {
         let loaded = tiny("t.xml");
         let root_label = loaded.scheme.label_of(loaded.doc.root_element().unwrap());
@@ -559,9 +600,19 @@ mod tests {
         // Scheme labels resolve back to nodes.
         let label = loaded.scheme.label_of(root);
         assert_eq!(loaded.scheme.node_of(&label), Some(root));
-        // Store has one row per node.
-        let store = loaded.store.as_ref().unwrap();
-        assert_eq!(store.len(), loaded.doc.descendants(root).count());
+        // The areas' SCAN rows cover every node exactly once.
+        assert!(loaded.store.is_some());
+        let mut all: Vec<NodeId> = loaded.doc.descendants(root).collect();
+        let globals: std::collections::BTreeSet<u64> =
+            all.iter().map(|&n| loaded.scheme.label_of(n).global).collect();
+        let mut scanned: Vec<NodeId> = globals
+            .iter()
+            .flat_map(|&global| loaded.scan_area(global))
+            .map(|(_, node)| node)
+            .collect();
+        scanned.sort_unstable();
+        all.sort_unstable();
+        assert_eq!(scanned, all);
         // Name index sees the elements.
         assert_eq!(loaded.index.nodes_named(&loaded.doc, "d").len(), 1);
     }

@@ -13,8 +13,8 @@
 //!   `RwLock<HashMap<DocId, Arc<LoadedDoc>>>`; a [`LoadedDoc`] bundles the
 //!   parsed [`Document`](xmldom::Document), its
 //!   [`Ruid2Scheme`](ruid_core::Ruid2Scheme), a
-//!   [`NameIndex`](xpath::NameIndex) and an identifier-sorted
-//!   [`XmlStore`](xmlstore::XmlStore). Hot-path commands (`PARENT`,
+//!   [`NameIndex`](xpath::NameIndex) and one pre-order span table
+//!   ([`DocOrder`](xmldom::DocOrder)). Hot-path commands (`PARENT`,
 //!   `QUERY`, `SCAN`, `GET`) take a shard's *shared* lock just long enough
 //!   to clone the `Arc`; `LOAD`/`UNLOAD` take one shard's exclusive lock.
 //! * [`ThreadPool`] — a fixed pool of OS worker threads fed by a *bounded*
@@ -96,7 +96,7 @@
 //! INSERT <doc> <g> <l> <r> <pos> <xml>  insert one node under the labelled parent (MVCC commit)
 //! DELETE <doc> <g> <l> <r>              detach the labelled subtree (root rejected)
 //! RELABEL <doc>                         repartition/renumber the whole document
-//! SCAN <doc> <global>                   storage rows of one rUID area
+//! SCAN <doc> <global>                   storage-order rows of one rUID area
 //! GET <doc> <g> <l> <true|false>        subtree XML of one identifier
 //! STATS <doc>                           tree + numbering statistics
 //! METRICS [prom]                        per-command counters + latency (or Prometheus text)

@@ -594,9 +594,11 @@ fn apply_op(shared: &FollowerShared, op: &WalOp) -> Result<(), String> {
         }
         WalOp::Insert { .. } | WalOp::Delete { .. } | WalOp::Repartition { .. } => {
             let doc_id = op.doc_id();
+            // Outlives the writer guard (declared first): the previous
+            // generation is freed after the lock is released.
+            let loaded;
             let _writers = catalog.begin_write();
-            let loaded =
-                catalog.get(doc_id).ok_or_else(|| format!("no document {doc_id}"))?;
+            loaded = catalog.get(doc_id).ok_or_else(|| format!("no document {doc_id}"))?;
             let generation = catalog.next_generation();
             let (next, _applied) = loaded.apply_update(op, generation)?;
             shared.plan_cache.purge_doc(doc_id);

@@ -26,8 +26,7 @@ use std::time::{Duration, Instant};
 
 use plan::ResultCache;
 use schemes::NumberingScheme;
-use xmldom::TreeStats;
-use xmlstore::record::StoredKind;
+use xmldom::{NodeKind, TreeStats};
 use xpath::{Evaluator, NameIndexed, RuidAxes, SpanAxes, TreeAxes};
 
 use durable::{Applied, FsyncPolicy, WalOp};
@@ -65,8 +64,8 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// `LOAD` partition depth default (`PartitionConfig::by_depth`).
     pub depth: usize,
-    /// Whether `LOAD` also populates the identifier-sorted [`XmlStore`]
-    /// (`SCAN` needs it).
+    /// Whether documents are loaded with `SCAN` allowed. (No store is
+    /// built: the rows are derived from the tree and labels on request.)
     pub with_store: bool,
     /// Frame-size limit: longest accepted request line, in bytes
     /// (excluding the terminator). Longer lines get `ERR line too long`.
@@ -1082,8 +1081,12 @@ fn commit_update(
     command: Command,
 ) -> Result<String, String> {
     let ServiceCtx { catalog, metrics, durability, .. } = *ctx;
+    // Declared before the writer guard so it outlives it: this is the last
+    // reference to the previous generation once readers move on, and
+    // freeing a bundle must not hold up the next writer.
+    let loaded;
     let _writers = catalog.begin_write();
-    let loaded = timed(trace, Span::Lookup, || fetch(catalog, doc_id))?;
+    loaded = timed(trace, Span::Lookup, || fetch(catalog, doc_id))?;
     let generation = catalog.next_generation();
     let (next, applied) =
         timed(trace, Span::Eval, || loaded.apply_update(&op, generation))?;
@@ -1316,25 +1319,25 @@ fn execute(
         }
         Request::Scan { doc, global } => {
             let loaded = timed(trace, Span::Lookup, || fetch(catalog, doc))?;
-            let store = loaded
-                .store
-                .as_ref()
-                .ok_or("document loaded without a store (SCAN unavailable)")?;
-            let rows = timed(trace, Span::Eval, || store.scan_area(global));
+            if loaded.store.is_none() {
+                return Err("document loaded without a store (SCAN unavailable)".into());
+            }
+            let rows = timed(trace, Span::Eval, || loaded.scan_area(global));
             let mut out = format!("OK {}", rows.len());
-            for row in rows {
-                let kind = match row.kind {
-                    StoredKind::Element => "elem",
-                    StoredKind::Text => "text",
-                    StoredKind::Comment => "comment",
-                    StoredKind::ProcessingInstruction => "pi",
+            for (label, node) in rows {
+                let (kind, name) = match loaded.doc.kind(node) {
+                    NodeKind::Element { name, .. } => ("elem", loaded.doc.name_text(*name)),
+                    NodeKind::Text(_) => ("text", ""),
+                    NodeKind::Comment(_) => ("comment", ""),
+                    NodeKind::ProcessingInstruction { target, .. } => ("pi", target.as_ref()),
+                    NodeKind::Document => unreachable!("the document node carries no label"),
                 };
                 out.push(' ');
-                out.push_str(&proto::fmt_label(&row.label));
+                out.push_str(&proto::fmt_label(&label));
                 out.push('#');
                 out.push_str(kind);
                 out.push('#');
-                out.push_str(&proto::escape_line(&row.name.replace(' ', "_")));
+                out.push_str(&proto::escape_line(&name.replace(' ', "_")));
             }
             Ok(out)
         }

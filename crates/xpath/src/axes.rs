@@ -378,7 +378,9 @@ impl<'a> SpanAxes<'a> {
     }
 
     fn pos(&self, n: NodeId) -> u32 {
-        self.idx.pos_of(n).expect("axis node must be labelled")
+        let pos = self.idx.rank(n);
+        assert!(pos != u32::MAX, "axis node must be labelled");
+        pos
     }
 }
 

@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
 cargo build --release --offline
+# The benchmark harness is frozen and names public fields and signatures
+# under crates/; a change that breaks that surface should fail here, in
+# seconds, not after three test runs.
+cargo build --release --offline --manifest-path scoreboard/Cargo.toml
 # --no-fail-fast: one failing crate must not hide every suite ordered
 # after it. Three runs in a row: a test that depends on scheduling or on
 # a shared path shows up here, not in somebody's next run.

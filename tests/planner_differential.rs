@@ -332,6 +332,144 @@ fn updates_preserve_engine_agreement_on_every_small_tree() {
     assert!(deletes >= 150, "most shapes must exercise the delete path, got {deletes}");
 }
 
+/// The three holders of the shared pre-order span table, maintained by
+/// splices through a seeded chain of inserts and deletes and held to
+/// from-scratch rebuilds after every step.
+struct SplicedSpans {
+    order: DocOrder,
+    interval: IntervalScheme,
+    ancestry: AncestryScheme,
+    /// Whether the ancestry allocation changed mode along the way.
+    mode_flips: usize,
+}
+
+/// Labels a rebuild gives the `survivors` before and after an edit, counted
+/// where they differ: the recompute-and-diff the schemes' `on_insert` /
+/// `on_delete` used to run, kept as the oracle for their `RelabelStats`.
+fn relabeled_by_rebuild<S: NumberingScheme>(before: &S, after: &S, survivors: &[NodeId]) -> usize
+where
+    S::Label: PartialEq,
+{
+    survivors.iter().filter(|&&n| before.label_of(n) != after.label_of(n)).count()
+}
+
+impl SplicedSpans {
+    fn build(doc: &Document) -> SplicedSpans {
+        SplicedSpans {
+            order: DocOrder::build(doc),
+            interval: IntervalScheme::build(doc),
+            ancestry: AncestryScheme::build(doc),
+            mode_flips: 0,
+        }
+    }
+
+    /// One seeded edit of `doc` — an insert (a leaf, or one time in four a
+    /// three-node subtree) or the delete of a non-root subtree — spliced
+    /// into all three holders and checked against rebuilds.
+    fn step(&mut self, doc: &mut Document, rng: &mut SplitMix64, ctx: &str) {
+        let root = doc.root_element().expect("root element");
+        let before: Vec<NodeId> = doc.descendants(root).collect();
+        let (old_interval, old_ancestry) = (IntervalScheme::build(doc), AncestryScheme::build(doc));
+        let old_mode = self.ancestry.mode();
+        let victims = &before[1..];
+        let (stats, what) = if victims.is_empty() || rng.gen_bool(0.6) {
+            let parents: Vec<NodeId> =
+                before.iter().copied().filter(|&n| doc.element_name(n).is_some()).collect();
+            let parent = parents[rng.gen_range(0..parents.len())];
+            let position = rng.gen_range(0..doc.children(parent).count() + 1);
+            let new = if rng.gen_bool(0.25) { doc.create_text("t") } else { doc.create_element("x") };
+            if doc.element_name(new).is_some() && rng.gen_bool(0.25) {
+                let child = doc.create_element("y");
+                doc.append_child(new, child);
+                let leaf = doc.create_text("z");
+                doc.append_child(child, leaf);
+            }
+            match doc.children(parent).nth(position) {
+                Some(anchor) => doc.insert_before(anchor, new),
+                None => doc.append_child(parent, new),
+            }
+            self.order.insert_subtree(doc, new);
+            ((self.interval.on_insert(doc, new), self.ancestry.on_insert(doc, new)), "insert")
+        } else {
+            let victim = victims[rng.gen_range(0..victims.len())];
+            let parent = doc.parent(victim).expect("non-root victim");
+            doc.detach(victim);
+            self.order.remove_subtree(victim);
+            let stats = (
+                self.interval.on_delete(doc, parent, victim),
+                self.ancestry.on_delete(doc, parent, victim),
+            );
+            (stats, "delete")
+        };
+        let ctx = format!("{ctx} after {what}");
+        self.mode_flips += usize::from(self.ancestry.mode() != old_mode);
+
+        // The spliced table is the rebuilt one, column by column.
+        let rebuilt = DocOrder::build(doc);
+        assert_eq!(self.order, rebuilt, "spliced span table drifted from a rebuild {ctx}");
+        for i in 0..doc.arena_len() {
+            let node = NodeId::from_index(i);
+            assert_eq!(self.order.rank(node), rebuilt.rank(node), "rank {ctx}");
+            assert_eq!(self.order.end_rank(node), rebuilt.end_rank(node), "end rank {ctx}");
+        }
+        // So are both encodings of it, in both directions.
+        assert_span_schemes_match_rebuild(doc, &self.interval, &self.ancestry, &ctx);
+        assert_eq!(self.ancestry.mode(), AncestryScheme::build(doc).mode(), "mode {ctx}");
+        let after: Vec<NodeId> = doc.descendants(root).collect();
+        for &node in &after {
+            let label = self.interval.label_of(node);
+            assert_eq!(self.interval.node_of(&label), Some(node), "interval node_of {ctx}");
+            let label = self.ancestry.label_of(node);
+            assert_eq!(self.ancestry.node_of(&label), Some(node), "ancestry node_of {ctx}");
+        }
+        // And the relabel counts are what recompute-and-diff reports.
+        let survivors: Vec<NodeId> =
+            before.iter().copied().filter(|n| self.order.contains(*n)).collect();
+        let dropped = before.len() - survivors.len();
+        let want = relabeled_by_rebuild(&old_interval, &IntervalScheme::build(doc), &survivors);
+        assert_eq!((stats.0.relabeled, stats.0.dropped), (want, dropped), "interval stats {ctx}");
+        let want = relabeled_by_rebuild(&old_ancestry, &AncestryScheme::build(doc), &survivors);
+        assert_eq!((stats.1.relabeled, stats.1.dropped), (want, dropped), "ancestry stats {ctx}");
+    }
+}
+
+/// Splices against rebuilds over all 197 shapes (a short seeded chain
+/// each) and one long chain on an XMark document; somewhere along the way
+/// the ancestry allocation must cross its small-depth / compact boundary.
+#[test]
+fn spliced_span_table_equals_a_rebuild_after_every_edit() {
+    const SEED: u64 = 0x5EED_2B24;
+    let mut mode_flips = 0usize;
+    let mut shape = 0usize;
+    for n in 1..=7 {
+        for xml in trees(n, 0) {
+            let mut doc = Document::parse(&xml).expect("generated XML parses");
+            let mut spans = SplicedSpans::build(&doc);
+            let mut rng = SplitMix64::seed_from_u64(SEED ^ shape as u64);
+            for step in 0..6 {
+                let ctx = format!(
+                    "(shape #{shape}, failing seed: {:#x}, step {step}, from {xml})",
+                    SEED ^ shape as u64
+                );
+                spans.step(&mut doc, &mut rng, &ctx);
+            }
+            mode_flips += spans.mode_flips;
+            shape += 1;
+        }
+    }
+    assert_eq!(shape, 197, "full Catalan sweep: 1+1+2+5+14+42+132 shapes");
+
+    let mut doc = xmark::generate(&xmark::XmarkConfig::scaled_to(1_200, 42));
+    let mut spans = SplicedSpans::build(&doc);
+    let mut rng = SplitMix64::seed_from_u64(SEED);
+    for step in 0..520 {
+        let ctx = format!("(xmark 1200, failing seed: {SEED:#x}, step {step})");
+        spans.step(&mut doc, &mut rng, &ctx);
+    }
+    mode_flips += spans.mode_flips;
+    assert!(mode_flips >= 1, "no chain crossed the ancestry mode boundary");
+}
+
 /// The E4/E14 benchmark corpus (plus the two historically slow queries) on
 /// a generated XMark document: planner on vs. off, every engine.
 #[test]
