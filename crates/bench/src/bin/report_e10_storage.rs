@@ -2,6 +2,8 @@
 //! The (global, local) sort makes an area one contiguous range; partitioned
 //! tables let the global index pick the files a query touches.
 
+#![forbid(unsafe_code)]
+
 use bench::{default_partition, median_time, xmark_tree, Table};
 use ruid::prelude::*;
 use ruid::{PartitionedStore, XmlStore};

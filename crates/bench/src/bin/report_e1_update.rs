@@ -3,6 +3,8 @@
 //! "the scope of identifier update due to a node insertion is reduced by a
 //! magnitude of two" (area-local instead of document-global).
 
+#![forbid(unsafe_code)]
+
 use bench::{default_partition, standard_tree, Table};
 use ruid::prelude::*;
 use ruid::{ContainmentScheme, DeweyScheme, PrePostScheme, UidScheme};

@@ -2,6 +2,8 @@
 //! The original UID's identifiers need `depth * log2(k)` bits; rUID grades
 //! the fan-out per area, keeping every component machine-word sized.
 
+#![forbid(unsafe_code)]
+
 use bench::{default_partition, standard_tree, Table};
 use ruid::prelude::*;
 use ruid::{kary, DeweyScheme, UidScheme};

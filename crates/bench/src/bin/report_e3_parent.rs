@@ -3,6 +3,8 @@
 //! complicated than the one in the original UID, since the computation
 //! occurs mostly in main memory, the distinction is not significant."
 
+#![forbid(unsafe_code)]
+
 use bench::{default_partition, median_time, per_item, standard_tree, Table};
 use ruid::prelude::*;
 use ruid::{DeweyScheme, MultiRuidScheme, UidScheme};

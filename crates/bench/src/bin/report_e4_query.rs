@@ -2,6 +2,8 @@
 //! rUID-based query evaluation (labels + main-memory parameters) against
 //! the alternatives and calls it "quite competitive".
 
+#![forbid(unsafe_code)]
+
 use bench::{median_time, xmark_tree, Table};
 use ruid::prelude::*;
 use ruid::{NameIndex, NameIndexed, UidScheme};

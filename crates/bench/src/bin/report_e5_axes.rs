@@ -2,6 +2,8 @@
 //! rdescendant / rsiblings / rpreceding / rfollowing / LCA / order
 //! decisions, against DOM traversal.
 
+#![forbid(unsafe_code)]
+
 use bench::{all_ruid_labels, default_partition, median_time, per_item, xmark_tree, Table};
 use ruid::prelude::*;
 

@@ -2,6 +2,8 @@
 //! native partition can give the frame a fan-out κ far above the source
 //! tree's, inflating global indices; with it, κ is provably bounded.
 
+#![forbid(unsafe_code)]
+
 use bench::Table;
 use ruid::prelude::*;
 use ruid::{Partition, PartitionConfig, PartitionStrategy, Ruid2Scheme, TreeGenConfig};

@@ -3,6 +3,8 @@
 //! areas mean cheaper updates but a larger table K and longer rparent
 //! chains; coarser areas approach the original UID.
 
+#![forbid(unsafe_code)]
+
 use bench::{median_time, per_item, standard_tree, Table};
 use ruid::prelude::*;
 use ruid::{PartitionConfig, PartitionStrategy};

@@ -2,6 +2,8 @@
 //! document grows, table memory per level, and the parent-computation price
 //! of each extra level.
 
+#![forbid(unsafe_code)]
+
 use bench::{median_time, per_item, standard_tree, Table};
 use ruid::prelude::*;
 use ruid::MultiRuidScheme;

@@ -5,6 +5,8 @@
 //! experiment. The service built around the scheme is measured by
 //! `scoreboard/`, not here.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use ruid::prelude::*;

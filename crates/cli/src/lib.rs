@@ -12,6 +12,8 @@
 //! ruid-xml client <addr> <command...>              send one protocol request
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ruid::prelude::*;
 use ruid::{AncestryScheme, BinaryClient, Client, DocOrder, Executor, FsyncPolicy, IntervalScheme, LoadedDoc, NameIndex, NameIndexed, PathSummary, Ruid2, Server, ServerConfig, ServerHandle, SpanAxes, UidScheme, WalOp};
 

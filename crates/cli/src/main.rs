@@ -1,5 +1,7 @@
 //! `ruid-xml` — command-line front end for the rUID numbering scheme.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use ruid_cli::{run, USAGE};

@@ -47,6 +47,8 @@
 //! assert_eq!(scheme.node_of(&parent), doc.parent(c));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod axes;
 pub mod multilevel;
 pub mod partition;

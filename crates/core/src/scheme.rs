@@ -4,11 +4,12 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use par::Executor;
 use schemes::kary;
 use schemes::{NumberingScheme, RelabelStats};
-use xmldom::{Document, NodeId};
+use xmldom::{Column, Document, NodeId};
 
 use crate::label::Ruid2;
 use crate::partition::{Partition, PartitionConfig};
@@ -172,27 +173,44 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// The reverse map of one UID-local area.
+#[derive(Debug, Clone)]
+struct Area {
+    /// The area's root node; its label `(global, local, true)` is checked
+    /// against the stored one, since `local` lives in the upper area.
+    root: NodeId,
+    /// Local index → node for the area's interior members, shared between
+    /// generations until an update touches this area.
+    interior: Arc<HashMap<u64, NodeId>>,
+}
+
 /// A 2-level rUID numbering of one document subtree.
 ///
 /// Holds the global parameters (κ and the table K — the only state the
 /// label-arithmetic needs) plus the label tables that tie labels to
-/// [`NodeId`]s.
+/// [`NodeId`]s. Both tables are copy-on-write: a clone (a commit's staging
+/// copy) copies chunk pointers, the plain-data slot map and K — never a
+/// refcount per area — and an update copies only what §3.2 says it
+/// touches: the label chunks of the nodes it relabels and the reverse map
+/// of the area it renumbers.
 #[derive(Debug, Clone)]
 pub struct Ruid2Scheme {
     root: NodeId,
     kappa: u64,
     ktable: KTable,
-    /// Dense label table by [`NodeId::index`].
-    labels: Vec<Option<Ruid2>>,
-    /// Reverse mapping (labels are unique including the root flag).
-    nodes: HashMap<Ruid2, NodeId>,
-    /// Area global index -> area root node.
-    area_roots: HashMap<u64, NodeId>,
-    /// Dense area-root flag by [`NodeId::index`].
-    is_area_root: Vec<bool>,
+    /// Label by [`NodeId::index`].
+    labels: Column<Option<Ruid2>>,
+    /// Area global index → the area's slot in `areas`.
+    slots: HashMap<u64, u32>,
+    /// Reverse maps by slot, one per UID-local area (labels are unique
+    /// including the root flag); a retired area's slot is `None`.
+    areas: Column<Option<Area>>,
     /// Kept so rebuilds reuse the same policy.
     config: PartitionConfig,
 }
+
+/// One area's parts before assembly: global index, root, interior map.
+type AreaParts = (u64, NodeId, HashMap<u64, NodeId>);
 
 impl Ruid2Scheme {
     /// Builds the numbering for the subtree under the document's root
@@ -293,16 +311,6 @@ impl Ruid2Scheme {
     ) -> Result<Self, BuildError> {
         let root = partition.root();
         let kappa = partition.frame_max_fanout(doc);
-        let mut scheme = Ruid2Scheme {
-            root,
-            kappa,
-            ktable: KTable::new(),
-            labels: vec![None; doc.arena_len()],
-            nodes: HashMap::new(),
-            area_roots: HashMap::new(),
-            is_area_root: vec![false; doc.arena_len()],
-            config: *config,
-        };
 
         // Step (2) of Fig. 3: enumerate the frame with a κ-ary tree to get
         // the global indices. `areas` fixes a deterministic order (frame
@@ -313,8 +321,6 @@ impl Ruid2Scheme {
         let mut frame_stack = vec![(root, 1u64)];
         while let Some((r, g)) = frame_stack.pop() {
             areas.push((r, g));
-            scheme.area_roots.insert(g, r);
-            scheme.set_area_root_flag(r);
             for (j, child_root) in partition.frame_children(doc, r).into_iter().enumerate() {
                 let cg = kary::child_u64(g, kappa, j as u64 + 1)
                     .ok_or(BuildError::FrameOverflow { kappa })?;
@@ -333,12 +339,17 @@ impl Ruid2Scheme {
         // boundary slots, because an area root's public local index is
         // recorded by its *upper* area.
         // root_local[g] = the area root's index in its upper area.
+        let mut labels = vec![None; doc.arena_len()];
+        let mut parts = Vec::with_capacity(areas.len());
         let mut root_local: HashMap<u64, u64> = HashMap::new();
         root_local.insert(1, 1);
-        for area in &labeled {
+        for (&(r, g), area) in areas.iter().zip(&labeled) {
+            let mut interior = HashMap::with_capacity(area.labels.len());
             for &(n, label) in &area.labels {
-                scheme.set_label(n, label);
+                labels[n.index()] = Some(label);
+                interior.insert(label.local, n);
             }
+            parts.push((g, r, interior));
             for &(ng, local) in &area.boundary {
                 root_local.insert(ng, local);
             }
@@ -348,24 +359,48 @@ impl Ruid2Scheme {
         let mut rows = Vec::with_capacity(areas.len());
         for (&(r, g), area) in areas.iter().zip(&labeled) {
             let local = root_local[&g];
-            scheme.set_label(r, Ruid2::new(g, local, true));
+            labels[r.index()] = Some(Ruid2::new(g, local, true));
             rows.push(AreaEntry { global: g, local, fanout: area.fanout });
         }
-        scheme.ktable = KTable::from_rows(rows);
-        Ok(scheme)
+        Ok(Ruid2Scheme::assemble(root, kappa, KTable::from_rows(rows), *config, labels, parts))
+    }
+
+    fn assemble(
+        root: NodeId,
+        kappa: u64,
+        ktable: KTable,
+        config: PartitionConfig,
+        labels: Vec<Option<Ruid2>>,
+        areas: Vec<AreaParts>,
+    ) -> Self {
+        let slots = areas.iter().enumerate().map(|(slot, &(g, ..))| (g, slot as u32)).collect();
+        // Leaf areas (40 % of them on XMark) share one empty map until
+        // written, instead of an allocation each.
+        let empty = Arc::new(HashMap::new());
+        let areas: Vec<Option<Area>> = areas
+            .into_iter()
+            .map(|(_, root, interior)| {
+                let interior =
+                    if interior.is_empty() { Arc::clone(&empty) } else { Arc::new(interior) };
+                Some(Area { root, interior })
+            })
+            .collect();
+        Ruid2Scheme { root, kappa, ktable, labels: labels.into(), slots, areas: areas.into(), config }
     }
 
     /// Reassembles a numbering from previously extracted state — the
     /// restore path of a snapshot. `labels` pairs every labelled node with
-    /// its rUID; the derived tables (reverse map, area roots, flags) are
-    /// rebuilt here rather than trusted from disk.
+    /// its rUID; the derived tables (per-area reverse maps, area roots)
+    /// are rebuilt here rather than trusted from disk.
     ///
     /// Validates the parts against each other so a corrupt-but-checksummed
     /// snapshot (e.g. written by a buggy older version) cannot produce a
-    /// scheme that violates the structural invariants: labels must be
-    /// unique, nodes must exist in `doc`'s arena, the numbering root must
-    /// carry the tree-root label, and area-root labels must correspond
-    /// one-to-one with the rows of table K.
+    /// scheme that violates the structural invariants: nodes must exist in
+    /// `doc`'s arena and be listed once, labels must be unique, exactly the
+    /// nodes of the numbering subtree must be labelled, the numbering root
+    /// must carry the tree-root label, area-root labels must correspond
+    /// one-to-one with the rows of table K, and every interior label must
+    /// lie in one of those areas.
     pub fn from_parts(
         doc: &Document,
         root: NodeId,
@@ -377,41 +412,60 @@ impl Ruid2Scheme {
         if kappa == 0 {
             return Err("kappa must be at least 1".into());
         }
-        let mut scheme = Ruid2Scheme {
-            root,
-            kappa,
-            ktable,
-            labels: vec![None; doc.arena_len()],
-            nodes: HashMap::with_capacity(labels.len()),
-            area_roots: HashMap::new(),
-            is_area_root: vec![false; doc.arena_len()],
-            config,
-        };
+        let mut by_node = vec![None; doc.arena_len()];
+        let mut parts: Vec<AreaParts> = Vec::new();
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        // Roots first: an interior label is filed under its area's root.
         for &(node, label) in labels {
-            if node.index() >= doc.arena_len() {
-                return Err(format!("label references node {} outside the arena", node.index()));
+            let slot = by_node
+                .get_mut(node.index())
+                .ok_or_else(|| format!("label references node {} outside the arena", node.index()))?;
+            if slot.replace(label).is_some() {
+                return Err(format!("node {} is listed twice", node.index()));
             }
-            if scheme.nodes.insert(label, node).is_some() {
-                return Err(format!("duplicate label {label:?}"));
-            }
-            scheme.labels[node.index()] = Some(label);
             if label.is_root {
-                if scheme.ktable.get(label.global).is_none() {
+                if ktable.get(label.global).is_none() {
                     return Err(format!("area {} has a root label but no row in K", label.global));
                 }
-                scheme.area_roots.insert(label.global, node);
-                scheme.is_area_root[node.index()] = true;
+                if slot_of.insert(label.global, parts.len()).is_some() {
+                    return Err(format!("area {} has two root labels", label.global));
+                }
+                parts.push((label.global, node, HashMap::new()));
             }
         }
+        for &(node, label) in labels.iter().filter(|(_, l)| !l.is_root) {
+            let slot = *slot_of.get(&label.global).ok_or_else(|| {
+                format!("label {label:?} lies in area {} which has no root", label.global)
+            })?;
+            if parts[slot].2.insert(label.local, node).is_some() {
+                return Err(format!("duplicate label {label:?}"));
+            }
+        }
+        let scheme = Ruid2Scheme::assemble(root, kappa, ktable, config, by_node, parts);
         match scheme.stored_label(root) {
             Some(l) if l.is_tree_root() => {}
             other => return Err(format!("numbering root carries {other:?}, not the tree root label")),
         }
-        if scheme.area_roots.len() != scheme.ktable.rows().len() {
+        if scheme.area_count() != scheme.ktable.rows().len() {
             return Err(format!(
                 "table K has {} rows but {} area-root labels were restored",
                 scheme.ktable.rows().len(),
-                scheme.area_roots.len()
+                scheme.area_count()
+            ));
+        }
+        // Exactly the numbering subtree is labelled: an unlabelled node
+        // there would panic the first reply that formats it.
+        let mut subtree = 0usize;
+        for node in doc.descendants(root) {
+            if scheme.stored_label(node).is_none() {
+                return Err(format!("node {} under the numbering root has no label", node.index()));
+            }
+            subtree += 1;
+        }
+        if subtree != labels.len() {
+            return Err(format!(
+                "{} labels restored for the {subtree} nodes of the numbering subtree",
+                labels.len()
             ));
         }
         Ok(scheme)
@@ -434,24 +488,32 @@ impl Ruid2Scheme {
         &self.ktable
     }
 
-    /// Number of labelled nodes.
+    /// Number of labelled nodes. O(areas).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.areas.iter().flatten().map(|a| 1 + a.interior.len()).sum()
     }
 
     /// Whether no nodes are labelled (never true after construction).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of UID-local areas.
     pub fn area_count(&self) -> usize {
-        self.area_roots.len()
+        self.slots.len()
     }
 
     /// The node that is the root of area `global`.
     pub fn area_root_node(&self, global: u64) -> Option<NodeId> {
-        self.area_roots.get(&global).copied()
+        self.area(global).map(|a| a.root)
+    }
+
+    fn area(&self, global: u64) -> Option<&Area> {
+        self.areas[*self.slots.get(&global)? as usize].as_ref()
+    }
+
+    fn area_mut(&mut self, global: u64) -> Option<&mut Area> {
+        self.areas.get_mut(*self.slots.get(&global)? as usize)?.as_mut()
     }
 
     /// The partition policy this scheme was built with.
@@ -459,16 +521,18 @@ impl Ruid2Scheme {
         &self.config
     }
 
-    /// Whether `node` is an area root under this numbering.
+    /// Whether `node` is an area root under this numbering (its label's
+    /// root flag).
     pub fn is_area_root(&self, node: NodeId) -> bool {
-        self.is_area_root.get(node.index()).copied().unwrap_or(false)
+        self.stored_label(node).is_some_and(|l| l.is_root)
     }
 
     /// Bits needed per label component if globals and locals are stored as
     /// minimal-width integers (+1 for the root flag) — E2's storage metric.
     pub fn label_width_bits(&self) -> u64 {
-        let max_global = self.nodes.keys().map(|l| l.global).max().unwrap_or(1);
-        let max_local = self.nodes.keys().map(|l| l.local).max().unwrap_or(1);
+        let labels = || self.labels.iter().flatten();
+        let max_global = labels().map(|l| l.global).max().unwrap_or(1);
+        let max_local = labels().map(|l| l.local).max().unwrap_or(1);
         (64 - max_global.leading_zeros() as u64) + (64 - max_local.leading_zeros() as u64) + 1
     }
 
@@ -615,43 +679,68 @@ impl Ruid2Scheme {
         ca.len().cmp(&cb.len())
     }
 
+    /// Records `label` for `node` in both directions. Updates never
+    /// create areas: an area-root label moves only its slot in the upper
+    /// area, and an interior label's area must be tracked.
     pub(crate) fn set_label(&mut self, node: NodeId, label: Ruid2) {
-        let idx = node.index();
-        if self.labels.len() <= idx {
-            self.labels.resize(idx + 1, None);
+        self.labels.grow_to(node.index() + 1, None);
+        *self.labels.get_mut(node.index()).expect("grown to fit") = Some(label);
+        if label.is_root {
+            debug_assert_eq!(self.area_root_node(label.global), Some(node), "root of {label:?}");
+        } else {
+            let area = self.area_mut(label.global).expect("area of an interior label");
+            Arc::make_mut(&mut area.interior).insert(label.local, node);
         }
-        self.labels[idx] = Some(label);
-        self.nodes.insert(label, node);
-    }
-
-    pub(crate) fn set_area_root_flag(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.is_area_root.len() <= idx {
-            self.is_area_root.resize(idx + 1, false);
-        }
-        self.is_area_root[idx] = true;
     }
 
     pub(crate) fn stored_label(&self, node: NodeId) -> Option<Ruid2> {
-        self.labels.get(node.index()).and_then(|l| *l)
+        self.labels.get(node.index()).copied().flatten()
     }
 
+    /// Clears `node`'s label, and its reverse entry if that still points
+    /// at `node`. An area root keeps its area: [`Ruid2Scheme::remove_area`]
+    /// retires it.
     pub(crate) fn take_label(&mut self, node: NodeId) -> Option<Ruid2> {
-        let old = self.labels.get_mut(node.index()).and_then(Option::take);
-        if let Some(old) = old {
-            if self.nodes.get(&old) == Some(&node) {
-                self.nodes.remove(&old);
-            }
+        let old = self.stored_label(node)?;
+        *self.labels.get_mut(node.index()).expect("labelled") = None;
+        let points_here = |a: &Area| a.interior.get(&old.local) == Some(&node);
+        if !old.is_root && self.area(old.global).is_some_and(points_here) {
+            let area = self.area_mut(old.global).expect("tracked");
+            Arc::make_mut(&mut area.interior).remove(&old.local);
         }
-        old
+        Some(old)
+    }
+
+    /// Forgets area `global` — K row and whole reverse map — for a deleted
+    /// subtree, whose interior labels go with it.
+    pub(crate) fn remove_area(&mut self, global: u64) {
+        if let Some(slot) = self.slots.remove(&global) {
+            *self.areas.get_mut(slot as usize).expect("slot in range") = None;
+        }
+        self.ktable.remove(global);
     }
 
     pub(crate) fn ktable_mut(&mut self) -> &mut KTable {
         &mut self.ktable
     }
 
-    pub(crate) fn area_roots_mut(&mut self) -> &mut HashMap<u64, NodeId> {
-        &mut self.area_roots
+    /// Interior reverse maps `self` shares with `other` (a clone: slots
+    /// line up) by pointer, and the number of areas `self` has; test hook
+    /// for the copy-on-write contract.
+    #[doc(hidden)]
+    pub fn shared_area_maps(&self, other: &Ruid2Scheme) -> (usize, usize) {
+        let pairs = self.areas.iter().zip(other.areas.iter());
+        let shared = pairs
+            .filter(|p| matches!(p, (Some(a), Some(b)) if Arc::ptr_eq(&a.interior, &b.interior)))
+            .count();
+        (shared, self.area_count())
+    }
+
+    /// Label chunks `self` shares with `other` by pointer, and the number
+    /// `self` holds; test hook.
+    #[doc(hidden)]
+    pub fn shared_label_chunks(&self, other: &Ruid2Scheme) -> (usize, usize) {
+        (self.labels.shared_chunks(&other.labels), self.labels.sealed_chunks())
     }
 }
 
@@ -671,7 +760,14 @@ impl NumberingScheme for Ruid2Scheme {
     }
 
     fn node_of(&self, label: &Ruid2) -> Option<NodeId> {
-        self.nodes.get(label).copied()
+        let area = self.area(label.global)?;
+        if label.is_root {
+            // Only the global is the area's own; `local` is checked
+            // against the label the root actually carries.
+            (self.stored_label(area.root) == Some(*label)).then_some(area.root)
+        } else {
+            area.interior.get(&label.local).copied()
+        }
     }
 
     fn supports_parent_computation(&self) -> bool {

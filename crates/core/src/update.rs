@@ -53,13 +53,14 @@ pub(crate) fn on_delete(
     removed: NodeId,
 ) -> RelabelStats {
     let mut stats = RelabelStats::default();
-    // Drop the subtree's labels; retire the K rows of any areas inside it.
+    // Drop the subtree's labels; retire the areas inside it (K row and
+    // reverse map). Preorder meets an area's root before its interior, so
+    // a retired area's map is dropped whole, never copied to be emptied.
     for n in doc.descendants(removed) {
         if let Some(old) = scheme.take_label(n) {
             stats.dropped += 1;
             if old.is_root {
-                scheme.ktable_mut().remove(old.global);
-                scheme.area_roots_mut().remove(&old.global);
+                scheme.remove_area(old.global);
             }
         }
     }

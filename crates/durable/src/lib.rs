@@ -28,6 +28,7 @@
 //! node store) are deterministic functions of that pair and are rebuilt
 //! by the caller after recovery.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

@@ -164,18 +164,23 @@ fn encode_doc_body(doc: &DocView<'_>) -> Vec<u8> {
 
 /// Serializes a whole snapshot file into memory.
 fn encode_snapshot(generation: u64, docs: &[DocView<'_>]) -> Vec<u8> {
-    let bodies: Vec<Vec<u8>> = docs.iter().map(encode_doc_body).collect();
+    let bodies: Vec<(u64, Vec<u8>)> = docs.iter().map(|v| (v.id, encode_doc_body(v))).collect();
+    lay_out(generation, &bodies)
+}
+
+/// Header, directory and `(doc_id, body)` bodies, as one file image.
+fn lay_out(generation: u64, bodies: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut header = Vec::new();
     header.extend_from_slice(SNAPSHOT_MAGIC);
     put_u32(&mut header, SNAPSHOT_VERSION);
     put_u64(&mut header, generation);
-    put_u32(&mut header, docs.len() as u32);
+    put_u32(&mut header, bodies.len() as u32);
     // Directory offsets are from the file start; the header region is
     // header + directory + trailing CRC.
-    let header_region = header.len() + docs.len() * 24 + 4;
+    let header_region = header.len() + bodies.len() * 24 + 4;
     let mut offset = header_region as u64;
-    for (view, body) in docs.iter().zip(&bodies) {
-        put_u64(&mut header, view.id);
+    for (id, body) in bodies {
+        put_u64(&mut header, *id);
         put_u64(&mut header, offset);
         put_u64(&mut header, body.len() as u64);
         offset += body.len() as u64;
@@ -183,7 +188,7 @@ fn encode_snapshot(generation: u64, docs: &[DocView<'_>]) -> Vec<u8> {
     let header_crc = crc32(&header);
     put_u32(&mut header, header_crc);
     let mut out = header;
-    for body in &bodies {
+    for (_, body) in bodies {
         out.extend_from_slice(body);
     }
     out
@@ -502,6 +507,89 @@ mod tests {
         assert_eq!(load.docs.iter().map(|d| d.id).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(load.quarantined.len(), 1);
         assert_eq!(load.quarantined[0].0, 2);
+    }
+
+    /// `body` with its Labels section's `(preorder index, label)` entries
+    /// passed through `edit` and the section re-checksummed, so only the
+    /// scheme restore can tell.
+    fn with_labels_rewritten(body: &[u8], edit: impl Fn(&mut Vec<(u32, Ruid2)>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut r = Reader::new(body);
+        while !r.is_empty() {
+            let tag = r.u8("tag").unwrap();
+            let len = r.u32("len").unwrap() as usize;
+            r.u32("crc").unwrap();
+            let payload = r.take(len, "payload").unwrap();
+            if tag != SEC_LABELS {
+                push_section(&mut out, tag, payload);
+                continue;
+            }
+            let mut lr = Reader::new(payload);
+            let count = lr.u32("count").unwrap();
+            let mut entries: Vec<(u32, Ruid2)> = (0..count)
+                .map(|_| {
+                    let idx = lr.u32("idx").unwrap();
+                    let raw = lr.take(Ruid2::ENCODED_LEN, "label").unwrap();
+                    (idx, Ruid2::from_bytes(raw.try_into().unwrap()))
+                })
+                .collect();
+            edit(&mut entries);
+            let mut labels = Vec::new();
+            put_u32(&mut labels, entries.len() as u32);
+            for (idx, label) in &entries {
+                put_u32(&mut labels, *idx);
+                labels.extend_from_slice(&label.to_bytes());
+            }
+            push_section(&mut out, SEC_LABELS, &labels);
+        }
+        out
+    }
+
+    /// A checksummed snapshot whose labels no numbering could have issued
+    /// — a node listed twice, or an attached node left unlabelled — is
+    /// quarantined at recovery instead of served; its neighbour loads.
+    #[test]
+    fn inconsistent_labels_are_quarantined_at_recovery() {
+        type Edit<'a> = &'a dyn Fn(&mut Vec<(u32, Ruid2)>);
+        let states = [sample_state(1), sample_state(2)];
+        let unchanged: Edit<'_> = &|_| {};
+        let listed_twice: Edit<'_> = &|entries| {
+            let &(idx, l) = entries.iter().find(|(_, l)| !l.is_root).unwrap();
+            entries.push((idx, Ruid2::new(l.global, l.local + 1000, false)));
+        };
+        let unlabelled: Edit<'_> = &|entries| {
+            let at = entries.iter().rposition(|(_, l)| !l.is_root).unwrap();
+            entries.remove(at);
+        };
+        for (name, edit, reason) in [
+            ("unchanged", unchanged, None),
+            ("listed_twice", listed_twice, Some("listed twice")),
+            ("unlabelled", unlabelled, Some("has no label")),
+        ] {
+            let dir = crate::test_dir(&format!("snap_labels_{name}"));
+            let bodies = [
+                (1, encode_doc_body(&states[0].view())),
+                (2, with_labels_rewritten(&encode_doc_body(&states[1].view()), edit)),
+            ];
+            std::fs::write(dir.join(snapshot_file_name(1)), lay_out(1, &bodies)).unwrap();
+            let r = crate::recovery::recover(&dir).unwrap();
+            assert_eq!(r.report.snapshot_generation, Some(1), "{name}");
+            let served: Vec<u64> = r.docs.iter().map(|d| d.id).collect();
+            match reason {
+                None => {
+                    assert_eq!(served, vec![1, 2], "{name}");
+                    assert!(r.report.quarantined.is_empty(), "{name}");
+                }
+                Some(reason) => {
+                    assert_eq!(served, vec![1], "{name}: the bad document is not served");
+                    let [(id, why)] = &r.report.quarantined[..] else {
+                        panic!("{name}: {:?}", r.report.quarantined)
+                    };
+                    assert_eq!(*id, 2);
+                    assert!(why.contains(reason), "{name}: {why}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! enumerations are mutually independent, so labeling them is an
 //! embarrassingly parallel `par_map` over areas.
 
+#![forbid(unsafe_code)]
+
 mod pool;
 
 pub use pool::{PoolClosed, PoolStats, SubmitError, ThreadPool};

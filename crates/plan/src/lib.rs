@@ -24,6 +24,8 @@
 //! [`render_explain`] turns a plan plus its execution stats into the
 //! human-readable `EXPLAIN` listing the service serves over the wire.
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod exec;
 mod planner;

@@ -21,6 +21,7 @@
 //! * [`Backoff`] — bounded exponential reconnect backoff with
 //!   deterministic SplitMix64 jitter.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Duration;

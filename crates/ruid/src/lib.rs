@@ -41,6 +41,8 @@
 //! assert_eq!(hits.len(), 2); // new, e
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use par::{available_threads, Executor, PoolClosed, SubmitError};
 pub use ruid_core::{
     axes, multilevel, partition, rparent_with, AreaEntry, BuildError, KTable, MultiRuid, MultiRuidScheme,

@@ -27,6 +27,8 @@
 //! label-only relationship tests, and structural-update relabelling with
 //! cost accounting ([`RelabelStats`]) — the quantity experiment E1 measures.
 
+#![forbid(unsafe_code)]
+
 pub mod ancestry;
 pub mod containment;
 pub mod dewey;

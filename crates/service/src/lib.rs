@@ -146,6 +146,8 @@
 //! handle.join();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod catalog;
 mod client;
 mod fault;

@@ -13,6 +13,8 @@
 //! Representation: little-endian `u64` limbs with no trailing zero limbs
 //! (`0` is the empty limb vector). All operations keep values normalized.
 
+#![forbid(unsafe_code)]
+
 mod uint;
 
 pub use uint::{ParseUintError, Uint};

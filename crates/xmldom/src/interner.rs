@@ -6,7 +6,7 @@ use std::fmt;
 /// Handle to an interned name. Cheap to copy, compare and hash; resolve the
 /// text with [`Interner::resolve`] (or [`crate::Document::name_text`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NameId(u32);
+pub struct NameId(pub(crate) u32);
 
 impl NameId {
     /// Raw index, usable as a dense array key.

@@ -7,7 +7,9 @@
 //!
 //! * [`Document`] — an arena of linked nodes ([`NodeId`] handles) with O(1)
 //!   structural mutation (append, insert-before/after, detach), the operations
-//!   whose relabelling cost the paper's update experiments measure;
+//!   whose relabelling cost the paper's update experiments measure; its
+//!   links are one flat table and its payloads a copy-on-write [`Column`],
+//!   so a clone (a commit's staging copy) shares what it does not write;
 //! * a recursive-descent XML parser ([`Document::parse`]) covering elements,
 //!   attributes, text, CDATA, comments, processing instructions, character
 //!   and predefined entity references, and DOCTYPE skipping;
@@ -19,6 +21,9 @@
 //! Element and attribute names are interned ([`NameId`]) so that node
 //! comparisons and name indices are integer comparisons.
 
+#![forbid(unsafe_code)]
+
+mod column;
 mod error;
 mod interner;
 mod iterators;
@@ -28,6 +33,7 @@ mod serializer;
 mod stats;
 mod tree;
 
+pub use column::{Column, CHUNK};
 pub use error::{ParseError, ParseErrorKind, TextPos};
 pub use interner::{Interner, NameId};
 pub use iterators::{Ancestors, Children, Descendants, Siblings};

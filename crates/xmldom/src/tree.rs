@@ -3,6 +3,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
+use crate::column::Column;
 use crate::interner::{Interner, NameId};
 use crate::iterators::{Ancestors, Children, Descendants, Siblings};
 
@@ -61,24 +62,60 @@ pub enum NodeKind {
     },
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) prev_sibling: Option<NodeId>,
-    pub(crate) next_sibling: Option<NodeId>,
-    pub(crate) first_child: Option<NodeId>,
-    pub(crate) last_child: Option<NodeId>,
-    pub(crate) kind: NodeKind,
+/// Marks an absent link (or a non-element's name) in a [`Link`] row.
+const NIL: u32 = u32::MAX;
+
+/// Spare link rows a clone reserves, so the clone's own allocations (a
+/// commit inserts one node) append without reallocating the table.
+const CLONE_HEADROOM: usize = 64;
+
+/// The structural half of a node: its five links and, for an element, its
+/// name — plain `Copy` data, [`NIL`] for "none". Everything a traversal
+/// reads lives here, so the table is dense (24 bytes a node) and a clone is
+/// one `memcpy`.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    parent: u32,
+    prev: u32,
+    next: u32,
+    first: u32,
+    last: u32,
+    name: u32,
 }
 
-/// An XML document: an arena of nodes plus the name interner.
+impl Link {
+    const DETACHED: Link =
+        Link { parent: NIL, prev: NIL, next: NIL, first: NIL, last: NIL, name: NIL };
+}
+
+fn linked(raw: u32) -> Option<NodeId> {
+    (raw != NIL).then_some(NodeId(raw))
+}
+
+/// An XML document: a flat table of node links, a copy-on-write column of
+/// node payloads ([`NodeKind`]), and the name interner.
+///
+/// The two halves are split by who reads them: traversals and structural
+/// edits touch only the links, which stay one flat `Vec` (the hot read
+/// path); text, attributes and the other heap-owning payload sit in
+/// shared chunks, so a clone copies the links once and shares every
+/// payload chunk, and an edit copies only the chunk it writes.
 ///
 /// All structural operations are O(1) except those documented otherwise.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Document {
-    nodes: Vec<Node>,
+    links: Vec<Link>,
+    kinds: Column<NodeKind>,
     names: Interner,
     root: NodeId,
+}
+
+impl Clone for Document {
+    fn clone(&self) -> Self {
+        let mut links = Vec::with_capacity(self.links.len() + CLONE_HEADROOM);
+        links.extend_from_slice(&self.links);
+        Document { links, kinds: self.kinds.clone(), names: self.names.clone(), root: self.root }
+    }
 }
 
 impl Default for Document {
@@ -90,15 +127,9 @@ impl Default for Document {
 impl Document {
     /// Creates a document containing only the document root node.
     pub fn new() -> Self {
-        let root = Node {
-            parent: None,
-            prev_sibling: None,
-            next_sibling: None,
-            first_child: None,
-            last_child: None,
-            kind: NodeKind::Document,
-        };
-        Document { nodes: vec![root], names: Interner::new(), root: NodeId(0) }
+        let mut kinds = Column::default();
+        kinds.push(NodeKind::Document);
+        Document { links: vec![Link::DETACHED], kinds, names: Interner::new(), root: NodeId(0) }
     }
 
     /// The document root node (kind [`NodeKind::Document`]).
@@ -113,7 +144,7 @@ impl Document {
 
     /// Total number of arena slots, including detached nodes.
     pub fn arena_len(&self) -> usize {
-        self.nodes.len()
+        self.links.len()
     }
 
     /// Number of nodes reachable from the document root (O(n)).
@@ -141,25 +172,38 @@ impl Document {
         self.names.resolve(id)
     }
 
-    pub(crate) fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    fn link(&self, id: NodeId) -> &Link {
+        &self.links[id.index()]
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
+    fn link_mut(&mut self, id: NodeId) -> &mut Link {
+        &mut self.links[id.index()]
+    }
+
+    fn kind_mut(&mut self, id: NodeId) -> &mut NodeKind {
+        self.kinds.get_mut(id.index()).expect("node id out of range")
     }
 
     fn alloc(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("document exceeds u32 nodes"));
-        self.nodes.push(Node {
-            parent: None,
-            prev_sibling: None,
-            next_sibling: None,
-            first_child: None,
-            last_child: None,
-            kind,
-        });
-        id
+        let id = u32::try_from(self.links.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("document exceeds u32 nodes");
+        let name = match kind {
+            NodeKind::Element { name, .. } => name.0,
+            _ => NIL,
+        };
+        self.links.push(Link { name, ..Link::DETACHED });
+        self.kinds.push(kind);
+        NodeId(id)
+    }
+
+    /// Payload chunks `self` shares with `other` by pointer (what a clone
+    /// did not copy) and the number `self` holds; test hook for the
+    /// copy-on-write contract.
+    #[doc(hidden)]
+    pub fn shared_payload_chunks(&self, other: &Document) -> (usize, usize) {
+        (self.kinds.shared_chunks(&other.kinds), self.kinds.sealed_chunks())
     }
 
     /// Creates a detached element node.
@@ -190,20 +234,18 @@ impl Document {
 
     /// The node's kind.
     pub fn kind(&self, id: NodeId) -> &NodeKind {
-        &self.node(id).kind
+        &self.kinds[id.index()]
     }
 
     /// `true` iff `id` is an element.
     pub fn is_element(&self, id: NodeId) -> bool {
-        matches!(self.node(id).kind, NodeKind::Element { .. })
+        self.link(id).name != NIL
     }
 
     /// Tag name of an element node, `None` for other kinds.
     pub fn element_name(&self, id: NodeId) -> Option<NameId> {
-        match self.node(id).kind {
-            NodeKind::Element { name, .. } => Some(name),
-            _ => None,
-        }
+        let name = self.link(id).name;
+        (name != NIL).then_some(NameId(name))
     }
 
     /// Tag name text of an element node, `None` for other kinds.
@@ -213,7 +255,7 @@ impl Document {
 
     /// Text content of a text node, `None` for other kinds.
     pub fn text(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).kind {
+        match self.kind(id) {
             NodeKind::Text(t) => Some(t),
             _ => None,
         }
@@ -221,7 +263,7 @@ impl Document {
 
     /// Attributes of an element (empty slice for non-elements).
     pub fn attributes(&self, id: NodeId) -> &[Attribute] {
-        match &self.node(id).kind {
+        match self.kind(id) {
             NodeKind::Element { attributes, .. } => attributes,
             _ => &[],
         }
@@ -244,7 +286,7 @@ impl Document {
     /// # Panics
     /// Panics if `id` is not a text node.
     pub fn append_text(&mut self, id: NodeId, extra: &str) {
-        match &mut self.node_mut(id).kind {
+        match self.kind_mut(id) {
             NodeKind::Text(t) => {
                 let mut s = String::from(std::mem::take(t));
                 s.push_str(extra);
@@ -260,7 +302,7 @@ impl Document {
     /// Panics if `id` is not an element.
     pub fn set_attribute(&mut self, id: NodeId, name: &str, value: &str) {
         let name = self.names.intern(name);
-        match &mut self.node_mut(id).kind {
+        match self.kind_mut(id) {
             NodeKind::Element { attributes, .. } => {
                 if let Some(attr) = attributes.iter_mut().find(|a| a.name == name) {
                     attr.value = value.into();
@@ -274,32 +316,32 @@ impl Document {
 
     /// Parent node, `None` for the document root or detached nodes.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
+        linked(self.link(id).parent)
     }
 
     /// First child.
     pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).first_child
+        linked(self.link(id).first)
     }
 
     /// Last child.
     pub fn last_child(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).last_child
+        linked(self.link(id).last)
     }
 
     /// Next sibling in document order.
     pub fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).next_sibling
+        linked(self.link(id).next)
     }
 
     /// Previous sibling in document order.
     pub fn prev_sibling(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).prev_sibling
+        linked(self.link(id).prev)
     }
 
     /// Whether the node is attached to the tree (the root always is).
     pub fn is_attached(&self, id: NodeId) -> bool {
-        id == self.root || self.node(id).parent.is_some()
+        id == self.root || self.link(id).parent != NIL
     }
 
     /// Appends `child` as the last child of `parent`.
@@ -309,18 +351,16 @@ impl Document {
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
         self.assert_insertable(child);
         assert_ne!(parent, child, "node cannot be its own child");
-        let old_last = self.node(parent).last_child;
-        {
-            let c = self.node_mut(child);
-            c.parent = Some(parent);
-            c.prev_sibling = old_last;
-            c.next_sibling = None;
+        let old_last = self.link(parent).last;
+        let c = self.link_mut(child);
+        c.parent = parent.0;
+        c.prev = old_last;
+        c.next = NIL;
+        match linked(old_last) {
+            Some(last) => self.link_mut(last).next = child.0,
+            None => self.link_mut(parent).first = child.0,
         }
-        match old_last {
-            Some(last) => self.node_mut(last).next_sibling = Some(child),
-            None => self.node_mut(parent).first_child = Some(child),
-        }
-        self.node_mut(parent).last_child = Some(child);
+        self.link_mut(parent).last = child.0;
     }
 
     /// Inserts `new` immediately before `sibling` under the same parent.
@@ -329,18 +369,16 @@ impl Document {
     /// Panics if `new` is attached or `sibling` has no parent.
     pub fn insert_before(&mut self, sibling: NodeId, new: NodeId) {
         self.assert_insertable(new);
-        let parent = self.node(sibling).parent.expect("insert_before target has no parent");
-        let prev = self.node(sibling).prev_sibling;
-        {
-            let n = self.node_mut(new);
-            n.parent = Some(parent);
-            n.prev_sibling = prev;
-            n.next_sibling = Some(sibling);
-        }
-        self.node_mut(sibling).prev_sibling = Some(new);
-        match prev {
-            Some(p) => self.node_mut(p).next_sibling = Some(new),
-            None => self.node_mut(parent).first_child = Some(new),
+        let parent = self.parent(sibling).expect("insert_before target has no parent");
+        let prev = self.link(sibling).prev;
+        let n = self.link_mut(new);
+        n.parent = parent.0;
+        n.prev = prev;
+        n.next = sibling.0;
+        self.link_mut(sibling).prev = new.0;
+        match linked(prev) {
+            Some(p) => self.link_mut(p).next = new.0,
+            None => self.link_mut(parent).first = new.0,
         }
     }
 
@@ -350,24 +388,22 @@ impl Document {
     /// Panics if `new` is attached or `sibling` has no parent.
     pub fn insert_after(&mut self, sibling: NodeId, new: NodeId) {
         self.assert_insertable(new);
-        let parent = self.node(sibling).parent.expect("insert_after target has no parent");
-        let next = self.node(sibling).next_sibling;
-        {
-            let n = self.node_mut(new);
-            n.parent = Some(parent);
-            n.prev_sibling = Some(sibling);
-            n.next_sibling = next;
-        }
-        self.node_mut(sibling).next_sibling = Some(new);
-        match next {
-            Some(nx) => self.node_mut(nx).prev_sibling = Some(new),
-            None => self.node_mut(parent).last_child = Some(new),
+        let parent = self.parent(sibling).expect("insert_after target has no parent");
+        let next = self.link(sibling).next;
+        let n = self.link_mut(new);
+        n.parent = parent.0;
+        n.prev = sibling.0;
+        n.next = next;
+        self.link_mut(sibling).next = new.0;
+        match linked(next) {
+            Some(nx) => self.link_mut(nx).prev = new.0,
+            None => self.link_mut(parent).last = new.0,
         }
     }
 
     fn assert_insertable(&self, id: NodeId) {
         assert!(id != self.root, "cannot insert the document root");
-        assert!(self.node(id).parent.is_none(), "node {id:?} is already attached");
+        assert!(self.link(id).parent == NIL, "node {id:?} is already attached");
     }
 
     /// Detaches the subtree rooted at `id` from its parent. The subtree stays
@@ -378,25 +414,27 @@ impl Document {
     /// Panics on an attempt to detach the document root.
     pub fn detach(&mut self, id: NodeId) {
         assert!(id != self.root, "cannot detach the document root");
-        let Node { parent, prev_sibling, next_sibling, .. } = *self.node(id);
-        let Some(parent) = parent else { return };
-        match prev_sibling {
-            Some(p) => self.node_mut(p).next_sibling = next_sibling,
-            None => self.node_mut(parent).first_child = next_sibling,
+        let Link { parent, prev, next, .. } = *self.link(id);
+        if parent == NIL {
+            return;
         }
-        match next_sibling {
-            Some(n) => self.node_mut(n).prev_sibling = prev_sibling,
-            None => self.node_mut(parent).last_child = prev_sibling,
+        match prev {
+            NIL => self.links[parent as usize].first = next,
+            p => self.links[p as usize].next = next,
         }
-        let n = self.node_mut(id);
-        n.parent = None;
-        n.prev_sibling = None;
-        n.next_sibling = None;
+        match next {
+            NIL => self.links[parent as usize].last = prev,
+            n => self.links[n as usize].prev = prev,
+        }
+        let n = self.link_mut(id);
+        n.parent = NIL;
+        n.prev = NIL;
+        n.next = NIL;
     }
 
     /// Iterator over the children of `id` in document order.
     pub fn children(&self, id: NodeId) -> Children<'_> {
-        Children::new(self, self.node(id).first_child)
+        Children::new(self, self.first_child(id))
     }
 
     /// Iterator over element children only.
@@ -411,17 +449,17 @@ impl Document {
 
     /// Iterator over strict ancestors of `id`, nearest first.
     pub fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
-        Ancestors::new(self, self.node(id).parent)
+        Ancestors::new(self, self.parent(id))
     }
 
     /// Iterator over following siblings (document order).
     pub fn following_siblings(&self, id: NodeId) -> Siblings<'_> {
-        Siblings::forward(self, self.node(id).next_sibling)
+        Siblings::forward(self, self.next_sibling(id))
     }
 
     /// Iterator over preceding siblings (reverse document order).
     pub fn preceding_siblings(&self, id: NodeId) -> Siblings<'_> {
-        Siblings::backward(self, self.node(id).prev_sibling)
+        Siblings::backward(self, self.prev_sibling(id))
     }
 
     /// Depth of `id`: the root has depth 0. O(depth).
@@ -498,7 +536,7 @@ impl Document {
     pub fn child_of_ancestor_on_path(&self, anc: NodeId, desc: NodeId) -> NodeId {
         let mut cur = desc;
         loop {
-            let parent = self.node(cur).parent.expect("anc is not an ancestor of desc");
+            let parent = self.parent(cur).expect("anc is not an ancestor of desc");
             if parent == anc {
                 return cur;
             }
@@ -510,8 +548,8 @@ impl Document {
     /// element). O(subtree).
     pub fn string_value(&self, id: NodeId) -> String {
         let mut out = String::new();
-        for n in self.descendants(id) {
-            if let NodeKind::Text(t) = &self.node(n).kind {
+        for n in self.descendants(id).filter(|&n| !self.is_element(n)) {
+            if let NodeKind::Text(t) = self.kind(n) {
                 out.push_str(t);
             }
         }
@@ -524,13 +562,19 @@ impl Document {
     /// none). `None` for mixed content, an element child or two text
     /// nodes, where [`Document::string_value`] has to build it. O(children).
     pub fn simple_text(&self, id: NodeId) -> Option<&str> {
-        if let NodeKind::Text(t) = &self.node(id).kind {
-            return Some(t);
+        // The link row's element bit answers for elements, so the payload
+        // column is read only for the text it lends.
+        if !self.is_element(id) {
+            if let NodeKind::Text(t) = self.kind(id) {
+                return Some(t);
+            }
         }
         let mut text = None;
         for child in self.children(id) {
-            match &self.node(child).kind {
-                NodeKind::Element { .. } => return None,
+            if self.is_element(child) {
+                return None;
+            }
+            match self.kind(child) {
                 NodeKind::Text(_) if text.is_some() => return None,
                 NodeKind::Text(t) => text = Some(t.as_ref()),
                 _ => {}
@@ -551,7 +595,7 @@ impl Document {
     /// Structural equality of two subtrees in (possibly) different documents:
     /// same kinds, names, attribute lists, text, and child sequences.
     pub fn subtree_eq(&self, id: NodeId, other: &Document, other_id: NodeId) -> bool {
-        let kinds_eq = match (&self.node(id).kind, &other.node(other_id).kind) {
+        let kinds_eq = match (self.kind(id), other.kind(other_id)) {
             (NodeKind::Document, NodeKind::Document) => true,
             (
                 NodeKind::Element { name: n1, attributes: a1 },
@@ -588,5 +632,35 @@ impl Document {
                 _ => return false,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_link_row_is_six_words_of_u32() {
+        assert_eq!(std::mem::size_of::<Link>(), 24);
+    }
+
+    #[test]
+    fn a_clone_shares_payload_and_keeps_headroom() {
+        let mut doc = Document::new();
+        let root = doc.create_element("r");
+        doc.append_child(doc.root(), root);
+        for i in 0..3 * crate::CHUNK {
+            let t = doc.create_text(&i.to_string());
+            doc.append_child(root, t);
+        }
+        let mut copy = doc.clone();
+        assert!(copy.links.capacity() >= copy.links.len() + CLONE_HEADROOM);
+        assert_eq!(copy.shared_payload_chunks(&doc), (3, 3));
+        let extra = copy.create_element("x");
+        copy.set_attribute(extra, "k", "v");
+        copy.append_child(root, extra);
+        assert_eq!(copy.shared_payload_chunks(&doc), (3, 3), "new rows go to the tail");
+        assert_eq!(doc.children(root).count(), 3 * crate::CHUNK);
+        assert_eq!(copy.attribute(extra, "k"), Some("v"));
     }
 }

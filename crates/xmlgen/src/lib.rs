@@ -18,6 +18,8 @@
 //! All generators take an explicit seed and are fully deterministic, so
 //! every experiment in the workspace is reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod dblp;
 pub mod prng;
 pub mod random;

@@ -17,6 +17,8 @@
 //!   group of areas, where queries touch only the tables their global-index
 //!   range selects (experiment E10 measures the benefit).
 
+#![forbid(unsafe_code)]
+
 pub mod bptree;
 pub mod heap;
 pub mod pager;

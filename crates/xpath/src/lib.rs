@@ -24,6 +24,8 @@
 //! the function library, and attribute nodes as top-level results
 //! (attributes are reachable in predicates via `@name`).
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod axes;
 mod eval;

@@ -31,6 +31,15 @@ if grep -rn '#\[ignore' crates/service/; then
     echo "ci: ignored tests are not allowed in crates/service" >&2
     exit 1
 fi
+# No crate needs `unsafe`, and a chunked column or a packed row is exactly
+# where `get_unchecked` tempts: every crate root forbids it.
+for root in crates/*/src/lib.rs crates/*/src/main.rs crates/*/src/bin/*.rs; do
+    [ -e "$root" ] || continue
+    if ! grep -q '^#!\[forbid(unsafe_code)\]$' "$root"; then
+        echo "ci: $root lacks #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
 
 # The scoreboard is a workspace of its own that calls deep into the
 # service's public API: build it, run its unit and smoke tests, and run
