@@ -15,7 +15,9 @@
 #![forbid(unsafe_code)]
 
 use ruid::prelude::*;
-use ruid::{AncestryScheme, BinaryClient, Client, DocOrder, Executor, FsyncPolicy, IntervalScheme, LoadedDoc, NameIndex, NameIndexed, PathSummary, Ruid2, Server, ServerConfig, ServerHandle, SpanAxes, UidScheme, WalOp};
+use ruid::service::proto::{self, Engine};
+use ruid::service::run_query;
+use ruid::{BinaryClient, Client, DocOrder, Executor, FsyncPolicy, LoadedDoc, NameIndex, NameIndexed, PathSummary, Ruid2, Server, ServerConfig, ServerHandle, UidScheme, WalOp};
 
 /// The usage banner printed on argument errors.
 pub const USAGE: &str = "usage:
@@ -35,8 +37,10 @@ pub const USAGE: &str = "usage:
      wire verbs include PING, LOAD, QUERY, LABEL, EXPLAIN, and the
      structural updates INSERT <doc> <g> <l> <r> <pos> <fragment>,
      DELETE <doc> <g> <l> <r>, RELABEL <doc>
-     --protocol binary sends the same verb in one pipelined binary
-     frame (MQUERY/MLABEL batches need the library BinaryClient)";
+     --protocol binary sends the same request in one binary frame, under
+     its own verb code where it has one (QUERY, LABEL, PARENT, GET, ...) and
+     as a TEXT frame otherwise (MQUERY/MLABEL batches need the library
+     BinaryClient)";
 
 /// Dispatches one invocation; `args` excludes the program name.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -135,48 +139,16 @@ fn query(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing file")?;
     let xpath = args.get(1).ok_or("missing XPath expression")?;
     let engine = option(args, "--engine").unwrap_or("indexed");
-    let doc = load(path)?;
-    let scheme = Ruid2Scheme::try_build(&doc, &PartitionConfig::by_depth(3))
-        .map_err(|e| e.to_string())?;
-    let uid_scheme;
-    let index;
+    let loaded = LoadedDoc::from_file(path, 3, false)?;
+    let LoadedDoc { doc, scheme, .. } = &loaded;
     let started = std::time::Instant::now();
-    let hits = match engine {
-        "tree" => Evaluator::new(&doc, TreeAxes::new(&doc)).query(xpath)?,
-        "uid" => {
-            uid_scheme = UidScheme::build(&doc);
-            Evaluator::new(&doc, UidAxes::new(&uid_scheme)).query(xpath)?
-        }
-        "ruid" => Evaluator::new(&doc, RuidAxes::new(&scheme)).query(xpath)?,
-        "interval" => {
-            let interval = IntervalScheme::build(&doc);
-            let order = DocOrder::build(&doc);
-            Evaluator::new(&doc, SpanAxes::with_order(interval.span_index(), "interval", &order))
-                .query(xpath)?
-        }
-        "ancestry" => {
-            let ancestry = AncestryScheme::build(&doc);
-            let order = DocOrder::build(&doc);
-            Evaluator::new(&doc, SpanAxes::with_order(ancestry.span_index(), "ancestry", &order))
-                .query(xpath)?
-        }
-        "indexed" => {
-            index = NameIndex::build(&doc);
-            Evaluator::new(&doc, NameIndexed::new(RuidAxes::new(&scheme), &doc, &index))
-                .query(xpath)?
-        }
-        "planned" => {
-            index = NameIndex::build(&doc);
-            let order = DocOrder::build(&doc);
-            let summary = PathSummary::build(&doc);
-            let ev = Evaluator::new(
-                &doc,
-                NameIndexed::new(TreeAxes::with_order(&doc, &order), &doc, &index),
-            );
-            let (hits, _, _) = ruid::planned_query(xpath, &doc, &summary, &order, &ev)?;
-            hits
-        }
-        other => return Err(format!("unknown engine {other:?}")),
+    // Every service engine answers through `run_query`; only the original
+    // UID numbering, which the service does not keep, is built here.
+    let hits = if engine == "uid" {
+        Evaluator::new(doc, UidAxes::new(&UidScheme::build(doc))).query(xpath)?
+    } else {
+        let e = Engine::parse(engine).ok_or_else(|| format!("unknown engine {engine:?}"))?;
+        run_query(&loaded, xpath, e)?.0
     };
     let elapsed = started.elapsed();
     for &node in hits.iter().take(20) {
@@ -375,11 +347,16 @@ fn client(args: &[String]) -> Result<(), String> {
             client.request(&line).map_err(|e| e.to_string())?
         }
         "binary" => {
-            // Same verb, carried over a binary frame (the compatibility
-            // Text verb) — responses are byte-identical by design.
+            // The typed request under its own verb code — responses are
+            // byte-identical by design. A line that does not parse still
+            // goes out, in a TEXT frame, so the server's ERR is printed.
             let mut client = BinaryClient::connect(addr.as_str())
                 .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            client.request(&line).map_err(|e| e.to_string())?
+            match proto::parse(&line) {
+                Ok(request) => client.call(&request),
+                Err(_) => client.request(&line),
+            }
+            .map_err(|e| e.to_string())?
         }
         other => return Err(format!("unknown protocol {other:?} (text|binary)")),
     };

@@ -20,8 +20,8 @@ use std::time::Duration;
 use repl::Backoff;
 
 use crate::fault::{Fault, FaultPlan};
-use crate::proto::Engine;
-use crate::wire::{self, Decoded, ResponseFrame, WireRequest, WireResponse};
+use crate::proto::{Engine, Request};
+use crate::wire::{self, Decoded, ResponseFrame, WireResponse};
 
 /// Process-wide retry counter across every in-process [`Client`]:
 /// reconnects after a refused connect plus `BUSY` resends. Surfaced as
@@ -303,7 +303,12 @@ impl BinaryClient {
     /// Encodes one request into the send buffer (applying any client
     /// fault scheduled for this index) and returns its request id.
     /// Nothing hits the wire until [`BinaryClient::flush`].
-    pub fn send(&mut self, request: &WireRequest) -> std::io::Result<u64> {
+    pub fn send(&mut self, request: &Request) -> std::io::Result<u64> {
+        self.send_with(|id, out| wire::encode_request(id, request, out))
+    }
+
+    /// [`BinaryClient::send`] over any frame encoder.
+    fn send_with(&mut self, encode: impl Fn(u64, &mut Vec<u8>)) -> std::io::Result<u64> {
         let index = self.sent;
         self.sent += 1;
         let id = self.next_id;
@@ -318,7 +323,7 @@ impl BinaryClient {
                 // Flush what honest requests are already owed, then send
                 // a strictly incomplete frame and sever.
                 let mut frame = Vec::new();
-                wire::encode_request(id, request, &mut frame);
+                encode(id, &mut frame);
                 let n = bytes.min(frame.len().saturating_sub(1));
                 self.flush()?;
                 self.stream.write_all(&frame[..n])?;
@@ -341,7 +346,7 @@ impl BinaryClient {
             Some(Fault::DelayMs { ms }) => {
                 // Slow-loris a frame: half now, a pause, the rest.
                 let mut frame = Vec::new();
-                wire::encode_request(id, request, &mut frame);
+                encode(id, &mut frame);
                 let half = frame.len() / 2;
                 self.flush()?;
                 self.stream.write_all(&frame[..half])?;
@@ -353,7 +358,7 @@ impl BinaryClient {
             }
             Some(Fault::ForceBusy | Fault::StallHandler { .. } | Fault::ForgeSeq) | None => {}
         }
-        wire::encode_request(id, request, &mut self.wbuf);
+        encode(id, &mut self.wbuf);
         Ok(id)
     }
 
@@ -389,7 +394,7 @@ impl BinaryClient {
                         format!("response frame declares {declared} bytes"),
                     ));
                 }
-                Decoded::Malformed { reason, .. } => {
+                Decoded::Malformed { reason, .. } | Decoded::Unparsed { reason, .. } => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!("bad response frame: {reason}"),
@@ -418,34 +423,33 @@ impl BinaryClient {
         }
     }
 
-    /// One synchronous request/response over the compatibility verb: the
-    /// text-protocol `line` in, the text-protocol response line out.
+    /// One synchronous request/response with the text-protocol `line`
+    /// carried verbatim in a `TEXT` frame; the text-protocol response line
+    /// comes back.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
-        let id = self.send(&WireRequest::Text { line: line.trim_end().to_owned() })?;
-        self.flush()?;
-        let frame = self.expect(id)?;
-        match frame.response {
-            WireResponse::Line(line) => Ok(line),
-            WireResponse::Batch(_) | WireResponse::Blob(_) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "non-line response to a line request",
-            )),
-        }
+        let id = self.send_with(|id, out| wire::encode_text(id, line.trim_end(), out))?;
+        self.answer_line(id)
+    }
+
+    /// One synchronous single-line request, sent under its own verb code
+    /// (or as its canonical line in a `TEXT` frame when it has none).
+    pub fn call(&mut self, request: &Request) -> std::io::Result<String> {
+        let id = self.send(request)?;
+        self.answer_line(id)
     }
 
     /// One synchronous planned `QUERY` (the hot cached path).
     pub fn query(&mut self, doc: u64, xpath: &str) -> std::io::Result<String> {
-        let id = self.send(&WireRequest::Query {
-            doc,
-            engine: Engine::Planned,
-            xpath: xpath.to_owned(),
-        })?;
+        self.call(&Request::Query { doc, xpath: xpath.to_owned(), engine: Engine::Planned })
+    }
+
+    fn answer_line(&mut self, id: u64) -> std::io::Result<String> {
         self.flush()?;
         match self.expect(id)?.response {
             WireResponse::Line(line) => Ok(line),
             WireResponse::Batch(_) | WireResponse::Blob(_) => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                "non-line response to a single query",
+                "non-line response to a single request",
             )),
         }
     }
@@ -469,9 +473,9 @@ impl BinaryClient {
     ) -> std::io::Result<Vec<String>> {
         let xpaths: Vec<String> = xpaths.iter().map(|x| (*x).to_owned()).collect();
         let request = if labels {
-            WireRequest::MLabel { doc, xpaths }
+            Request::MLabel { doc, xpaths }
         } else {
-            WireRequest::MQuery { doc, xpaths }
+            Request::MQuery { doc, xpaths }
         };
         let id = self.send(&request)?;
         self.flush()?;
@@ -493,7 +497,7 @@ impl BinaryClient {
     /// id however the server interleaved them.
     pub fn pipeline(
         &mut self,
-        requests: &[WireRequest],
+        requests: &[Request],
     ) -> std::io::Result<Vec<WireResponse>> {
         let mut ids = Vec::with_capacity(requests.len());
         for request in requests {

@@ -10,12 +10,14 @@
 //! `ruid_pipeline_depth` histogram measures), executing cheap verbs
 //! inline, and answering a whole burst with one buffered write.
 //!
-//! Out-of-order responses: anything that can block — the `Text`
-//! compatibility verb (LOAD does file I/O, SHUTDOWN fsyncs the WAL) or a
-//! fault-stalled request — is offloaded to a private thread pool and its
-//! response frame lands in the connection's outbox when done, while the
-//! poll loop keeps serving later frames from the same socket. Request
-//! ids are how clients re-associate them.
+//! Out-of-order responses: anything that can block — every request whose
+//! [`Request::blocks`] is true (LOAD does file I/O, SHUTDOWN fsyncs the
+//! WAL, REPL TAIL reads segment files) or a fault-stalled request — is
+//! offloaded to a private thread pool and its response frame lands in the
+//! connection's outbox when done, while the poll loop keeps serving later
+//! frames from the same socket. Request ids are how clients re-associate
+//! them. Either way the request runs through the same [`serve`] core as
+//! the text front end.
 //!
 //! Robustness mirrors the text path byte for byte: the same
 //! `max_line_bytes` cap bounds a frame's payload (an oversized header is
@@ -25,24 +27,20 @@
 //! text path uses.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use par::{PoolStats, SubmitError, ThreadPool};
-use plan::ResultCache;
+use par::{SubmitError, ThreadPool};
 
-use crate::catalog::Catalog;
 use crate::fault::Fault;
-use crate::metrics::{Command, Metrics, Protocol};
-use crate::persist::Durability;
-use crate::replication::ReplState;
-use crate::server::{execute_frame, ServerConfig, ServiceCtx};
-use crate::trace::Tracer;
-use crate::wire::{self, Decoded, RequestFrame, WireResponse};
+use crate::metrics::{Command, Protocol};
+use crate::proto::Request;
+use crate::server::{serve, Shared};
+use crate::wire::{self, Decoded, WireResponse};
 
 /// How long an idle worker parks waiting for adopted connections before
 /// re-polling its sockets.
@@ -54,43 +52,6 @@ const EMPTY_WAIT: Duration = Duration::from_millis(25);
 
 /// Read scratch size per worker (one `recv` worth of pipelined frames).
 const SCRATCH_BYTES: usize = 64 * 1024;
-
-/// Everything a mux worker needs to execute requests — the same bundle
-/// [`ServiceCtx`] borrows, but owned, because workers outlive the
-/// acceptor's stack frame.
-pub(crate) struct MuxShared {
-    pub(crate) config: ServerConfig,
-    pub(crate) catalog: Arc<Catalog>,
-    pub(crate) metrics: Arc<Metrics>,
-    pub(crate) durability: Option<Arc<Durability>>,
-    pub(crate) tracer: Arc<Tracer>,
-    pub(crate) pool_stats: Arc<PoolStats>,
-    pub(crate) plan_cache: Arc<ResultCache>,
-    pub(crate) shutdown: Arc<AtomicBool>,
-    /// The same monotone fault-plan index the text path advances.
-    pub(crate) request_counter: Arc<AtomicU64>,
-    /// Bound address, for the self-connect that wakes the acceptor when
-    /// a binary `SHUTDOWN` sets the flag.
-    pub(crate) listen_addr: SocketAddr,
-    /// Replication state shared with the serving path (role, counters,
-    /// and the armed `ForgeSeq` fault flag).
-    pub(crate) repl: Arc<ReplState>,
-}
-
-impl MuxShared {
-    fn ctx(&self) -> ServiceCtx<'_> {
-        ServiceCtx {
-            config: &self.config,
-            catalog: &self.catalog,
-            metrics: &self.metrics,
-            durability: self.durability.as_deref(),
-            tracer: &self.tracer,
-            pool_stats: &self.pool_stats,
-            plan_cache: &self.plan_cache,
-            repl: &self.repl,
-        }
-    }
-}
 
 /// The offload pool, boxed separately from [`Mux`] so worker threads can
 /// hold it without a cycle. `ThreadPool::shutdown` consumes the pool,
@@ -111,7 +72,7 @@ pub(crate) struct Mux {
 impl Mux {
     /// Spawns `config.mux_workers` poll-loop threads plus the offload
     /// pool for blocking verbs.
-    pub(crate) fn start(shared: Arc<MuxShared>) -> Mux {
+    pub(crate) fn start(shared: Arc<Shared>) -> Mux {
         let workers = shared.config.mux_workers.max(1);
         let offload = Arc::new(Offload {
             pool: Mutex::new(Some(ThreadPool::new(
@@ -217,7 +178,7 @@ impl Conn {
     /// and dispatch every complete frame, enforce deadlines, write.
     fn pump(
         &mut self,
-        shared: &Arc<MuxShared>,
+        shared: &Arc<Shared>,
         offload: &Offload,
         scratch: &mut [u8],
         reply: &mut Vec<u8>,
@@ -256,20 +217,11 @@ impl Conn {
             let mut off = 0;
             let mut frames = 0u64;
             loop {
-                match wire::decode_request(&self.rbuf[off..], cap) {
-                    Decoded::Frame { frame, consumed } => {
-                        off += consumed;
-                        frames += 1;
-                        shared.metrics.record_protocol_request(Protocol::Binary);
-                        match self.dispatch(frame, shared, offload, reply) {
-                            Dispatch::Continue => {}
-                            Dispatch::CloseNow => return Pump::Close,
-                            Dispatch::FlushClose => {
-                                self.close_after_flush = true;
-                                break;
-                            }
-                        }
-                    }
+                // A TEXT line that does not parse is still a request: it
+                // is counted and faulted like one and answers its `ERR`.
+                let (id, request, consumed) = match wire::decode_request(&self.rbuf[off..], cap) {
+                    Decoded::Frame { frame, consumed } => (frame.id, Ok(frame.request), consumed),
+                    Decoded::Unparsed { id, reason, consumed } => (id, Err(reason), consumed),
                     Decoded::Incomplete => break,
                     Decoded::Malformed { id, reason, consumed } => {
                         off += consumed;
@@ -280,6 +232,7 @@ impl Conn {
                             &WireResponse::Line(format!("ERR {reason}")),
                             reply,
                         );
+                        continue;
                     }
                     Decoded::Oversized { declared } => {
                         shared.metrics.record_oversized();
@@ -296,6 +249,17 @@ impl Conn {
                         break;
                     }
                     Decoded::Corrupt { .. } => return Pump::Close,
+                };
+                off += consumed;
+                frames += 1;
+                shared.metrics.record_protocol_request(Protocol::Binary);
+                match self.dispatch(id, request, shared, offload, reply) {
+                    Dispatch::Continue => {}
+                    Dispatch::CloseNow => return Pump::Close,
+                    Dispatch::FlushClose => {
+                        self.close_after_flush = true;
+                        break;
+                    }
                 }
             }
             if off > 0 {
@@ -380,47 +344,43 @@ impl Conn {
         true
     }
 
-    /// Executes one decoded frame: apply the fault plan, run cheap verbs
-    /// inline (encoding straight into the pooled `reply` buffer), and
-    /// offload anything that can block.
+    /// Serves one decoded request: apply the fault plan, run it inline
+    /// (encoding straight into the pooled `reply` buffer) unless it can
+    /// block, and offload it if it can.
     fn dispatch(
         &mut self,
-        frame: RequestFrame,
-        shared: &Arc<MuxShared>,
+        id: u64,
+        request: Result<Request, String>,
+        shared: &Arc<Shared>,
         offload: &Offload,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
-        let index = shared.request_counter.fetch_add(1, Ordering::Relaxed);
-        let fault = shared
-            .config
-            .fault_plan
-            .as_ref()
-            .and_then(|plan| plan.fault_at(index))
-            .cloned();
+        let fault = shared.next_fault();
         match fault {
             Some(Fault::ForceBusy) => {
                 shared.metrics.record_shed();
-                wire::encode_response(frame.id, &WireResponse::Line("BUSY".into()), reply);
+                wire::encode_response(id, &WireResponse::Line("BUSY".into()), reply);
                 return Dispatch::Continue;
             }
             Some(Fault::EarlyEof) => return Dispatch::CloseNow,
             Some(Fault::TornWrite { bytes }) => {
-                // Execute, then truncate the encoded response and sever:
+                // Serve, then truncate the encoded response and sever:
                 // the client sees a torn frame.
-                let outcome = execute_frame(&shared.ctx(), frame.request, None);
-                let before = reply.len();
-                wire::encode_response(frame.id, &outcome.response, reply);
-                reply.truncate(before + bytes.min(reply.len() - before));
+                serve(shared, || request, None, |response| {
+                    let before = reply.len();
+                    wire::encode_response(id, &response, reply);
+                    reply.truncate(before + bytes.min(reply.len() - before));
+                });
                 return Dispatch::FlushClose;
             }
             Some(Fault::StallHandler { ms }) => {
                 // Stall off the poll loop: later pipelined frames on this
                 // very connection overtake the stalled one — the
                 // out-of-order case the protocol exists for.
-                return self.offload_frame(frame, Some(ms), None, shared, offload, reply);
+                return self.offload_request(id, request, Some(ms), None, shared, offload, reply);
             }
             Some(Fault::DelayMs { ms }) => {
-                return self.offload_frame(frame, None, Some(ms), shared, offload, reply);
+                return self.offload_request(id, request, None, Some(ms), shared, offload, reply);
             }
             Some(Fault::ForgeSeq) => {
                 // Replication-channel fault: arm the flag; the next
@@ -430,58 +390,48 @@ impl Conn {
             }
             Some(Fault::OversizedFrame { .. }) | None => {}
         }
-        if matches!(
-            frame.request,
-            wire::WireRequest::Text { .. }
-                | wire::WireRequest::ReplSnapshot { .. }
-                | wire::WireRequest::ReplTail { .. }
-        ) {
-            // The compatibility verb can do anything the text protocol
-            // can — including LOAD file I/O and WAL fsyncs — and the
-            // replication shipping verbs read files, so none of them
-            // ever runs on the poll loop.
-            return self.offload_frame(frame, None, None, shared, offload, reply);
+        if request.as_ref().is_ok_and(Request::blocks) {
+            return self.offload_request(id, request, None, None, shared, offload, reply);
         }
-        let outcome = execute_frame(&shared.ctx(), frame.request, None);
-        wire::encode_response(frame.id, &outcome.response, reply);
-        if outcome.shutdown {
-            request_shutdown(shared);
-            return Dispatch::FlushClose;
+        serve(shared, || request, None, |response| wire::encode_response(id, &response, reply));
+        if shared.shutdown.load(Ordering::SeqCst) {
+            Dispatch::FlushClose
+        } else {
+            Dispatch::Continue
         }
-        Dispatch::Continue
     }
 
-    /// Runs a frame on the offload pool; its response frame arrives via
-    /// the outbox. Queue-full sheds with `BUSY` (same policy as the
+    /// Serves a request on the offload pool; its response frame arrives
+    /// via the outbox. Queue-full sheds with `BUSY` (same policy as the
     /// acceptor), pool-closed means shutdown is racing us — also `BUSY`,
     /// the client is about to lose the connection anyway.
-    fn offload_frame(
+    #[allow(clippy::too_many_arguments)]
+    fn offload_request(
         &mut self,
-        frame: RequestFrame,
+        id: u64,
+        request: Result<Request, String>,
         stall_ms: Option<u64>,
         delay_ms: Option<u64>,
-        shared: &Arc<MuxShared>,
+        shared: &Arc<Shared>,
         offload: &Offload,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
-        let id = frame.id;
-        let request = frame.request;
         let outbox = Arc::clone(&self.outbox);
         let pending = Arc::clone(&self.pending);
         let job_shared = Arc::clone(shared);
         pending.fetch_add(1, Ordering::AcqRel);
         let job = move || {
-            let outcome = execute_frame(&job_shared.ctx(), request, stall_ms);
-            if let Some(ms) = delay_ms {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            let mut buf = Vec::new();
-            wire::encode_response(id, &outcome.response, &mut buf);
-            outbox.lock().unwrap().push(buf);
-            pending.fetch_sub(1, Ordering::AcqRel);
-            if outcome.shutdown {
-                request_shutdown(&job_shared);
-            }
+            serve(&job_shared, || request, stall_ms, |response| {
+                if let Some(ms) = delay_ms {
+                    std::thread::sleep(Duration::from_millis(ms));
+                }
+                let mut buf = Vec::new();
+                wire::encode_response(id, &response, &mut buf);
+                // In the outbox before `serve` can flag a shutdown, so the
+                // final flush still finds a `SHUTDOWN`'s own answer.
+                outbox.lock().unwrap().push(buf);
+                pending.fetch_sub(1, Ordering::AcqRel);
+            });
         };
         let submitted = match offload.pool.lock().unwrap().as_ref() {
             Some(pool) => pool.try_execute(job),
@@ -502,7 +452,7 @@ impl Conn {
     /// block is stashed in `wbuf` for the next pass.
     fn write_out(
         &mut self,
-        shared: &MuxShared,
+        shared: &Shared,
         reply: &mut Vec<u8>,
     ) -> Result<bool, ()> {
         let mut progressed = false;
@@ -551,7 +501,7 @@ impl Conn {
     /// Final best-effort flush at server shutdown: switch back to
     /// blocking writes with the write deadline as timeout so a binary
     /// `SHUTDOWN`'s own `OK bye` still reaches its client.
-    fn final_flush(&mut self, shared: &MuxShared) {
+    fn final_flush(&mut self, shared: &Shared) {
         self.collect_outbox();
         if self.wbuf.is_empty() {
             return;
@@ -567,16 +517,9 @@ impl Conn {
     }
 }
 
-/// Sets the shutdown flag and wakes the acceptor, mirroring the text
-/// path's `SHUTDOWN` handling.
-fn request_shutdown(shared: &MuxShared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(shared.listen_addr);
-}
-
 /// One mux worker: adopt connections from `rx`, pump them all, park
 /// briefly when nothing moved.
-fn worker(rx: &Receiver<TcpStream>, shared: &Arc<MuxShared>, offload: &Offload) {
+fn worker(rx: &Receiver<TcpStream>, shared: &Arc<Shared>, offload: &Offload) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_BYTES];
     // The worker's pooled reply buffer: every inline response of a pass

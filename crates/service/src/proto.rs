@@ -1,4 +1,10 @@
-//! The line-delimited request grammar and wire formatting.
+//! The one request type, its line grammar and wire formatting.
+//!
+//! [`Request`] is every verb the service answers, whichever front end it
+//! arrived on: [`parse`] reads a text line into it, [`crate::wire`]
+//! decodes a binary frame into it, and its `Display` writes the
+//! canonical line back (what the slowlog shows, and what a binary TEXT
+//! frame carries).
 //!
 //! One request per line; tokens are whitespace-separated, except that
 //! XPath expressions extend to the end of the line (optionally followed by
@@ -6,10 +12,12 @@
 //! line: `OK ...` on success, `ERR <message>` on failure — so a client is
 //! one `write` + one `read_line` per request.
 
+use std::fmt;
+
 use crate::metrics::Command;
 use ruid_core::Ruid2;
 
-/// A parsed request.
+/// A request, from either front end.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// `PING` — liveness probe.
@@ -127,6 +135,59 @@ pub enum Request {
     Shutdown,
     /// `PROMOTE` — stop following and accept writes (no-op on a leader).
     Promote,
+    /// `MQUERY <doc>` over a batch of XPath expressions (binary only): one
+    /// catalog snapshot pin, one planned/cached evaluation per entry, one
+    /// reply.
+    MQuery {
+        /// Target document id.
+        doc: u64,
+        /// The batched XPath expressions.
+        xpaths: Vec<String>,
+    },
+    /// `MLABEL <doc>` (binary only): identical to `MQUERY` (labels *are*
+    /// the planned rendering), metered under its own command bucket.
+    MLabel {
+        /// Target document id.
+        doc: u64,
+        /// The batched XPath expressions.
+        xpaths: Vec<String>,
+    },
+    /// `REPL HELLO` (binary only): a follower introduces itself; the
+    /// leader answers a `Blob` holding an encoded `repl::HelloInfo`.
+    ReplHello {
+        /// The follower's self-chosen name.
+        follower: String,
+    },
+    /// `REPL SNAPSHOT` (binary only): fetch the raw bytes of snapshot
+    /// `generation`.
+    ReplSnapshot {
+        /// Which snapshot generation to ship.
+        generation: u64,
+    },
+    /// `REPL TAIL` (binary only): fetch committed WAL bytes of segment
+    /// `generation` starting at `offset`; the leader answers a `Blob`
+    /// holding an encoded `repl::TailChunk`.
+    ReplTail {
+        /// Which WAL segment to read.
+        generation: u64,
+        /// Byte offset within the segment to start from.
+        offset: u64,
+        /// Upper bound on shipped data bytes in one answer.
+        max_bytes: u32,
+    },
+    /// `REPL ACK` (binary only): the follower reports its applied position
+    /// so the leader can compute per-follower lag; `bye` marks a clean
+    /// detach (the follower is shutting down, not crashing).
+    ReplAck {
+        /// Segment generation the follower has applied through.
+        generation: u64,
+        /// Next sequence number the follower expects in that segment.
+        seq: u64,
+        /// True when this is a goodbye: forget the follower.
+        bye: bool,
+        /// The follower's name, matching its `REPL HELLO`.
+        follower: String,
+    },
 }
 
 /// The `TRACE` sub-commands.
@@ -160,17 +221,40 @@ pub enum Engine {
     Planned,
 }
 
+/// Every engine with its `QUERY` keyword and its binary wire code: the one
+/// table the text grammar and the binary codec both read.
+pub(crate) const ENGINES: [(Engine, &str, u8); 6] = [
+    (Engine::Planned, "planned", 0),
+    (Engine::Tree, "tree", 1),
+    (Engine::Ruid, "ruid", 2),
+    (Engine::Indexed, "indexed", 3),
+    (Engine::Interval, "interval", 4),
+    (Engine::Ancestry, "ancestry", 5),
+];
+
 impl Engine {
-    fn parse(token: &str) -> Option<Engine> {
-        match token {
-            "tree" => Some(Engine::Tree),
-            "ruid" => Some(Engine::Ruid),
-            "indexed" => Some(Engine::Indexed),
-            "interval" => Some(Engine::Interval),
-            "ancestry" => Some(Engine::Ancestry),
-            "planned" => Some(Engine::Planned),
-            _ => None,
-        }
+    /// The engine a `QUERY` keyword names.
+    pub fn parse(keyword: &str) -> Option<Engine> {
+        ENGINES.iter().find(|&&(_, k, _)| k == keyword).map(|&(engine, ..)| engine)
+    }
+
+    /// The engine a binary wire code names.
+    pub(crate) fn from_code(code: u8) -> Option<Engine> {
+        ENGINES.iter().find(|&&(.., c)| c == code).map(|&(engine, ..)| engine)
+    }
+
+    fn entry(self) -> (Engine, &'static str, u8) {
+        *ENGINES.iter().find(|&&(e, ..)| e == self).expect("ENGINES lists every engine")
+    }
+
+    /// The engine's `QUERY` keyword.
+    pub(crate) fn keyword(self) -> &'static str {
+        self.entry().1
+    }
+
+    /// The engine's binary wire code.
+    pub(crate) fn code(self) -> u8 {
+        self.entry().2
     }
 }
 
@@ -200,6 +284,106 @@ impl Request {
             Request::Slowlog(_) => Command::Slowlog,
             Request::Shutdown => Command::Shutdown,
             Request::Promote => Command::Promote,
+            Request::MQuery { .. } => Command::MQuery,
+            Request::MLabel { .. } => Command::MLabel,
+            Request::ReplHello { .. } => Command::ReplHello,
+            Request::ReplSnapshot { .. } => Command::ReplSnapshot,
+            Request::ReplTail { .. } => Command::ReplTail,
+            Request::ReplAck { .. } => Command::ReplAck,
+        }
+    }
+
+    /// Whether serving this request can block on file I/O, a WAL append
+    /// or fsync, or the follower thread — the binary driver runs these off
+    /// its poll loop. Everything else answers from memory, inline.
+    pub(crate) fn blocks(&self) -> bool {
+        match self {
+            Request::Load { .. }
+            | Request::LoadStream { .. }
+            | Request::Unload(_)
+            | Request::Insert { .. }
+            | Request::Delete { .. }
+            | Request::Relabel(_)
+            | Request::Snapshot
+            | Request::Persist
+            | Request::Shutdown
+            | Request::Promote
+            | Request::ReplSnapshot { .. }
+            | Request::ReplTail { .. } => true,
+            Request::Ping
+            | Request::List
+            | Request::Label { .. }
+            | Request::Parent { .. }
+            | Request::Query { .. }
+            | Request::Explain { .. }
+            | Request::Scan { .. }
+            | Request::Get { .. }
+            | Request::Stats(_)
+            | Request::Metrics { .. }
+            | Request::Trace(_)
+            | Request::Slowlog(_)
+            | Request::MQuery { .. }
+            | Request::MLabel { .. }
+            | Request::ReplHello { .. }
+            | Request::ReplAck { .. } => false,
+        }
+    }
+}
+
+/// The canonical text line: [`parse`] reads it back into the same request
+/// (XPaths, fragments and event lists with single spaces, paths and names
+/// without). The binary-only verbs have no text spelling; their line is
+/// for the slowlog.
+impl fmt::Display for Request {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Request::LoadStream { .. } => f.write_str("LOADSTREAM")?,
+            other => f.write_str(other.command().name())?,
+        }
+        let label = |l: &Ruid2| format!("{} {} {}", l.global, l.local, l.is_root);
+        match self {
+            Request::Ping
+            | Request::List
+            | Request::Metrics { prom: false }
+            | Request::Snapshot
+            | Request::Persist
+            | Request::Trace(TraceCmd::Status)
+            | Request::Shutdown
+            | Request::Promote => Ok(()),
+            Request::Load { path, depth } => write!(f, " {path} {depth}"),
+            Request::LoadStream { name, events } => write!(f, " {name} {events}"),
+            Request::Unload(doc) | Request::Relabel(doc) | Request::Stats(doc) => {
+                write!(f, " {doc}")
+            }
+            Request::Label { doc, xpath } | Request::Explain { doc, xpath } => {
+                write!(f, " {doc} {xpath}")
+            }
+            Request::Parent { doc, label: l }
+            | Request::Get { doc, label: l }
+            | Request::Delete { doc, label: l } => write!(f, " {doc} {}", label(l)),
+            Request::Query { doc, xpath, engine } => {
+                write!(f, " {doc} {xpath} {}", engine.keyword())
+            }
+            Request::Insert { doc, parent, position, fragment } => {
+                write!(f, " {doc} {} {position} {fragment}", label(parent))
+            }
+            Request::Scan { doc, global } => write!(f, " {doc} {global}"),
+            Request::Metrics { prom: true } => f.write_str(" prom"),
+            Request::Trace(TraceCmd::On) => f.write_str(" on"),
+            Request::Trace(TraceCmd::Off) => f.write_str(" off"),
+            Request::Trace(TraceCmd::ThresholdMs(ms)) => write!(f, " {ms}"),
+            Request::Slowlog(n) => write!(f, " {n}"),
+            Request::MQuery { doc, xpaths } | Request::MLabel { doc, xpaths } => {
+                write!(f, " {doc} {}", xpaths.join(" ; "))
+            }
+            Request::ReplHello { follower } => write!(f, " {follower}"),
+            Request::ReplSnapshot { generation } => write!(f, " {generation}"),
+            Request::ReplTail { generation, offset, max_bytes } => {
+                write!(f, " {generation} {offset} {max_bytes}")
+            }
+            Request::ReplAck { generation, seq, bye, follower } => {
+                write!(f, " {follower} {generation} {seq} {bye}")
+            }
         }
     }
 }
@@ -397,91 +581,171 @@ pub fn escape_line(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmlgen::SplitMix64;
+
+    /// Every command's spellings with the request each parses to.
+    fn corpus() -> Vec<(&'static str, Request)> {
+        vec![
+            ("PING", Request::Ping),
+            ("LOAD /tmp/x.xml", Request::Load { path: "/tmp/x.xml".into(), depth: 3 }),
+            ("load /tmp/x.xml 2", Request::Load { path: "/tmp/x.xml".into(), depth: 2 }),
+            (
+                "LOADSTREAM feed 1:4:a 2:3:b",
+                Request::LoadStream { name: "feed".into(), events: "1:4:a 2:3:b".into() },
+            ),
+            ("UNLOAD 7", Request::Unload(7)),
+            ("LIST", Request::List),
+            ("LABEL 1 //a/b", Request::Label { doc: 1, xpath: "//a/b".into() }),
+            ("PARENT 1 3 5 false", Request::Parent { doc: 1, label: Ruid2::new(3, 5, false) }),
+            ("EXPLAIN 1 //a//b", Request::Explain { doc: 1, xpath: "//a//b".into() }),
+            ("explain 2 //a[b > 1]/c", Request::Explain { doc: 2, xpath: "//a[b > 1]/c".into() }),
+            ("SCAN 1 4", Request::Scan { doc: 1, global: 4 }),
+            ("GET 2 1 1 true", Request::Get { doc: 2, label: Ruid2::new(1, 1, true) }),
+            ("STATS 9", Request::Stats(9)),
+            (
+                "INSERT 1 2 5 false 0 <item/>",
+                Request::Insert {
+                    doc: 1,
+                    parent: Ruid2::new(2, 5, false),
+                    position: 0,
+                    fragment: "<item/>".into(),
+                },
+            ),
+            (
+                "insert 1 1 1 true 3 <note kind=\"a b\"/>",
+                Request::Insert {
+                    doc: 1,
+                    parent: Ruid2::new(1, 1, true),
+                    position: 3,
+                    fragment: "<note kind=\"a b\"/>".into(),
+                },
+            ),
+            (
+                "INSERT 1 1 1 true 0 some free text",
+                Request::Insert {
+                    doc: 1,
+                    parent: Ruid2::new(1, 1, true),
+                    position: 0,
+                    fragment: "some free text".into(),
+                },
+            ),
+            ("DELETE 4 3 7 false", Request::Delete { doc: 4, label: Ruid2::new(3, 7, false) }),
+            ("RELABEL 4", Request::Relabel(4)),
+            ("METRICS", Request::Metrics { prom: false }),
+            ("METRICS prom", Request::Metrics { prom: true }),
+            ("SNAPSHOT", Request::Snapshot),
+            ("persist", Request::Persist),
+            ("TRACE", Request::Trace(TraceCmd::Status)),
+            ("TRACE on", Request::Trace(TraceCmd::On)),
+            ("trace off", Request::Trace(TraceCmd::Off)),
+            ("TRACE 250", Request::Trace(TraceCmd::ThresholdMs(250))),
+            ("SLOWLOG", Request::Slowlog(10)),
+            ("SLOWLOG 3", Request::Slowlog(3)),
+            ("SHUTDOWN", Request::Shutdown),
+            ("promote", Request::Promote),
+        ]
+    }
 
     #[test]
     fn parses_every_command() {
-        assert_eq!(parse("PING").unwrap(), Request::Ping);
-        assert_eq!(
-            parse("LOAD /tmp/x.xml").unwrap(),
-            Request::Load { path: "/tmp/x.xml".into(), depth: 3 }
-        );
-        assert_eq!(
-            parse("load /tmp/x.xml 2").unwrap(),
-            Request::Load { path: "/tmp/x.xml".into(), depth: 2 }
-        );
-        assert_eq!(
-            parse("LOADSTREAM feed 1:4:a 2:3:b").unwrap(),
-            Request::LoadStream { name: "feed".into(), events: "1:4:a 2:3:b".into() }
-        );
-        assert_eq!(parse("UNLOAD 7").unwrap(), Request::Unload(7));
-        assert_eq!(parse("LIST").unwrap(), Request::List);
-        assert_eq!(
-            parse("LABEL 1 //a/b").unwrap(),
-            Request::Label { doc: 1, xpath: "//a/b".into() }
-        );
-        assert_eq!(
-            parse("PARENT 1 3 5 false").unwrap(),
-            Request::Parent { doc: 1, label: Ruid2::new(3, 5, false) }
-        );
-        assert_eq!(
-            parse("EXPLAIN 1 //a//b").unwrap(),
-            Request::Explain { doc: 1, xpath: "//a//b".into() }
-        );
-        assert_eq!(
-            parse("explain 2 //a[b > 1]/c").unwrap(),
-            Request::Explain { doc: 2, xpath: "//a[b > 1]/c".into() }
-        );
-        assert_eq!(parse("SCAN 1 4").unwrap(), Request::Scan { doc: 1, global: 4 });
-        assert_eq!(
-            parse("GET 2 1 1 true").unwrap(),
-            Request::Get { doc: 2, label: Ruid2::new(1, 1, true) }
-        );
-        assert_eq!(parse("STATS 9").unwrap(), Request::Stats(9));
-        assert_eq!(
-            parse("INSERT 1 2 5 false 0 <item/>").unwrap(),
-            Request::Insert {
-                doc: 1,
-                parent: Ruid2::new(2, 5, false),
-                position: 0,
-                fragment: "<item/>".into()
-            }
-        );
-        assert_eq!(
-            parse("insert 1 1 1 true 3 <note kind=\"a b\"/>").unwrap(),
-            Request::Insert {
-                doc: 1,
-                parent: Ruid2::new(1, 1, true),
-                position: 3,
-                fragment: "<note kind=\"a b\"/>".into()
-            }
-        );
-        assert_eq!(
-            parse("INSERT 1 1 1 true 0 some free text").unwrap(),
-            Request::Insert {
-                doc: 1,
-                parent: Ruid2::new(1, 1, true),
-                position: 0,
-                fragment: "some free text".into()
-            }
-        );
-        assert_eq!(
-            parse("DELETE 4 3 7 false").unwrap(),
-            Request::Delete { doc: 4, label: Ruid2::new(3, 7, false) }
-        );
-        assert_eq!(parse("RELABEL 4").unwrap(), Request::Relabel(4));
-        assert_eq!(parse("METRICS").unwrap(), Request::Metrics { prom: false });
-        assert_eq!(parse("METRICS prom").unwrap(), Request::Metrics { prom: true });
-        assert_eq!(parse("SNAPSHOT").unwrap(), Request::Snapshot);
-        assert_eq!(parse("persist").unwrap(), Request::Persist);
-        assert_eq!(parse("TRACE").unwrap(), Request::Trace(TraceCmd::Status));
-        assert_eq!(parse("TRACE on").unwrap(), Request::Trace(TraceCmd::On));
-        assert_eq!(parse("trace off").unwrap(), Request::Trace(TraceCmd::Off));
-        assert_eq!(parse("TRACE 250").unwrap(), Request::Trace(TraceCmd::ThresholdMs(250)));
-        assert_eq!(parse("SLOWLOG").unwrap(), Request::Slowlog(10));
-        assert_eq!(parse("SLOWLOG 3").unwrap(), Request::Slowlog(3));
-        assert_eq!(parse("SHUTDOWN").unwrap(), Request::Shutdown);
-        assert_eq!(parse("promote").unwrap(), Request::Promote);
+        for (line, request) in corpus() {
+            assert_eq!(parse(line).unwrap(), request, "{line}");
+        }
         assert!(parse("PROMOTE now").is_err());
+    }
+
+    #[test]
+    fn display_parses_back_for_every_command() {
+        for (_, request) in corpus() {
+            assert_eq!(parse(&request.to_string()), Ok(request.clone()), "{request}");
+        }
+    }
+
+    /// One canonical text-grammar request: tokens without whitespace,
+    /// multi-token fields single-spaced — what `Display` promises to
+    /// round-trip.
+    fn random_request(rng: &mut SplitMix64) -> Request {
+        const WORDS: [&str; 8] =
+            ["//a", "/a/b[c]", "tree", "planned", "//b[c > 1]", ">", "<item/>", "x"];
+        let words = |rng: &mut SplitMix64| {
+            let n = rng.gen_range(1..5usize);
+            (0..n).map(|_| WORDS[rng.gen_range(0..WORDS.len())]).collect::<Vec<_>>().join(" ")
+        };
+        let doc = rng.next_u64();
+        let label = Ruid2::new(rng.next_u64(), rng.next_u64(), rng.gen_bool(0.5));
+        let engine = ENGINES[rng.gen_range(0..ENGINES.len())].0;
+        match rng.gen_range(0..22u32) {
+            0 => Request::Ping,
+            1 => Request::Load { path: format!("/d/{doc}.xml"), depth: rng.gen_range(1..9usize) },
+            2 => Request::LoadStream { name: format!("s{doc}"), events: words(rng) },
+            3 => Request::Unload(doc),
+            4 => Request::List,
+            5 => Request::Label { doc, xpath: words(rng) },
+            6 => Request::Parent { doc, label },
+            7 => Request::Query { doc, xpath: words(rng), engine },
+            8 => Request::Explain { doc, xpath: words(rng) },
+            9 => Request::Insert {
+                doc,
+                parent: label,
+                position: rng.next_u64() as u32,
+                fragment: words(rng),
+            },
+            10 => Request::Delete { doc, label },
+            11 => Request::Relabel(doc),
+            12 => Request::Scan { doc, global: rng.next_u64() },
+            13 => Request::Get { doc, label },
+            14 => Request::Stats(doc),
+            15 => Request::Metrics { prom: rng.gen_bool(0.5) },
+            16 => Request::Snapshot,
+            17 => Request::Persist,
+            18 => Request::Trace(match rng.gen_range(0..4u32) {
+                0 => TraceCmd::Status,
+                1 => TraceCmd::On,
+                2 => TraceCmd::Off,
+                _ => TraceCmd::ThresholdMs(rng.next_u64()),
+            }),
+            19 => Request::Slowlog(rng.next_u64() as usize),
+            20 => Request::Shutdown,
+            _ => Request::Promote,
+        }
+    }
+
+    #[test]
+    fn display_parses_back_for_random_requests() {
+        for seed in 0..512u64 {
+            let request = random_request(&mut SplitMix64::seed_from_u64(seed));
+            assert_eq!(
+                parse(&request.to_string()),
+                Ok(request.clone()),
+                "failing seed: {seed:#x} ({request})"
+            );
+        }
+    }
+
+    #[test]
+    fn only_io_and_waiting_verbs_block() {
+        let blocking: Vec<String> = corpus()
+            .into_iter()
+            .filter(|(_, request)| request.blocks())
+            .map(|(line, _)| line.split(' ').next().unwrap().to_ascii_uppercase())
+            .collect();
+        assert_eq!(
+            blocking,
+            [
+                "LOAD", "LOAD", "LOADSTREAM", "UNLOAD", "INSERT", "INSERT", "INSERT", "DELETE",
+                "RELABEL", "SNAPSHOT", "PERSIST", "SHUTDOWN", "PROMOTE"
+            ]
+        );
+        let repl = [
+            Request::ReplHello { follower: "f".into() },
+            Request::ReplSnapshot { generation: 1 },
+            Request::ReplTail { generation: 1, offset: 0, max_bytes: 1 },
+            Request::ReplAck { generation: 1, seq: 1, bye: false, follower: "f".into() },
+            Request::MQuery { doc: 1, xpaths: vec![] },
+            Request::MLabel { doc: 1, xpaths: vec![] },
+        ];
+        let blocks: Vec<bool> = repl.iter().map(Request::blocks).collect();
+        assert_eq!(blocks, [false, true, true, false, false, false]);
     }
 
     #[test]

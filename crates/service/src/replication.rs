@@ -33,8 +33,9 @@ use repl::{Backoff, HelloInfo, SegmentTailer, TailChunk};
 use crate::catalog::{Catalog, LoadedDoc};
 use crate::client::BinaryClient;
 use crate::persist::Durability;
-use crate::server::ServiceCtx;
-use crate::wire::{WireRequest, WireResponse};
+use crate::proto::Request;
+use crate::server::Shared;
+use crate::wire::WireResponse;
 
 /// Upper bound the follower asks for per `REPL TAIL` answer.
 const TAIL_MAX_BYTES: u32 = 1 << 20;
@@ -216,7 +217,7 @@ impl ReplState {
         self.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_ack(&self, follower: &str, generation: u64, seq: u64, bye: bool) {
+    pub(crate) fn note_ack(&self, follower: &str, generation: u64, seq: u64, bye: bool) {
         self.acks_received.fetch_add(1, Ordering::Relaxed);
         let mut followers = self.followers.lock().unwrap();
         if bye {
@@ -318,33 +319,31 @@ impl ReplState {
     }
 }
 
-fn no_durability() -> WireResponse {
-    WireResponse::Line(
-        "ERR replication requires durability (start the leader with --data-dir)".into(),
-    )
+fn durability(shared: &Shared) -> Result<&Durability, String> {
+    shared
+        .durability
+        .as_deref()
+        .ok_or_else(|| "replication requires durability (start the leader with --data-dir)".into())
 }
 
 /// `REPL HELLO`: where the leader's log stands and which snapshot a
 /// bootstrap should start from.
-pub(crate) fn handle_hello(ctx: &ServiceCtx<'_>, _follower: &str) -> WireResponse {
-    let Some(d) = ctx.durability else { return no_durability() };
+pub(crate) fn handle_hello(shared: &Shared) -> Result<WireResponse, String> {
+    let d = durability(shared)?;
     let (generation, next_seq, _committed) = d.wal_position();
     let info = HelloInfo { generation, next_seq, snapshot: d.newest_snapshot() };
-    WireResponse::Blob(info.encode())
+    Ok(WireResponse::Blob(info.encode()))
 }
 
 /// `REPL SNAPSHOT`: the raw bytes of one snapshot file. The follower
 /// validates them with the same checksummed reader local recovery uses.
-pub(crate) fn handle_snapshot(ctx: &ServiceCtx<'_>, generation: u64) -> WireResponse {
-    let Some(d) = ctx.durability else { return no_durability() };
+pub(crate) fn handle_snapshot(shared: &Shared, generation: u64) -> Result<WireResponse, String> {
+    let d = durability(shared)?;
     let path = d.dir().join(durable::snapshot_file_name(generation));
-    match std::fs::read(&path) {
-        Ok(bytes) => {
-            ctx.repl.note_snapshot_shipped();
-            WireResponse::Blob(bytes)
-        }
-        Err(e) => WireResponse::Line(format!("ERR snapshot {generation} unavailable: {e}")),
-    }
+    let bytes = std::fs::read(&path)
+        .map_err(|e| format!("snapshot {generation} unavailable: {e}"))?;
+    shared.repl.note_snapshot_shipped();
+    Ok(WireResponse::Blob(bytes))
 }
 
 /// `REPL TAIL`: committed bytes of one WAL segment, starting at the
@@ -356,29 +355,24 @@ pub(crate) fn handle_snapshot(ctx: &ServiceCtx<'_>, generation: u64) -> WireResp
 /// the live segment is only ever *appended* to — clamping the read to
 /// the frozen watermark can never ship an uncommitted byte.
 pub(crate) fn handle_tail(
-    ctx: &ServiceCtx<'_>,
+    shared: &Shared,
     generation: u64,
     offset: u64,
     max_bytes: u32,
-) -> WireResponse {
-    let Some(d) = ctx.durability else { return no_durability() };
+) -> Result<WireResponse, String> {
+    let d = durability(shared)?;
     let (live_gen, next_seq, committed) = d.wal_position();
     if generation > live_gen {
-        return WireResponse::Line(format!(
-            "ERR segment {generation} not yet written (live segment is {live_gen})"
-        ));
+        return Err(format!("segment {generation} not yet written (live segment is {live_gen})"));
     }
+    let unavailable = |e: std::io::Error| format!("segment {generation} unavailable: {e}");
     let sealed = generation < live_gen;
     let path = d.dir().join(durable::wal_file_name(generation));
     let segment_len = if sealed {
-        match std::fs::metadata(&path) {
-            Ok(m) => m.len(),
-            // The chain was pruned past the follower's position; it must
-            // re-bootstrap from the newest snapshot.
-            Err(e) => {
-                return WireResponse::Line(format!("ERR segment {generation} unavailable: {e}"))
-            }
-        }
+        // A missing sealed segment means the chain was pruned past the
+        // follower's position; it must re-bootstrap from the newest
+        // snapshot.
+        std::fs::metadata(&path).map_err(unavailable)?.len()
     } else {
         committed
     };
@@ -387,14 +381,9 @@ pub(crate) fn handle_tail(
     let mut data = if want == 0 {
         Vec::new()
     } else {
-        match durable::read_segment(&path, offset, want as usize) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                return WireResponse::Line(format!("ERR segment {generation} unavailable: {e}"))
-            }
-        }
+        durable::read_segment(&path, offset, want as usize).map_err(unavailable)?
     };
-    if ctx.repl.take_forge() && data.len() >= durable::wal::RECORD_HEADER_LEN {
+    if shared.repl.take_forge() && data.len() >= durable::wal::RECORD_HEADER_LEN {
         // Record layout: [len u32][seq u64][crc u32][payload] — flip the
         // sequence field of the first shipped record. The CRC covers
         // seq‖payload, so the follower sees it as corruption either way.
@@ -402,7 +391,7 @@ pub(crate) fn handle_tail(
             *b ^= 0xFF;
         }
     }
-    ctx.repl.note_chunk(data.len());
+    shared.repl.note_chunk(data.len());
     let chunk = TailChunk {
         segment: generation,
         start_offset: offset,
@@ -412,19 +401,7 @@ pub(crate) fn handle_tail(
         leader_seq: next_seq,
         data,
     };
-    WireResponse::Blob(chunk.encode())
-}
-
-/// `REPL ACK`: record (or, on `bye`, forget) one follower's position.
-pub(crate) fn handle_ack(
-    ctx: &ServiceCtx<'_>,
-    follower: &str,
-    generation: u64,
-    seq: u64,
-    bye: bool,
-) -> WireResponse {
-    ctx.repl.note_ack(follower, generation, seq, bye);
-    WireResponse::Line("OK".into())
+    Ok(WireResponse::Blob(chunk.encode()))
 }
 
 /// Everything the follower thread needs, owned (it outlives the
@@ -488,7 +465,7 @@ fn io_fail(e: std::io::Error) -> PollFail {
 /// One synchronous replication request expecting a `Blob` answer. An
 /// `ERR` line is a refusal (the leader cannot serve our position); any
 /// transport failure is an I/O failure.
-fn request_blob(client: &mut BinaryClient, request: &WireRequest) -> Result<Vec<u8>, PollFail> {
+fn request_blob(client: &mut BinaryClient, request: &Request) -> Result<Vec<u8>, PollFail> {
     let id = client.send(request).map_err(io_fail)?;
     client.flush().map_err(io_fail)?;
     let frame = client.recv().map_err(io_fail)?;
@@ -510,7 +487,7 @@ fn send_ack(
     tailer: &SegmentTailer,
     bye: bool,
 ) -> Result<(), PollFail> {
-    let request = WireRequest::ReplAck {
+    let request = Request::ReplAck {
         generation: tailer.segment(),
         seq: tailer.expected_seq(),
         bye,
@@ -629,7 +606,7 @@ fn bootstrap(
     let (start_segment, states, quarantined) = match hello.snapshot {
         Some(generation) => {
             let bytes =
-                request_blob(client, &WireRequest::ReplSnapshot { generation })?;
+                request_blob(client, &Request::ReplSnapshot { generation })?;
             let load = durable::read_snapshot_bytes(&bytes)
                 .map_err(|e| PollFail::Refused(format!("shipped snapshot invalid: {e}")))?;
             (load.generation, load.docs, load.quarantined)
@@ -689,7 +666,7 @@ fn poll_once(
 ) -> Result<bool, PollFail> {
     let blob = request_blob(
         client,
-        &WireRequest::ReplTail {
+        &Request::ReplTail {
             generation: tailer.segment(),
             offset: tailer.offset(),
             max_bytes: TAIL_MAX_BYTES,
@@ -748,7 +725,7 @@ fn run_follower(shared: &FollowerShared) {
         let _ = client.set_timeout(Some(REPL_IO_TIMEOUT));
         let hello = match request_blob(
             &mut client,
-            &WireRequest::ReplHello { follower: shared.name.clone() },
+            &Request::ReplHello { follower: shared.name.clone() },
         )
         .and_then(|bytes| HelloInfo::decode(&bytes).map_err(PollFail::Refused))
         {

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use plan::ResultCache;
 use schemes::NumberingScheme;
 use xmldom::{NodeKind, TreeStats};
-use xpath::{Evaluator, NameIndexed, RuidAxes, SpanAxes, TreeAxes};
+use xpath::{AxisProvider, Evaluator, NameIndexed, RuidAxes, SpanAxes, StepStats, TreeAxes};
 
 use durable::{Applied, FsyncPolicy, WalOp};
 
@@ -35,13 +35,13 @@ use crate::catalog::{Catalog, LoadedDoc};
 use crate::fault::{Fault, FaultPlan};
 use crate::framing::{read_request_line, ReadOutcome};
 use crate::metrics::{Command, Metrics, Protocol};
-use crate::mux::{Mux, MuxShared};
+use crate::mux::Mux;
 use crate::persist::Durability;
 use crate::prom::PromCtx;
 use crate::proto::{self, Engine, Request, TraceCmd};
 use crate::replication::{self, FollowerShared, ReplState};
 use crate::trace::{RequestTrace, Span, Tracer};
-use crate::wire::{self, WireRequest, WireResponse};
+use crate::wire::{self, WireResponse};
 use par::{PoolStats, SubmitError, ThreadPool};
 
 /// How often a parked read wakes up to check deadlines and shutdown.
@@ -156,19 +156,52 @@ pub struct Server;
 
 /// A running server: its bound address and the shutdown/join controls.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    catalog: Arc<Catalog>,
-    metrics: Arc<Metrics>,
-    durability: Option<Arc<Durability>>,
-    tracer: Arc<Tracer>,
-    pool_stats: Arc<PoolStats>,
-    plan_cache: Arc<ResultCache>,
-    repl: Arc<ReplState>,
     follower: Option<JoinHandle<()>>,
     metrics_http_addr: Option<SocketAddr>,
     metrics_http: Option<JoinHandle<()>>,
+}
+
+/// Everything serving a request reads, owned once per server and shared
+/// by the text workers, the mux workers and the offload pool.
+pub(crate) struct Shared {
+    pub(crate) config: ServerConfig,
+    catalog: Arc<Catalog>,
+    pub(crate) metrics: Arc<Metrics>,
+    pub(crate) durability: Option<Arc<Durability>>,
+    tracer: Arc<Tracer>,
+    pool_stats: Arc<PoolStats>,
+    plan_cache: Arc<ResultCache>,
+    pub(crate) repl: Arc<ReplState>,
+    pub(crate) shutdown: Arc<AtomicBool>,
+    /// Monotone request index driving the fault plan, shared by every
+    /// connection — text and binary alike.
+    request_counter: AtomicU64,
+    /// Bound address, for the self-connect that wakes the acceptor once
+    /// a `SHUTDOWN` sets the flag.
+    listen_addr: SocketAddr,
+}
+
+impl Shared {
+    /// Takes the next fault-plan index and returns the fault scheduled
+    /// there, if any.
+    pub(crate) fn next_fault(&self) -> Option<Fault> {
+        let index = self.request_counter.fetch_add(1, Ordering::Relaxed);
+        self.config.fault_plan.as_ref().and_then(|plan| plan.fault_at(index)).cloned()
+    }
+
+    fn prom_ctx(&self) -> PromCtx<'_> {
+        PromCtx {
+            metrics: &self.metrics,
+            catalog: Some(&self.catalog),
+            durability: self.durability.as_deref(),
+            tracer: Some(&self.tracer),
+            pool: Some(&self.pool_stats),
+            plan_cache: Some(&self.plan_cache),
+            repl: Some(&self.repl),
+        }
+    }
 }
 
 impl Server {
@@ -221,127 +254,79 @@ impl Server {
             }
             None => None,
         };
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let tracer = Arc::new(Tracer::new(config.slowlog_capacity));
-        let plan_cache = Arc::new(ResultCache::new(config.plan_cache_cap));
         let pool = ThreadPool::new(config.threads, config.queue_cap);
-        let pool_stats = pool.stats();
-        let repl = Arc::new(match &config.follow {
-            Some(leader) => ReplState::new_follower(leader.clone()),
-            None => ReplState::new_leader(),
+        let shared = Arc::new(Shared {
+            tracer: Arc::new(Tracer::new(config.slowlog_capacity)),
+            plan_cache: Arc::new(ResultCache::new(config.plan_cache_cap)),
+            pool_stats: pool.stats(),
+            repl: Arc::new(match &config.follow {
+                Some(leader) => ReplState::new_follower(leader.clone()),
+                None => ReplState::new_leader(),
+            }),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            request_counter: AtomicU64::new(0),
+            listen_addr: addr,
+            config,
+            catalog,
+            metrics,
+            durability,
         });
 
         // Optional plain-HTTP Prometheus endpoint: a dedicated listener
         // so scrapers never compete with protocol clients for workers.
-        let (metrics_http_addr, metrics_http) = match &config.metrics_addr {
+        let (metrics_http_addr, metrics_http) = match &shared.config.metrics_addr {
             Some(bind) => {
                 let http_listener = TcpListener::bind(bind)?;
                 let http_addr = http_listener.local_addr()?;
-                let metrics = Arc::clone(&metrics);
-                let catalog = Arc::clone(&catalog);
-                let durability = durability.clone();
-                let tracer = Arc::clone(&tracer);
-                let pool_stats = Arc::clone(&pool_stats);
-                let plan_cache = Arc::clone(&plan_cache);
-                let shutdown = Arc::clone(&shutdown);
-                let repl = Arc::clone(&repl);
+                let shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name("ruid-metrics".into())
-                    .spawn(move || {
-                        serve_metrics_http(
-                            &http_listener,
-                            &metrics,
-                            &catalog,
-                            durability.as_deref(),
-                            &tracer,
-                            &pool_stats,
-                            &plan_cache,
-                            &repl,
-                            &shutdown,
-                        );
-                    })
+                    .spawn(move || serve_metrics_http(&http_listener, &shared))
                     .expect("spawn metrics thread");
                 (Some(http_addr), Some(handle))
             }
             None => (None, None),
         };
 
-        // Monotone request index driving the fault plan, shared by every
-        // connection of this server instance — text and binary alike.
-        let request_counter = Arc::new(AtomicU64::new(0));
         // The binary protocol's poll-loop multiplexer; sniffed-as-binary
         // connections are handed to it and their pool worker is freed.
-        let mux = Arc::new(Mux::start(Arc::new(MuxShared {
-            config: config.clone(),
-            catalog: Arc::clone(&catalog),
-            metrics: Arc::clone(&metrics),
-            durability: durability.clone(),
-            tracer: Arc::clone(&tracer),
-            pool_stats: Arc::clone(&pool_stats),
-            plan_cache: Arc::clone(&plan_cache),
-            shutdown: Arc::clone(&shutdown),
-            request_counter: Arc::clone(&request_counter),
-            listen_addr: addr,
-            repl: Arc::clone(&repl),
-        })));
+        let mux = Arc::new(Mux::start(Arc::clone(&shared)));
 
         // Follower mode: one dedicated thread bootstraps from the leader
         // and tails its WAL; the serving path above answers reads from
         // whatever committed prefix it has applied.
-        let follower = config.follow.as_ref().map(|leader| {
+        let follower = shared.config.follow.as_ref().map(|leader| {
             replication::spawn_follower(FollowerShared {
                 leader: leader.clone(),
                 name: format!("follower@{addr}"),
-                poll: Duration::from_millis(config.repl_poll_ms.max(1)),
-                catalog: Arc::clone(&catalog),
-                durability: durability.clone(),
-                plan_cache: Arc::clone(&plan_cache),
-                repl: Arc::clone(&repl),
-                shutdown: Arc::clone(&shutdown),
+                poll: Duration::from_millis(shared.config.repl_poll_ms.max(1)),
+                catalog: Arc::clone(&shared.catalog),
+                durability: shared.durability.clone(),
+                plan_cache: Arc::clone(&shared.plan_cache),
+                repl: Arc::clone(&shared.repl),
+                shutdown: Arc::clone(&shared.shutdown),
             })
         });
 
         let acceptor = {
-            let catalog = Arc::clone(&catalog);
-            let metrics = Arc::clone(&metrics);
-            let shutdown = Arc::clone(&shutdown);
-            let durability = durability.clone();
-            let tracer = Arc::clone(&tracer);
-            let pool_stats = Arc::clone(&pool_stats);
-            let plan_cache = Arc::clone(&plan_cache);
-            let repl = Arc::clone(&repl);
-            let mux = Arc::clone(&mux);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("ruid-acceptor".into())
                 .spawn(move || {
-                    accept_loop(
-                        &listener,
-                        &pool,
-                        &config,
-                        &catalog,
-                        &metrics,
-                        &shutdown,
-                        &durability,
-                        &tracer,
-                        &pool_stats,
-                        &plan_cache,
-                        &repl,
-                        &request_counter,
-                        &mux,
-                    );
+                    accept_loop(&listener, &pool, &shared, &mux);
                     pool.shutdown();
                     mux.join();
                     // Best-effort: whatever reached the WAL is on disk
                     // before the process can exit.
-                    if let Some(d) = &durability {
+                    if let Some(d) = &shared.durability {
                         let _ = d.persist();
                     }
                     // Wake the metrics listener so it observes shutdown.
                     if let Some(http_addr) = metrics_http_addr {
                         let _ = TcpStream::connect(http_addr);
                     }
-                    eprint!("[ruid-service] final metrics\n{}", metrics.render_table());
-                    if let Some(d) = &durability {
+                    eprint!("[ruid-service] final metrics\n{}", shared.metrics.render_table());
+                    if let Some(d) = &shared.durability {
                         eprintln!("{}", d.render_line());
                     }
                 })
@@ -349,16 +334,8 @@ impl Server {
         };
 
         Ok(ServerHandle {
-            addr,
-            shutdown,
+            shared,
             acceptor: Some(acceptor),
-            catalog,
-            metrics,
-            durability,
-            tracer,
-            pool_stats,
-            plan_cache,
-            repl,
             follower,
             metrics_http_addr,
             metrics_http,
@@ -370,20 +347,9 @@ impl Server {
 /// exposition: read the request head (discarded — every path scrapes),
 /// write one `HTTP/1.0 200` response, close. One connection at a time is
 /// plenty for a scraper, and it keeps the endpoint allocation-bounded.
-#[allow(clippy::too_many_arguments)]
-fn serve_metrics_http(
-    listener: &TcpListener,
-    metrics: &Metrics,
-    catalog: &Catalog,
-    durability: Option<&Durability>,
-    tracer: &Tracer,
-    pool_stats: &PoolStats,
-    plan_cache: &ResultCache,
-    repl: &ReplState,
-    shutdown: &AtomicBool,
-) {
+fn serve_metrics_http(listener: &TcpListener, shared: &Shared) {
     for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(mut stream) = stream else { continue };
@@ -406,15 +372,7 @@ fn serve_metrics_http(
                 }
             }
         }
-        let body = crate::prom::render(&PromCtx {
-            metrics,
-            catalog: Some(catalog),
-            durability,
-            tracer: Some(tracer),
-            pool: Some(pool_stats),
-            plan_cache: Some(plan_cache),
-            repl: Some(repl),
-        });
+        let body = crate::prom::render(&shared.prom_ctx());
         let response = format!(
             "HTTP/1.0 200 OK\r\n\
              Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -430,45 +388,45 @@ fn serve_metrics_http(
 impl ServerHandle {
     /// The actual bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.listen_addr
     }
 
     /// The shared catalog — lets an embedding process pre-load documents
     /// without going through the wire protocol.
     pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
+        &self.shared.catalog
     }
 
     /// The shared metrics.
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// The durability manager, when the server was started with a data
     /// directory — embedders that pre-load documents directly into the
     /// catalog must log them through this to keep the WAL authoritative.
     pub fn durability(&self) -> Option<&Arc<Durability>> {
-        self.durability.as_ref()
+        self.shared.durability.as_ref()
     }
 
     /// The request tracer behind `TRACE` / `SLOWLOG`.
     pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
+        &self.shared.tracer
     }
 
     /// The worker pool's queue statistics.
     pub fn pool_stats(&self) -> &Arc<PoolStats> {
-        &self.pool_stats
+        &self.shared.pool_stats
     }
 
     /// The planned-query result cache.
     pub fn plan_cache(&self) -> &Arc<ResultCache> {
-        &self.plan_cache
+        &self.shared.plan_cache
     }
 
     /// The replication state: role, lag gauges, shipping counters.
     pub fn repl(&self) -> &Arc<ReplState> {
-        &self.repl
+        &self.shared.repl
     }
 
     /// The bound address of the Prometheus HTTP endpoint, when enabled.
@@ -478,7 +436,7 @@ impl ServerHandle {
 
     /// True once `SHUTDOWN` was received or [`ServerHandle::stop`] ran.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Requests shutdown and waits for the acceptor + workers to finish.
@@ -493,9 +451,9 @@ impl ServerHandle {
     }
 
     fn begin_stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor (and metrics listener) if blocked in accept().
-        let _ = TcpStream::connect(self.addr);
+        let _ = TcpStream::connect(self.shared.listen_addr);
         if let Some(http_addr) = self.metrics_http_addr {
             let _ = TcpStream::connect(http_addr);
         }
@@ -523,57 +481,20 @@ impl Drop for ServerHandle {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    pool: &ThreadPool,
-    config: &ServerConfig,
-    catalog: &Arc<Catalog>,
-    metrics: &Arc<Metrics>,
-    shutdown: &Arc<AtomicBool>,
-    durability: &Option<Arc<Durability>>,
-    tracer: &Arc<Tracer>,
-    pool_stats: &Arc<PoolStats>,
-    plan_cache: &Arc<ResultCache>,
-    repl: &Arc<ReplState>,
-    request_counter: &Arc<AtomicU64>,
-    mux: &Arc<Mux>,
-) {
+fn accept_loop(listener: &TcpListener, pool: &ThreadPool, shared: &Arc<Shared>, mux: &Arc<Mux>) {
     for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        metrics.record_connection();
+        shared.metrics.record_connection();
         // A second handle to the socket, kept out of the job closure so
         // the acceptor can still answer BUSY if the queue rejects it.
         let shed_handle = stream.try_clone();
-        let catalog = Arc::clone(catalog);
-        let metrics_job = Arc::clone(metrics);
-        let shutdown = Arc::clone(shutdown);
-        let config = config.clone();
-        let durability = durability.clone();
-        let tracer = Arc::clone(tracer);
-        let pool_stats = Arc::clone(pool_stats);
-        let plan_cache = Arc::clone(plan_cache);
-        let repl = Arc::clone(repl);
-        let request_counter = Arc::clone(request_counter);
+        let job_shared = Arc::clone(shared);
         let mux = Arc::clone(mux);
         let submitted = pool.try_execute(move || {
-            let _ = serve_connection(
-                stream,
-                &config,
-                &catalog,
-                &metrics_job,
-                &shutdown,
-                durability.as_deref(),
-                &tracer,
-                &pool_stats,
-                &plan_cache,
-                &repl,
-                &request_counter,
-                &mux,
-            );
+            let _ = serve_connection(stream, &job_shared, &mux);
         });
         match submitted {
             Ok(()) => {}
@@ -582,7 +503,7 @@ fn accept_loop(
                 // the accept thread on a full queue. (The job closure
                 // holding the primary stream handle was dropped by the
                 // rejected submit.)
-                metrics.record_shed();
+                shared.metrics.record_shed();
                 if let Ok(mut stream) = shed_handle {
                     let _ = stream
                         .set_write_timeout(Some(Duration::from_millis(500)));
@@ -629,33 +550,9 @@ fn write_response(
 
 /// Drives one connection: sniff the protocol from the first byte, then
 /// either hand the socket to the binary multiplexer or run the text
-/// loop — read a framed line, dispatch under the request deadline, write
-/// one response line back.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    stream: TcpStream,
-    config: &ServerConfig,
-    catalog: &Catalog,
-    metrics: &Metrics,
-    shutdown: &AtomicBool,
-    durability: Option<&Durability>,
-    tracer: &Tracer,
-    pool_stats: &PoolStats,
-    plan_cache: &ResultCache,
-    repl: &ReplState,
-    request_counter: &AtomicU64,
-    mux: &Mux,
-) -> std::io::Result<()> {
-    let ctx = ServiceCtx {
-        config,
-        catalog,
-        metrics,
-        durability,
-        tracer,
-        pool_stats,
-        plan_cache,
-        repl,
-    };
+/// loop — read a framed line, [`serve`] it, write one response line back.
+fn serve_connection(stream: TcpStream, shared: &Shared, mux: &Mux) -> std::io::Result<()> {
+    let Shared { config, metrics, shutdown, .. } = shared;
     // The short poll timeout lets the worker notice server shutdown and
     // expired deadlines even while a client holds its connection open
     // silently; the real deadlines are enforced above it.
@@ -738,13 +635,7 @@ fn serve_connection(
             }
         }
         let line = std::str::from_utf8(&buf).expect("framing validated utf-8");
-        let fault = config
-            .fault_plan
-            .as_ref()
-            .and_then(|plan| {
-                plan.fault_at(request_counter.fetch_add(1, Ordering::Relaxed))
-            })
-            .cloned();
+        let fault = shared.next_fault();
         match fault {
             Some(Fault::ForceBusy) => {
                 metrics.record_shed();
@@ -756,74 +647,32 @@ fn serve_connection(
             Some(Fault::EarlyEof) => return Ok(()),
             _ => {}
         }
-        let started = Instant::now();
-        // One relaxed load decides the whole per-request tracing cost.
-        let mut request_trace = tracer.enabled().then(|| tracer.begin());
-        if let Some(Fault::StallHandler { ms }) = fault {
-            // The stall happens "inside" handling, so it counts against
-            // the per-request deadline.
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        let (command, mut response) = handle_line(line, &ctx, request_trace.as_mut());
-        let elapsed = started.elapsed();
-        let mut is_error = response.starts_with("ERR");
-        if elapsed > config.request_deadline() {
-            metrics.record_deadline_request();
-            response = format!(
-                "ERR request deadline exceeded ({} ms limit)",
-                config.request_timeout_ms
-            );
-            is_error = true;
-        }
-        metrics.record(command, is_error, elapsed);
-        if let Some(Fault::DelayMs { ms }) = fault {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        if let Some(Fault::TornWrite { bytes }) = fault {
-            let mut full = response;
-            full.push('\n');
-            let n = bytes.min(full.len());
-            if writer.write_all(&full.as_bytes()[..n]).and_then(|()| writer.flush()).is_ok() {
-                metrics.add_net_written(n as u64);
+        let stall_ms = match fault {
+            Some(Fault::StallHandler { ms }) => Some(ms),
+            _ => None,
+        };
+        let written = serve(shared, || proto::parse(line), stall_ms, |response| {
+            let WireResponse::Line(response) = response else {
+                unreachable!("the text grammar has no batch or blob verb")
+            };
+            if let Some(Fault::DelayMs { ms }) = fault {
+                std::thread::sleep(Duration::from_millis(ms));
             }
-            return Ok(());
-        }
-        let write_started = Instant::now();
-        let write_outcome = write_response(&mut writer, &response, metrics);
-        if let Some(t) = request_trace.as_mut() {
-            t.record(Span::Write, write_started.elapsed().as_nanos() as u64);
-        }
-        if let Some(t) = &request_trace {
-            tracer.observe(command, line, started.elapsed().as_nanos() as u64, t);
-        }
-        if let WriteOutcome::Lost = write_outcome {
-            return Ok(());
-        }
-        if command == Command::Shutdown && !is_error {
-            shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it observes the flag.
-            if let Ok(local) = reader.get_ref().local_addr() {
-                let _ = TcpStream::connect(local);
+            if let Some(Fault::TornWrite { bytes }) = fault {
+                let mut full = response;
+                full.push('\n');
+                let n = bytes.min(full.len());
+                if writer.write_all(&full.as_bytes()[..n]).and_then(|()| writer.flush()).is_ok() {
+                    metrics.add_net_written(n as u64);
+                }
+                return WriteOutcome::Lost;
             }
+            write_response(&mut writer, &response, metrics)
+        });
+        if matches!(written, WriteOutcome::Lost) || shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
     }
-}
-
-/// Everything the dispatcher reads, bundled so new layers (tracing, the
-/// pool's stats, …) don't keep growing a positional argument list.
-/// Crate-visible because the binary multiplexer borrows one per request
-/// out of its owned [`crate::mux::MuxShared`].
-#[derive(Clone, Copy)]
-pub(crate) struct ServiceCtx<'a> {
-    pub(crate) config: &'a ServerConfig,
-    pub(crate) catalog: &'a Catalog,
-    pub(crate) metrics: &'a Metrics,
-    pub(crate) durability: Option<&'a Durability>,
-    pub(crate) tracer: &'a Tracer,
-    pub(crate) pool_stats: &'a PoolStats,
-    pub(crate) plan_cache: &'a ResultCache,
-    pub(crate) repl: &'a ReplState,
 }
 
 /// Runs `f`, charging its wall time to `span` when the request is traced.
@@ -843,194 +692,95 @@ fn timed<R>(
     }
 }
 
-/// Parses and executes one request line; returns the metrics bucket and
-/// the single-line response.
-fn handle_line(
-    line: &str,
-    ctx: &ServiceCtx<'_>,
-    mut trace: Option<&mut RequestTrace>,
-) -> (Command, String) {
-    let parsed = timed(&mut trace, Span::Parse, || proto::parse(line));
-    match parsed {
+/// `ERR <message>` with the message escaped onto one line.
+fn err_line(message: &str) -> String {
+    format!("ERR {}", proto::escape_line(message))
+}
+
+/// Serves one request for either driver: the trace, the fault stall, the
+/// per-request deadline, metrics, the hand-off to `deliver` (timed as the
+/// `Write` span), the slowlog entry, and the acceptor wake-up after a
+/// successful `SHUTDOWN`. `request` yields the request — the text driver
+/// parses its line there, so the parse is traced; the binary driver hands
+/// over a decoded frame's. Returns whatever `deliver` returned.
+pub(crate) fn serve<R>(
+    shared: &Shared,
+    request: impl FnOnce() -> Result<Request, String>,
+    stall_ms: Option<u64>,
+    deliver: impl FnOnce(WireResponse) -> R,
+) -> R {
+    let started = Instant::now();
+    // One relaxed load decides the whole per-request tracing cost.
+    let mut trace = shared.tracer.enabled().then(|| shared.tracer.begin());
+    if let Some(ms) = stall_ms {
+        // The stall happens "inside" handling, so it counts against the
+        // per-request deadline.
+        std::thread::sleep(Duration::from_millis(ms));
+    }
+    let mut batch_failed = false;
+    let (command, slowlog_line, result) = match timed(&mut trace.as_mut(), Span::Parse, request) {
         Ok(request) => {
+            let slowlog_line = trace.as_ref().map(|_| request.to_string());
             let command = request.command();
-            let response = match execute(request, ctx, trace) {
-                Ok(ok) => ok,
-                Err(e) => format!("ERR {}", proto::escape_line(&e)),
-            };
-            (command, response)
+            let result = execute(request, shared, &mut trace.as_mut(), &mut batch_failed);
+            (command, slowlog_line, result.map_err(|e| err_line(&e)))
         }
-        Err(e) => (Command::Invalid, format!("ERR {e}")),
+        // A line that does not parse answers its reason verbatim.
+        Err(e) => (Command::Invalid, trace.as_ref().map(|_| e.clone()), Err(format!("ERR {e}"))),
+    };
+    let elapsed = started.elapsed();
+    let mut is_error = result.is_err() || batch_failed;
+    let mut response = result.unwrap_or_else(WireResponse::Line);
+    if elapsed > shared.config.request_deadline() {
+        shared.metrics.record_deadline_request();
+        response = WireResponse::Line(format!(
+            "ERR request deadline exceeded ({} ms limit)",
+            shared.config.request_timeout_ms
+        ));
+        is_error = true;
     }
-}
-
-/// The result of executing one binary-protocol frame.
-pub(crate) struct FrameOutcome {
-    /// What to encode back (under the request's own id).
-    pub(crate) response: WireResponse,
-    /// True when this was a successful `SHUTDOWN` — the caller must set
-    /// the server-wide flag and wake the acceptor.
-    pub(crate) shutdown: bool,
-}
-
-/// A one-line rendering of a binary request for the slowlog, mirroring
-/// what the text protocol would have logged.
-fn describe_wire(request: &WireRequest) -> String {
-    match request {
-        WireRequest::Ping => "PING".into(),
-        WireRequest::Query { doc, engine, xpath } => {
-            format!("QUERY {doc} {xpath} {engine:?}")
-        }
-        WireRequest::Label { doc, xpath } => format!("LABEL {doc} {xpath}"),
-        WireRequest::Parent { doc, label } => {
-            format!("PARENT {doc} {}", proto::fmt_label(label))
-        }
-        WireRequest::Get { doc, label } => {
-            format!("GET {doc} {}", proto::fmt_label(label))
-        }
-        WireRequest::MQuery { doc, xpaths } => {
-            format!("MQUERY {doc} [{} queries]", xpaths.len())
-        }
-        WireRequest::MLabel { doc, xpaths } => {
-            format!("MLABEL {doc} [{} queries]", xpaths.len())
-        }
-        WireRequest::LoadStream { name, events } => {
-            format!("LOADSTREAM {name} [{} bytes]", events.len())
-        }
-        WireRequest::Text { line } => line.clone(),
-        WireRequest::ReplHello { follower } => format!("REPL HELLO {follower}"),
-        WireRequest::ReplSnapshot { generation } => format!("REPL SNAPSHOT {generation}"),
-        WireRequest::ReplTail { generation, offset, .. } => {
-            format!("REPL TAIL {generation} {offset}")
-        }
-        WireRequest::ReplAck { generation, seq, bye, follower } => {
-            format!("REPL ACK {follower} {generation} {seq} bye={bye}")
-        }
+    shared.metrics.record(command, is_error, elapsed);
+    let delivered = timed(&mut trace.as_mut(), Span::Write, || deliver(response));
+    if let Some(t) = &trace {
+        let line = slowlog_line.as_deref().unwrap_or("");
+        shared.tracer.observe(command, line, started.elapsed().as_nanos() as u64, t);
     }
+    if command == Command::Shutdown && !is_error {
+        shared.shutdown.store(true, Ordering::SeqCst);
+        // Wake the acceptor so it observes the flag.
+        let _ = TcpStream::connect(shared.listen_addr);
+    }
+    delivered
 }
 
 /// The batch body shared by `MQUERY`/`MLABEL`: pin the document's
 /// snapshot `Arc` once, answer every sub-query from the planned engine
 /// (and its result cache) against that one pinned generation. A missing
 /// document still answers one line per sub-query, so the batch reply
-/// always has the arity the client sent.
+/// always has the arity the client sent. Also returns whether any
+/// sub-query failed.
 fn run_batch(
-    ctx: &ServiceCtx<'_>,
+    shared: &Shared,
     trace: &mut Option<&mut RequestTrace>,
     doc: u64,
     xpaths: &[String],
-) -> Vec<String> {
-    ctx.metrics.record_batch_size(xpaths.len() as u64);
-    let loaded = match timed(trace, Span::Lookup, || fetch(ctx.catalog, doc)) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            let err = format!("ERR {}", proto::escape_line(&e));
-            return vec![err; xpaths.len()];
-        }
-    };
-    timed(trace, Span::Eval, || {
-        xpaths
-            .iter()
-            .map(|xpath| {
-                match planned_cached(&loaded, doc, xpath, ctx.plan_cache, ctx.metrics) {
-                    Ok(line) => line,
-                    Err(e) => format!("ERR {}", proto::escape_line(&e)),
-                }
-            })
-            .collect()
-    })
-}
-
-/// Executes one decoded binary request end to end — fault stall, the
-/// per-request deadline, metrics, slowlog — and returns the response
-/// body. Single verbs run through the same [`execute`] dispatcher as
-/// their text spellings, so byte-identical responses across the two
-/// front ends hold by construction.
-pub(crate) fn execute_frame(
-    ctx: &ServiceCtx<'_>,
-    request: WireRequest,
-    stall_ms: Option<u64>,
-) -> FrameOutcome {
-    let ServiceCtx { config, metrics, tracer, .. } = *ctx;
-    let started = Instant::now();
-    let mut request_trace = tracer.enabled().then(|| tracer.begin());
-    let trace_line = request_trace.as_ref().map(|_| describe_wire(&request));
-    if let Some(ms) = stall_ms {
-        // The stall happens "inside" handling, so it counts against the
-        // per-request deadline — same as the text path.
-        std::thread::sleep(Duration::from_millis(ms));
-    }
-    let single = |request: Request, trace: Option<&mut RequestTrace>| {
-        let command = request.command();
-        let response = match execute(request, ctx, trace) {
-            Ok(ok) => ok,
-            Err(e) => format!("ERR {}", proto::escape_line(&e)),
+) -> (Vec<String>, bool) {
+    shared.metrics.record_batch_size(xpaths.len() as u64);
+    let results: Vec<Result<String, String>> =
+        match timed(trace, Span::Lookup, || fetch(&shared.catalog, doc)) {
+            Ok(loaded) => timed(trace, Span::Eval, || {
+                xpaths
+                    .iter()
+                    .map(|xpath| {
+                        planned_cached(&loaded, doc, xpath, &shared.plan_cache, &shared.metrics)
+                    })
+                    .collect()
+            }),
+            Err(e) => vec![Err(e); xpaths.len()],
         };
-        (command, WireResponse::Line(response))
-    };
-    let mut trace = request_trace.as_mut();
-    let (command, mut response) = match request {
-        WireRequest::Ping => single(Request::Ping, trace.take()),
-        WireRequest::Query { doc, engine, xpath } => {
-            single(Request::Query { doc, xpath, engine }, trace.take())
-        }
-        WireRequest::Label { doc, xpath } => {
-            single(Request::Label { doc, xpath }, trace.take())
-        }
-        WireRequest::Parent { doc, label } => {
-            single(Request::Parent { doc, label }, trace.take())
-        }
-        WireRequest::Get { doc, label } => {
-            single(Request::Get { doc, label }, trace.take())
-        }
-        WireRequest::LoadStream { name, events } => {
-            single(Request::LoadStream { name, events }, trace.take())
-        }
-        WireRequest::Text { line } => {
-            let (command, response) = handle_line(&line, ctx, trace.take());
-            (command, WireResponse::Line(response))
-        }
-        WireRequest::MQuery { doc, xpaths } => {
-            (Command::MQuery, WireResponse::Batch(run_batch(ctx, &mut trace, doc, &xpaths)))
-        }
-        WireRequest::MLabel { doc, xpaths } => {
-            (Command::MLabel, WireResponse::Batch(run_batch(ctx, &mut trace, doc, &xpaths)))
-        }
-        WireRequest::ReplHello { follower } => {
-            (Command::ReplHello, replication::handle_hello(ctx, &follower))
-        }
-        WireRequest::ReplSnapshot { generation } => {
-            (Command::ReplSnapshot, replication::handle_snapshot(ctx, generation))
-        }
-        WireRequest::ReplTail { generation, offset, max_bytes } => {
-            (Command::ReplTail, replication::handle_tail(ctx, generation, offset, max_bytes))
-        }
-        WireRequest::ReplAck { generation, seq, bye, follower } => {
-            (Command::ReplAck, replication::handle_ack(ctx, &follower, generation, seq, bye))
-        }
-    };
-    let elapsed = started.elapsed();
-    let mut is_error = match &response {
-        WireResponse::Line(line) => line.starts_with("ERR"),
-        WireResponse::Batch(lines) => lines.iter().any(|line| line.starts_with("ERR")),
-        // A blob is raw payload bytes; errors on the replication verbs
-        // are always reported as `Line`s.
-        WireResponse::Blob(_) => false,
-    };
-    if elapsed > config.request_deadline() {
-        metrics.record_deadline_request();
-        response = WireResponse::Line(format!(
-            "ERR request deadline exceeded ({} ms limit)",
-            config.request_timeout_ms
-        ));
-        is_error = true;
-    }
-    metrics.record(command, is_error, elapsed);
-    if let Some(t) = &request_trace {
-        let line = trace_line.as_deref().unwrap_or("");
-        tracer.observe(command, line, started.elapsed().as_nanos() as u64, t);
-    }
-    FrameOutcome { response, shutdown: command == Command::Shutdown && !is_error }
+    let failed = results.iter().any(Result::is_err);
+    let lines = results.into_iter().map(|r| r.unwrap_or_else(|e| err_line(&e))).collect();
+    (lines, failed)
 }
 
 fn fetch(catalog: &Catalog, id: u64) -> Result<Arc<LoadedDoc>, String> {
@@ -1074,13 +824,13 @@ fn parse_fragment(fragment: &str) -> Result<durable::NodeContent, String> {
 /// rejected op never reaches the log, and the pointer swap runs inside
 /// `log_with`, so WAL order is commit order.
 fn commit_update(
-    ctx: &ServiceCtx<'_>,
+    shared: &Shared,
     trace: &mut Option<&mut RequestTrace>,
     doc_id: u64,
     op: WalOp,
     command: Command,
 ) -> Result<String, String> {
-    let ServiceCtx { catalog, metrics, durability, .. } = *ctx;
+    let Shared { catalog, metrics, durability, .. } = shared;
     // Declared before the writer guard so it outlives it: this is the last
     // reference to the previous generation once readers move on, and
     // freeing a bundle must not hold up the next writer.
@@ -1116,22 +866,16 @@ fn commit_update(
     ))
 }
 
+/// Executes one request. A batch answers `Ok` even when sub-queries
+/// fail — each failure is its own `ERR` line — and sets `batch_failed`.
 fn execute(
     request: Request,
-    ctx: &ServiceCtx<'_>,
-    mut trace: Option<&mut RequestTrace>,
-) -> Result<String, String> {
-    let ServiceCtx {
-        config,
-        catalog,
-        metrics,
-        durability,
-        tracer,
-        pool_stats,
-        plan_cache,
-        repl,
-    } = *ctx;
-    let trace = &mut trace;
+    shared: &Shared,
+    trace: &mut Option<&mut RequestTrace>,
+    batch_failed: &mut bool,
+) -> Result<WireResponse, String> {
+    let Shared { config, catalog, metrics, tracer, plan_cache, repl, .. } = shared;
+    let durability = shared.durability.as_deref();
     // A follower's catalog is the leader's replayed history — local
     // writes would fork it. Reject them with a redirect; reads (and the
     // replication verbs themselves) flow normally.
@@ -1151,7 +895,7 @@ fn execute(
             ));
         }
     }
-    match request {
+    let line = match request {
         Request::Ping => Ok("OK pong".into()),
         Request::Load { path, depth } => {
             let exec = par::Executor::new(config.build_threads);
@@ -1286,14 +1030,15 @@ fn execute(
         Request::Query { doc, xpath, engine } => {
             let loaded = timed(trace, Span::Lookup, || fetch(catalog, doc))?;
             if engine == Engine::Planned {
-                return timed(trace, Span::Eval, || {
+                timed(trace, Span::Eval, || {
                     planned_cached(&loaded, doc, &xpath, plan_cache, metrics)
-                });
+                })
+            } else {
+                let (hits, steps) =
+                    timed(trace, Span::Eval, || run_query(&loaded, &xpath, engine))?;
+                metrics.record_axis_steps(&steps);
+                Ok(format_hits(&loaded, &hits))
             }
-            let (hits, steps) =
-                timed(trace, Span::Eval, || run_query(&loaded, &xpath, engine))?;
-            metrics.record_axis_steps(&steps);
-            Ok(format_hits(&loaded, &hits))
         }
         Request::Explain { doc, xpath } => {
             let loaded = timed(trace, Span::Lookup, || fetch(catalog, doc))?;
@@ -1372,19 +1117,11 @@ fn execute(
                 loaded.doc.names().len(),
             ))
         }
-        Request::Metrics { prom } => {
-            if prom {
-                let body = crate::prom::render(&PromCtx {
-                    metrics,
-                    catalog: Some(catalog),
-                    durability,
-                    tracer: Some(tracer),
-                    pool: Some(pool_stats),
-                    plan_cache: Some(plan_cache),
-                    repl: Some(repl),
-                });
-                return Ok(format!("OK {}", proto::escape_line(&body)));
-            }
+        Request::Metrics { prom: true } => {
+            let body = crate::prom::render(&shared.prom_ctx());
+            Ok(format!("OK {}", proto::escape_line(&body)))
+        }
+        Request::Metrics { prom: false } => {
             Ok(match durability {
                 Some(d) => format!(
                     "OK {} {} {}",
@@ -1412,13 +1149,13 @@ fn execute(
         Request::Insert { doc, parent, position, fragment } => {
             let content = parse_fragment(&fragment)?;
             let op = WalOp::Insert { doc_id: doc, parent, position, content };
-            commit_update(ctx, trace, doc, op, Command::Insert)
+            commit_update(shared, trace, doc, op, Command::Insert)
         }
         Request::Delete { doc, label } => {
-            commit_update(ctx, trace, doc, WalOp::Delete { doc_id: doc, label }, Command::Delete)
+            commit_update(shared, trace, doc, WalOp::Delete { doc_id: doc, label }, Command::Delete)
         }
         Request::Relabel(doc) => {
-            commit_update(ctx, trace, doc, WalOp::Repartition { doc_id: doc }, Command::Relabel)
+            commit_update(shared, trace, doc, WalOp::Repartition { doc_id: doc }, Command::Relabel)
         }
         Request::Trace(cmd) => {
             match cmd {
@@ -1430,10 +1167,8 @@ fn execute(
             Ok(format!("OK {}", tracer.render_status()))
         }
         Request::Slowlog(n) => Ok(format!("OK {}", tracer.render_slowlog(n))),
+        Request::Promote if !repl.is_follower() => Ok("OK role=leader promoted=false".into()),
         Request::Promote => {
-            if !repl.is_follower() {
-                return Ok("OK role=leader promoted=false".into());
-            }
             // The role flips only after the follower thread has stopped
             // applying, so no shipped record can land after a write this
             // newly-promoted leader accepts.
@@ -1457,7 +1192,25 @@ fn execute(
             }
             Ok("OK bye".into())
         }
-    }
+        // The batch and replication verbs answer more than one line.
+        Request::MQuery { doc, xpaths } | Request::MLabel { doc, xpaths } => {
+            let (lines, failed) = run_batch(shared, trace, doc, &xpaths);
+            *batch_failed = failed;
+            return Ok(WireResponse::Batch(lines));
+        }
+        Request::ReplHello { .. } => return replication::handle_hello(shared),
+        Request::ReplSnapshot { generation } => {
+            return replication::handle_snapshot(shared, generation)
+        }
+        Request::ReplTail { generation, offset, max_bytes } => {
+            return replication::handle_tail(shared, generation, offset, max_bytes)
+        }
+        Request::ReplAck { generation, seq, bye, follower } => {
+            repl.note_ack(&follower, generation, seq, bye);
+            Ok("OK".into())
+        }
+    };
+    line.map(WireResponse::Line)
 }
 
 /// The `OK <count> <label>...` rendering shared by `QUERY` and `LABEL`
@@ -1533,67 +1286,39 @@ pub fn run_query(
     loaded: &LoadedDoc,
     xpath: &str,
     engine: Engine,
-) -> Result<(Vec<xmldom::NodeId>, xpath::StepStats), String> {
+) -> Result<(Vec<xmldom::NodeId>, StepStats), String> {
+    let LoadedDoc { doc, scheme, order, index, .. } = loaded;
+    let (interval, ancestry) = (loaded.interval.span_index(), loaded.ancestry.span_index());
     match engine {
-        Engine::Tree => {
-            let ev =
-                Evaluator::new(&loaded.doc, TreeAxes::with_order(&loaded.doc, &loaded.order));
-            let hits = ev.query(xpath)?;
-            Ok((hits, ev.step_stats()))
-        }
-        Engine::Ruid => {
-            let ev = Evaluator::new(
-                &loaded.doc,
-                RuidAxes::with_order(&loaded.scheme, &loaded.order),
-            );
-            let hits = ev.query(xpath)?;
-            Ok((hits, ev.step_stats()))
-        }
+        Engine::Tree => eval(doc, TreeAxes::with_order(doc, order), |ev| ev.query(xpath)),
+        Engine::Ruid => eval(doc, RuidAxes::with_order(scheme, order), |ev| ev.query(xpath)),
         Engine::Indexed => {
-            let ev = Evaluator::new(
-                &loaded.doc,
-                NameIndexed::new(
-                    RuidAxes::with_order(&loaded.scheme, &loaded.order),
-                    &loaded.doc,
-                    &loaded.index,
-                ),
-            );
-            let hits = ev.query(xpath)?;
-            Ok((hits, ev.step_stats()))
+            let axes = NameIndexed::new(RuidAxes::with_order(scheme, order), doc, index);
+            eval(doc, axes, |ev| ev.query(xpath))
         }
         Engine::Interval => {
-            let ev = Evaluator::new(
-                &loaded.doc,
-                SpanAxes::with_order(loaded.interval.span_index(), "interval", &loaded.order),
-            );
-            let hits = ev.query(xpath)?;
-            Ok((hits, ev.step_stats()))
+            eval(doc, SpanAxes::with_order(interval, "interval", order), |ev| ev.query(xpath))
         }
         Engine::Ancestry => {
-            let ev = Evaluator::new(
-                &loaded.doc,
-                SpanAxes::with_order(loaded.ancestry.span_index(), "ancestry", &loaded.order),
-            );
-            let hits = ev.query(xpath)?;
-            Ok((hits, ev.step_stats()))
+            eval(doc, SpanAxes::with_order(ancestry, "ancestry", order), |ev| ev.query(xpath))
         }
         Engine::Planned => {
-            let ev = Evaluator::new(
-                &loaded.doc,
-                NameIndexed::new(
-                    TreeAxes::with_order(&loaded.doc, &loaded.order),
-                    &loaded.doc,
-                    &loaded.index,
-                ),
-            );
-            let (hits, _, _) = plan::planned_query(
-                xpath,
-                &loaded.doc,
-                &loaded.summary,
-                &loaded.order,
-                &ev,
-            )?;
-            Ok((hits, ev.step_stats()))
+            let axes = NameIndexed::new(TreeAxes::with_order(doc, order), doc, index);
+            eval(doc, axes, |ev| {
+                plan::planned_query(xpath, doc, &loaded.summary, order, ev).map(|(hits, ..)| hits)
+            })
         }
     }
+}
+
+/// Runs `run` on an evaluator over `axes`; returns its matches and the
+/// evaluator's per-axis step counts.
+fn eval<'a, A: AxisProvider>(
+    doc: &'a xmldom::Document,
+    axes: A,
+    run: impl FnOnce(&Evaluator<'a, A>) -> Result<Vec<xmldom::NodeId>, String>,
+) -> Result<(Vec<xmldom::NodeId>, StepStats), String> {
+    let ev = Evaluator::new(doc, axes);
+    let hits = run(&ev)?;
+    Ok((hits, ev.step_stats()))
 }

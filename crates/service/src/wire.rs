@@ -24,6 +24,12 @@
 //!
 //! ## Verbs
 //!
+//! A frame carries one [`Request`] — the same type the text grammar
+//! parses into. The hot read verbs, the batch verbs, the replication
+//! channel and `LOADSTREAM` have a code of their own; every other verb
+//! rides `TEXT` as its canonical line (`Request`'s `Display`), which the
+//! server reads back with [`proto::parse`].
+//!
 //! | code | verb     | payload                                              |
 //! |------|----------|------------------------------------------------------|
 //! | 0x01 | `PING`   | empty                                                |
@@ -33,8 +39,8 @@
 //! | 0x05 | `GET`    | `doc:u64 \| g:u64 \| l:u64 \| root:u8`               |
 //! | 0x06 | `MQUERY` | `doc:u64 \| n:u32 \| n × (len:u32 \| xpath:utf8)`    |
 //! | 0x07 | `MLABEL` | `doc:u64 \| n:u32 \| n × (len:u32 \| xpath:utf8)`    |
-//! | 0x08 | `TEXT`   | one text-protocol request line (escape hatch for     |
-//! |      |          | every other verb: `LOAD`, `METRICS`, `SHUTDOWN`, …)  |
+//! | 0x08 | `TEXT`   | one text-protocol request line (`LOAD`, `METRICS`,   |
+//! |      |          | `SHUTDOWN`, … — every verb without a code of its own) |
 //! | 0x09 | `REPL HELLO`    | `follower:utf8…`                              |
 //! | 0x0A | `REPL SNAPSHOT` | `generation:u64`                              |
 //! | 0x0B | `REPL TAIL`     | `generation:u64 \| offset:u64 \| max:u32`     |
@@ -42,8 +48,8 @@
 //! |      |                 | `follower:utf8…`                              |
 //! | 0x0D | `LOADSTREAM`    | `name_len:u32 \| name:utf8 \| events:utf8…`   |
 //!
-//! Engine codes: 0 = planned (default), 1 = tree, 2 = ruid, 3 = indexed,
-//! 4 = interval, 5 = ancestry.
+//! Engine codes are the `proto::ENGINES` table's: 0 = planned (default),
+//! 1 = tree, 2 = ruid, 3 = indexed, 4 = interval, 5 = ancestry.
 //!
 //! The `REPL` verbs are the replication channel: a follower greets the
 //! leader (`HELLO`, answered with a [`repl::HelloInfo`] blob), pulls the
@@ -72,10 +78,14 @@
 //! *before* any allocation happens; a structurally complete frame with a
 //! bad interior (unknown verb, bad UTF-8, short counts) is `Malformed`
 //! and names how many bytes to skip, so one bad frame costs one `ERR`
-//! response, not the connection.
+//! response, not the connection. A sound `TEXT` frame whose line does not
+//! parse is `Unparsed`: a bad request, answered like a bad text line.
 
-use crate::proto::Engine;
+use crate::proto::{self, Engine, Request};
 use ruid_core::Ruid2;
+
+/// The request type's former name on the binary side, kept as an alias.
+pub use crate::proto::Request as WireRequest;
 
 /// First byte of every binary request frame (never a UTF-8 lead byte).
 pub const REQ_MAGIC: u8 = 0xB1;
@@ -87,108 +97,8 @@ pub const HEADER_BYTES: usize = 5;
 const MIN_BODY: usize = 9;
 /// Upper bound on `MQUERY`/`MLABEL` sub-queries per frame.
 pub const MAX_BATCH: usize = 4096;
-
-/// One decoded binary request (the typed mirror of the verb table above).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireRequest {
-    /// `PING`.
-    Ping,
-    /// `QUERY <doc> <xpath> [engine]`.
-    Query {
-        /// Target document id.
-        doc: u64,
-        /// Which axis engine evaluates it.
-        engine: Engine,
-        /// XPath expression.
-        xpath: String,
-    },
-    /// `LABEL <doc> <xpath>`.
-    Label {
-        /// Target document id.
-        doc: u64,
-        /// XPath expression.
-        xpath: String,
-    },
-    /// `PARENT <doc> <g> <l> <r>`.
-    Parent {
-        /// Target document id.
-        doc: u64,
-        /// The identifier to take the parent of.
-        label: Ruid2,
-    },
-    /// `GET <doc> <g> <l> <r>`.
-    Get {
-        /// Target document id.
-        doc: u64,
-        /// The identifier to fetch.
-        label: Ruid2,
-    },
-    /// `MQUERY <doc>` over a batch of XPath expressions: one catalog
-    /// snapshot pin, one planned/cached evaluation per entry, one reply.
-    MQuery {
-        /// Target document id.
-        doc: u64,
-        /// The batched XPath expressions.
-        xpaths: Vec<String>,
-    },
-    /// `MLABEL <doc>`: identical to `MQUERY` (labels *are* the planned
-    /// rendering), metered under its own command bucket.
-    MLabel {
-        /// Target document id.
-        doc: u64,
-        /// The batched XPath expressions.
-        xpaths: Vec<String>,
-    },
-    /// A raw text-protocol request line carried over a binary frame —
-    /// the compatibility escape hatch for every other verb.
-    Text {
-        /// The request line, exactly as the text protocol would read it.
-        line: String,
-    },
-    /// `REPL HELLO`: a follower introduces itself; the leader answers a
-    /// `Blob` holding an encoded `repl::HelloInfo`.
-    ReplHello {
-        /// The follower's self-chosen name (shows up in leader metrics).
-        follower: String,
-    },
-    /// `REPL SNAPSHOT`: fetch the raw bytes of snapshot `generation`.
-    ReplSnapshot {
-        /// Which snapshot generation to ship.
-        generation: u64,
-    },
-    /// `REPL TAIL`: fetch committed WAL bytes of segment `generation`
-    /// starting at `offset`; the leader answers a `Blob` holding an
-    /// encoded `repl::TailChunk`.
-    ReplTail {
-        /// Which WAL segment to read.
-        generation: u64,
-        /// Byte offset within the segment to start from.
-        offset: u64,
-        /// Upper bound on shipped data bytes in one answer.
-        max_bytes: u32,
-    },
-    /// `LOADSTREAM <name> <event>...`: build a document from
-    /// interval-encoded flat events without materializing XML text.
-    LoadStream {
-        /// Display name the document is catalogued under.
-        name: String,
-        /// Whitespace-separated `start:end:content` event tokens.
-        events: String,
-    },
-    /// `REPL ACK`: the follower reports its applied position so the
-    /// leader can compute per-follower lag; `bye` marks a clean detach
-    /// (the follower is shutting down, not crashing).
-    ReplAck {
-        /// Segment generation the follower has applied through.
-        generation: u64,
-        /// Next sequence number the follower expects in that segment.
-        seq: u64,
-        /// True when this is a goodbye: forget the follower.
-        bye: bool,
-        /// The follower's name, matching its `REPL HELLO`.
-        follower: String,
-    },
-}
+/// The verb code carrying one text-protocol request line.
+const TEXT: u8 = 0x08;
 
 /// One decoded binary response body.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,7 +118,7 @@ pub struct RequestFrame {
     /// Client-chosen request id, echoed verbatim in the response.
     pub id: u64,
     /// The decoded request.
-    pub request: WireRequest,
+    pub request: Request,
 }
 
 /// A response frame: the echoed id plus the response body.
@@ -250,35 +160,23 @@ pub enum Decoded<T> {
         /// Bytes to skip to reach the next frame.
         consumed: usize,
     },
+    /// A sound `TEXT` frame whose line [`proto::parse`] rejects: the frame
+    /// is fine, the request is not. It is answered like a text line that
+    /// fails to parse — counted as a request, `ERR <reason>`.
+    Unparsed {
+        /// The frame's request id.
+        id: u64,
+        /// Why the line did not parse.
+        reason: String,
+        /// Bytes the frame occupied.
+        consumed: usize,
+    },
     /// The first byte is not the expected magic — this is not a binary
     /// frame stream. Close.
     Corrupt {
         /// What was wrong.
         reason: &'static str,
     },
-}
-
-fn engine_code(engine: Engine) -> u8 {
-    match engine {
-        Engine::Planned => 0,
-        Engine::Tree => 1,
-        Engine::Ruid => 2,
-        Engine::Indexed => 3,
-        Engine::Interval => 4,
-        Engine::Ancestry => 5,
-    }
-}
-
-fn engine_from(code: u8) -> Option<Engine> {
-    match code {
-        0 => Some(Engine::Planned),
-        1 => Some(Engine::Tree),
-        2 => Some(Engine::Ruid),
-        3 => Some(Engine::Indexed),
-        4 => Some(Engine::Interval),
-        5 => Some(Engine::Ancestry),
-        _ => None,
-    }
 }
 
 fn put_str_list(out: &mut Vec<u8>, items: &[String]) {
@@ -297,85 +195,88 @@ fn put_label(out: &mut Vec<u8>, label: &Ruid2) {
 
 /// Appends one encoded request frame to `out` (which may already hold
 /// other frames — that is how a pipelined client builds one write).
-pub fn encode_request(id: u64, request: &WireRequest, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.push(REQ_MAGIC);
-    out.extend_from_slice(&[0u8; 4]); // length back-patched below
-    out.extend_from_slice(&id.to_le_bytes());
+pub fn encode_request(id: u64, request: &Request, out: &mut Vec<u8>) {
+    let start = open_frame(out, REQ_MAGIC, id);
     match request {
-        WireRequest::Ping => out.push(0x01),
-        WireRequest::Query { doc, engine, xpath } => {
+        Request::Ping => out.push(0x01),
+        Request::Query { doc, xpath, engine } => {
             out.push(0x02);
             out.extend_from_slice(&doc.to_le_bytes());
-            out.push(engine_code(*engine));
+            out.push(engine.code());
             out.extend_from_slice(xpath.as_bytes());
         }
-        WireRequest::Label { doc, xpath } => {
+        Request::Label { doc, xpath } => {
             out.push(0x03);
             out.extend_from_slice(&doc.to_le_bytes());
             out.extend_from_slice(xpath.as_bytes());
         }
-        WireRequest::Parent { doc, label } => {
+        Request::Parent { doc, label } => {
             out.push(0x04);
             out.extend_from_slice(&doc.to_le_bytes());
             put_label(out, label);
         }
-        WireRequest::Get { doc, label } => {
+        Request::Get { doc, label } => {
             out.push(0x05);
             out.extend_from_slice(&doc.to_le_bytes());
             put_label(out, label);
         }
-        WireRequest::MQuery { doc, xpaths } => {
+        Request::MQuery { doc, xpaths } => {
             out.push(0x06);
             out.extend_from_slice(&doc.to_le_bytes());
             put_str_list(out, xpaths);
         }
-        WireRequest::MLabel { doc, xpaths } => {
+        Request::MLabel { doc, xpaths } => {
             out.push(0x07);
             out.extend_from_slice(&doc.to_le_bytes());
             put_str_list(out, xpaths);
         }
-        WireRequest::Text { line } => {
-            out.push(0x08);
-            out.extend_from_slice(line.as_bytes());
-        }
-        WireRequest::ReplHello { follower } => {
+        Request::ReplHello { follower } => {
             out.push(0x09);
             out.extend_from_slice(follower.as_bytes());
         }
-        WireRequest::ReplSnapshot { generation } => {
+        Request::ReplSnapshot { generation } => {
             out.push(0x0A);
             out.extend_from_slice(&generation.to_le_bytes());
         }
-        WireRequest::ReplTail { generation, offset, max_bytes } => {
+        Request::ReplTail { generation, offset, max_bytes } => {
             out.push(0x0B);
             out.extend_from_slice(&generation.to_le_bytes());
             out.extend_from_slice(&offset.to_le_bytes());
             out.extend_from_slice(&max_bytes.to_le_bytes());
         }
-        WireRequest::LoadStream { name, events } => {
+        Request::LoadStream { name, events } => {
             out.push(0x0D);
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(events.as_bytes());
         }
-        WireRequest::ReplAck { generation, seq, bye, follower } => {
+        Request::ReplAck { generation, seq, bye, follower } => {
             out.push(0x0C);
             out.extend_from_slice(&generation.to_le_bytes());
             out.extend_from_slice(&seq.to_le_bytes());
             out.push(u8::from(*bye));
             out.extend_from_slice(follower.as_bytes());
         }
+        text_only => {
+            out.push(TEXT);
+            out.extend_from_slice(text_only.to_string().as_bytes());
+        }
     }
+    patch_len(out, start);
+}
+
+/// Appends one `TEXT` frame carrying `line` verbatim — how a client sends
+/// a line it could not parse itself, so the server's `ERR` answers it.
+pub fn encode_text(id: u64, line: &str, out: &mut Vec<u8>) {
+    let start = open_frame(out, REQ_MAGIC, id);
+    out.push(TEXT);
+    out.extend_from_slice(line.as_bytes());
     patch_len(out, start);
 }
 
 /// Appends one encoded response frame to `out`.
 pub fn encode_response(id: u64, response: &WireResponse, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.push(RESP_MAGIC);
-    out.extend_from_slice(&[0u8; 4]);
-    out.extend_from_slice(&id.to_le_bytes());
+    let start = open_frame(out, RESP_MAGIC, id);
     match response {
         WireResponse::Line(line) => {
             out.push(0);
@@ -391,6 +292,16 @@ pub fn encode_response(id: u64, response: &WireResponse, out: &mut Vec<u8>) {
         }
     }
     patch_len(out, start);
+}
+
+/// Writes a frame header with a zero length (back-patched by
+/// [`patch_len`]) and the id; returns where the frame starts.
+fn open_frame(out: &mut Vec<u8>, magic: u8, id: u64) -> usize {
+    let start = out.len();
+    out.push(magic);
+    out.extend_from_slice(&[0u8; 4]);
+    out.extend_from_slice(&id.to_le_bytes());
+    start
 }
 
 fn patch_len(out: &mut [u8], start: usize) {
@@ -477,13 +388,14 @@ impl<'a> Cursor<'a> {
 /// Splits one frame off the front of `buf`: checks the magic, reads the
 /// declared body length against `cap + MIN_BODY` (so `cap` bounds the
 /// payload, exactly like `max_line_bytes` bounds a text line), and hands
-/// the body to `parse`.
+/// the body to `parse` — whose outer `Err` is a malformed frame and whose
+/// inner `Err` a sound frame carrying an unparsable request.
 fn decode_frame<T>(
     buf: &[u8],
     magic: u8,
     bad_magic: &'static str,
     cap: usize,
-    parse: impl FnOnce(u64, u8, Cursor<'_>) -> Result<T, String>,
+    parse: impl FnOnce(u64, u8, Cursor<'_>) -> Result<Result<T, String>, String>,
 ) -> Decoded<T> {
     let Some(&first) = buf.first() else { return Decoded::Incomplete };
     if first != magic {
@@ -511,7 +423,8 @@ fn decode_frame<T>(
     let id = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
     let tag = body[8];
     match parse(id, tag, Cursor { rest: &body[MIN_BODY..] }) {
-        Ok(frame) => Decoded::Frame { frame, consumed },
+        Ok(Ok(frame)) => Decoded::Frame { frame, consumed },
+        Ok(Err(reason)) => Decoded::Unparsed { id, reason, consumed },
         Err(reason) => Decoded::Malformed { id, reason, consumed },
     }
 }
@@ -523,55 +436,58 @@ pub fn decode_request(buf: &[u8], cap: usize) -> Decoded<RequestFrame> {
         let request = match verb {
             0x01 => {
                 c.finish("PING")?;
-                WireRequest::Ping
+                Request::Ping
             }
             0x02 => {
                 let doc = c.take_u64("document id")?;
-                let engine = engine_from(c.take_u8("engine code")?)
+                let engine = Engine::from_code(c.take_u8("engine code")?)
                     .ok_or("bad engine code (want 0..=5)")?;
-                WireRequest::Query { doc, engine, xpath: c.take_str_rest("xpath")? }
+                Request::Query { doc, engine, xpath: c.take_str_rest("xpath")? }
             }
             0x03 => {
                 let doc = c.take_u64("document id")?;
-                WireRequest::Label { doc, xpath: c.take_str_rest("xpath")? }
+                Request::Label { doc, xpath: c.take_str_rest("xpath")? }
             }
             0x04 => {
                 let doc = c.take_u64("document id")?;
                 let label = c.take_label()?;
                 c.finish("PARENT")?;
-                WireRequest::Parent { doc, label }
+                Request::Parent { doc, label }
             }
             0x05 => {
                 let doc = c.take_u64("document id")?;
                 let label = c.take_label()?;
                 c.finish("GET")?;
-                WireRequest::Get { doc, label }
+                Request::Get { doc, label }
             }
             0x06 => {
                 let doc = c.take_u64("document id")?;
                 let xpaths = c.take_str_list()?;
                 c.finish("MQUERY")?;
-                WireRequest::MQuery { doc, xpaths }
+                Request::MQuery { doc, xpaths }
             }
             0x07 => {
                 let doc = c.take_u64("document id")?;
                 let xpaths = c.take_str_list()?;
                 c.finish("MLABEL")?;
-                WireRequest::MLabel { doc, xpaths }
+                Request::MLabel { doc, xpaths }
             }
-            0x08 => WireRequest::Text { line: c.take_str_rest("request line")? },
-            0x09 => WireRequest::ReplHello { follower: c.take_str_rest("follower name")? },
+            TEXT => match proto::parse(&c.take_str_rest("request line")?) {
+                Ok(request) => request,
+                Err(reason) => return Ok(Err(reason)),
+            },
+            0x09 => Request::ReplHello { follower: c.take_str_rest("follower name")? },
             0x0A => {
                 let generation = c.take_u64("snapshot generation")?;
                 c.finish("REPL SNAPSHOT")?;
-                WireRequest::ReplSnapshot { generation }
+                Request::ReplSnapshot { generation }
             }
             0x0B => {
                 let generation = c.take_u64("segment generation")?;
                 let offset = c.take_u64("segment offset")?;
                 let max_bytes = c.take_u32("tail byte cap")?;
                 c.finish("REPL TAIL")?;
-                WireRequest::ReplTail { generation, offset, max_bytes }
+                Request::ReplTail { generation, offset, max_bytes }
             }
             0x0C => {
                 let generation = c.take_u64("ack generation")?;
@@ -582,18 +498,18 @@ pub fn decode_request(buf: &[u8], cap: usize) -> Decoded<RequestFrame> {
                     other => return Err(format!("bad bye flag {other} (want 0|1)")),
                 };
                 let follower = c.take_str_rest("follower name")?;
-                WireRequest::ReplAck { generation, seq, bye, follower }
+                Request::ReplAck { generation, seq, bye, follower }
             }
             0x0D => {
                 let name_len = c.take_u32("name length")? as usize;
                 let name = std::str::from_utf8(c.take(name_len, "document name")?)
                     .map_err(|_| "document name is not valid utf-8")?
                     .to_owned();
-                WireRequest::LoadStream { name, events: c.take_str_rest("event stream")? }
+                Request::LoadStream { name, events: c.take_str_rest("event stream")? }
             }
             other => return Err(format!("unknown verb 0x{other:02x}")),
         };
-        Ok(RequestFrame { id, request })
+        Ok(Ok(RequestFrame { id, request }))
     })
 }
 
@@ -612,7 +528,7 @@ pub fn decode_response(buf: &[u8]) -> Decoded<ResponseFrame> {
             2 => WireResponse::Blob(c.take_bytes_rest()),
             other => return Err(format!("unknown status {other}")),
         };
-        Ok(ResponseFrame { id, response })
+        Ok(Ok(ResponseFrame { id, response }))
     })
 }
 
@@ -620,7 +536,7 @@ pub fn decode_response(buf: &[u8]) -> Decoded<ResponseFrame> {
 mod tests {
     use super::*;
 
-    fn roundtrip(request: WireRequest) {
+    fn roundtrip(request: Request) {
         let mut buf = Vec::new();
         encode_request(7, &request, &mut buf);
         match decode_request(&buf, 64 * 1024) {
@@ -635,38 +551,216 @@ mod tests {
 
     #[test]
     fn every_request_roundtrips() {
-        roundtrip(WireRequest::Ping);
-        roundtrip(WireRequest::Query {
+        roundtrip(Request::Ping);
+        roundtrip(Request::Query {
             doc: 3,
             engine: Engine::Indexed,
             xpath: "//b[c]/c".into(),
         });
-        roundtrip(WireRequest::Label { doc: 1, xpath: "//a".into() });
-        roundtrip(WireRequest::Parent { doc: 2, label: Ruid2::new(4, 9, false) });
-        roundtrip(WireRequest::Get { doc: 2, label: Ruid2::new(1, 1, true) });
-        roundtrip(WireRequest::MQuery {
+        roundtrip(Request::Label { doc: 1, xpath: "//a".into() });
+        roundtrip(Request::Parent { doc: 2, label: Ruid2::new(4, 9, false) });
+        roundtrip(Request::Get { doc: 2, label: Ruid2::new(1, 1, true) });
+        roundtrip(Request::MQuery {
             doc: 5,
             xpaths: vec!["//a".into(), "/a/b[c]".into(), String::new()],
         });
-        roundtrip(WireRequest::MLabel { doc: 5, xpaths: vec![] });
-        roundtrip(WireRequest::Text { line: "METRICS prom".into() });
-        roundtrip(WireRequest::ReplHello { follower: "replica-1".into() });
-        roundtrip(WireRequest::ReplHello { follower: String::new() });
-        roundtrip(WireRequest::ReplSnapshot { generation: 17 });
-        roundtrip(WireRequest::ReplTail { generation: 4, offset: 8192, max_bytes: 1 << 20 });
-        roundtrip(WireRequest::ReplAck {
+        roundtrip(Request::MLabel { doc: 5, xpaths: vec![] });
+        roundtrip(Request::Metrics { prom: true });
+        roundtrip(Request::ReplHello { follower: "replica-1".into() });
+        roundtrip(Request::ReplHello { follower: String::new() });
+        roundtrip(Request::ReplSnapshot { generation: 17 });
+        roundtrip(Request::ReplTail { generation: 4, offset: 8192, max_bytes: 1 << 20 });
+        roundtrip(Request::ReplAck {
             generation: 4,
             seq: 99,
             bye: true,
             follower: "replica-1".into(),
         });
-        roundtrip(WireRequest::Query { doc: 3, engine: Engine::Interval, xpath: "//a".into() });
-        roundtrip(WireRequest::Query { doc: 3, engine: Engine::Ancestry, xpath: "//a".into() });
-        roundtrip(WireRequest::LoadStream {
+        roundtrip(Request::Query { doc: 3, engine: Engine::Interval, xpath: "//a".into() });
+        roundtrip(Request::Query { doc: 3, engine: Engine::Ancestry, xpath: "//a".into() });
+        roundtrip(Request::LoadStream {
             name: "feed".into(),
             events: "1:6:a 2:5:b 3:4:=hi".into(),
         });
-        roundtrip(WireRequest::LoadStream { name: String::new(), events: String::new() });
+        roundtrip(Request::LoadStream { name: String::new(), events: String::new() });
+    }
+
+    /// The byte format is frozen: every request of
+    /// `every_request_roundtrips`, each engine code, and one `TEXT` frame
+    /// per text-only keyword encode to exactly the bytes recorded when the
+    /// binary protocol had a request type of its own — so clients and
+    /// servers from either side of that change still understand each other.
+    #[test]
+    fn encoding_matches_frozen_fixtures() {
+        use crate::proto::TraceCmd;
+        let fixtures: Vec<(Request, &str)> = vec![
+            (
+                Request::Ping,
+                "b109000000070000000000000001",
+            ),
+            (
+                Request::Query { doc: 3, xpath: "//b[c]/c".into(), engine: Engine::Indexed },
+                "b11a0000000700000000000000020300000000000000032f2f625b635d2f63",
+            ),
+            (
+                Request::Label { doc: 1, xpath: "//a".into() },
+                "b11400000007000000000000000301000000000000002f2f61",
+            ),
+            (
+                Request::Parent { doc: 2, label: Ruid2::new(4, 9, false) },
+                "b12200000007000000000000000402000000000000000400000000000000090000000000000000",
+            ),
+            (
+                Request::Get { doc: 2, label: Ruid2::new(1, 1, true) },
+                "b12200000007000000000000000502000000000000000100000000000000010000000000000001",
+            ),
+            (
+                Request::MQuery { doc: 5, xpaths: vec!["//a".into(), "/a/b[c]".into(), String::new()] },
+                "b12b000000070000000000000006050000000000000003000000030000002f2f61070000002f612f625b635d00000000",
+            ),
+            (
+                Request::MLabel { doc: 5, xpaths: vec![] },
+                "b115000000070000000000000007050000000000000000000000",
+            ),
+            (
+                Request::ReplHello { follower: "replica-1".into() },
+                "b1120000000700000000000000097265706c6963612d31",
+            ),
+            (
+                Request::ReplHello { follower: String::new() },
+                "b109000000070000000000000009",
+            ),
+            (
+                Request::ReplSnapshot { generation: 17 },
+                "b11100000007000000000000000a1100000000000000",
+            ),
+            (
+                Request::ReplTail { generation: 4, offset: 8192, max_bytes: 1 << 20 },
+                "b11d00000007000000000000000b0400000000000000002000000000000000001000",
+            ),
+            (
+                Request::ReplAck { generation: 4, seq: 99, bye: true, follower: "replica-1".into() },
+                "b12300000007000000000000000c04000000000000006300000000000000017265706c6963612d31",
+            ),
+            (
+                Request::Query { doc: 3, xpath: "//a".into(), engine: Engine::Interval },
+                "b1150000000700000000000000020300000000000000042f2f61",
+            ),
+            (
+                Request::Query { doc: 3, xpath: "//a".into(), engine: Engine::Ancestry },
+                "b1150000000700000000000000020300000000000000052f2f61",
+            ),
+            (
+                Request::LoadStream { name: "feed".into(), events: "1:6:a 2:5:b 3:4:=hi".into() },
+                "b12400000007000000000000000d0400000066656564313a363a6120323a353a6220333a343a3d6869",
+            ),
+            (
+                Request::LoadStream { name: String::new(), events: String::new() },
+                "b10d00000007000000000000000d00000000",
+            ),
+            (
+                Request::Query { doc: 1, xpath: "//a".into(), engine: Engine::Planned },
+                "b1150000000700000000000000020100000000000000002f2f61",
+            ),
+            (
+                Request::Query { doc: 1, xpath: "//a".into(), engine: Engine::Tree },
+                "b1150000000700000000000000020100000000000000012f2f61",
+            ),
+            (
+                Request::Query { doc: 1, xpath: "//a".into(), engine: Engine::Ruid },
+                "b1150000000700000000000000020100000000000000022f2f61",
+            ),
+            (
+                Request::Load { path: "/tmp/x.xml".into(), depth: 3 },
+                "b11a0000000700000000000000084c4f4144202f746d702f782e786d6c2033",
+            ),
+            (
+                Request::Unload(7),
+                "b111000000070000000000000008554e4c4f41442037",
+            ),
+            (
+                Request::List,
+                "b10d0000000700000000000000084c495354",
+            ),
+            (
+                Request::Explain { doc: 2, xpath: "//a[b > 1]/c".into() },
+                "b11f0000000700000000000000084558504c41494e2032202f2f615b62203e20315d2f63",
+            ),
+            (
+                Request::Insert {
+                    doc: 1,
+                    parent: Ruid2::new(2, 5, false),
+                    position: 0,
+                    fragment: "<item/>".into(),
+                },
+                "b125000000070000000000000008494e534552542031203220352066616c73652030203c6974656d2f3e",
+            ),
+            (
+                Request::Delete { doc: 4, label: Ruid2::new(3, 7, false) },
+                "b11b00000007000000000000000844454c4554452034203320372066616c7365",
+            ),
+            (
+                Request::Relabel(4),
+                "b11200000007000000000000000852454c4142454c2034",
+            ),
+            (
+                Request::Scan { doc: 1, global: 4 },
+                "b1110000000700000000000000085343414e20312034",
+            ),
+            (
+                Request::Stats(9),
+                "b11000000007000000000000000853544154532039",
+            ),
+            (
+                Request::Metrics { prom: true },
+                "b1150000000700000000000000084d4554524943532070726f6d",
+            ),
+            (
+                Request::Snapshot,
+                "b111000000070000000000000008534e415053484f54",
+            ),
+            (
+                Request::Persist,
+                "b11000000007000000000000000850455253495354",
+            ),
+            (
+                Request::Trace(TraceCmd::ThresholdMs(250)),
+                "b112000000070000000000000008545241434520323530",
+            ),
+            (
+                Request::Slowlog(3),
+                "b112000000070000000000000008534c4f574c4f472033",
+            ),
+            (
+                Request::Shutdown,
+                "b11100000007000000000000000853485554444f574e",
+            ),
+            (
+                Request::Promote,
+                "b11000000007000000000000000850524f4d4f5445",
+            ),
+        ];
+        for (request, hex) in fixtures {
+            let mut buf = Vec::new();
+            encode_request(7, &request, &mut buf);
+            let got: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{request:?} encodes differently");
+            roundtrip(request);
+        }
+    }
+
+    #[test]
+    fn unparsable_text_line_is_a_sound_frame() {
+        let mut buf = Vec::new();
+        encode_text(4, "FROB 1", &mut buf);
+        assert_eq!(
+            decode_request(&buf, 1024),
+            Decoded::Unparsed {
+                id: 4,
+                reason: "unknown command \"FROB\"".into(),
+                consumed: buf.len()
+            }
+        );
     }
 
     #[test]
@@ -674,7 +768,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_request(
             9,
-            &WireRequest::LoadStream { name: "feed".into(), events: "1:2:a".into() },
+            &Request::LoadStream { name: "feed".into(), events: "1:2:a".into() },
             &mut buf,
         );
         // Forge a name length pointing past the payload.
@@ -711,7 +805,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_request(
             1,
-            &WireRequest::MQuery { doc: 1, xpaths: vec!["//a".into(), "//b/c".into()] },
+            &Request::MQuery { doc: 1, xpaths: vec!["//a".into(), "//b/c".into()] },
             &mut buf,
         );
         for n in 0..buf.len() {
@@ -738,7 +832,7 @@ mod tests {
         // The cap bounds the payload: a body of exactly cap + MIN_BODY is
         // still allowed (mirrors a text line of exactly max_line_bytes).
         let mut ok = Vec::new();
-        encode_request(1, &WireRequest::Text { line: "x".repeat(1024) }, &mut ok);
+        encode_text(1, &format!("EXPLAIN 1 {}", "x".repeat(1024 - 10)), &mut ok);
         assert!(matches!(decode_request(&ok, 1024), Decoded::Frame { .. }));
     }
 
@@ -750,7 +844,7 @@ mod tests {
         buf.extend_from_slice(&42u64.to_le_bytes());
         buf.push(0xEE);
         let tail = buf.len();
-        encode_request(43, &WireRequest::Ping, &mut buf);
+        encode_request(43, &Request::Ping, &mut buf);
         match decode_request(&buf, 1024) {
             Decoded::Malformed { id, consumed, .. } => {
                 assert_eq!(id, 42);
@@ -780,14 +874,14 @@ mod tests {
         let mut bad_engine = Vec::new();
         encode_request(
             5,
-            &WireRequest::Query { doc: 1, engine: Engine::Planned, xpath: "//a".into() },
+            &Request::Query { doc: 1, engine: Engine::Planned, xpath: "//a".into() },
             &mut bad_engine,
         );
         bad_engine[HEADER_BYTES + MIN_BODY + 8] = 7; // engine byte
         assert!(matches!(decode_request(&bad_engine, 1024), Decoded::Malformed { id: 5, .. }));
         // Trailing bytes after a fixed-size payload.
         let mut padded = Vec::new();
-        encode_request(6, &WireRequest::Ping, &mut padded);
+        encode_request(6, &Request::Ping, &mut padded);
         padded.push(0);
         patch_len(&mut padded, 0);
         assert!(matches!(decode_request(&padded, 1024), Decoded::Malformed { id: 6, .. }));
@@ -797,9 +891,9 @@ mod tests {
     fn frames_concatenate_and_split() {
         let mut buf = Vec::new();
         let reqs = [
-            WireRequest::Ping,
-            WireRequest::Query { doc: 1, engine: Engine::Planned, xpath: "//a".into() },
-            WireRequest::Text { line: "LIST".into() },
+            Request::Ping,
+            Request::Query { doc: 1, engine: Engine::Planned, xpath: "//a".into() },
+            Request::List,
         ];
         for (i, r) in reqs.iter().enumerate() {
             encode_request(i as u64, r, &mut buf);

@@ -11,7 +11,7 @@ use ruid_service::wire::{
     self, Decoded, RequestFrame, ResponseFrame, WireRequest, WireResponse,
 };
 use ruid_service::{
-    BinaryClient, Client, Fault, FaultPlan, Server, ServerConfig, ServerHandle,
+    BinaryClient, Client, Command, Fault, FaultPlan, Server, ServerConfig, ServerHandle,
 };
 use xmlgen::SplitMix64;
 
@@ -118,7 +118,7 @@ fn random_request(i: usize, rng: &mut SplitMix64) -> WireRequest {
             let n = rng.gen_range(0..9usize);
             WireRequest::MLabel { doc, xpaths: (0..n).map(|_| random_xpath(rng)).collect() }
         }
-        _ => WireRequest::Text { line: format!("STATS {}", rng.gen_range(0..100u64)) },
+        _ => WireRequest::Stats(rng.gen_range(0..100u64)),
     }
 }
 
@@ -239,7 +239,7 @@ fn pipelined_replies_interleave_out_of_order() {
     let responses = client2
         .pipeline(&[
             WireRequest::Ping,
-            WireRequest::Text { line: "LIST".to_owned() },
+            WireRequest::List,
             WireRequest::Ping,
         ])
         .unwrap();
@@ -356,4 +356,71 @@ fn binary_shutdown_answers_then_stops() {
     binary.set_timeout(Some(Duration::from_secs(5))).unwrap();
     assert_eq!(binary.request("SHUTDOWN").unwrap(), "OK bye");
     handle.join();
+}
+
+// ------------------------------------------------------------ accounting --
+
+/// One failing request raises its command's `ruid_request_errors_total`
+/// by exactly one whichever way it arrives — a text line, its dedicated
+/// binary verb, a line inside a TEXT frame — and so does a batch whose
+/// sub-queries fail and a replication verb the server cannot serve.
+#[test]
+fn every_front_end_counts_one_error_per_failing_request() {
+    let handle = start();
+    let metrics = Arc::clone(handle.metrics());
+    let errors = |command: Command| {
+        metrics
+            .command_summaries()
+            .into_iter()
+            .find(|s| s.command == command)
+            .map_or(0, |s| s.errors)
+    };
+    let mut text = Client::connect(handle.addr()).unwrap();
+    let mut binary = BinaryClient::connect(handle.addr()).unwrap();
+    binary.set_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    let missing = "QUERY 999 //a";
+    let before = errors(Command::Query);
+    assert!(text.request(missing).unwrap().starts_with("ERR "));
+    assert_eq!(errors(Command::Query), before + 1, "text line");
+    assert!(binary.query(999, "//a").unwrap().starts_with("ERR "));
+    assert_eq!(errors(Command::Query), before + 2, "binary QUERY verb");
+    assert!(binary.request(missing).unwrap().starts_with("ERR "));
+    assert_eq!(errors(Command::Query), before + 3, "TEXT frame");
+
+    let before = errors(Command::MQuery);
+    let lines = binary.mquery(999, &["//a", "//b"]).unwrap();
+    assert!(lines.iter().all(|line| line.starts_with("ERR ")), "{lines:?}");
+    assert_eq!(errors(Command::MQuery), before + 1, "MQUERY on a missing document");
+
+    let before = errors(Command::ReplTail);
+    let tail = WireRequest::ReplTail { generation: 1, offset: 0, max_bytes: 4096 };
+    match &binary.pipeline(&[tail]).unwrap()[0] {
+        WireResponse::Line(line) => assert!(line.starts_with("ERR "), "{line}"),
+        other => panic!("REPL TAIL without durability answered {other:?}"),
+    }
+    assert_eq!(errors(Command::ReplTail), before + 1, "REPL TAIL without --data-dir");
+    handle.stop();
+}
+
+/// A binary request's slowlog line is its canonical text line, so it can
+/// be replayed as a request: the engine shows as its `QUERY` keyword.
+#[test]
+fn binary_slowlog_line_replays_as_a_request() {
+    let handle = start();
+    let doc = load_corpus(&handle);
+    assert_eq!(doc, 1);
+    let mut text = Client::connect(handle.addr()).unwrap();
+    assert!(text.request("TRACE 0").unwrap().contains("trace=on"));
+    let mut binary = BinaryClient::connect(handle.addr()).unwrap();
+    binary.set_timeout(Some(Duration::from_secs(5))).unwrap();
+    let query = WireRequest::Query { doc, engine: Engine::Tree, xpath: "//b".into() };
+    match &binary.pipeline(&[query]).unwrap()[0] {
+        WireResponse::Line(line) => assert!(line.starts_with("OK "), "{line}"),
+        other => panic!("QUERY answered {other:?}"),
+    }
+    let log = text.request("SLOWLOG 1").unwrap();
+    assert!(log.contains("cmd=QUERY"), "{log}");
+    assert!(log.ends_with(" line=QUERY 1 //b tree"), "{log}");
+    handle.stop();
 }

@@ -201,7 +201,9 @@ wait "$SRV" 2>/dev/null || true
 
 # Mixed-protocol smoke: text and binary clients on one port at once, the
 # front end negotiated from the first byte of each connection. The same
-# request over both protocols must print the same bytes.
+# request over both protocols must print the same bytes — the binary client
+# sends PING, QUERY, LABEL, PARENT and GET under their own verb codes and
+# STATS in a TEXT frame.
 MIX_DIR=target/ci-mixed
 rm -rf "$MIX_DIR"; mkdir -p "$MIX_DIR"
 printf '<a><b><c/><a/></b><b/></a>' > "$MIX_DIR/sample.xml"
@@ -209,7 +211,8 @@ printf '<a><b><c/><a/></b><b/></a>' > "$MIX_DIR/sample.xml"
 SRV=$!
 wait_ping 127.0.0.1:7445
 "$RUID_XML" client 127.0.0.1:7445 "LOAD $MIX_DIR/sample.xml" >/dev/null
-for REQ in "PING" "QUERY 1 //b[c]" "LABEL 1 //b" "STATS 1"; do
+C_LBL=$("$RUID_XML" client 127.0.0.1:7445 "LABEL 1 //c" | awk '{print $3}' | tr -d '()' | tr ',' ' ')
+for REQ in "PING" "QUERY 1 //b[c]" "LABEL 1 //b" "PARENT 1 $C_LBL" "GET 1 $C_LBL" "STATS 1"; do
     TEXT_ANS=$("$RUID_XML" client 127.0.0.1:7445 "$REQ")
     BIN_ANS=$("$RUID_XML" client 127.0.0.1:7445 --protocol binary "$REQ")
     if [ "$TEXT_ANS" != "$BIN_ANS" ]; then
