@@ -102,12 +102,13 @@ pub fn render_explain(
             actual,
         ));
         if !op.states.is_empty() {
-            let mut paths: Vec<String> = op
-                .states
-                .iter()
-                .take(EXPLAIN_MAX_PATHS)
-                .map(|&s| summary.path_string(doc, s))
-                .collect();
+            // By path, not by sid: sid order is an accident of how the
+            // summary was built and patched, and two summaries that answer
+            // alike must explain alike.
+            let mut paths: Vec<String> =
+                op.states.iter().map(|&s| summary.path_string(doc, s)).collect();
+            paths.sort_unstable();
+            paths.truncate(EXPLAIN_MAX_PATHS);
             if op.states.len() > EXPLAIN_MAX_PATHS {
                 paths.push(format!("... {} more", op.states.len() - EXPLAIN_MAX_PATHS));
             }

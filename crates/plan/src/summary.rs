@@ -21,13 +21,18 @@
 //! *unindexed* list that the executor filters through the evaluator.
 //!
 //! The summary is a pure derivation of the tree (same contract as the
-//! name index and the document-order ranks): it is rebuilt at load time
-//! and again after crash recovery, never persisted.
+//! name index and the document-order ranks): it is built at load time
+//! and again after crash recovery, never persisted. A commit patches it:
+//! an edge the tree never had is *grafted* as a new path, a path that
+//! loses its last member is *pruned* (its slot freed for the next graft),
+//! and each path sits behind its own `Arc`, so a patched clone copies
+//! only the paths the commit writes.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::Arc;
 
-use xmldom::{DocOrder, Document, NameId, NodeId};
+use xmldom::{Column, DocOrder, Document, NameId, NodeId};
 use xpath::{parse_number, CmpOp, NodeTest};
 
 /// Index of a summary node within its [`PathSummary`].
@@ -179,7 +184,8 @@ pub struct SummaryNode {
     pub parent: Option<SummaryId>,
     /// Depth below the root element's path (root path = 0).
     pub depth: u32,
-    /// Child paths, in first-encounter order.
+    /// Child paths: in first-encounter order after a build, grafted ones
+    /// appended.
     pub children: Vec<SummaryId>,
     /// Document nodes on this path, in document order.
     pub members: Vec<NodeId>,
@@ -236,13 +242,22 @@ impl SummaryNode {
 }
 
 /// A DataGuide over one document's element paths.
+///
+/// A clone shares every path by pointer; a patch copies
+/// (`Arc::make_mut`) exactly the paths it writes, and the `sid_of`
+/// column's chunks likewise.
 #[derive(Debug, Default, Clone)]
 pub struct PathSummary {
-    nodes: Vec<SummaryNode>,
+    /// One slot per path. A live path has at least one member; a pruned
+    /// one is an empty node whose sid waits on `free`.
+    nodes: Vec<Arc<SummaryNode>>,
     /// Each element's summary node, dense by arena index ([`NO_SID`] for
     /// everything else) — what lets a delete, which is told node ids
     /// only, touch just the paths it removes from.
-    sid_of: Vec<SummaryId>,
+    sid_of: Column<SummaryId>,
+    /// Slots of pruned paths, reused by the next graft so that repeated
+    /// insert/delete cycles do not grow `nodes`.
+    free: Vec<SummaryId>,
     /// Set by [`patch_delete`](PathSummary::patch_delete), cleared by
     /// [`refresh_text`](PathSummary::refresh_text): in between, the deleted
     /// subtree's parent may be filed under a string-value it no longer
@@ -305,12 +320,42 @@ impl PathSummary {
                 *postings = Postings::sorted(doc, ValueKey::Attr(*name), &postings.by_value);
             }
         }
-        PathSummary { nodes, sid_of, refresh_pending: false }
+        PathSummary {
+            nodes: nodes.into_iter().map(Arc::new).collect(),
+            sid_of: sid_of.into(),
+            free: Vec::new(),
+            refresh_pending: false,
+        }
     }
 
-    /// Number of distinct element paths (summary nodes).
+    /// Number of distinct element paths (live summary nodes).
     pub fn path_count(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// Summary node slots, live and pruned; test hook for slot reuse.
+    #[doc(hidden)]
+    pub fn slot_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The live paths whose node `self` does not hold by the same pointer
+    /// as `base` — what patches since cloning `base` copied or grafted;
+    /// test hook for the copy-on-write contract.
+    #[doc(hidden)]
+    pub fn unshared_paths(&self, base: &PathSummary) -> Vec<SummaryId> {
+        (0..self.nodes.len() as SummaryId)
+            .filter(|&sid| self.is_live(sid))
+            .filter(|&sid| {
+                let mine = &self.nodes[sid as usize];
+                base.nodes.get(sid as usize).is_none_or(|theirs| !Arc::ptr_eq(theirs, mine))
+            })
+            .collect()
+    }
+
+    /// Whether `sid` holds a path rather than a pruned slot.
+    fn is_live(&self, sid: SummaryId) -> bool {
+        !self.node(sid).members.is_empty()
     }
 
     /// The root element's summary node, `None` for an element-less tree.
@@ -408,7 +453,7 @@ impl PathSummary {
 
     /// The summary node `node` is a member of, `None` for anything but a
     /// summarized element.
-    pub(crate) fn sid(&self, node: NodeId) -> Option<SummaryId> {
+    pub fn sid(&self, node: NodeId) -> Option<SummaryId> {
         self.sid_of.get(node.index()).copied().filter(|&sid| sid != NO_SID)
     }
 
@@ -455,32 +500,37 @@ impl PathSummary {
 
     /// Incrementally absorbs one freshly inserted node: an element (no
     /// children) is spliced into the members and postings of its path at
-    /// document-order rank, and — whatever was inserted — the parent's
-    /// string-value is re-filed, since a new child changes it. Returns
-    /// `false` when the insert creates a path the summary has never seen —
-    /// the caller must rebuild from scratch.
+    /// document-order rank — the path grafted under its parent's first
+    /// when no element had it — and, whatever was inserted, the parent's
+    /// string-value is re-filed, since a new child changes it. Only the
+    /// paths written are copied out of a shared clone.
+    ///
+    /// Always returns `true`: every insert is absorbed. The `bool` dates
+    /// from when a new path made the caller rebuild, and stays so that
+    /// callers written against that contract keep compiling.
     ///
     /// Note the summary stays *semantically* identical to a from-scratch
     /// rebuild (same path set, same members and postings per path,
     /// document order preserved) but sid numbering may differ: `build`
-    /// numbers paths by first encounter in pre-order, and an insert can
-    /// reorder first encounters. All planner entry points (`child_states`,
-    /// `descendant_states`, `cardinality`, `merged_members`, `probe`) are
-    /// invariant under sid renumbering; tests compare via [`canonical`].
+    /// numbers paths by first encounter in pre-order, while a graft takes
+    /// a pruned slot or the next one. All planner entry points
+    /// (`child_states`, `descendant_states`, `cardinality`,
+    /// `merged_members`, `probe`) are invariant under sid renumbering;
+    /// tests compare via [`canonical`].
     ///
     /// [`canonical`]: PathSummary::canonical
-    #[must_use]
     pub fn patch_insert(&mut self, doc: &Document, order: &DocOrder, node: NodeId) -> bool {
         debug_assert!(!self.refresh_pending, "patch_delete was not followed by refresh_text");
         let Some(parent) = doc.parent(node) else { return true };
-        if let Some(name) = doc.element_name(node) {
-            let Some(sid) = self.sid(parent).and_then(|psid| self.child_named(psid, name))
-            else {
-                return false;
+        // An element under a node with no path has none either, as in `build`.
+        if let (Some(name), Some(psid)) = (doc.element_name(node), self.sid(parent)) {
+            let sid = match self.child_named(psid, name) {
+                Some(sid) => sid,
+                None => self.graft(psid, name),
             };
-            self.sid_of.resize(doc.arena_len(), NO_SID);
-            self.sid_of[node.index()] = sid;
-            let entry = &mut self.nodes[sid as usize];
+            self.sid_of.grow_to(doc.arena_len(), NO_SID);
+            *self.sid_of.get_mut(node.index()).expect("grown to the arena") = sid;
+            let entry = Arc::make_mut(&mut self.nodes[sid as usize]);
             insert_in_order(&mut entry.members, order, node);
             entry.file_text(doc, order, node);
             for attribute in doc.attributes(node) {
@@ -492,46 +542,82 @@ impl PathSummary {
         true
     }
 
+    /// Links a new, still empty path `name` under `parent`, in a pruned
+    /// slot when there is one.
+    fn graft(&mut self, parent: SummaryId, name: NameId) -> SummaryId {
+        let depth = self.node(parent).depth + 1;
+        let path = Arc::new(SummaryNode::new(name, Some(parent), depth));
+        let sid = match self.free.pop() {
+            Some(sid) => {
+                self.nodes[sid as usize] = path;
+                sid
+            }
+            None => {
+                self.nodes.push(path);
+                (self.nodes.len() - 1) as SummaryId
+            }
+        };
+        Arc::make_mut(&mut self.nodes[parent as usize]).children.push(sid);
+        sid
+    }
+
     /// Re-files `element`'s string-value after its children changed (a
     /// node inserted under it, a child subtree deleted): it may move
     /// within the text postings, or between them and the unindexed list.
     /// [`patch_insert`] does this for the new node's parent itself; after
     /// a [`patch_delete`] — which is told node ids only and cannot read
     /// the tree — the caller passes the parent the subtree hung under. A
-    /// no-op for anything but a summarized element.
+    /// no-op for anything but a summarized element, and a read-only one
+    /// for an element that was unindexed and stays so.
     ///
     /// [`patch_insert`]: PathSummary::patch_insert
     /// [`patch_delete`]: PathSummary::patch_delete
     pub fn refresh_text(&mut self, doc: &Document, order: &DocOrder, element: NodeId) {
         self.refresh_pending = false;
         let Some(sid) = self.sid(element) else { return };
-        let entry = &mut self.nodes[sid as usize];
-        // The value it was filed under is gone from the tree, so it is
-        // found by id; the scan is no dearer than the shift `remove` does.
-        entry.text.retain(|&m| m != element);
-        entry.unindexed.retain(|&m| m != element);
+        let postable = doc.simple_text(element).is_some();
+        // The unindexed list is in document order, so a binary search by
+        // rank finds the element there if it was unindexed.
+        let unindexed = &self.node(sid).unindexed;
+        let rank = order.rank(element);
+        let at = unindexed.partition_point(|&m| order.rank(m) < rank);
+        let was_unindexed = unindexed.get(at) == Some(&element);
+        if was_unindexed && !postable {
+            return;
+        }
+        let entry = Arc::make_mut(&mut self.nodes[sid as usize]);
+        if was_unindexed {
+            entry.unindexed.remove(at);
+        } else {
+            // The value it was posted under may be gone from the tree, so
+            // it is found by id; the scan is no dearer than the shift
+            // `remove` does.
+            entry.text.retain(|&m| m != element);
+        }
         entry.file_text(doc, order, element);
     }
 
     /// Incrementally removes a detached subtree's elements from the
     /// members and postings of their paths; other paths are not touched.
-    /// Returns `false` when a path loses its last member — a from-scratch
-    /// rebuild would drop the summary node entirely, so the caller must
-    /// rebuild. Otherwise the caller must follow up with [`refresh_text`]
-    /// on the subtree's former parent before the summary is probed or
-    /// patched again (debug builds assert it).
+    /// A path that loses its last member is pruned: unlinked from its
+    /// parent path and its slot freed for the next graft (every path
+    /// below it empties with it). The caller must follow up with
+    /// [`refresh_text`] on the subtree's former parent before the summary
+    /// is probed or patched again (debug builds assert it).
+    ///
+    /// Always returns `true`, for the same reason
+    /// [`patch_insert`](PathSummary::patch_insert) does.
     ///
     /// [`refresh_text`]: PathSummary::refresh_text
-    #[must_use]
     pub fn patch_delete(&mut self, removed: &[NodeId]) -> bool {
         self.refresh_pending = true;
         let gone: HashSet<NodeId> = removed.iter().copied().collect();
         let mut affected: Vec<SummaryId> = removed.iter().filter_map(|&n| self.sid(n)).collect();
         affected.sort_unstable();
         affected.dedup();
-        let mut intact = true;
+        let mut emptied = Vec::new();
         for sid in affected {
-            let entry = &mut self.nodes[sid as usize];
+            let entry = Arc::make_mut(&mut self.nodes[sid as usize]);
             let keep = |m: &NodeId| !gone.contains(m);
             entry.members.retain(keep);
             entry.unindexed.retain(keep);
@@ -540,25 +626,37 @@ impl PathSummary {
                 postings.retain(keep);
             }
             entry.attrs.retain(|(_, postings)| !postings.by_value.is_empty());
-            intact &= !entry.members.is_empty();
+            if entry.members.is_empty() {
+                emptied.push(sid);
+            }
+        }
+        // `emptied` is sorted: it is a filter of `affected`.
+        for &sid in &emptied {
+            let entry = Arc::make_mut(&mut self.nodes[sid as usize]);
+            entry.children.clear();
+            let parent = entry.parent.expect("the root element is never deleted");
+            if emptied.binary_search(&parent).is_err() {
+                Arc::make_mut(&mut self.nodes[parent as usize]).children.retain(|&c| c != sid);
+            }
+            self.free.push(sid);
         }
         for node in removed {
             if let Some(slot) = self.sid_of.get_mut(node.index()) {
                 *slot = NO_SID;
             }
         }
-        intact
+        true
     }
 
     /// The sid-numbering-independent view: one `(path string, members)`
-    /// row per path plus one row per non-empty posting list and unindexed
-    /// list of it (`path text()`, `path number(@id)`, ...), sorted. Two
-    /// summaries with equal canonical forms answer every planner question
-    /// identically; differential tests compare incrementally patched
-    /// summaries against rebuilds through this.
+    /// row per live path plus one row per non-empty posting list and
+    /// unindexed list of it (`path text()`, `path number(@id)`, ...),
+    /// sorted. Two summaries with equal canonical forms answer every
+    /// planner question identically; differential tests compare
+    /// incrementally patched summaries against rebuilds through this.
     pub fn canonical(&self, doc: &Document) -> Vec<(String, Vec<NodeId>)> {
         let mut out = Vec::new();
-        for sid in 0..self.nodes.len() as SummaryId {
+        for sid in (0..self.nodes.len() as SummaryId).filter(|&sid| self.is_live(sid)) {
             let path = self.path_string(doc, sid);
             let entry = self.node(sid);
             let mut lists = vec![("unindexed".to_string(), &entry.unindexed)];
@@ -678,32 +776,52 @@ mod tests {
         assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
     }
 
+    /// `s` answers as a rebuild of `doc` does.
+    fn assert_rebuilt(s: &PathSummary, doc: &Document) {
+        let rebuilt = PathSummary::build(doc);
+        assert_eq!(s.canonical(doc), rebuilt.canonical(doc));
+        assert_eq!(s.path_count(), rebuilt.path_count());
+    }
+
     #[test]
-    fn patch_insert_on_new_path_demands_rebuild() {
+    fn patch_insert_on_new_path_grafts_it() {
         let mut doc = sample();
         let mut s = PathSummary::build(&doc);
         let root = doc.root_element().unwrap();
         let new = doc.create_element("unseen");
+        doc.set_attribute(new, "id", "u1");
         doc.append_child(root, new);
         let order = DocOrder::build(&doc);
-        assert!(!s.patch_insert(&doc, &order, new), "a brand-new path must force a rebuild");
+        assert!(s.patch_insert(&doc, &order, new), "a brand-new path is grafted");
+        assert_rebuilt(&s, &doc);
+        let sid = s.sid(new).unwrap();
+        assert_eq!(s.path_string(&doc, sid), "/site/unseen");
+        assert_eq!(s.child_states(&doc, &[0], &NodeTest::Name("unseen".into())), vec![sid]);
+        // And a path below the grafted one.
+        let deeper = doc.create_element("under");
+        doc.append_child(new, deeper);
+        let order = DocOrder::build(&doc);
+        assert!(s.patch_insert(&doc, &order, deeper));
+        assert_rebuilt(&s, &doc);
     }
 
     #[test]
-    fn patch_delete_tracks_rebuild_need() {
+    fn patch_delete_prunes_emptied_paths() {
         let mut doc = sample();
         let mut s = PathSummary::build(&doc);
         let root = doc.root_element().unwrap();
-        // Deleting one of two africa items keeps the path: patch suffices.
+        // Deleting one of two africa items keeps the path.
         let item = doc
             .descendants(root)
             .find(|&n| doc.element_name(n).map(|id| doc.name_text(id)) == Some("item"))
             .unwrap();
+        let africa = doc.parent(item).unwrap();
         doc.detach(item);
         assert!(s.patch_delete(&[item]));
-        assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
+        s.refresh_text(&doc, &DocOrder::build(&doc), africa);
+        assert_rebuilt(&s, &doc);
         // Deleting the whole <people> subtree empties /site/people and
-        // everything below it: the patch reports a rebuild is required.
+        // everything below it: all three paths are pruned.
         let people = doc
             .descendants(root)
             .find(|&n| doc.element_name(n).map(|id| doc.name_text(id)) == Some("people"))
@@ -711,7 +829,18 @@ mod tests {
         let removed: Vec<NodeId> =
             doc.descendants(people).filter(|&n| doc.element_name(n).is_some()).collect();
         doc.detach(people);
-        assert!(!s.patch_delete(&removed), "an emptied path must force a rebuild");
+        assert!(s.patch_delete(&removed));
+        s.refresh_text(&doc, &DocOrder::build(&doc), root);
+        assert_rebuilt(&s, &doc);
+        assert!(s.descendant_states(&doc, &[0], &NodeTest::Name("name".into())).is_empty());
+        // Grafting again reuses the freed slots instead of growing.
+        let slots = s.slot_count();
+        let back = doc.create_element("people");
+        doc.append_child(root, back);
+        let order = DocOrder::build(&doc);
+        assert!(s.patch_insert(&doc, &order, back));
+        assert_rebuilt(&s, &doc);
+        assert_eq!(s.slot_count(), slots);
     }
 
     fn valued() -> Document {
@@ -824,7 +953,24 @@ mod tests {
         let removed: Vec<NodeId> =
             doc.descendants(items[3]).filter(|&n| doc.is_element(n)).collect();
         doc.detach(items[3]);
-        assert!(s.patch_delete(&removed), "no path lost its last member");
+        assert!(s.patch_delete(&removed));
+        s.refresh_text(&doc, &DocOrder::build(&doc), doc.root_element().unwrap());
         assert_eq!(s.canonical(&doc), PathSummary::build(&doc).canonical(&doc));
+    }
+
+    #[test]
+    fn a_clone_shares_every_path_a_patch_does_not_write() {
+        let mut doc = sample();
+        let base = PathSummary::build(&doc);
+        let mut s = base.clone();
+        assert!(s.unshared_paths(&base).is_empty());
+        let africa = named(&doc, "africa")[0];
+        let new = doc.create_element("item");
+        doc.append_child(africa, new);
+        let order = DocOrder::build(&doc);
+        assert!(s.patch_insert(&doc, &order, new));
+        // The new member's path; <africa> has element children before and
+        // after, so its own path is only read.
+        assert_eq!(s.unshared_paths(&base), vec![s.sid(new).unwrap()]);
     }
 }

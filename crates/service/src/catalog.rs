@@ -51,8 +51,8 @@ pub struct LoadedDoc {
     pub order: DocOrder,
     /// Path summary (DataGuide) and its value postings, backing the
     /// `planned` query engine and `EXPLAIN` — like the name index and
-    /// order ranks, a pure derivation of the tree, rebuilt at load time
-    /// and after crash recovery.
+    /// order ranks, a pure derivation of the tree, built at load time and
+    /// after crash recovery and patched by every commit.
     pub summary: PathSummary,
     /// `Some` when the document was loaded `with_store`, i.e. `SCAN` is
     /// allowed. Nothing is stored: `SCAN` rows are a derivation of `doc`
@@ -160,9 +160,10 @@ impl LoadedDoc {
     /// Copy-on-write structural update: clones the tree and numbering,
     /// applies `op` through the *same* [`DocState`] apply path WAL replay
     /// runs (so a replayed catalog is byte-identical to the live one),
-    /// patches the name index and path summary incrementally where the
-    /// structure allows (falling back to a rebuild when a path appears or
-    /// empties), and returns a brand-new bundle stamped `generation`.
+    /// splices the span table, patches the name index and path summary —
+    /// a path that appears is grafted, one that empties is pruned, and
+    /// only the lists and paths written are copied — and returns a
+    /// brand-new bundle stamped `generation`. Nothing is rebuilt.
     ///
     /// `self` is never touched: readers holding the old `Arc` keep
     /// answering from their pinned snapshot while the caller swaps the
@@ -190,9 +191,10 @@ impl LoadedDoc {
         let applied = state.apply_detailed(op)?;
         let DocState { doc, scheme, .. } = state;
         // The span table is spliced, not rebuilt: one copy of its columns
-        // with the edit applied. The name index and summary patch in
+        // with the edit applied. The name index and summary clone by
+        // sharing their per-name and per-path lists, then patch in
         // O(affected) — NodeIds are arena-stable across the clone, so the
-        // old member lists stay valid for untouched nodes.
+        // shared lists stay valid for untouched nodes.
         let mut order = self.order.clone();
         let mut index = self.index.clone();
         let mut summary = self.summary.clone();
@@ -200,21 +202,16 @@ impl LoadedDoc {
             Applied::Inserted { node, .. } => {
                 order.insert_subtree(&doc, *node);
                 index.patch_insert(&doc, &order, *node);
-                if !summary.patch_insert(&doc, &order, *node) {
-                    summary = PathSummary::build(&doc);
-                }
+                summary.patch_insert(&doc, &order, *node);
             }
             Applied::Deleted { elements, parent, root, .. } => {
                 order.remove_subtree(*root);
                 index.patch_delete(elements);
                 let removed: Vec<NodeId> = elements.iter().map(|&(_, n)| n).collect();
-                if summary.patch_delete(&removed) {
-                    // Losing a child changes the parent's string-value;
-                    // the summary must not be probed before it is re-filed.
-                    summary.refresh_text(&doc, &order, *parent);
-                } else {
-                    summary = PathSummary::build(&doc);
-                }
+                summary.patch_delete(&removed);
+                // Losing a child changes the parent's string-value; the
+                // summary must not be probed before it is re-filed.
+                summary.refresh_text(&doc, &order, *parent);
             }
             // Repartitioning renumbers rUID labels but leaves the tree —
             // and every tree-derived index — untouched: the next
@@ -530,14 +527,13 @@ mod tests {
         let after = catalog.get(id).unwrap();
         assert_eq!(after.doc.node_count(), nodes_before + 1);
         assert_eq!(after.generation, generation);
-        // Patched derivations match from-scratch rebuilds.
-        assert_eq!(
-            after.summary.canonical(&after.doc),
-            plan::PathSummary::build(&after.doc).canonical(&after.doc),
-        );
+        // Patched derivations match the ones recovery derives afresh.
+        let (doc, scheme) = (after.doc.clone(), after.scheme.clone());
+        let derived = LoadedDoc::from_recovered(after.path.clone(), doc, scheme, true);
+        assert_eq!(after.summary.canonical(&after.doc), derived.summary.canonical(&derived.doc));
         assert_eq!(
             after.index.nodes_named(&after.doc, "b"),
-            NameIndex::build(&after.doc).nodes_named(&after.doc, "b"),
+            derived.index.nodes_named(&derived.doc, "b"),
         );
         // Replace after unload installs nothing.
         assert!(catalog.remove(id));

@@ -9,7 +9,10 @@
 //! patched summary must equal `PathSummary::build` of the committed tree
 //! under `canonical()` (members, postings and unindexed lists alike), and a
 //! corpus of value predicates must answer on the planned engine exactly as
-//! the DOM walk does.
+//! the DOM walk does. The script must also graft new paths and prune
+//! emptied ones often enough to exercise both branches.
+
+use std::collections::BTreeSet;
 
 use durable::{NodeContent, WalOp};
 use plan::PathSummary;
@@ -21,6 +24,8 @@ use xmlgen::SplitMix64;
 
 const SEED: u64 = 0x5EED_2206;
 const COMMITS: usize = 520;
+/// Commits that must graft a path, and commits that must prune one.
+const BRANCH_HITS: usize = 20;
 
 /// Value predicates over what the script edits: ids, quantities, locations
 /// and names of items, incomes, bid increases.
@@ -46,6 +51,12 @@ const CORPUS: &[&str] = &[
 /// Text the script inserts: values the corpus asks for, so edits move
 /// nodes in and out of the probed ranges.
 const TEXTS: &[&str] = &["2", " 2 ", "2.0", "7.5", "asia", "gold", "NaN", ""];
+
+/// The element paths of a summary's canonical form (its other rows name
+/// a list after the path, separated by a space).
+fn paths(canonical: &[(String, Vec<NodeId>)]) -> BTreeSet<&str> {
+    canonical.iter().map(|(row, _)| row.as_str()).filter(|row| !row.contains(' ')).collect()
+}
 
 fn elements(loaded: &LoadedDoc) -> Vec<NodeId> {
     let root = loaded.doc.root_element().unwrap();
@@ -140,6 +151,8 @@ fn patched_postings_equal_a_rebuild_after_every_commit() {
     let mut loaded = LoadedDoc::build("xmark-lite.xml", &xml, 3, false).unwrap();
     let mut rng = SplitMix64::seed_from_u64(SEED);
     let mut probed = 0u64;
+    let (mut grafts, mut prunes) = (0, 0);
+    let mut before = loaded.summary.canonical(&loaded.doc);
     for commit in 0..COMMITS {
         let op = loop {
             if let Some(op) = draw(&loaded, &mut rng) {
@@ -148,11 +161,16 @@ fn patched_postings_equal_a_rebuild_after_every_commit() {
         };
         let ctx = format!("failing seed: {SEED:#x}, commit {commit}: {op:?}");
         loaded = loaded.apply_update(&op, commit as u64 + 1).unwrap_or_else(|e| panic!("{ctx}: {e}")).0;
+        let after = loaded.summary.canonical(&loaded.doc);
         assert_eq!(
-            loaded.summary.canonical(&loaded.doc),
+            after,
             PathSummary::build(&loaded.doc).canonical(&loaded.doc),
             "patched summary drifted from a rebuild — {ctx}"
         );
+        let (old, new) = (paths(&before), paths(&after));
+        grafts += usize::from(!new.is_subset(&old));
+        prunes += usize::from(!old.is_subset(&new));
+        before = after;
         for query in CORPUS {
             let (tree, _) = run_query(&loaded, query, Engine::Tree).unwrap();
             let path = xpath::parse(query).unwrap();
@@ -163,5 +181,7 @@ fn patched_postings_equal_a_rebuild_after_every_commit() {
         }
     }
     assert!(probed >= (COMMITS * CORPUS.len()) as u64, "the corpus must run on value-probes");
+    assert!(grafts >= BRANCH_HITS, "only {grafts} commits grafted a path");
+    assert!(prunes >= BRANCH_HITS, "only {prunes} commits pruned a path");
     assert!(elements(&loaded).len() > 100, "the script must not have emptied the document");
 }

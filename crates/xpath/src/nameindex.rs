@@ -11,6 +11,7 @@
 //! is pure in-memory arithmetic.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use par::Executor;
 use xmldom::{DocOrder, Document, NameId, NodeId};
@@ -18,9 +19,12 @@ use xmldom::{DocOrder, Document, NameId, NodeId};
 use crate::axes::AxisProvider;
 
 /// Element-name index: tag name -> nodes in document order.
+///
+/// Each list sits behind its own `Arc`: a clone shares them all, and a
+/// patch copies (`Arc::make_mut`) only the lists of the names it touches.
 #[derive(Debug, Clone, Default)]
 pub struct NameIndex {
-    by_name: HashMap<NameId, Vec<NodeId>>,
+    by_name: HashMap<NameId, Arc<Vec<NodeId>>>,
 }
 
 impl NameIndex {
@@ -33,6 +37,11 @@ impl NameIndex {
                 by_name.entry(name).or_default().push(node);
             }
         }
+        NameIndex::from_lists(by_name)
+    }
+
+    fn from_lists(by_name: HashMap<NameId, Vec<NodeId>>) -> Self {
+        let by_name = by_name.into_iter().map(|(name, list)| (name, Arc::new(list))).collect();
         NameIndex { by_name }
     }
 
@@ -66,7 +75,7 @@ impl NameIndex {
                 by_name.entry(name).or_default().append(&mut list);
             }
         }
-        NameIndex { by_name }
+        NameIndex::from_lists(by_name)
     }
 
     /// All elements named `name`, in document order.
@@ -77,12 +86,25 @@ impl NameIndex {
     /// All elements with the interned name `id`, in document order — the
     /// per-step hot path once the caller has resolved the name.
     pub fn nodes_with_id(&self, id: NameId) -> &[NodeId] {
-        self.by_name.get(&id).map_or(&[], Vec::as_slice)
+        self.by_name.get(&id).map_or(&[], |list| list.as_slice())
     }
 
     /// Number of distinct names indexed.
     pub fn name_count(&self) -> usize {
         self.by_name.len()
+    }
+
+    /// `(lists held by the same pointer as in base, lists)` — what a patch
+    /// since cloning `base` left shared; test hook for the copy-on-write
+    /// contract.
+    #[doc(hidden)]
+    pub fn shared_lists(&self, base: &NameIndex) -> (usize, usize) {
+        let shared = self
+            .by_name
+            .iter()
+            .filter(|(name, list)| base.by_name.get(name).is_some_and(|b| Arc::ptr_eq(b, list)))
+            .count();
+        (shared, self.by_name.len())
     }
 
     /// Incrementally absorbs one freshly inserted element, splicing it
@@ -91,22 +113,27 @@ impl NameIndex {
     /// through untouched.
     pub fn patch_insert(&mut self, doc: &Document, order: &DocOrder, node: NodeId) {
         let Some(name) = doc.element_name(node) else { return };
-        let list = self.by_name.entry(name).or_default();
+        let list = Arc::make_mut(self.by_name.entry(name).or_default());
         let rank = order.rank(node);
         let at = list.partition_point(|&m| order.rank(m) < rank);
         list.insert(at, node);
     }
 
     /// Incrementally removes a detached subtree's elements, given as
-    /// `(name, node)` pairs captured *before* the detach. Names whose
-    /// lists empty out are dropped so `name_count` matches a rebuild.
+    /// `(name, node)` pairs captured *before* the detach: one pass over
+    /// each touched name's list, however many of its nodes the subtree
+    /// held. Names whose lists empty out are dropped so `name_count`
+    /// matches a rebuild.
     pub fn patch_delete(&mut self, removed: &[(NameId, NodeId)]) {
-        for &(name, node) in removed {
-            if let Some(list) = self.by_name.get_mut(&name) {
-                list.retain(|&m| m != node);
-                if list.is_empty() {
-                    self.by_name.remove(&name);
-                }
+        let mut removed = removed.to_vec();
+        removed.sort_unstable();
+        for group in removed.chunk_by(|a, b| a.0 == b.0) {
+            let name = group[0].0;
+            let Some(list) = self.by_name.get_mut(&name) else { continue };
+            // Sorted by node within the name, so membership is a search.
+            Arc::make_mut(list).retain(|m| group.binary_search(&(name, *m)).is_err());
+            if list.is_empty() {
+                self.by_name.remove(&name);
             }
         }
     }
@@ -235,5 +262,41 @@ impl<A: AxisProvider> AxisProvider for NameIndexed<'_, A> {
 
     fn order(&self) -> Option<&DocOrder> {
         self.inner.order()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn patches_match_a_rebuild_and_copy_only_the_touched_lists() {
+        let mut doc = Document::parse("<r><s><i/><i/><j/><i/></s><i/><k/><s><i/></s></r>").unwrap();
+        let base = NameIndex::build(&doc);
+        let mut index = base.clone();
+        assert_eq!(index.shared_lists(&base), (5, 5));
+        // A subtree with three <i> and one <j>: one pass over each list,
+        // and the emptied <j> list is dropped.
+        let root = doc.root_element().unwrap();
+        let s = doc.first_child(root).unwrap();
+        let removed: Vec<(NameId, NodeId)> = doc
+            .descendants(s)
+            .filter_map(|n| doc.element_name(n).map(|name| (name, n)))
+            .collect();
+        doc.detach(s);
+        index.patch_delete(&removed);
+        let rebuilt = NameIndex::build(&doc);
+        for name in ["r", "s", "i", "j", "k"] {
+            assert_eq!(index.nodes_named(&doc, name), rebuilt.nodes_named(&doc, name), "{name}");
+        }
+        assert_eq!(index.name_count(), rebuilt.name_count());
+        assert_eq!(index.shared_lists(&base), (2, 4), "<r> and <k> were left alone");
+        // An insert copies its name's list only.
+        let base = index.clone();
+        let k = doc.create_element("k");
+        doc.append_child(root, k);
+        index.patch_insert(&doc, &DocOrder::build(&doc), k);
+        assert_eq!(index.nodes_named(&doc, "k"), NameIndex::build(&doc).nodes_named(&doc, "k"));
+        assert_eq!(index.shared_lists(&base), (3, 4));
     }
 }

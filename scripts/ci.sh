@@ -40,6 +40,17 @@ for root in crates/*/src/lib.rs crates/*/src/main.rs crates/*/src/bin/*.rs; do
         exit 1
     fi
 done
+# A commit patches the name index and the path summary; only deriving a
+# fresh bundle (load, recovery) builds them. A build anywhere else in the
+# service brings back a commit that costs the whole document.
+DERIVE=$(awk '/fn derive\(/ { s = NR } s && !e && /^    }$/ { e = NR } END { print s + 0, e + 0 }' \
+    crates/service/src/catalog.rs)
+if git grep -n 'PathSummary::build\|NameIndex::build' crates/service/src \
+    | awk -F: -v span="$DERIVE" 'BEGIN { split(span, r, " ") }
+        !($1 == "crates/service/src/catalog.rs" && $2 > r[1] && $2 < r[2])' | grep .; then
+    echo "ci: PathSummary or NameIndex built outside LoadedDoc::derive" >&2
+    exit 1
+fi
 
 # The scoreboard is a workspace of its own that calls deep into the
 # service's public API: build it, run its unit and smoke tests, and run

@@ -272,9 +272,7 @@ fn updates_preserve_engine_agreement_on_every_small_tree() {
             interval.on_insert(&doc, new_node);
             ancestry.on_insert(&doc, new_node);
             let order = DocOrder::build(&doc);
-            if !summary.patch_insert(&doc, &order, new_node) {
-                summary = PathSummary::build(&doc);
-            }
+            summary.patch_insert(&doc, &order, new_node);
             assert_eq!(
                 summary.canonical(&doc),
                 PathSummary::build(&doc).canonical(&doc),
@@ -304,13 +302,10 @@ fn updates_preserve_engine_agreement_on_every_small_tree() {
                 scheme.on_delete(&doc, parent, victim);
                 interval.on_delete(&doc, parent, victim);
                 ancestry.on_delete(&doc, parent, victim);
-                if summary.patch_delete(&removed) {
-                    // Ranks are stale but survivors keep their relative
-                    // order, which is all the re-filing compares.
-                    summary.refresh_text(&doc, &order, parent);
-                } else {
-                    summary = PathSummary::build(&doc);
-                }
+                summary.patch_delete(&removed);
+                // Ranks are stale but survivors keep their relative order,
+                // which is all the re-filing compares.
+                summary.refresh_text(&doc, &order, parent);
                 assert_eq!(
                     summary.canonical(&doc),
                     PathSummary::build(&doc).canonical(&doc),
