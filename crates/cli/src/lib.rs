@@ -17,7 +17,7 @@
 use ruid::prelude::*;
 use ruid::service::proto::{self, Engine};
 use ruid::service::run_query;
-use ruid::{BinaryClient, Client, DocOrder, Executor, FsyncPolicy, LoadedDoc, NameIndex, NameIndexed, PathSummary, Ruid2, Server, ServerConfig, ServerHandle, UidScheme, WalOp};
+use ruid::{BinaryClient, Client, DocOrder, FsyncPolicy, LoadedDoc, NameIndex, NameIndexed, PathSummary, Ruid2, Server, ServerConfig, ServerHandle, UidScheme};
 
 /// The usage banner printed on argument errors.
 pub const USAGE: &str = "usage:
@@ -265,48 +265,16 @@ pub fn serve_start(args: &[String]) -> Result<ServerHandle, String> {
             ms.parse().map_err(|e: std::num::ParseIntError| e.to_string())?;
     }
     let files: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    let depth = config.depth;
-    let with_store = config.with_store;
-    let build_threads = config.build_threads;
     let handle = Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
     // Recovery (with --data-dir) may already have brought documents back;
     // skip re-loading any preload path that is already in the catalog so
-    // a restart with the same command line is idempotent.
+    // a restart with the same command line is idempotent. The rest load in
+    // argument order, so ids are stable, exactly as a protocol LOAD would.
     let known: Vec<String> =
         handle.catalog().entries().into_iter().map(|(_, path)| path).collect();
-    let files: Vec<&String> = files.into_iter().filter(|f| !known.contains(f)).collect();
-    // With several files the outer fan-out is across documents (sequential
-    // build each); a single file gets the whole budget for its inner
-    // area/index fan-out. Inserts run in argument order so ids are stable.
-    let outer = Executor::new(if files.len() > 1 { build_threads } else { 1 });
-    let inner = Executor::new(if files.len() > 1 { 1 } else { build_threads });
-    let docs = outer.try_par_map(&files, |_, file| {
-        let text = std::fs::read_to_string(file.as_str())
-            .map_err(|e| format!("cannot read {file}: {e}"))?;
-        LoadedDoc::build_with(file, &text, depth, with_store, &inner).map(|d| (text, d))
-    })?;
-    for (file, (text, mut loaded)) in files.iter().zip(docs) {
-        let nodes = loaded.scheme.len();
-        // Same process-wide MVCC generation counter the protocol LOAD
-        // draws from, so cached responses never alias a preload.
-        loaded.generation = handle.catalog().next_generation();
-        let id = match handle.durability() {
-            Some(d) => {
-                // Pre-loads must hit the WAL like protocol LOADs, or a
-                // restart would silently forget them.
-                let id = handle.catalog().reserve_id();
-                let op = WalOp::Load {
-                    doc_id: id,
-                    path: (*file).clone(),
-                    config: *loaded.scheme.config(),
-                    with_store: loaded.store.is_some(),
-                    xml: text,
-                };
-                d.log_with(&op, || handle.catalog().insert_with_id(id, loaded))?;
-                id
-            }
-            None => handle.catalog().insert(loaded),
-        };
+    for file in files.into_iter().filter(|f| !known.contains(f)) {
+        let id = handle.load(file)?;
+        let nodes = handle.catalog().get(id).map_or(0, |d| d.scheme.len());
         eprintln!("loaded {file} as document {id} ({nodes} labelled nodes)");
     }
     eprintln!("ruid-service listening on {}", handle.addr());

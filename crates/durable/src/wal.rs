@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use ruid_core::Ruid2;
 
 use crate::codec::{put_str, put_u32, put_u64, put_u8, CodecError, NodeContent, Reader};
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::fault::{IoFault, IoFaultPlan};
 
 /// Fixed bytes before each record's payload.
@@ -269,17 +269,21 @@ pub enum StreamStatus {
     Refused(String),
 }
 
-/// An incremental decoder over a WAL segment arriving in arbitrary
-/// chunks (replication shipping). It enforces the *same* contract as
-/// [`read_wal`]: records must carry contiguous sequence numbers from the
+/// The one WAL record decoder: incremental over a segment arriving in
+/// arbitrary chunks (replication shipping), and run by [`read_wal`] over
+/// a whole file. Records must carry contiguous sequence numbers from the
 /// segment's start, every CRC must verify, and the first invalid byte
-/// poisons everything after it. Unlike `read_wal` (which reads a file it
-/// can trust to be complete-so-far), a refusal here is surfaced as
-/// [`StreamStatus::Refused`] so the consumer can drop the stream instead
-/// of silently truncating bytes a leader claims are committed.
+/// poisons everything after it. A refusal is surfaced as
+/// [`StreamStatus::Refused`] so a follower can drop the stream instead of
+/// silently truncating bytes a leader claims are committed; `read_wal`
+/// takes it as the start of a torn tail.
 #[derive(Debug, Default)]
 pub struct RecordStream {
     buf: Vec<u8>,
+    /// Offset in `buf` of the first undecoded byte. Decoding a record
+    /// only moves it; `feed` compacts once per chunk, so a chunk of many
+    /// small records costs one pass, not one memmove per record.
+    pos: usize,
     consumed: u64,
     expected_seq: u64,
     refused: Option<String>,
@@ -295,6 +299,8 @@ impl RecordStream {
 
     /// Appends shipped bytes to the decode buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -306,7 +312,7 @@ impl RecordStream {
 
     /// Bytes buffered but not yet decodable into a whole record.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Sequence number the next record must carry.
@@ -321,45 +327,51 @@ impl RecordStream {
         if let Some(reason) = &self.refused {
             return StreamStatus::Refused(reason.clone());
         }
-        let Some(header) = self.buf.get(..RECORD_HEADER_LEN) else {
-            return StreamStatus::NeedMore;
-        };
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD {
-            return self.refuse(format!("implausible record length {len}"));
+        match decode_record(&self.buf[self.pos..], self.expected_seq) {
+            Ok(None) => StreamStatus::NeedMore,
+            Ok(Some((len, seq, op))) => {
+                self.pos += len;
+                self.consumed += len as u64;
+                self.expected_seq += 1;
+                StreamStatus::Record(seq, op)
+            }
+            Err(reason) => {
+                self.refused = Some(reason.clone());
+                StreamStatus::Refused(reason)
+            }
         }
-        if seq != self.expected_seq {
-            return self.refuse(format!(
-                "sequence gap: expected {}, record carries {seq}",
-                self.expected_seq
-            ));
-        }
-        let end = RECORD_HEADER_LEN + len as usize;
-        let Some(payload) = self.buf.get(RECORD_HEADER_LEN..end) else {
-            return StreamStatus::NeedMore;
-        };
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        put_u64(&mut crc_input, seq);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
-            return self.refuse(format!("checksum mismatch on record {seq}"));
-        }
-        let op = match WalOp::decode(payload) {
-            Ok(op) => op,
-            Err(e) => return self.refuse(format!("record {seq} payload: {e}")),
-        };
-        self.buf.drain(..end);
-        self.consumed += end as u64;
-        self.expected_seq += 1;
-        StreamStatus::Record(seq, op)
     }
+}
 
-    fn refuse(&mut self, reason: String) -> StreamStatus {
-        self.refused = Some(reason.clone());
-        StreamStatus::Refused(reason)
+/// Decodes the record at the start of `bytes`, which must carry
+/// `expected_seq`: `Ok(None)` while `bytes` holds only part of it,
+/// `Ok(Some((record_len, seq, op)))` once it is whole, and `Err` naming
+/// the check that tripped when it cannot be a valid record at all.
+fn decode_record(bytes: &[u8], expected_seq: u64) -> Result<Option<(usize, u64, WalOp)>, String> {
+    let Some(header) = bytes.get(..RECORD_HEADER_LEN) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+    let seq = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+    let crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
+    if len > MAX_PAYLOAD {
+        return Err(format!("implausible record length {len}"));
     }
+    if seq != expected_seq {
+        return Err(format!("sequence gap: expected {expected_seq}, record carries {seq}"));
+    }
+    let end = RECORD_HEADER_LEN + len as usize;
+    let Some(payload) = bytes.get(RECORD_HEADER_LEN..end) else {
+        return Ok(None);
+    };
+    let mut check = Crc32::new();
+    check.update(&seq.to_le_bytes());
+    check.update(payload);
+    if check.finish() != crc {
+        return Err(format!("checksum mismatch on record {seq}"));
+    }
+    let op = WalOp::decode(payload).map_err(|e| format!("record {seq} payload: {e}"))?;
+    Ok(Some((end, seq, op)))
 }
 
 /// Reads `[offset, offset + max_len)` of a segment file, clamped to the
@@ -597,35 +609,18 @@ pub fn read_wal(path: &Path, faults: &IoFaultPlan) -> io::Result<WalReadResult> 
         data.truncate(*len);
     }
 
+    let mut stream = RecordStream { buf: data, ..RecordStream::new(0) };
     let mut ops = Vec::new();
-    let mut pos = 0usize;
-    let mut expected_seq = 0u64;
-    while let Some(header) = data.get(pos..pos + RECORD_HEADER_LEN) {
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD || seq != expected_seq {
-            break;
-        }
-        let start = pos + RECORD_HEADER_LEN;
-        let Some(payload) = data.get(start..start + len as usize) else { break };
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        put_u64(&mut crc_input, seq);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
-            break;
-        }
-        let Ok(op) = WalOp::decode(payload) else { break };
+    while let StreamStatus::Record(seq, op) = stream.next_record() {
         ops.push((seq, op));
-        pos = start + len as usize;
-        expected_seq += 1;
     }
-    // Anything after `pos` is a torn or invalid tail: reported, never applied.
+    // Whatever did not decode is a torn or invalid tail: reported, never
+    // applied.
     Ok(WalReadResult {
         ops,
-        valid_bytes: pos as u64,
-        torn_bytes: (data.len() - pos) as u64,
-        next_seq: expected_seq,
+        valid_bytes: stream.consumed(),
+        torn_bytes: stream.pending() as u64,
+        next_seq: stream.expected_seq(),
     })
 }
 
@@ -857,6 +852,68 @@ mod tests {
         put_u32(&mut junk, 0);
         s.feed(&junk);
         assert!(matches!(s.next_record(), StreamStatus::Refused(ref r) if r.contains("length")));
+    }
+
+    /// `read_wal` and the shipping decoder are one decoder: every prefix
+    /// and every single-byte corruption of a segment, fed whole, a byte at
+    /// a time or in seeded random splits, decodes to the records,
+    /// `consumed`, torn tail and next sequence number `read_wal` reports,
+    /// and ends in the same status.
+    #[test]
+    fn stream_and_file_decoding_agree_on_every_cut_and_corruption() {
+        let dir = crate::test_dir("wal_one_decoder");
+        let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Never).unwrap();
+        for op in &sample_ops() {
+            w.append(op).unwrap();
+        }
+        w.sync().unwrap();
+        let full = std::fs::read(w.path()).unwrap();
+        let mut segments: Vec<Vec<u8>> = (0..=full.len()).map(|cut| full[..cut].to_vec()).collect();
+        for i in 0..full.len() {
+            let mut bad = full.clone();
+            bad[i] ^= 0x40;
+            segments.push(bad);
+        }
+        // SplitMix64 draws the random chunk lengths.
+        let mut state = 0x5EED_0029_u64;
+        let mut draw = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let path = dir.join("variant.log");
+        for bytes in &segments {
+            std::fs::write(&path, bytes).unwrap();
+            let want = read_wal(&path, &IoFaultPlan::new()).unwrap();
+            let mut random = Vec::new();
+            let mut left = bytes.len();
+            while left > 0 {
+                let n = (draw() % 40 + 1).min(left as u64) as usize;
+                random.push(n);
+                left -= n;
+            }
+            let mut endings = Vec::new();
+            for chunks in [vec![bytes.len()], vec![1; bytes.len()], random] {
+                let mut stream = RecordStream::new(0);
+                let mut got = Vec::new();
+                let mut at = 0;
+                for n in chunks {
+                    stream.feed(&bytes[at..at + n]);
+                    at += n;
+                    while let StreamStatus::Record(seq, op) = stream.next_record() {
+                        got.push((seq, op));
+                    }
+                }
+                assert_eq!(got, want.ops);
+                assert_eq!(stream.consumed(), want.valid_bytes);
+                assert_eq!(stream.pending() as u64, want.torn_bytes);
+                assert_eq!(stream.expected_seq(), want.next_seq);
+                endings.push(stream.next_record());
+            }
+            assert!(endings.windows(2).all(|w| w[0] == w[1]), "{endings:?}");
+        }
     }
 
     #[test]

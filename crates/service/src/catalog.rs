@@ -89,26 +89,43 @@ impl LoadedDoc {
         with_store: bool,
         exec: &Executor,
     ) -> Result<LoadedDoc, String> {
-        let doc =
-            Document::parse(text).map_err(|e| format!("parse error in {path}: {e}"))?;
-        LoadedDoc::build_from_doc(path, doc, depth, with_store, exec)
+        let doc = parse_xml(path, text)?;
+        LoadedDoc::build_from_doc(path, doc, &PartitionConfig::by_depth(depth), with_store, exec)
     }
 
-    /// Builds the full bundle around an already-constructed tree — the
-    /// shared tail of [`LoadedDoc::build_with`] (XML text) and
-    /// [`LoadedDoc::build_stream`] (flat events).
-    pub fn build_from_doc(
+    /// Builds the bundle a `Load` or `LoadStream` record describes: the
+    /// tree from its XML text or its interval-encoded event stream (no
+    /// XML is ever materialized), numbered with the record's partition
+    /// config.
+    pub(crate) fn build_op(op: &WalOp, exec: &Executor) -> Result<LoadedDoc, String> {
+        let (path, doc, config, with_store) = match op {
+            WalOp::Load { path, config, with_store, xml, .. } => {
+                (path, parse_xml(path, xml)?, config, *with_store)
+            }
+            WalOp::LoadStream { path, config, with_store, events, .. } => {
+                let doc =
+                    document_from_stream(events).map_err(|e| format!("stream {path}: {e}"))?;
+                (path, doc, config, *with_store)
+            }
+            _ => return Err("only a load builds a document".into()),
+        };
+        LoadedDoc::build_from_doc(path, doc, config, with_store, exec)
+    }
+
+    /// Numbers an already-constructed tree and derives the rest — the
+    /// shared tail of [`LoadedDoc::build_with`] and [`LoadedDoc::build_op`].
+    fn build_from_doc(
         path: &str,
         doc: Document,
-        depth: usize,
+        config: &PartitionConfig,
         with_store: bool,
         exec: &Executor,
     ) -> Result<LoadedDoc, String> {
         if doc.root_element().is_none() {
             return Err(format!("{path}: document has no root element"));
         }
-        let scheme = Ruid2Scheme::try_build_with(&doc, &PartitionConfig::by_depth(depth), exec)
-            .map_err(|e| e.to_string())?;
+        let scheme =
+            Ruid2Scheme::try_build_with(&doc, config, exec).map_err(|e| e.to_string())?;
         Ok(LoadedDoc::derive(path.to_owned(), doc, scheme, with_store, exec))
     }
 
@@ -128,19 +145,6 @@ impl LoadedDoc {
         let summary = PathSummary::build(&doc);
         let store = with_store.then_some(());
         LoadedDoc { path, doc, scheme, interval, ancestry, index, order, summary, store, generation: 0 }
-    }
-
-    /// Builds the bundle from an interval-encoded flat event stream
-    /// (the `LOADSTREAM` verb) — no XML text is ever materialized.
-    pub fn build_stream(
-        name: &str,
-        events: &str,
-        depth: usize,
-        with_store: bool,
-        exec: &Executor,
-    ) -> Result<LoadedDoc, String> {
-        let doc = document_from_stream(events).map_err(|e| format!("stream {name}: {e}"))?;
-        LoadedDoc::build_from_doc(name, doc, depth, with_store, exec)
     }
 
     /// Rebuilds the serving bundle around a document and numbering that
@@ -257,20 +261,14 @@ impl LoadedDoc {
 
     /// Reads and builds from a file on disk.
     pub fn from_file(path: &str, depth: usize, with_store: bool) -> Result<LoadedDoc, String> {
-        LoadedDoc::from_file_with(path, depth, with_store, &Executor::new(1))
-    }
-
-    /// [`LoadedDoc::from_file`] with an explicit thread budget.
-    pub fn from_file_with(
-        path: &str,
-        depth: usize,
-        with_store: bool,
-        exec: &Executor,
-    ) -> Result<LoadedDoc, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        LoadedDoc::build_with(path, &text, depth, with_store, exec)
+        LoadedDoc::build(path, &text, depth, with_store)
     }
+}
+
+fn parse_xml(path: &str, text: &str) -> Result<Document, String> {
+    Document::parse(text).map_err(|e| format!("parse error in {path}: {e}"))
 }
 
 /// The interval and ancestry numberings of `doc`'s root element, over the
@@ -295,7 +293,7 @@ pub struct Catalog {
     /// increasing value, so a cached response can never alias across
     /// commits or WAL segment rotations.
     generation: AtomicU64,
-    /// Serializes structural writers (INSERT/DELETE/RELABEL/UNLOAD):
+    /// Serializes every commit (`server::commit`, the one write path):
     /// copy-on-write staging from a stale base would silently drop the
     /// other writer's commit. Lock order: this lock first, then the
     /// durability mutex inside `log_with`, then the shard write lock.

@@ -55,7 +55,8 @@
 //!
 //! Started with a `data_dir`, the server persists the catalog:
 //!
-//! * Every `LOAD`/`UNLOAD` is appended to a checksummed **write-ahead
+//! * Every catalog change (`LOAD`, `LOADSTREAM`, `UNLOAD`, `INSERT`,
+//!   `DELETE`, `RELABEL`) is appended to a checksummed **write-ahead
 //!   log** (fsync policy: `always` / `every=<n>` / `never`) *before* the
 //!   catalog changes.
 //! * `SNAPSHOT` writes a checksummed snapshot of every loaded document,
@@ -114,7 +115,7 @@
 //! **follower replica**: it bootstraps from the leader's newest snapshot,
 //! tails the leader's WAL over the binary protocol (`REPL HELLO` /
 //! `REPL SNAPSHOT` / `REPL TAIL` / `REPL ACK`), applies each shipped
-//! record through the same MVCC path as local recovery, serves reads,
+//! record through the same commit path as a local write, serves reads,
 //! and rejects writes with a redirect to the leader. Sequence
 //! discontinuities or torn records force a clean re-bootstrap — the
 //! follower never serves a hybrid state. `PROMOTE` detaches the follower

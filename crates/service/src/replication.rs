@@ -26,15 +26,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use durable::{DocState, WalOp};
-use plan::ResultCache;
+use durable::WalOp;
 use repl::{Backoff, HelloInfo, SegmentTailer, TailChunk};
 
-use crate::catalog::{Catalog, LoadedDoc};
 use crate::client::BinaryClient;
 use crate::persist::Durability;
 use crate::proto::Request;
-use crate::server::Shared;
+use crate::server::{commit, install_recovered, Shared};
 use crate::wire::WireResponse;
 
 /// Upper bound the follower asks for per `REPL TAIL` answer.
@@ -404,22 +402,11 @@ pub(crate) fn handle_tail(
     Ok(WireResponse::Blob(chunk.encode()))
 }
 
-/// Everything the follower thread needs, owned (it outlives the
-/// acceptor's stack frame).
-pub(crate) struct FollowerShared {
-    pub(crate) leader: String,
-    pub(crate) name: String,
-    pub(crate) poll: Duration,
-    pub(crate) catalog: Arc<Catalog>,
-    pub(crate) durability: Option<Arc<Durability>>,
-    pub(crate) plan_cache: Arc<ResultCache>,
-    pub(crate) repl: Arc<ReplState>,
-    pub(crate) shutdown: Arc<AtomicBool>,
-}
-
 /// Spawns the follower thread: connect → hello → snapshot bootstrap →
-/// tail loop, with backoff reconnects, until shutdown or promotion.
-pub(crate) fn spawn_follower(shared: FollowerShared) -> JoinHandle<()> {
+/// tail loop, with backoff reconnects, until shutdown or promotion. It
+/// holds the same [`Shared`] as the front ends and writes the catalog
+/// through the same [`commit`].
+pub(crate) fn spawn_follower(shared: Arc<Shared>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("ruid-follower".into())
         .spawn(move || run_follower(&shared))
@@ -436,13 +423,13 @@ enum PollFail {
     Io(String),
 }
 
-fn stop_requested(shared: &FollowerShared) -> bool {
+fn stop_requested(shared: &Shared) -> bool {
     shared.shutdown.load(Ordering::SeqCst) || shared.repl.promotion_requested()
 }
 
 /// Sleeps up to `total`, waking early when shutdown or promotion is
 /// requested — backoff must never outwait a `PROMOTE`.
-fn interruptible_sleep(shared: &FollowerShared, total: Duration) {
+fn interruptible_sleep(shared: &Shared, total: Duration) {
     let deadline = Instant::now() + total;
     while !stop_requested(shared) {
         let now = Instant::now();
@@ -453,7 +440,7 @@ fn interruptible_sleep(shared: &FollowerShared, total: Duration) {
     }
 }
 
-fn wait_backoff(shared: &FollowerShared, backoff: &mut Backoff) {
+fn wait_backoff(shared: &Shared, backoff: &mut Backoff) {
     shared.repl.note_backoff();
     interruptible_sleep(shared, backoff.next_delay());
 }
@@ -482,16 +469,16 @@ fn request_blob(client: &mut BinaryClient, request: &Request) -> Result<Vec<u8>,
 /// Reports the follower's position to the leader (best-effort; `bye`
 /// marks a clean detach so the leader drops us instead of timing out).
 fn send_ack(
-    shared: &FollowerShared,
     client: &mut BinaryClient,
     tailer: &SegmentTailer,
+    follower: &str,
     bye: bool,
 ) -> Result<(), PollFail> {
     let request = Request::ReplAck {
         generation: tailer.segment(),
         seq: tailer.expected_seq(),
         bye,
-        follower: shared.name.clone(),
+        follower: follower.to_owned(),
     };
     let id = client.send(&request).map_err(io_fail)?;
     client.flush().map_err(io_fail)?;
@@ -502,29 +489,15 @@ fn send_ack(
     Ok(())
 }
 
-fn log_local(
-    shared: &FollowerShared,
-    op: &WalOp,
-    apply: impl FnOnce(),
-) -> Result<(), String> {
-    match &shared.durability {
-        // The follower's own WAL makes its applied state durable: after
-        // a promotion it recovers like any leader would.
-        Some(d) => d.log_with(op, apply),
-        None => {
-            apply();
-            Ok(())
-        }
-    }
-}
-
-/// Applies one shipped record through the same MVCC paths live commits
-/// use. A per-document failure quarantines that document (remove + purge
-/// caches) without poisoning the stream — exactly what local recovery
-/// does with a document whose replay fails.
-fn apply_record(shared: &FollowerShared, op: &WalOp) {
-    if let Err(reason) = apply_op(shared, op) {
-        let doc_id = op.doc_id();
+/// Applies one shipped record through [`commit`], the path every local
+/// write takes, keeping the leader's document id; with a data directory
+/// the follower's own WAL records it, so a promoted follower recovers
+/// like any leader. A per-document failure quarantines that document
+/// (remove + purge its cached responses) without poisoning the stream —
+/// exactly what local recovery does with a document whose replay fails.
+fn apply_record(shared: &Shared, op: WalOp) {
+    let doc_id = op.doc_id();
+    if let Err(reason) = commit(shared, &mut None, op, true) {
         shared.catalog.remove(doc_id);
         shared.plan_cache.purge_doc(doc_id);
         shared.repl.note_quarantined();
@@ -533,69 +506,16 @@ fn apply_record(shared: &FollowerShared, op: &WalOp) {
     shared.repl.note_applied();
 }
 
-fn apply_op(shared: &FollowerShared, op: &WalOp) -> Result<(), String> {
-    let catalog = &shared.catalog;
-    match op {
-        WalOp::Load { doc_id, path, config, with_store, xml } => {
-            // Build outside the writer lock — parsing is the expensive
-            // part and touches nothing shared.
-            let state = DocState::build(*doc_id, path.clone(), xml, *config, *with_store)?;
-            let mut loaded =
-                LoadedDoc::from_recovered(state.path, state.doc, state.scheme, state.with_store);
-            loaded.generation = catalog.next_generation();
-            let _writers = catalog.begin_write();
-            log_local(shared, op, || {
-                catalog.insert_with_id(*doc_id, loaded);
-                catalog.ensure_next_id(*doc_id + 1);
-            })
-        }
-        WalOp::LoadStream { doc_id, path, config, with_store, events } => {
-            let state =
-                DocState::build_stream(*doc_id, path.clone(), events, *config, *with_store)?;
-            let mut loaded =
-                LoadedDoc::from_recovered(state.path, state.doc, state.scheme, state.with_store);
-            loaded.generation = catalog.next_generation();
-            let _writers = catalog.begin_write();
-            log_local(shared, op, || {
-                catalog.insert_with_id(*doc_id, loaded);
-                catalog.ensure_next_id(*doc_id + 1);
-            })
-        }
-        WalOp::Unload { doc_id } => {
-            let _writers = catalog.begin_write();
-            log_local(shared, op, || {
-                catalog.remove(*doc_id);
-            })?;
-            shared.plan_cache.purge_doc(*doc_id);
-            Ok(())
-        }
-        WalOp::Insert { .. } | WalOp::Delete { .. } | WalOp::Repartition { .. } => {
-            let doc_id = op.doc_id();
-            // Outlives the writer guard (declared first): the previous
-            // generation is freed after the lock is released.
-            let loaded;
-            let _writers = catalog.begin_write();
-            loaded = catalog.get(doc_id).ok_or_else(|| format!("no document {doc_id}"))?;
-            let generation = catalog.next_generation();
-            let (next, _applied) = loaded.apply_update(op, generation)?;
-            shared.plan_cache.purge_doc(doc_id);
-            log_local(shared, op, || {
-                catalog.replace(doc_id, next);
-            })
-        }
-    }
-}
-
 /// Bootstraps the catalog from the leader's newest snapshot: fetch the
 /// raw image, validate it with the checksummed snapshot reader, swap the
-/// whole catalog under the writer lock, and (with local durability)
-/// freeze the result in our own snapshot. Returns the WAL segment to
-/// tail from, or `Ok(None)` when a stop/promotion arrived mid-bootstrap —
-/// in that case the local catalog is left exactly as it was, because a
-/// node that is about to become the leader must not have its state
-/// clobbered by a half-installed snapshot of the *old* leader.
+/// whole catalog in through the install a restart uses, and (with local
+/// durability) freeze the result in our own snapshot. Returns the WAL
+/// segment to tail from, or `Ok(None)` when a stop/promotion arrived
+/// mid-bootstrap — in that case the local catalog is left exactly as it
+/// was, because a node that is about to become the leader must not have
+/// its state clobbered by a half-installed snapshot of the *old* leader.
 fn bootstrap(
-    shared: &FollowerShared,
+    shared: &Shared,
     client: &mut BinaryClient,
     hello: &HelloInfo,
 ) -> Result<Option<u64>, PollFail> {
@@ -622,30 +542,15 @@ fn bootstrap(
     if stop_requested(shared) {
         return Ok(None);
     }
+    // As in recovery, a quarantined document's id counts toward the id
+    // counter: a promoted follower must never hand it out again.
+    let mut next_id = 1;
     for (id, reason) in &quarantined {
         eprintln!("[ruid-follower] leader snapshot quarantined document {id}: {reason}");
         shared.repl.note_quarantined();
+        next_id = next_id.max(id + 1);
     }
-    {
-        let _writers = shared.catalog.begin_write();
-        for (id, _) in shared.catalog.snapshot_docs() {
-            shared.catalog.remove(id);
-            shared.plan_cache.purge_doc(id);
-        }
-        let mut max_id = 0;
-        for state in states {
-            max_id = max_id.max(state.id);
-            let mut loaded = LoadedDoc::from_recovered(
-                state.path,
-                state.doc,
-                state.scheme,
-                state.with_store,
-            );
-            loaded.generation = shared.catalog.next_generation();
-            shared.catalog.insert_with_id(state.id, loaded);
-        }
-        shared.catalog.ensure_next_id(max_id + 1);
-    }
+    install_recovered(shared, states, next_id);
     if let Some(d) = &shared.durability {
         // Our own snapshot pins the bootstrapped state so a promoted (or
         // restarted) follower recovers without the leader.
@@ -660,7 +565,7 @@ fn bootstrap(
 /// apply, update the lag gauges. Returns whether the follower is caught
 /// up with the leader's committed watermark.
 fn poll_once(
-    shared: &FollowerShared,
+    shared: &Shared,
     client: &mut BinaryClient,
     tailer: &mut SegmentTailer,
 ) -> Result<bool, PollFail> {
@@ -674,7 +579,7 @@ fn poll_once(
     )?;
     let chunk = TailChunk::decode(&blob).map_err(PollFail::Refused)?;
     let batch = tailer.offer(&chunk).map_err(|e| PollFail::Refused(e.to_string()))?;
-    for (_seq, op) in &batch.records {
+    for (_seq, op) in batch.records {
         if stop_requested(shared) {
             // Stop mid-batch: what was already applied is a valid prefix;
             // the rest stays unapplied so a promotion can never interleave
@@ -705,13 +610,16 @@ fn seed_from(name: &str) -> u64 {
     h
 }
 
-fn run_follower(shared: &FollowerShared) {
-    let mut backoff = Backoff::new(25, 2_000, seed_from(&shared.name));
+fn run_follower(shared: &Shared) {
+    let Some(leader) = &shared.config.follow else { return };
+    let name = format!("follower@{}", shared.listen_addr);
+    let poll = Duration::from_millis(shared.config.repl_poll_ms.max(1));
+    let mut backoff = Backoff::new(25, 2_000, seed_from(&name));
     'session: loop {
         if stop_requested(shared) {
             break;
         }
-        let mut client = match BinaryClient::connect(&shared.leader) {
+        let mut client = match BinaryClient::connect(leader) {
             Ok(client) => {
                 backoff.reset();
                 client
@@ -725,7 +633,7 @@ fn run_follower(shared: &FollowerShared) {
         let _ = client.set_timeout(Some(REPL_IO_TIMEOUT));
         let hello = match request_blob(
             &mut client,
-            &Request::ReplHello { follower: shared.name.clone() },
+            &Request::ReplHello { follower: name.clone() },
         )
         .and_then(|bytes| HelloInfo::decode(&bytes).map_err(PollFail::Refused))
         {
@@ -767,14 +675,14 @@ fn run_follower(shared: &FollowerShared) {
             if stop_requested(shared) {
                 // Clean detach: tell the leader goodbye so it forgets us
                 // instead of hitting a write deadline on a dead socket.
-                let _ = send_ack(shared, &mut client, &tailer, true);
+                let _ = send_ack(&mut client, &tailer, &name, true);
                 break 'session;
             }
             match poll_once(shared, &mut client, &mut tailer) {
                 Ok(caught_up) => {
-                    let _ = send_ack(shared, &mut client, &tailer, false);
+                    let _ = send_ack(&mut client, &tailer, &name, false);
                     if caught_up {
-                        interruptible_sleep(shared, shared.poll);
+                        interruptible_sleep(shared, poll);
                     }
                 }
                 Err(PollFail::Refused(reason)) => {

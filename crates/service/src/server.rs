@@ -29,9 +29,10 @@ use schemes::NumberingScheme;
 use xmldom::{NodeKind, TreeStats};
 use xpath::{AxisProvider, Evaluator, NameIndexed, RuidAxes, SpanAxes, StepStats, TreeAxes};
 
-use durable::{Applied, FsyncPolicy, WalOp};
+use durable::{Applied, DocState, FsyncPolicy, WalOp};
+use ruid_core::PartitionConfig;
 
-use crate::catalog::{Catalog, LoadedDoc};
+use crate::catalog::{Catalog, DocId, LoadedDoc};
 use crate::fault::{Fault, FaultPlan};
 use crate::framing::{read_request_line, ReadOutcome};
 use crate::metrics::{Command, Metrics, Protocol};
@@ -39,7 +40,7 @@ use crate::mux::Mux;
 use crate::persist::Durability;
 use crate::prom::PromCtx;
 use crate::proto::{self, Engine, Request, TraceCmd};
-use crate::replication::{self, FollowerShared, ReplState};
+use crate::replication::{self, ReplState};
 use crate::trace::{RequestTrace, Span, Tracer};
 use crate::wire::{self, WireResponse};
 use par::{PoolStats, SubmitError, ThreadPool};
@@ -52,7 +53,10 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 pub struct ServerConfig {
     /// Listen address; port 0 picks a free port (see [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads = maximum concurrently served connections.
+    /// Worker threads = maximum concurrently served text connections.
+    /// Also the size of the binary multiplexer's offload pool, which runs
+    /// the verbs that block (LOAD, SNAPSHOT, the commits, …) off its
+    /// poll loops.
     pub threads: usize,
     /// Thread budget for building one document on `LOAD` (area labeling +
     /// name indexing fan out); 1 forces the sequential build.
@@ -61,6 +65,8 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Bounded job-queue capacity (pending connections beyond the
     /// workers); connections beyond that are answered `BUSY` and closed.
+    /// Also bounds the multiplexer's offload queue: a blocking binary
+    /// request beyond it is answered `BUSY`.
     pub queue_cap: usize,
     /// `LOAD` partition depth default (`PartitionConfig::by_depth`).
     pub depth: usize,
@@ -83,7 +89,7 @@ pub struct ServerConfig {
     /// production.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Durability directory: when set, startup recovers the catalog from
-    /// it (snapshot + WAL replay) and every `LOAD`/`UNLOAD` is logged to
+    /// it (snapshot + WAL replay) and every catalog change is logged to
     /// the write-ahead log before it takes effect. `None` keeps the
     /// catalog purely in memory.
     pub data_dir: Option<std::path::PathBuf>,
@@ -164,23 +170,24 @@ pub struct ServerHandle {
 }
 
 /// Everything serving a request reads, owned once per server and shared
-/// by the text workers, the mux workers and the offload pool.
+/// by the text workers, the mux workers, the offload pool and the
+/// follower thread.
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
-    catalog: Arc<Catalog>,
+    pub(crate) catalog: Arc<Catalog>,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) durability: Option<Arc<Durability>>,
     tracer: Arc<Tracer>,
     pool_stats: Arc<PoolStats>,
-    plan_cache: Arc<ResultCache>,
+    pub(crate) plan_cache: Arc<ResultCache>,
     pub(crate) repl: Arc<ReplState>,
     pub(crate) shutdown: Arc<AtomicBool>,
     /// Monotone request index driving the fault plan, shared by every
     /// connection — text and binary alike.
     request_counter: AtomicU64,
     /// Bound address, for the self-connect that wakes the acceptor once
-    /// a `SHUTDOWN` sets the flag.
-    listen_addr: SocketAddr,
+    /// a `SHUTDOWN` sets the flag (and the follower's name).
+    pub(crate) listen_addr: SocketAddr,
 }
 
 impl Shared {
@@ -215,12 +222,9 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let catalog = Arc::new(Catalog::new(config.shards));
-        let metrics = Arc::new(Metrics::new());
-        let durability = match &config.data_dir {
+        let (durability, docs, next_id) = match &config.data_dir {
             Some(dir) => {
                 let (durability, docs, next_doc_id) = Durability::open(dir, config.fsync)?;
-                catalog.ensure_next_id(next_doc_id);
                 let report = durability.recovery();
                 if report.replayed > 0 || report.snapshot_docs > 0 {
                     eprintln!(
@@ -236,26 +240,14 @@ impl Server {
                 for (id, reason) in &report.quarantined {
                     eprintln!("[ruid-service] quarantined document {id}: {reason}");
                 }
-                for state in docs {
-                    let mut loaded = LoadedDoc::from_recovered(
-                        state.path,
-                        state.doc,
-                        state.scheme,
-                        state.with_store,
-                    );
-                    // Every recovered document is a fresh committed state:
-                    // stamp it from the same process-wide counter live
-                    // commits draw from, so no pre-crash cached response
-                    // can alias a post-recovery one.
-                    loaded.generation = catalog.next_generation();
-                    catalog.insert_with_id(state.id, loaded);
-                }
-                Some(Arc::new(durability))
+                (Some(Arc::new(durability)), docs, next_doc_id)
             }
-            None => None,
+            None => (None, Vec::new(), 1),
         };
         let pool = ThreadPool::new(config.threads, config.queue_cap);
         let shared = Arc::new(Shared {
+            catalog: Arc::new(Catalog::new(config.shards)),
+            metrics: Arc::new(Metrics::new()),
             tracer: Arc::new(Tracer::new(config.slowlog_capacity)),
             plan_cache: Arc::new(ResultCache::new(config.plan_cache_cap)),
             pool_stats: pool.stats(),
@@ -267,10 +259,9 @@ impl Server {
             request_counter: AtomicU64::new(0),
             listen_addr: addr,
             config,
-            catalog,
-            metrics,
             durability,
         });
+        install_recovered(&shared, docs, next_id);
 
         // Optional plain-HTTP Prometheus endpoint: a dedicated listener
         // so scrapers never compete with protocol clients for workers.
@@ -295,18 +286,11 @@ impl Server {
         // Follower mode: one dedicated thread bootstraps from the leader
         // and tails its WAL; the serving path above answers reads from
         // whatever committed prefix it has applied.
-        let follower = shared.config.follow.as_ref().map(|leader| {
-            replication::spawn_follower(FollowerShared {
-                leader: leader.clone(),
-                name: format!("follower@{addr}"),
-                poll: Duration::from_millis(shared.config.repl_poll_ms.max(1)),
-                catalog: Arc::clone(&shared.catalog),
-                durability: shared.durability.clone(),
-                plan_cache: Arc::clone(&shared.plan_cache),
-                repl: Arc::clone(&shared.repl),
-                shutdown: Arc::clone(&shared.shutdown),
-            })
-        });
+        let follower = shared
+            .config
+            .follow
+            .is_some()
+            .then(|| replication::spawn_follower(Arc::clone(&shared)));
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -391,10 +375,20 @@ impl ServerHandle {
         self.shared.listen_addr
     }
 
-    /// The shared catalog — lets an embedding process pre-load documents
-    /// without going through the wire protocol.
+    /// The shared catalog, for reading; an embedding process loads
+    /// documents through [`ServerHandle::load`].
     pub fn catalog(&self) -> &Arc<Catalog> {
         &self.shared.catalog
+    }
+
+    /// Loads the XML file at `path` as a `LOAD <path>` request would, at
+    /// the configured depth — built, logged and installed by the one
+    /// commit path — and returns the new document's id. The CLI preloads
+    /// its file arguments through this.
+    pub fn load(&self, path: &str) -> Result<DocId, String> {
+        let config = &self.shared.config;
+        let op = load_op(path, config.depth, config.with_store)?;
+        commit(&self.shared, &mut None, op, false).map(|(id, _)| id)
     }
 
     /// The shared metrics.
@@ -403,8 +397,7 @@ impl ServerHandle {
     }
 
     /// The durability manager, when the server was started with a data
-    /// directory — embedders that pre-load documents directly into the
-    /// catalog must log them through this to keep the WAL authoritative.
+    /// directory.
     pub fn durability(&self) -> Option<&Arc<Durability>> {
         self.shared.durability.as_ref()
     }
@@ -815,55 +808,157 @@ fn parse_fragment(fragment: &str) -> Result<durable::NodeContent, String> {
     Ok(durable::NodeContent::from_node(&doc, node))
 }
 
-/// The shared commit path of `INSERT`/`DELETE`/`RELABEL`.
+/// The `Load` record for the file at `path`, its id still to be drawn.
+/// The text is read once: the build parses it and the WAL logs the same
+/// bytes, so replay never depends on the file surviving unchanged.
+fn load_op(path: &str, depth: usize, with_store: bool) -> Result<WalOp, String> {
+    let xml = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    Ok(WalOp::Load {
+        doc_id: 0,
+        path: path.to_owned(),
+        config: PartitionConfig::by_depth(depth),
+        with_store,
+        xml,
+    })
+}
+
+/// The one write path. The six write verbs, the follower's apply of a
+/// shipped record and the CLI preload ([`ServerHandle::load`]) all change
+/// the catalog here, in three steps:
 ///
-/// Writers serialize on the catalog's writer lock so every copy-on-write
-/// bundle is staged from the latest committed state; readers never touch
-/// that lock — they keep answering from their pinned `Arc` snapshots. The
-/// new bundle is built and validated *before* the WAL append, so a
-/// rejected op never reaches the log, and the pointer swap runs inside
-/// `log_with`, so WAL order is commit order.
-fn commit_update(
+/// 1. *Stage.* A load is built outside the writer lock: parsing and
+///    labelling are the expensive part and touch nothing shared. An
+///    update takes the lock, pins the latest committed base and stages
+///    its copy-on-write successor with [`LoadedDoc::apply_update`] (over
+///    the `DocState::apply` WAL replay runs). An unload checks that the
+///    document exists. A rejected op reaches neither the log nor the
+///    catalog.
+/// 2. *Stamp.* A load draws its id only once its build has succeeded —
+///    unless it was `shipped`, when the record carries the leader's id.
+///    Every installed bundle draws a generation.
+/// 3. *Log and install.* The install runs inside `log_with`, after the
+///    WAL append, so WAL order is commit order and a failed append
+///    changes nothing.
+///
+/// The writer lock is held through the install for every kind of op, so
+/// each copy-on-write starts from the latest committed state and no
+/// record for a document can follow its `Unload`; readers never take it.
+/// The result cache is purged only when a document leaves the catalog:
+/// an updated document's new generation already retires its entries.
+///
+/// Returns the document's id and the verb's `OK` reply.
+pub(crate) fn commit(
     shared: &Shared,
     trace: &mut Option<&mut RequestTrace>,
-    doc_id: u64,
-    op: WalOp,
-    command: Command,
-) -> Result<String, String> {
-    let Shared { catalog, metrics, durability, .. } = shared;
-    // Declared before the writer guard so it outlives it: this is the last
-    // reference to the previous generation once readers move on, and
-    // freeing a bundle must not hold up the next writer.
-    let loaded;
-    let _writers = catalog.begin_write();
-    loaded = timed(trace, Span::Lookup, || fetch(catalog, doc_id))?;
-    let generation = catalog.next_generation();
-    let (next, applied) =
-        timed(trace, Span::Eval, || loaded.apply_update(&op, generation))?;
-    let stats = *applied.stats();
-    let detail = match &applied {
-        Applied::Inserted { node, .. } => {
-            format!("label={}", proto::fmt_label(&next.scheme.label_of(*node)))
+    mut op: WalOp,
+    shipped: bool,
+) -> Result<(DocId, String), String> {
+    /// What the install does to the catalog.
+    enum Install {
+        Insert(LoadedDoc),
+        Replace(LoadedDoc),
+        Remove,
+    }
+    let Shared { config, catalog, metrics, durability, plan_cache, .. } = shared;
+    let built = match op {
+        WalOp::Load { .. } | WalOp::LoadStream { .. } => {
+            let exec = par::Executor::new(config.build_threads);
+            Some(timed(trace, Span::Eval, || LoadedDoc::build_op(&op, &exec))?)
         }
-        Applied::Deleted { nodes, .. } => format!("removed={nodes}"),
-        Applied::Repartitioned { .. } => format!("areas={}", next.scheme.area_count()),
+        _ => None,
+    };
+    // Declared before the writer guard so it outlives it: once readers
+    // move on, this is the last reference to the displaced generation,
+    // and freeing a bundle must not hold up the next writer.
+    let base;
+    let _writers = catalog.begin_write();
+    let (install, reply, update) = if let Some(mut loaded) = built {
+        if !shipped {
+            let id = catalog.reserve_id();
+            if let WalOp::Load { doc_id, .. } | WalOp::LoadStream { doc_id, .. } = &mut op {
+                *doc_id = id;
+            }
+        }
+        loaded.generation = catalog.next_generation();
+        let (nodes, areas) = (loaded.doc.node_count(), loaded.scheme.area_count());
+        let reply = format!("OK id={} nodes={nodes} areas={areas}", op.doc_id());
+        (Install::Insert(loaded), reply, None)
+    } else if let WalOp::Unload { doc_id } = op {
+        if catalog.get(doc_id).is_none() {
+            return Err(format!("no document {doc_id}"));
+        }
+        (Install::Remove, format!("OK unloaded {doc_id}"), None)
+    } else {
+        base = timed(trace, Span::Lookup, || fetch(catalog, op.doc_id()))?;
+        let generation = catalog.next_generation();
+        let (next, applied) = timed(trace, Span::Eval, || base.apply_update(&op, generation))?;
+        let (detail, command) = match &applied {
+            Applied::Inserted { node, .. } => {
+                let label = proto::fmt_label(&next.scheme.label_of(*node));
+                (format!("label={label}"), Command::Insert)
+            }
+            Applied::Deleted { nodes, .. } => (format!("removed={nodes}"), Command::Delete),
+            Applied::Repartitioned { .. } => {
+                (format!("areas={}", next.scheme.area_count()), Command::Relabel)
+            }
+        };
+        let stats = applied.stats();
+        let reply = format!(
+            "OK {detail} generation={generation} relabeled={} dropped={} full_rebuild={}",
+            stats.relabeled, stats.dropped, stats.full_rebuild,
+        );
+        (Install::Replace(next), reply, Some(command))
+    };
+    let doc_id = op.doc_id();
+    let install = || match install {
+        Install::Insert(loaded) => {
+            catalog.insert_with_id(doc_id, loaded);
+            true
+        }
+        Install::Replace(next) => catalog.replace(doc_id, next),
+        Install::Remove => catalog.remove(doc_id),
     };
     let installed = match durability {
-        Some(d) => {
-            timed(trace, Span::Wal, || d.log_with(&op, || catalog.replace(doc_id, next)))?
-        }
-        None => catalog.replace(doc_id, next),
+        Some(d) => timed(trace, Span::Wal, || d.log_with(&op, install))?,
+        None => install(),
     };
     if !installed {
-        // Unreachable while unload also serializes on the writer lock,
-        // but never report a commit the catalog didn't install.
+        // Unreachable while every writer holds the lock, but never report
+        // a commit the catalog did not make.
         return Err(format!("no document {doc_id}"));
     }
-    metrics.record_update(command);
-    Ok(format!(
-        "OK {detail} generation={generation} relabeled={} dropped={} full_rebuild={}",
-        stats.relabeled, stats.dropped, stats.full_rebuild,
-    ))
+    if matches!(op, WalOp::Unload { .. }) {
+        plan_cache.purge_doc(doc_id);
+    }
+    if let (Some(command), false) = (update, shipped) {
+        metrics.record_update(command);
+    }
+    Ok((doc_id, reply))
+}
+
+/// The one install of recovered documents, shared by a restart (its
+/// snapshot plus WAL replay) and a follower's bootstrap (the leader's
+/// snapshot). Under the writer lock it drops whatever the catalog held,
+/// purging those documents' cached responses, and installs each document
+/// stamped with a generation from the counter live commits draw from, so
+/// no response cached before can alias one after. The id counter is
+/// raised to at least `next_id`, which the caller computes over the
+/// quarantined documents too, so a dropped document's id is never handed
+/// out again.
+pub(crate) fn install_recovered(shared: &Shared, docs: Vec<DocState>, next_id: DocId) {
+    let Shared { catalog, plan_cache, .. } = shared;
+    let _writers = catalog.begin_write();
+    for id in catalog.ids() {
+        catalog.remove(id);
+        plan_cache.purge_doc(id);
+    }
+    catalog.ensure_next_id(next_id);
+    for state in docs {
+        let mut loaded =
+            LoadedDoc::from_recovered(state.path, state.doc, state.scheme, state.with_store);
+        loaded.generation = catalog.next_generation();
+        catalog.insert_with_id(state.id, loaded);
+    }
 }
 
 /// Executes one request. A batch answers `Ok` even when sub-queries
@@ -897,111 +992,23 @@ fn execute(
     }
     let line = match request {
         Request::Ping => Ok("OK pong".into()),
+        // The write verbs build the op; `commit` does the rest.
         Request::Load { path, depth } => {
-            let exec = par::Executor::new(config.build_threads);
-            // Read the text once: the build parses it, and the durable
-            // path logs the same bytes so replay never depends on the
-            // origin file surviving (or staying unchanged).
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            let mut loaded = timed(trace, Span::Eval, || {
-                LoadedDoc::build_with(&path, &text, depth, config.with_store, &exec)
-            })?;
-            let nodes = loaded.doc.node_count();
-            let areas = loaded.scheme.area_count();
-            // Result-cache generation: one process-wide monotonic counter
-            // covers loads and structural updates alike, so a generation
-            // can never alias across commits (WAL sequence numbers can't
-            // serve here — they reset on snapshot rotation).
-            loaded.generation = catalog.next_generation();
-            let id = match durability {
-                Some(d) => {
-                    let id = catalog.reserve_id();
-                    let op = WalOp::Load {
-                        doc_id: id,
-                        path: path.clone(),
-                        config: *loaded.scheme.config(),
-                        with_store: loaded.store.is_some(),
-                        xml: text,
-                    };
-                    // WAL first: if the append fails the catalog is
-                    // untouched and the client sees the error.
-                    timed(trace, Span::Wal, || {
-                        d.log_with(&op, || catalog.insert_with_id(id, loaded))
-                    })?;
-                    id
-                }
-                None => {
-                    let id = catalog.reserve_id();
-                    catalog.insert_with_id(id, loaded);
-                    id
-                }
-            };
-            Ok(format!("OK id={id} nodes={nodes} areas={areas}"))
+            let op = load_op(&path, depth, config.with_store)?;
+            commit(shared, trace, op, false).map(|(_, reply)| reply)
         }
         Request::LoadStream { name, events } => {
-            let exec = par::Executor::new(config.build_threads);
-            // Same shape as LOAD, except the tree comes straight from the
-            // interval-encoded event stream — no XML text exists at any
-            // point, and the WAL logs the events verbatim so replay
-            // rebuilds the identical tree.
-            let mut loaded = timed(trace, Span::Eval, || {
-                LoadedDoc::build_stream(
-                    &name,
-                    &events,
-                    config.depth,
-                    config.with_store,
-                    &exec,
-                )
-            })?;
-            let nodes = loaded.doc.node_count();
-            let areas = loaded.scheme.area_count();
-            loaded.generation = catalog.next_generation();
-            let id = match durability {
-                Some(d) => {
-                    let id = catalog.reserve_id();
-                    let op = WalOp::LoadStream {
-                        doc_id: id,
-                        path: name.clone(),
-                        config: *loaded.scheme.config(),
-                        with_store: loaded.store.is_some(),
-                        events,
-                    };
-                    timed(trace, Span::Wal, || {
-                        d.log_with(&op, || catalog.insert_with_id(id, loaded))
-                    })?;
-                    id
-                }
-                None => {
-                    let id = catalog.reserve_id();
-                    catalog.insert_with_id(id, loaded);
-                    id
-                }
+            let op = WalOp::LoadStream {
+                doc_id: 0,
+                path: name,
+                config: PartitionConfig::by_depth(config.depth),
+                with_store: config.with_store,
+                events,
             };
-            Ok(format!("OK id={id} nodes={nodes} areas={areas}"))
+            commit(shared, trace, op, false).map(|(_, reply)| reply)
         }
         Request::Unload(id) => {
-            // Unload is a structural writer too: holding the writer lock
-            // keeps an in-flight INSERT/DELETE from appending a WAL record
-            // for this document *after* its Unload record.
-            let _writers = catalog.begin_write();
-            let removed = match durability {
-                Some(d) => {
-                    if catalog.get(id).is_none() {
-                        return Err(format!("no document {id}"));
-                    }
-                    timed(trace, Span::Wal, || {
-                        d.log_with(&WalOp::Unload { doc_id: id }, || catalog.remove(id))
-                    })?
-                }
-                None => catalog.remove(id),
-            };
-            if removed {
-                plan_cache.purge_doc(id);
-                Ok(format!("OK unloaded {id}"))
-            } else {
-                Err(format!("no document {id}"))
-            }
+            commit(shared, trace, WalOp::Unload { doc_id: id }, false).map(|(_, reply)| reply)
         }
         Request::List => {
             let entries = catalog.entries();
@@ -1149,13 +1156,15 @@ fn execute(
         Request::Insert { doc, parent, position, fragment } => {
             let content = parse_fragment(&fragment)?;
             let op = WalOp::Insert { doc_id: doc, parent, position, content };
-            commit_update(shared, trace, doc, op, Command::Insert)
+            commit(shared, trace, op, false).map(|(_, reply)| reply)
         }
         Request::Delete { doc, label } => {
-            commit_update(shared, trace, doc, WalOp::Delete { doc_id: doc, label }, Command::Delete)
+            let op = WalOp::Delete { doc_id: doc, label };
+            commit(shared, trace, op, false).map(|(_, reply)| reply)
         }
         Request::Relabel(doc) => {
-            commit_update(shared, trace, doc, WalOp::Repartition { doc_id: doc }, Command::Relabel)
+            let op = WalOp::Repartition { doc_id: doc };
+            commit(shared, trace, op, false).map(|(_, reply)| reply)
         }
         Request::Trace(cmd) => {
             match cmd {

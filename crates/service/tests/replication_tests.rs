@@ -265,6 +265,98 @@ fn follower_serves_reads_and_rejects_writes() {
     leader.stop();
 }
 
+/// A follower applies every kind of shipped record — LOAD, LOADSTREAM,
+/// INSERT, DELETE, RELABEL and UNLOAD — and ends byte-identical to a
+/// single-node server that ran the same writes.
+#[test]
+fn follower_applies_all_six_record_kinds() {
+    let dir = scratch("six-kinds");
+    let corpus = dir.join("corpus.xml");
+    let site = dir.join("site.xml");
+    std::fs::write(&corpus, corpus_xml()).unwrap();
+    std::fs::write(&site, "<a><b>x</b><c/></a>").unwrap();
+
+    let (leader, mut lc) = start_leader(&dir.join("leader"));
+    let (follower, mut fc) = start_follower(leader.addr(), None, 5);
+    let oracle = Server::start(ServerConfig::default()).unwrap();
+    let mut oc = Client::connect(oracle.addr()).unwrap();
+    let mut both = |line: String| {
+        let want = oc.request(&line).unwrap();
+        assert!(want.starts_with("OK"), "{line} -> {want}");
+        assert_eq!(lc.request(&line).unwrap(), want, "{line}");
+    };
+    both(format!("LOAD {}", corpus.display()));
+    both("LOADSTREAM feed 1:10:a 2:5:b 3:4:c 6:9:b 7:8:=x".to_string());
+    both(format!("LOAD {}", site.display()));
+    let root = label_of_first(&leader, 1, "a");
+    both(format!("INSERT 1 {} {} {} 0 <b/>", root.global, root.local, root.is_root));
+    let victim = label_of_first(&leader, 1, "c");
+    both(format!("DELETE 1 {} {} {}", victim.global, victim.local, victim.is_root));
+    both("RELABEL 2".to_string());
+    both("UNLOAD 3".to_string());
+
+    let state = |client: &mut Client| {
+        let mut answers = answer_vector(client);
+        for line in ["LIST", "QUERY 3 /a"] {
+            answers.push(client.request(line).unwrap());
+        }
+        answers
+    };
+    let want = state(&mut oc);
+    assert!(want.last().unwrap().starts_with("ERR no document"), "{want:?}");
+    wait_until("follower applies all six kinds", Duration::from_secs(10), || {
+        state(&mut Client::connect(follower.addr()).unwrap()) == want
+    });
+    let m = fc.request("METRICS").unwrap();
+    assert!(metrics_field(&m, "repl_applied").unwrap().parse::<u64>().unwrap() >= 7, "{m}");
+    assert_eq!(metrics_field(&m, "repl_quarantined").as_deref(), Some("0"), "{m}");
+    follower.stop();
+    leader.stop();
+    oracle.stop();
+}
+
+/// A promoted follower must not hand out the id of a document the
+/// leader's snapshot quarantined: its bootstrap raises the id counter
+/// past quarantined ids, as a restart's recovery does.
+#[test]
+fn promoted_follower_never_reuses_a_quarantined_id() {
+    let dir = scratch("quarantined-id");
+    let good = dir.join("good.xml");
+    let bad = dir.join("bad.xml");
+    std::fs::write(&good, "<g><ok/></g>").unwrap();
+    std::fs::write(&bad, "<b><broken/></b>").unwrap();
+    let data_dir = dir.join("leader");
+
+    let (leader, mut lc) = start_leader(&data_dir);
+    assert!(lc.request(&format!("LOAD {}", good.display())).unwrap().starts_with("OK id=1"));
+    assert!(lc.request(&format!("LOAD {}", bad.display())).unwrap().starts_with("OK id=2"));
+    assert!(lc.request("SNAPSHOT").unwrap().starts_with("OK generation=1"));
+    leader.stop();
+
+    // Flip a byte inside the second document's snapshot section: its CRC
+    // fails, the first document's doesn't.
+    let snap = data_dir.join("snapshot-00000001.snap");
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let pos = bytes.windows(6).rposition(|w| w == b"broken").expect("doc payload in snapshot");
+    bytes[pos] ^= 0x40;
+    std::fs::write(&snap, &bytes).unwrap();
+
+    let (leader, mut lc) = start_leader(&data_dir);
+    let (follower, mut fc) = start_follower(leader.addr(), None, 5);
+    wait_until("follower bootstrap", Duration::from_secs(10), || {
+        Client::connect(follower.addr()).unwrap().request("QUERY 1 //ok").unwrap().starts_with("OK 1 ")
+    });
+    assert_eq!(follower.repl().sample().quarantined, 1);
+    assert_eq!(fc.request("PROMOTE").unwrap(), "OK role=leader promoted=true");
+
+    let leader_load = lc.request(&format!("LOAD {}", good.display())).unwrap();
+    assert!(leader_load.starts_with("OK id=3"), "{leader_load}");
+    let promoted_load = fc.request(&format!("LOAD {}", good.display())).unwrap();
+    assert!(promoted_load.starts_with("OK id=3"), "quarantined id 2 reused: {promoted_load}");
+    follower.stop();
+    leader.stop();
+}
+
 /// The tentpole sweep: kill the leader at varying points, promote the
 /// follower, and demand the promoted replica answers the whole corpus
 /// exactly like **some** single-node prefix of the op script — caught-up

@@ -51,6 +51,22 @@ if git grep -n 'PathSummary::build\|NameIndex::build' crates/service/src \
     echo "ci: PathSummary or NameIndex built outside LoadedDoc::derive" >&2
     exit 1
 fi
+# One write path: every catalog change is logged and installed by
+# `commit` (the write verbs, the follower's apply, the CLI preload) or
+# `install_recovered` (restart, bootstrap), both in server.rs. A WAL
+# append or an install anywhere else in non-test service or CLI code is a
+# second path. (catalog.rs defines the install primitives.)
+if awk '
+    FNR == 1 { test = 0; inside = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    /^pub\(crate\) fn (commit|install_recovered)\(/ { inside = 1 }
+    inside && /^}$/ { inside = 0; next }
+    test || inside || FILENAME ~ /\/catalog\.rs$/ || /^[ \t]*\/\// { next }
+    /log_with\(|insert_with_id\(|catalog\.replace\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }' crates/service/src/*.rs crates/cli/src/*.rs; then
+    echo "ci: catalog written outside commit / install_recovered" >&2
+    exit 1
+fi
 
 # The scoreboard is a workspace of its own that calls deep into the
 # service's public API: build it, run its unit and smoke tests, and run
