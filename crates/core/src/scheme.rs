@@ -2,6 +2,7 @@
 //! Fig. 3) and the label-arithmetic core (`rparent`, ancestry, document
 //! order).
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -362,9 +363,12 @@ impl Ruid2Scheme {
             labels[r.index()] = Some(Ruid2::new(g, local, true));
             rows.push(AreaEntry { global: g, local, fanout: area.fanout });
         }
-        Ok(Ruid2Scheme::assemble(root, kappa, KTable::from_rows(rows), *config, labels, parts))
+        let slots = parts.iter().enumerate().map(|(slot, &(g, ..))| (g, slot as u32)).collect();
+        Ok(Ruid2Scheme::assemble(root, kappa, KTable::from_rows(rows), *config, labels, parts, slots))
     }
 
+    /// The scheme over `labels` (by node index) and `areas`, where
+    /// `slots` maps each area's global index to its position in `areas`.
     fn assemble(
         root: NodeId,
         kappa: u64,
@@ -372,8 +376,8 @@ impl Ruid2Scheme {
         config: PartitionConfig,
         labels: Vec<Option<Ruid2>>,
         areas: Vec<AreaParts>,
+        slots: HashMap<u64, u32>,
     ) -> Self {
-        let slots = areas.iter().enumerate().map(|(slot, &(g, ..))| (g, slot as u32)).collect();
         // Leaf areas (40 % of them on XMark) share one empty map until
         // written, instead of an allocation each.
         let empty = Arc::new(HashMap::new());
@@ -401,47 +405,84 @@ impl Ruid2Scheme {
     /// must carry the tree-root label, area-root labels must correspond
     /// one-to-one with the rows of table K, and every interior label must
     /// lie in one of those areas.
-    pub fn from_parts(
+    ///
+    /// `labels` is read once, in any order: a slice of pairs, or an
+    /// iterator that decodes them straight from a snapshot section.
+    pub fn from_parts<L>(
         doc: &Document,
         root: NodeId,
         kappa: u64,
         ktable: KTable,
         config: PartitionConfig,
-        labels: &[(NodeId, Ruid2)],
-    ) -> Result<Self, String> {
+        labels: L,
+    ) -> Result<Self, String>
+    where
+        L: IntoIterator,
+        L::Item: Borrow<(NodeId, Ruid2)>,
+    {
         if kappa == 0 {
             return Err("kappa must be at least 1".into());
         }
         let mut by_node = vec![None; doc.arena_len()];
-        let mut parts: Vec<AreaParts> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        // Roots first: an interior label is filed under its area's root.
-        for &(node, label) in labels {
+        let mut count = 0usize;
+        for pair in labels {
+            let &(node, label) = pair.borrow();
             let slot = by_node
                 .get_mut(node.index())
                 .ok_or_else(|| format!("label references node {} outside the arena", node.index()))?;
             if slot.replace(label).is_some() {
                 return Err(format!("node {} is listed twice", node.index()));
             }
-            if label.is_root {
-                if ktable.get(label.global).is_none() {
-                    return Err(format!("area {} has a root label but no row in K", label.global));
-                }
-                if slot_of.insert(label.global, parts.len()).is_some() {
-                    return Err(format!("area {} has two root labels", label.global));
-                }
-                parts.push((label.global, node, HashMap::new()));
-            }
+            count += 1;
         }
-        for &(node, label) in labels.iter().filter(|(_, l)| !l.is_root) {
-            let slot = *slot_of.get(&label.global).ok_or_else(|| {
-                format!("label {label:?} lies in area {} which has no root", label.global)
-            })?;
-            if parts[slot].2.insert(label.local, node).is_some() {
+        let labelled = || {
+            by_node
+                .iter()
+                .enumerate()
+                .filter_map(|(i, l)| l.map(|label| (NodeId::from_index(i), label)))
+        };
+        // Roots first: an interior label is filed under its area's root.
+        // `area_of` holds each labelled node's area slot once known.
+        const NO_SLOT: u32 = u32::MAX;
+        let mut area_of = vec![NO_SLOT; by_node.len()];
+        let mut parts: Vec<AreaParts> = Vec::with_capacity(ktable.len());
+        let mut slot_of: HashMap<u64, u32> = HashMap::with_capacity(ktable.len());
+        for (node, label) in labelled().filter(|(_, l)| l.is_root) {
+            if ktable.get(label.global).is_none() {
+                return Err(format!("area {} has a root label but no row in K", label.global));
+            }
+            if slot_of.insert(label.global, parts.len() as u32).is_some() {
+                return Err(format!("area {} has two root labels", label.global));
+            }
+            area_of[node.index()] = parts.len() as u32;
+            parts.push((label.global, node, HashMap::new()));
+        }
+        // An interior node lies in its parent's area whenever the globals
+        // agree, and in node order the parent's is mostly known already;
+        // the map is the fallback. Counting before inserting sizes each
+        // area's map once.
+        let mut interior = vec![0usize; parts.len()];
+        for (node, label) in labelled().filter(|(_, l)| !l.is_root) {
+            let parent = doc.parent(node).map_or(NO_SLOT, |p| area_of[p.index()]);
+            let slot = if parent != NO_SLOT && parts[parent as usize].0 == label.global {
+                parent
+            } else {
+                *slot_of.get(&label.global).ok_or_else(|| {
+                    format!("label {label:?} lies in area {} which has no root", label.global)
+                })?
+            };
+            area_of[node.index()] = slot;
+            interior[slot as usize] += 1;
+        }
+        for (part, &n) in parts.iter_mut().zip(&interior) {
+            part.2.reserve(n);
+        }
+        for (node, label) in labelled().filter(|(_, l)| !l.is_root) {
+            if parts[area_of[node.index()] as usize].2.insert(label.local, node).is_some() {
                 return Err(format!("duplicate label {label:?}"));
             }
         }
-        let scheme = Ruid2Scheme::assemble(root, kappa, ktable, config, by_node, parts);
+        let scheme = Ruid2Scheme::assemble(root, kappa, ktable, config, by_node, parts, slot_of);
         match scheme.stored_label(root) {
             Some(l) if l.is_tree_root() => {}
             other => return Err(format!("numbering root carries {other:?}, not the tree root label")),
@@ -462,10 +503,9 @@ impl Ruid2Scheme {
             }
             subtree += 1;
         }
-        if subtree != labels.len() {
+        if subtree != count {
             return Err(format!(
-                "{} labels restored for the {subtree} nodes of the numbering subtree",
-                labels.len()
+                "{count} labels restored for the {subtree} nodes of the numbering subtree"
             ));
         }
         Ok(scheme)

@@ -4,13 +4,13 @@
 //! Everything is little-endian and length-prefixed; every read is bounds-
 //! checked against the remaining buffer so that corrupt lengths surface as
 //! [`CodecError`]s instead of panics or huge allocations. The tree codec
-//! serializes a [`Document`] in preorder with explicit child counts, which
-//! makes the rebuild deterministic: nodes are re-created in preorder, so
-//! the *i*-th preorder node of the source maps to the *i*-th created
-//! [`NodeId`] of the rebuilt arena — the property the label section of a
-//! snapshot relies on.
+//! serializes a [`Document`] in preorder with explicit child counts,
+//! written straight from the arena and decoded straight into a fresh one:
+//! nodes are re-created in preorder, so the *i*-th preorder node of the
+//! source is [`NodeId`] `i + 1` of the rebuilt arena (0 is the document
+//! root) — the property the label section of a snapshot relies on.
 
-use xmldom::{Document, NodeId, NodeKind};
+use xmldom::{AttributeOwners, Document, NameId, NodeId, NodeKind};
 
 /// A decode failure: what was being read and why it is impossible.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,13 +103,17 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn str(&mut self, what: &str) -> Result<String, CodecError> {
+        self.str_ref(what).map(str::to_owned)
+    }
+
+    /// A length-prefixed string borrowed from the buffer.
+    pub(crate) fn str_ref(&mut self, what: &str) -> Result<&'a str, CodecError> {
         let len = self.u32(what)? as usize;
         if len > self.remaining() {
             return err(format!("{what}: length {len} exceeds remaining {}", self.remaining()));
         }
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CodecError(format!("{what}: invalid utf-8")))
+        std::str::from_utf8(bytes).map_err(|_| CodecError(format!("{what}: invalid utf-8")))
     }
 
     pub(crate) fn expect_end(&self, what: &str) -> Result<(), CodecError> {
@@ -269,6 +273,27 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<ruid_core::PartitionConf
 
 // ------------------------------------------------------------- tree codec
 
+/// Most attributes one element can carry: the tree section counts them in
+/// a `u16`.
+pub const MAX_ATTRIBUTES: usize = u16::MAX as usize;
+
+/// Refuses a tree holding an element with more than [`MAX_ATTRIBUTES`]
+/// attributes, which no snapshot could encode. Every load path checks its
+/// tree with this before anything reaches the WAL.
+pub fn check_attribute_limit(doc: &Document) -> Result<(), String> {
+    for node in doc.descendants(doc.root()) {
+        let count = doc.attributes(node).len();
+        if count > MAX_ATTRIBUTES {
+            let name = doc.tag_name(node).unwrap_or_default();
+            return Err(format!(
+                "element <{name}> has {count} attributes; an element may carry at most \
+                 {MAX_ATTRIBUTES}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The preorder node sequence a snapshot aligns its label section with:
 /// every node reachable from the document root, the root itself excluded,
 /// in document order.
@@ -276,80 +301,138 @@ pub fn preorder(doc: &Document) -> Vec<NodeId> {
     doc.descendants(doc.root()).skip(1).collect()
 }
 
-/// Serializes the whole tree under the document root in preorder with
-/// explicit child counts.
-pub(crate) fn encode_tree(doc: &Document) -> Vec<u8> {
-    let mut out = Vec::new();
-    let top: Vec<NodeId> = doc.children(doc.root()).collect();
-    put_u32(&mut out, top.len() as u32);
-    // Preorder with an explicit stack (documents can be deep).
-    let mut stack: Vec<NodeId> = top.into_iter().rev().collect();
-    while let Some(node) = stack.pop() {
-        NodeContent::from_node(doc, node).encode(&mut out);
-        let children: Vec<NodeId> = doc.children(node).collect();
-        put_u32(&mut out, children.len() as u32);
-        for c in children.into_iter().rev() {
-            stack.push(c);
+/// Appends the tree under the document root to `out`, in [`preorder`]
+/// with explicit child counts, read straight from the arena. Returns the
+/// names the tree uses (element and attribute names) in first-use order —
+/// what the snapshot's Names section records, and exactly the interner a
+/// decode rebuilds (the source interner can still hold names of deleted
+/// nodes).
+pub(crate) fn encode_tree(doc: &Document, out: &mut Vec<u8>) -> Result<Vec<NameId>, CodecError> {
+    let mut used = vec![false; doc.names().len()];
+    let mut names = Vec::new();
+    let mut note = |name: NameId| {
+        if !std::mem::replace(&mut used[name.index()], true) {
+            names.push(name);
         }
+    };
+    put_u32(out, doc.children(doc.root()).count() as u32);
+    for node in doc.descendants(doc.root()).skip(1) {
+        match doc.kind(node) {
+            NodeKind::Element { name, attributes } => {
+                put_u8(out, 0);
+                put_str(out, doc.name_text(*name));
+                note(*name);
+                let Ok(count) = u16::try_from(attributes.len()) else {
+                    return err(format!(
+                        "element <{}> has {} attributes; at most {MAX_ATTRIBUTES} can be \
+                         encoded",
+                        doc.name_text(*name),
+                        attributes.len()
+                    ));
+                };
+                put_u16(out, count);
+                for a in attributes {
+                    put_str(out, doc.name_text(a.name));
+                    put_str(out, &a.value);
+                    note(a.name);
+                }
+            }
+            NodeKind::Text(t) => {
+                put_u8(out, 1);
+                put_str(out, t);
+            }
+            NodeKind::Comment(c) => {
+                put_u8(out, 2);
+                put_str(out, c);
+            }
+            NodeKind::ProcessingInstruction { target, data } => {
+                put_u8(out, 3);
+                put_str(out, target);
+                put_str(out, data);
+            }
+            NodeKind::Document => return err("a second document node in the tree"),
+        }
+        put_u32(out, doc.children(node).count() as u32);
     }
-    out
+    Ok(names)
 }
 
-/// Rebuilds a document from [`encode_tree`] output. Returns the document
-/// and its preorder node list (aligned with [`preorder`] of the source).
-pub(crate) fn decode_tree(bytes: &[u8]) -> Result<(Document, Vec<NodeId>), CodecError> {
+/// A node whose children [`decode_tree`] is still reading.
+struct Open {
+    node: NodeId,
+    /// Children still to read.
+    remaining: u32,
+    /// Name of its last element child: siblings mostly repeat a name, so
+    /// a comparison against it stands in for most interner lookups.
+    last_name: Option<NameId>,
+}
+
+/// Rebuilds a document from [`encode_tree`] output, creating each node in
+/// preorder straight into an arena sized for `nodes_hint` nodes (so
+/// preorder index *i* is `NodeId::from_index(i + 1)`), with names interned
+/// in first-use order and no per-node copies. An element that repeats an
+/// attribute name — which no document can hold — is rejected.
+pub(crate) fn decode_tree(bytes: &[u8], nodes_hint: usize) -> Result<Document, CodecError> {
     let mut r = Reader::new(bytes);
     let mut doc = Document::new();
-    let root = doc.root();
-    let mut order = Vec::new();
-    // (parent, children still to read for it)
-    let mut stack: Vec<(NodeId, u32)> = vec![(root, r.u32("root child count")?)];
+    doc.reserve(nodes_hint);
+    let mut owners = AttributeOwners::default();
+    let remaining = r.u32("root child count")?;
+    let mut stack = vec![Open { node: doc.root(), remaining, last_name: None }];
     loop {
-        while matches!(stack.last(), Some(&(_, 0))) {
+        while stack.last().is_some_and(|open| open.remaining == 0) {
             stack.pop();
         }
-        let Some(&mut (parent, ref mut remaining)) = stack.last_mut() else { break };
-        *remaining -= 1;
-        let content = NodeContent::decode(&mut r)?;
-        let node = content.create_in(&mut doc);
-        doc.append_child(parent, node);
-        order.push(node);
-        let n_children = r.u32("child count")?;
-        if n_children > 0 {
-            stack.push((node, n_children));
+        let Some(open) = stack.last_mut() else { break };
+        open.remaining -= 1;
+        let node = match r.u8("node kind")? {
+            0 => {
+                let text = r.str_ref("element name")?;
+                let name = match open.last_name {
+                    Some(last) if doc.name_text(last) == text => last,
+                    _ => doc.intern(text),
+                };
+                open.last_name = Some(name);
+                let element = doc.create_element_id(name);
+                for _ in 0..r.u16("attribute count")? {
+                    let key = r.str_ref("attribute name")?;
+                    let value = r.str_ref("attribute value")?;
+                    let key_id = doc.intern(key);
+                    if !owners.claim(element, key_id) {
+                        return err(format!("element repeats attribute {key:?}"));
+                    }
+                    doc.push_attribute(element, key_id, value);
+                }
+                element
+            }
+            1 => doc.create_text(r.str_ref("text content")?),
+            2 => doc.create_comment(r.str_ref("comment content")?),
+            3 => {
+                let target = r.str_ref("pi target")?;
+                doc.create_pi(target, r.str_ref("pi data")?)
+            }
+            other => return err(format!("unknown node kind tag {other}")),
+        };
+        doc.append_child(open.node, node);
+        let remaining = r.u32("child count")?;
+        if remaining > 0 {
+            stack.push(Open { node, remaining, last_name: None });
         }
     }
     r.expect_end("tree section")?;
-    Ok((doc, order))
-}
-
-/// Names interned by the rebuilt tree, in first-use order — the snapshot's
-/// name-index metadata section. (The *source* document's interner can hold
-/// extra names from deleted nodes; the rebuilt interner cannot, so the
-/// section records the walk order, not the source interner.)
-pub(crate) fn live_names(doc: &Document) -> Vec<String> {
-    let mut seen = std::collections::HashSet::new();
-    let mut names = Vec::new();
-    let push = |name: &str, seen: &mut std::collections::HashSet<String>,
-                    names: &mut Vec<String>| {
-        if seen.insert(name.to_owned()) {
-            names.push(name.to_owned());
-        }
-    };
-    for node in doc.descendants(doc.root()) {
-        if let NodeKind::Element { name, attributes } = doc.kind(node) {
-            push(doc.name_text(*name), &mut seen, &mut names);
-            for a in attributes {
-                push(doc.name_text(a.name), &mut seen, &mut names);
-            }
-        }
-    }
-    names
+    Ok(doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn round_trip(doc: &Document) -> (Vec<u8>, Vec<NameId>, Document) {
+        let mut bytes = Vec::new();
+        let names = encode_tree(doc, &mut bytes).unwrap();
+        let rebuilt = decode_tree(&bytes, 0).unwrap();
+        (bytes, names, rebuilt)
+    }
 
     #[test]
     fn tree_round_trip_preserves_structure_and_order() {
@@ -357,41 +440,90 @@ mod tests {
             "<?pi data?><!--top--><a x=\"1\" y=\"2\">t1<b><c/>mid<!--in--></b>t2<d/></a>",
         )
         .unwrap();
-        let bytes = encode_tree(&doc);
-        let (rebuilt, order) = decode_tree(&bytes).unwrap();
+        let (_, names, rebuilt) = round_trip(&doc);
         assert!(doc.subtree_eq(doc.root(), &rebuilt, rebuilt.root()));
-        assert_eq!(order.len(), preorder(&doc).len());
-        // Preorder alignment: same content at every position.
-        for (src, dst) in preorder(&doc).iter().zip(order.iter()) {
+        let order = preorder(&doc);
+        assert_eq!(rebuilt.arena_len(), order.len() + 1);
+        // Preorder alignment: preorder node i is arena node i + 1.
+        for (i, src) in order.iter().enumerate() {
             assert_eq!(
                 NodeContent::from_node(&doc, *src),
-                NodeContent::from_node(&rebuilt, *dst)
+                NodeContent::from_node(&rebuilt, NodeId::from_index(i + 1))
             );
         }
-        // The rebuilt interner is exactly the live-name walk.
-        let live = live_names(&doc);
-        let rebuilt_names: Vec<String> =
-            rebuilt.names().iter().map(|(_, n)| n.to_owned()).collect();
-        assert_eq!(rebuilt_names, live);
+        // The rebuilt interner is exactly the first-use names the encoder
+        // reported.
+        let used: Vec<&str> = names.iter().map(|&n| doc.name_text(n)).collect();
+        let rebuilt_names: Vec<&str> = rebuilt.names().iter().map(|(_, n)| n).collect();
+        assert_eq!(rebuilt_names, used);
+    }
+
+    #[test]
+    fn names_of_deleted_nodes_are_not_recorded() {
+        let mut doc = Document::parse("<a><gone k=\"v\"/><kept/></a>").unwrap();
+        let gone = doc.first_child(doc.root_element().unwrap()).unwrap();
+        doc.detach(gone);
+        let (_, names, rebuilt) = round_trip(&doc);
+        let used: Vec<&str> = names.iter().map(|&n| doc.name_text(n)).collect();
+        assert_eq!(used, ["a", "kept"]);
+        assert_eq!(rebuilt.names().len(), 2);
+    }
+
+    #[test]
+    fn the_attribute_count_is_bounded_on_both_sides() {
+        let wide = |count: usize| {
+            let mut doc = Document::new();
+            let e = doc.create_element("e");
+            doc.append_child(doc.root(), e);
+            for i in 0..count {
+                let name = doc.intern(&format!("a{i}"));
+                doc.push_attribute(e, name, "");
+            }
+            doc
+        };
+        let at_limit = wide(MAX_ATTRIBUTES);
+        assert!(check_attribute_limit(&at_limit).is_ok());
+        let (_, _, rebuilt) = round_trip(&at_limit);
+        assert!(at_limit.subtree_eq(at_limit.root(), &rebuilt, rebuilt.root()));
+
+        let over = wide(MAX_ATTRIBUTES + 1);
+        let refusal = check_attribute_limit(&over).unwrap_err();
+        assert!(refusal.contains("65535"), "{refusal}");
+        let encode = encode_tree(&over, &mut Vec::new()).unwrap_err();
+        assert!(encode.0.contains("65535"), "{encode}");
+    }
+
+    #[test]
+    fn a_repeated_attribute_is_rejected() {
+        let doc = Document::parse("<a k=\"1\" j=\"2\"/>").unwrap();
+        let mut bytes = Vec::new();
+        encode_tree(&doc, &mut bytes).unwrap();
+        // Rename "j" to "k" in place: same length, so only the decoder's
+        // duplicate check can tell.
+        let at = bytes.windows(1).rposition(|w| w == b"j").unwrap();
+        bytes[at] = b'k';
+        let refusal = decode_tree(&bytes, 0).unwrap_err();
+        assert!(refusal.0.contains("repeats attribute"), "{refusal}");
     }
 
     #[test]
     fn decode_rejects_corrupt_trees() {
         let doc = Document::parse("<a><b/>text</a>").unwrap();
-        let bytes = encode_tree(&doc);
+        let mut bytes = Vec::new();
+        encode_tree(&doc, &mut bytes).unwrap();
         // Truncations at every prefix must error, never panic.
         for cut in 0..bytes.len() {
-            assert!(decode_tree(&bytes[..cut]).is_err(), "cut at {cut} decoded");
+            assert!(decode_tree(&bytes[..cut], 0).is_err(), "cut at {cut} decoded");
         }
         // Trailing garbage is rejected.
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode_tree(&padded).is_err());
+        assert!(decode_tree(&padded, 0).is_err());
         // An absurd length prefix errors instead of allocating.
         let mut huge = bytes;
         let len = huge.len();
         huge[len - 5..len - 1].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_tree(&huge).is_err());
+        assert!(decode_tree(&huge, 0).is_err());
     }
 
     #[test]

@@ -40,14 +40,14 @@ pub mod snapshot;
 pub mod state;
 pub mod wal;
 
-pub use codec::{CodecError, NodeContent};
+pub use codec::{check_attribute_limit, CodecError, NodeContent};
 pub use crc::{crc32, Crc32};
 pub use fault::{IoFault, IoFaultPlan};
 pub use fingerprint::{catalog_fingerprint, doc_fingerprint};
 pub use recovery::{recover, recover_with, Recovered, RecoveryReport};
 pub use snapshot::{
     read_snapshot, read_snapshot_bytes, snapshot_file_name, snapshot_generation, wal_generation,
-    write_snapshot, write_snapshot_with, DocView, SnapshotLoad,
+    write_snapshot, write_snapshot_bodies, write_snapshot_with, DocView, SnapshotLoad,
 };
 pub use state::{Applied, DocState};
 pub use wal::{

@@ -32,16 +32,17 @@
 //! the old complete file set or the new one, never a half-written
 //! `.snap`.
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ruid_core::{AreaEntry, KTable, Ruid2, Ruid2Scheme};
-use xmldom::Document;
+use xmldom::{Document, NodeId};
 
 use crate::codec::{
-    self, decode_tree, encode_tree, live_names, preorder, put_str, put_u32, put_u64, put_u8,
-    CodecError, Reader,
+    self, decode_tree, encode_tree, put_str, put_u32, put_u64, put_u8, CodecError, Reader,
 };
 use crate::crc::crc32;
 use crate::fault::{IoFault, IoFaultPlan};
@@ -105,91 +106,117 @@ impl DocState {
     }
 }
 
-fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+/// Bytes of one label entry: preorder index `u32` ‖ rUID.
+const LABEL_ENTRY: usize = 4 + Ruid2::ENCODED_LEN;
+/// Bytes of one table-K row: global ‖ local ‖ fanout, each `u64`.
+const KTABLE_ROW: usize = 24;
+
+/// Appends one section whose payload `write` appends in place: the tag,
+/// then the length and CRC, patched in once the payload is there.
+fn section<R>(out: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
     put_u8(out, tag);
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+    let header = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let result = write(out);
+    let payload = &out[header + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+    result
 }
 
-fn encode_doc_body(doc: &DocView<'_>) -> Vec<u8> {
+fn encode_body(doc: &DocView<'_>) -> Result<Vec<u8>, CodecError> {
     let mut body = Vec::new();
 
-    let mut meta = Vec::new();
-    put_str(&mut meta, doc.path);
-    codec::put_config(&mut meta, &doc.config);
-    put_u8(&mut meta, u8::from(doc.with_store));
-    put_u64(&mut meta, doc.scheme.kappa());
-    push_section(&mut body, SEC_META, &meta);
+    section(&mut body, SEC_META, |meta| {
+        put_str(meta, doc.path);
+        codec::put_config(meta, &doc.config);
+        put_u8(meta, u8::from(doc.with_store));
+        put_u64(meta, doc.scheme.kappa());
+    });
 
-    push_section(&mut body, SEC_TREE, &encode_tree(doc.doc));
+    let names = section(&mut body, SEC_TREE, |tree| encode_tree(doc.doc, tree))?;
 
-    let order = preorder(doc.doc);
-    let mut labels = Vec::new();
-    let labelled: Vec<(u32, Ruid2)> = order
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &n)| {
-            // Nodes outside the numbering subtree (e.g. top-level comments)
-            // carry no label.
-            doc.scheme.try_label_of(n).map(|l| (i as u32, l))
-        })
-        .collect();
-    put_u32(&mut labels, labelled.len() as u32);
-    for (i, label) in &labelled {
-        put_u32(&mut labels, *i);
-        labels.extend_from_slice(&label.to_bytes());
-    }
-    push_section(&mut body, SEC_LABELS, &labels);
+    section(&mut body, SEC_LABELS, |labels| {
+        // Nodes outside the numbering subtree (e.g. top-level comments)
+        // carry no label; the count is patched in after the walk.
+        let count_at = labels.len();
+        put_u32(labels, 0);
+        let mut count = 0u32;
+        for (i, node) in doc.doc.descendants(doc.doc.root()).skip(1).enumerate() {
+            if let Some(label) = doc.scheme.try_label_of(node) {
+                put_u32(labels, i as u32);
+                labels.extend_from_slice(&label.to_bytes());
+                count += 1;
+            }
+        }
+        labels[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    });
 
-    let mut ktable = Vec::new();
-    put_u32(&mut ktable, doc.scheme.ktable().rows().len() as u32);
-    for row in doc.scheme.ktable().rows() {
-        put_u64(&mut ktable, row.global);
-        put_u64(&mut ktable, row.local);
-        put_u64(&mut ktable, row.fanout);
-    }
-    push_section(&mut body, SEC_KTABLE, &ktable);
+    section(&mut body, SEC_KTABLE, |ktable| {
+        let rows = doc.scheme.ktable().rows();
+        put_u32(ktable, rows.len() as u32);
+        for row in rows {
+            put_u64(ktable, row.global);
+            put_u64(ktable, row.local);
+            put_u64(ktable, row.fanout);
+        }
+    });
 
-    let mut names = Vec::new();
-    let live = live_names(doc.doc);
-    put_u32(&mut names, live.len() as u32);
-    for name in &live {
-        put_str(&mut names, name);
-    }
-    push_section(&mut body, SEC_NAMES, &names);
+    section(&mut body, SEC_NAMES, |section| {
+        put_u32(section, names.len() as u32);
+        for &name in &names {
+            put_str(section, doc.doc.name_text(name));
+        }
+    });
 
-    body
+    Ok(body)
+}
+
+// The unit tests below frame document bodies by hand through these two.
+#[cfg(test)]
+fn encode_doc_body(doc: &DocView<'_>) -> Vec<u8> {
+    encode_body(doc).expect("test documents encode")
+}
+
+#[cfg(test)]
+fn push_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    section(out, tag, |out| out.extend_from_slice(payload));
 }
 
 /// Serializes a whole snapshot file into memory.
-fn encode_snapshot(generation: u64, docs: &[DocView<'_>]) -> Vec<u8> {
-    let bodies: Vec<(u64, Vec<u8>)> = docs.iter().map(|v| (v.id, encode_doc_body(v))).collect();
-    lay_out(generation, &bodies)
+fn encode_snapshot(generation: u64, docs: &[DocView<'_>]) -> io::Result<Vec<u8>> {
+    let bodies = docs
+        .iter()
+        .map(|v| encode_body(v).map(|body| (v.id, body)))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    Ok(lay_out(generation, &bodies))
 }
 
 /// Header, directory and `(doc_id, body)` bodies, as one file image.
-fn lay_out(generation: u64, bodies: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    let mut header = Vec::new();
-    header.extend_from_slice(SNAPSHOT_MAGIC);
-    put_u32(&mut header, SNAPSHOT_VERSION);
-    put_u64(&mut header, generation);
-    put_u32(&mut header, bodies.len() as u32);
+fn lay_out<B: AsRef<[u8]>>(generation: u64, bodies: &[(u64, B)]) -> Vec<u8> {
     // Directory offsets are from the file start; the header region is
     // header + directory + trailing CRC.
-    let header_region = header.len() + bodies.len() * 24 + 4;
+    let header_region = 8 + 4 + 8 + 4 + bodies.len() * 24 + 4;
+    let total = header_region + bodies.iter().map(|(_, b)| b.as_ref().len()).sum::<usize>();
+    let mut out = Vec::with_capacity(total);
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    put_u32(&mut out, SNAPSHOT_VERSION);
+    put_u64(&mut out, generation);
+    put_u32(&mut out, bodies.len() as u32);
     let mut offset = header_region as u64;
     for (id, body) in bodies {
-        put_u64(&mut header, *id);
-        put_u64(&mut header, offset);
-        put_u64(&mut header, body.len() as u64);
-        offset += body.len() as u64;
+        let len = body.as_ref().len() as u64;
+        put_u64(&mut out, *id);
+        put_u64(&mut out, offset);
+        put_u64(&mut out, len);
+        offset += len;
     }
-    let header_crc = crc32(&header);
-    put_u32(&mut header, header_crc);
-    let mut out = header;
+    let header_crc = crc32(&out);
+    put_u32(&mut out, header_crc);
     for (_, body) in bodies {
-        out.extend_from_slice(body);
+        out.extend_from_slice(body.as_ref());
     }
     out
 }
@@ -207,7 +234,31 @@ pub fn write_snapshot_with(
     docs: &[DocView<'_>],
     faults: &IoFaultPlan,
 ) -> io::Result<PathBuf> {
-    let bytes = encode_snapshot(generation, docs);
+    install_image(dir, generation, &encode_snapshot(generation, docs)?, faults)
+}
+
+/// Writes and atomically installs, as generation `generation`, a snapshot
+/// of document bodies taken verified from another image
+/// ([`SnapshotLoad::verified_bodies`]) — how a follower persists what it
+/// was shipped without encoding the catalog it just decoded from them.
+/// The bodies are framed exactly as [`write_snapshot`] frames the
+/// documents they encode, so the file is the one it would have written.
+pub fn write_snapshot_bodies(
+    dir: &Path,
+    generation: u64,
+    bodies: &[(u64, &[u8])],
+) -> io::Result<PathBuf> {
+    install_image(dir, generation, &lay_out(generation, bodies), &IoFaultPlan::new())
+}
+
+/// The crash-atomic install of a whole image: temp file, fsync, rename
+/// over the final name, fsync the directory.
+fn install_image(
+    dir: &Path,
+    generation: u64,
+    bytes: &[u8],
+    faults: &IoFaultPlan,
+) -> io::Result<PathBuf> {
     let final_path = dir.join(snapshot_file_name(generation));
     let tmp_path = dir.join(format!("{}.tmp", snapshot_file_name(generation)));
     {
@@ -223,7 +274,7 @@ pub fn write_snapshot_with(
                     format!("injected torn snapshot write after {cut} bytes"),
                 ));
             }
-            _ => tmp.write_all(&bytes)?,
+            _ => tmp.write_all(bytes)?,
         }
         tmp.flush()?;
         if matches!(faults.fault_at(1), Some(IoFault::FailFsync)) {
@@ -243,7 +294,7 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
 
 /// A successfully read snapshot: the surviving documents plus what had to
 /// be quarantined.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotLoad {
     /// Generation stamped in the header.
     pub generation: u64,
@@ -251,6 +302,21 @@ pub struct SnapshotLoad {
     pub docs: Vec<DocState>,
     /// `(doc_id, reason)` for documents that failed verification.
     pub quarantined: Vec<(u64, String)>,
+    /// Where in the image each of [`SnapshotLoad::docs`] was decoded
+    /// from: its verified body, index for index.
+    pub bodies: Vec<Range<usize>>,
+}
+
+impl SnapshotLoad {
+    /// The verified bodies of `image` (the bytes this load was read
+    /// from) in id order, one per id — the last, when the directory
+    /// repeats one, as installing [`SnapshotLoad::docs`] in order keeps
+    /// the last — ready for [`write_snapshot_bodies`].
+    pub fn verified_bodies<'a>(&self, image: &'a [u8]) -> Vec<(u64, &'a [u8])> {
+        let by_id: BTreeMap<u64, &[u8]> =
+            self.docs.iter().zip(&self.bodies).map(|(d, r)| (d.id, &image[r.clone()])).collect();
+        by_id.into_iter().collect()
+    }
 }
 
 /// Reads a snapshot file. `Err` means the file as a whole is unusable
@@ -258,10 +324,7 @@ pub struct SnapshotLoad {
 /// generation should be tried; per-document damage is *not* an error —
 /// those documents land in [`SnapshotLoad::quarantined`].
 pub fn read_snapshot(path: &Path) -> Result<SnapshotLoad, String> {
-    let mut data = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut data))
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
+    let data = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     read_snapshot_bytes(&data)
 }
 
@@ -301,24 +364,29 @@ pub fn read_snapshot_bytes(data: &[u8]) -> Result<SnapshotLoad, String> {
 
     let mut docs = Vec::new();
     let mut quarantined = Vec::new();
+    let mut bodies = Vec::new();
     for (id, offset, len) in directory {
-        let body = match usize::try_from(offset)
+        let range = match usize::try_from(offset)
             .ok()
             .zip(usize::try_from(len).ok())
-            .and_then(|(o, l)| data.get(o..o.checked_add(l)?))
+            .and_then(|(o, l)| Some(o..o.checked_add(l)?))
+            .filter(|r| r.end <= data.len())
         {
-            Some(b) => b,
+            Some(r) => r,
             None => {
                 quarantined.push((id, "directory entry points outside the file".into()));
                 continue;
             }
         };
-        match decode_doc_body(id, body) {
-            Ok(doc) => docs.push(doc),
+        match decode_doc_body(id, &data[range.clone()]) {
+            Ok(doc) => {
+                docs.push(doc);
+                bodies.push(range);
+            }
             Err(reason) => quarantined.push((id, reason)),
         }
     }
-    Ok(SnapshotLoad { generation, docs, quarantined })
+    Ok(SnapshotLoad { generation, docs, quarantined, bodies })
 }
 
 fn read_section<'a>(r: &mut Reader<'a>, want: u8, name: &str) -> Result<&'a [u8], String> {
@@ -337,72 +405,113 @@ fn read_section<'a>(r: &mut Reader<'a>, want: u8, name: &str) -> Result<&'a [u8]
 
 fn decode_doc_body(id: u64, body: &[u8]) -> Result<DocState, String> {
     let mut r = Reader::new(body);
-
     let meta = read_section(&mut r, SEC_META, "meta")?;
-    let mut mr = Reader::new(meta);
-    let path = mr.str("path").map_err(|e| e.to_string())?;
-    let config = codec::read_config(&mut mr).map_err(|e| e.to_string())?;
-    let with_store = mr.u8("with_store").map_err(|e| e.to_string())? != 0;
-    let kappa = mr.u64("kappa").map_err(|e| e.to_string())?;
-    mr.expect_end("meta section").map_err(|e| e.to_string())?;
-
     let tree = read_section(&mut r, SEC_TREE, "tree")?;
-    let (doc, order) = decode_tree(tree).map_err(|e: CodecError| e.to_string())?;
-
-    let labels_raw = read_section(&mut r, SEC_LABELS, "labels")?;
-    let mut lr = Reader::new(labels_raw);
-    let n_labels = lr.u32("label count").map_err(|e| e.to_string())? as usize;
-    let mut labels = Vec::with_capacity(n_labels.min(order.len()));
-    for _ in 0..n_labels {
-        let idx = lr.u32("preorder index").map_err(|e| e.to_string())? as usize;
-        let raw: [u8; Ruid2::ENCODED_LEN] = lr
-            .take(Ruid2::ENCODED_LEN, "label")
-            .map_err(|e| e.to_string())?
-            .try_into()
-            .expect("exact length");
-        let node = *order.get(idx).ok_or_else(|| {
-            format!("label references preorder index {idx} beyond the tree ({})", order.len())
-        })?;
-        labels.push((node, Ruid2::from_bytes(&raw)));
-    }
-    lr.expect_end("labels section").map_err(|e| e.to_string())?;
-
-    let ktable_raw = read_section(&mut r, SEC_KTABLE, "ktable")?;
-    let mut kr = Reader::new(ktable_raw);
-    let n_rows = kr.u32("ktable row count").map_err(|e| e.to_string())? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(1 + labels.len()));
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..n_rows {
-        let global = kr.u64("row global").map_err(|e| e.to_string())?;
-        let local = kr.u64("row local").map_err(|e| e.to_string())?;
-        let fanout = kr.u64("row fanout").map_err(|e| e.to_string())?;
-        if !seen.insert(global) {
-            return Err(format!("table K has duplicate rows for area {global}"));
-        }
-        rows.push(AreaEntry { global, local, fanout });
-    }
-    kr.expect_end("ktable section").map_err(|e| e.to_string())?;
-
-    let names_raw = read_section(&mut r, SEC_NAMES, "names")?;
-    let mut nr = Reader::new(names_raw);
-    let n_names = nr.u32("name count").map_err(|e| e.to_string())? as usize;
-    let mut names = Vec::with_capacity(n_names.min(body.len()));
-    for _ in 0..n_names {
-        names.push(nr.str("name").map_err(|e| e.to_string())?);
-    }
-    nr.expect_end("names section").map_err(|e| e.to_string())?;
+    let labels = read_section(&mut r, SEC_LABELS, "labels")?;
+    let ktable = read_section(&mut r, SEC_KTABLE, "ktable")?;
+    let names = read_section(&mut r, SEC_NAMES, "names")?;
     r.expect_end("document body").map_err(|e| e.to_string())?;
+    decode_sections(id, meta, tree, labels, ktable, names).map_err(|e| e.to_string())
+}
+
+/// `count` records of `width` bytes that make up the rest of `r`.
+fn records<'a>(
+    r: &mut Reader<'a>,
+    count: usize,
+    width: usize,
+    what: &str,
+) -> Result<std::slice::ChunksExact<'a, u8>, CodecError> {
+    let len = count
+        .checked_mul(width)
+        .ok_or_else(|| CodecError(format!("{what}: record count {count} overflows")))?;
+    let bytes = r.take(len, what)?;
+    r.expect_end(what)?;
+    Ok(bytes.chunks_exact(width))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// One document from its five checksum-verified section payloads.
+fn decode_sections(
+    id: u64,
+    meta: &[u8],
+    tree: &[u8],
+    labels: &[u8],
+    ktable: &[u8],
+    names: &[u8],
+) -> Result<DocState, CodecError> {
+    let mut mr = Reader::new(meta);
+    let path = mr.str("path")?;
+    let config = codec::read_config(&mut mr)?;
+    let with_store = mr.u8("with_store")? != 0;
+    let kappa = mr.u64("kappa")?;
+    mr.expect_end("meta section")?;
+
+    // Every node but a few prolog or epilog ones carries a label, so the
+    // label count (bounded by the section's length) sizes the arena.
+    let mut lr = Reader::new(labels);
+    let n_labels = lr.u32("label count")? as usize;
+    let entries = records(&mut lr, n_labels, LABEL_ENTRY, "labels section")?;
+
+    let doc = decode_tree(tree, n_labels + 16)?;
+    // The decode created the nodes in preorder: index i is arena node i + 1.
+    let nodes = doc.arena_len() - 1;
+
+    let index = |entry: &[u8]| u32::from_le_bytes(entry[..4].try_into().expect("4 bytes"));
+    if let Some(idx) = entries.clone().map(index).find(|&idx| idx as usize >= nodes) {
+        return Err(CodecError(format!(
+            "label references preorder index {idx} beyond the tree ({nodes})"
+        )));
+    }
+    let labels = entries.map(|entry| {
+        let raw = entry[4..].try_into().expect("exact length");
+        (NodeId::from_index(index(entry) as usize + 1), Ruid2::from_bytes(raw))
+    });
+
+    let mut kr = Reader::new(ktable);
+    let n_rows = kr.u32("ktable row count")? as usize;
+    let mut rows = Vec::with_capacity(n_rows.min(1 + n_labels));
+    for row in records(&mut kr, n_rows, KTABLE_ROW, "ktable section")? {
+        rows.push(AreaEntry {
+            global: u64_at(row, 0),
+            local: u64_at(row, 8),
+            fanout: u64_at(row, 16),
+        });
+    }
+    // Written in global order; rows in any other order are sorted first,
+    // so a repeated area shows as two neighbours.
+    if !rows.windows(2).all(|w| w[0].global < w[1].global) {
+        rows.sort_by_key(|row| row.global);
+        if let Some(w) = rows.windows(2).find(|w| w[0].global == w[1].global) {
+            return Err(CodecError(format!(
+                "table K has duplicate rows for area {}",
+                w[0].global
+            )));
+        }
+    }
 
     // Cross-validate: the rebuilt interner must match the recorded
     // name-index metadata exactly (order and content).
-    let rebuilt_names: Vec<String> = doc.names().iter().map(|(_, n)| n.to_owned()).collect();
-    if rebuilt_names != names {
-        return Err("name index metadata does not match the rebuilt tree".into());
+    let mut nr = Reader::new(names);
+    let n_names = nr.u32("name count")? as usize;
+    let same = {
+        let mut rebuilt = doc.names().iter().map(|(_, name)| name);
+        let mut same = true;
+        for _ in 0..n_names {
+            same &= rebuilt.next() == Some(nr.str_ref("name")?);
+        }
+        same && rebuilt.next().is_none()
+    };
+    nr.expect_end("names section")?;
+    if !same {
+        return Err(CodecError("name index metadata does not match the rebuilt tree".into()));
     }
 
     let root = doc.root_element().unwrap_or_else(|| doc.root());
-    let scheme = Ruid2Scheme::from_parts(&doc, root, kappa, KTable::from_rows(rows), config, &labels)
-        .map_err(|e| format!("scheme restore: {e}"))?;
+    let scheme = Ruid2Scheme::from_parts(&doc, root, kappa, KTable::from_rows(rows), config, labels)
+        .map_err(|e| CodecError(format!("scheme restore: {e}")))?;
     Ok(DocState { id, path, config, with_store, doc, scheme })
 }
 

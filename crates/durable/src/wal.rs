@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use ruid_core::Ruid2;
 
 use crate::codec::{put_str, put_u32, put_u64, put_u8, CodecError, NodeContent, Reader};
-use crate::crc::{crc32, Crc32};
+use crate::crc::Crc32;
 use crate::fault::{IoFault, IoFaultPlan};
 
 /// Fixed bytes before each record's payload.
@@ -247,10 +247,10 @@ pub fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
     let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
     put_u32(&mut record, payload.len() as u32);
     put_u64(&mut record, seq);
-    let mut crc_input = Vec::with_capacity(8 + payload.len());
-    put_u64(&mut crc_input, seq);
-    crc_input.extend_from_slice(&payload);
-    put_u32(&mut record, crc32(&crc_input));
+    let mut crc = Crc32::new();
+    crc.update(&seq.to_le_bytes());
+    crc.update(&payload);
+    put_u32(&mut record, crc.finish());
     record.extend_from_slice(&payload);
     record
 }

@@ -114,6 +114,8 @@ impl LoadedDoc {
 
     /// Numbers an already-constructed tree and derives the rest — the
     /// shared tail of [`LoadedDoc::build_with`] and [`LoadedDoc::build_op`].
+    /// A tree no snapshot could encode (an element over the attribute
+    /// limit) is refused here, before its load reaches the WAL.
     fn build_from_doc(
         path: &str,
         doc: Document,
@@ -124,6 +126,7 @@ impl LoadedDoc {
         if doc.root_element().is_none() {
             return Err(format!("{path}: document has no root element"));
         }
+        durable::check_attribute_limit(&doc).map_err(|e| format!("{path}: {e}"))?;
         let scheme =
             Ruid2Scheme::try_build_with(&doc, config, exec).map_err(|e| e.to_string())?;
         Ok(LoadedDoc::derive(path.to_owned(), doc, scheme, with_store, exec))

@@ -171,7 +171,7 @@ pub use durable::{FsyncPolicy, WalOp};
 pub use fault::{Fault, FaultPlan};
 pub use metrics::{Command, CommandSummary, Histogram, Metrics, Protocol, ValueHistogram};
 pub use persist::{Durability, DurabilityStats, RecoverySummary};
-pub use replication::{FollowerAck, ReplSample, ReplState};
+pub use replication::{BootstrapPhases, FollowerAck, ReplSample, ReplState};
 pub use trace::{RequestTrace, SlowEntry, Span, Tracer, SPANS, SPAN_COUNT};
 // The pool moved to the reusable `par` crate so the build pipeline and the
 // server share one threading layer; re-exported here for compatibility.

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use durable::{
-    recover, snapshot_file_name, wal_file_name, write_snapshot, DocState, DocView, FsyncPolicy,
-    WalOp, WalWriter,
+    recover, snapshot_file_name, wal_file_name, write_snapshot, write_snapshot_bodies, DocState,
+    DocView, FsyncPolicy, WalOp, WalWriter,
 };
 
 use crate::catalog::{Catalog, DocId, LoadedDoc};
@@ -145,23 +145,48 @@ impl Durability {
     /// removes files older than the previous generation (one older
     /// snapshot is kept as a fallback base). Returns `(generation, docs)`.
     pub fn snapshot(&self, catalog: &Catalog) -> Result<(u64, usize), String> {
+        self.install_snapshot(|dir, generation| {
+            let entries: Vec<(DocId, Arc<LoadedDoc>)> = catalog.snapshot_docs();
+            let views: Vec<DocView<'_>> = entries
+                .iter()
+                .map(|(id, d)| DocView {
+                    id: *id,
+                    path: &d.path,
+                    config: *d.scheme.config(),
+                    with_store: d.store.is_some(),
+                    doc: &d.doc,
+                    scheme: &d.scheme,
+                })
+                .collect();
+            write_snapshot(dir, generation, &views).map(|_| views.len())
+        })
+    }
+
+    /// [`Durability::snapshot`] of a catalog that was just installed from
+    /// `bodies` — verified document bodies of a shipped image, in id
+    /// order ([`durable::SnapshotLoad::verified_bodies`]). They are
+    /// re-framed under this node's next generation instead of encoded
+    /// again from the catalog, which is byte for byte what that encode
+    /// would write. Returns `(generation, docs)`.
+    pub fn snapshot_bodies(&self, bodies: &[(u64, &[u8])]) -> Result<(u64, usize), String> {
+        self.install_snapshot(|dir, generation| {
+            write_snapshot_bodies(dir, generation, bodies).map(|_| bodies.len())
+        })
+    }
+
+    /// The snapshot rotation both kinds share: under the manager's mutex,
+    /// `write` installs the image of generation `g+1` and returns its
+    /// document count; then the WAL rotates to the paired fresh segment
+    /// and files below the fallback generation go.
+    fn install_snapshot(
+        &self,
+        write: impl FnOnce(&Path, u64) -> std::io::Result<usize>,
+    ) -> Result<(u64, usize), String> {
         let started = std::time::Instant::now();
         let mut inner = self.inner.lock().unwrap();
         let new_gen = inner.generation + 1;
-        let entries: Vec<(DocId, Arc<LoadedDoc>)> = catalog.snapshot_docs();
-        let views: Vec<DocView<'_>> = entries
-            .iter()
-            .map(|(id, d)| DocView {
-                id: *id,
-                path: &d.path,
-                config: *d.scheme.config(),
-                with_store: d.store.is_some(),
-                doc: &d.doc,
-                scheme: &d.scheme,
-            })
-            .collect();
-        write_snapshot(&self.dir, new_gen, &views)
-            .map_err(|e| format!("snapshot write failed: {e}"))?;
+        let docs =
+            write(&self.dir, new_gen).map_err(|e| format!("snapshot write failed: {e}"))?;
         inner.wal = WalWriter::create(&self.dir, new_gen, self.policy)
             .map_err(|e| format!("wal rotation failed: {e}"))?;
         let old_gen = inner.generation;
@@ -176,7 +201,7 @@ impl Durability {
             let _ = std::fs::remove_file(self.dir.join(snapshot_file_name(g)));
             let _ = std::fs::remove_file(self.dir.join(wal_file_name(g)));
         }
-        Ok((new_gen, views.len()))
+        Ok((new_gen, docs))
     }
 
     /// The data directory.

@@ -357,6 +357,10 @@ pub fn render(ctx: &PromCtx<'_>) -> String {
         out.push_str(&format!("ruid_repl_quarantined_total {}\n", s.quarantined));
         family(&mut out, "ruid_repl_promotions_total", "counter", "Follower-to-leader promotions completed by this process.");
         out.push_str(&format!("ruid_repl_promotions_total {}\n", s.promotions));
+        family(&mut out, "ruid_repl_bootstrap_seconds", "gauge", "Time each phase of this follower's last snapshot bootstrap took.");
+        for (phase, seconds) in s.last_bootstrap.phases() {
+            out.push_str(&format!("ruid_repl_bootstrap_seconds{{phase=\"{phase}\"}} {seconds}\n"));
+        }
     }
 
     family(
@@ -502,12 +506,22 @@ mod tests {
         assert!(body.contains("ruid_repl_reconnects_total 0"), "{body}");
         assert!(body.contains("ruid_repl_backoff_waits_total 0"), "{body}");
         assert!(body.contains("ruid_client_retries_total"), "{body}");
+        for phase in ["fetch", "decode", "install", "persist"] {
+            let line = format!("ruid_repl_bootstrap_seconds{{phase=\"{phase}\"}} 0\n");
+            assert!(body.contains(&line), "{body}");
+        }
 
         let follower = ReplState::new_follower("127.0.0.1:1".into());
         follower.note_applied();
         follower.note_applied();
         follower.note_reconnect();
         follower.set_lag(7);
+        follower.note_bootstrap_phases(crate::replication::BootstrapPhases {
+            fetch_s: 0.25,
+            decode_s: 0.5,
+            install_s: 0.125,
+            persist_s: 0.0625,
+        });
         let body = render(&PromCtx {
             metrics: &m,
             catalog: None,
@@ -522,6 +536,19 @@ mod tests {
         assert!(body.contains("ruid_repl_lag_records 7"), "{body}");
         assert!(body.contains("ruid_repl_records_applied_total 2"), "{body}");
         assert!(body.contains("ruid_repl_reconnects_total 1"), "{body}");
+        assert!(body.contains("# TYPE ruid_repl_bootstrap_seconds gauge"), "{body}");
+        for (phase, seconds) in [("fetch", 0.25), ("decode", 0.5), ("install", 0.125), ("persist", 0.0625)] {
+            let line = format!("ruid_repl_bootstrap_seconds{{phase=\"{phase}\"}} {seconds}\n");
+            assert!(body.contains(&line), "{body}");
+        }
+        let line = follower.render_line();
+        assert!(
+            line.ends_with(
+                "repl_bootstrap_fetch_ms=250.0 repl_bootstrap_decode_ms=500.0 \
+                 repl_bootstrap_install_ms=125.0 repl_bootstrap_persist_ms=62.5"
+            ),
+            "{line}"
+        );
         // Once caught up the continuous-behind clock resets to zero.
         follower.set_lag(0);
         let body = render(&PromCtx {

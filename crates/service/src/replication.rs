@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use durable::WalOp;
+use durable::{SnapshotLoad, WalOp};
 use repl::{Backoff, HelloInfo, SegmentTailer, TailChunk};
 
 use crate::client::BinaryClient;
@@ -84,6 +84,35 @@ pub struct ReplState {
     /// `Some(t)` while the follower is behind (lag became nonzero at
     /// `t`); `None` while caught up. Drives `ruid_repl_lag_seconds`.
     behind_since: Mutex<Option<Instant>>,
+    last_bootstrap: Mutex<BootstrapPhases>,
+}
+
+/// Where the follower's last snapshot bootstrap spent its time, phase by
+/// phase, in seconds (all zero before the first one; fetch and decode stay
+/// zero when the leader had no snapshot to ship).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BootstrapPhases {
+    /// Fetching the leader's snapshot image.
+    pub fetch_s: f64,
+    /// Verifying its checksums and decoding its documents.
+    pub decode_s: f64,
+    /// Installing them in the catalog, derived indexes included.
+    pub install_s: f64,
+    /// Persisting the shipped bodies as this node's own snapshot.
+    pub persist_s: f64,
+}
+
+impl BootstrapPhases {
+    /// `(phase, seconds)` in bootstrap order — the `phase` label values
+    /// of `ruid_repl_bootstrap_seconds`.
+    pub fn phases(&self) -> [(&'static str, f64); 4] {
+        [
+            ("fetch", self.fetch_s),
+            ("decode", self.decode_s),
+            ("install", self.install_s),
+            ("persist", self.persist_s),
+        ]
+    }
 }
 
 /// A point-in-time copy of every replication counter and gauge, for the
@@ -122,6 +151,8 @@ pub struct ReplSample {
     /// Seconds the follower has continuously been behind (0 when caught
     /// up).
     pub lag_seconds: f64,
+    /// Phase times of the follower's last snapshot bootstrap.
+    pub last_bootstrap: BootstrapPhases,
 }
 
 impl ReplState {
@@ -158,6 +189,7 @@ impl ReplState {
             promotions: AtomicU64::new(0),
             lag_records: AtomicU64::new(0),
             behind_since: Mutex::new(None),
+            last_bootstrap: Mutex::new(BootstrapPhases::default()),
         }
     }
 
@@ -233,6 +265,10 @@ impl ReplState {
         self.bootstraps.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn note_bootstrap_phases(&self, phases: BootstrapPhases) {
+        *self.last_bootstrap.lock().unwrap() = phases;
+    }
+
     pub(crate) fn note_reconnect(&self) {
         self.reconnects.fetch_add(1, Ordering::Relaxed);
     }
@@ -287,6 +323,7 @@ impl ReplState {
             promotions: self.promotions.load(Ordering::Relaxed),
             lag_records: self.lag_records.load(Ordering::Relaxed),
             lag_seconds: self.lag_seconds(),
+            last_bootstrap: *self.last_bootstrap.lock().unwrap(),
         }
     }
 
@@ -297,7 +334,9 @@ impl ReplState {
             "repl_role={} repl_lag_records={} repl_lag_seconds={:.3} repl_applied={} \
              repl_bootstraps={} repl_reconnects={} repl_backoff_waits={} repl_refusals={} \
              repl_quarantined={} repl_promotions={} repl_chunks_shipped={} \
-             repl_bytes_shipped={} repl_snapshots_shipped={} repl_acks={} repl_followers={}",
+             repl_bytes_shipped={} repl_snapshots_shipped={} repl_acks={} repl_followers={} \
+             repl_bootstrap_fetch_ms={:.1} repl_bootstrap_decode_ms={:.1} \
+             repl_bootstrap_install_ms={:.1} repl_bootstrap_persist_ms={:.1}",
             if s.is_leader { "leader" } else { "follower" },
             s.lag_records,
             s.lag_seconds,
@@ -313,6 +352,10 @@ impl ReplState {
             s.snapshots_shipped,
             s.acks_received,
             s.followers,
+            s.last_bootstrap.fetch_s * 1e3,
+            s.last_bootstrap.decode_s * 1e3,
+            s.last_bootstrap.install_s * 1e3,
+            s.last_bootstrap.persist_s * 1e3,
         )
     }
 }
@@ -509,7 +552,8 @@ fn apply_record(shared: &Shared, op: WalOp) {
 /// Bootstraps the catalog from the leader's newest snapshot: fetch the
 /// raw image, validate it with the checksummed snapshot reader, swap the
 /// whole catalog in through the install a restart uses, and (with local
-/// durability) freeze the result in our own snapshot. Returns the WAL
+/// durability) persist the verified bodies as our own snapshot. Each
+/// phase is timed into [`ReplSample::last_bootstrap`]. Returns the WAL
 /// segment to tail from, or `Ok(None)` when a stop/promotion arrived
 /// mid-bootstrap — in that case the local catalog is left exactly as it
 /// was, because a node that is about to become the leader must not have
@@ -523,17 +567,21 @@ fn bootstrap(
     if stop_requested(shared) {
         return Ok(None);
     }
-    let (start_segment, states, quarantined) = match hello.snapshot {
+    let mut phases = BootstrapPhases::default();
+    let (image, load) = match hello.snapshot {
         Some(generation) => {
-            let bytes =
-                request_blob(client, &Request::ReplSnapshot { generation })?;
-            let load = durable::read_snapshot_bytes(&bytes)
+            let started = Instant::now();
+            let image = request_blob(client, &Request::ReplSnapshot { generation })?;
+            phases.fetch_s = started.elapsed().as_secs_f64();
+            let started = Instant::now();
+            let load = durable::read_snapshot_bytes(&image)
                 .map_err(|e| PollFail::Refused(format!("shipped snapshot invalid: {e}")))?;
-            (load.generation, load.docs, load.quarantined)
+            phases.decode_s = started.elapsed().as_secs_f64();
+            (image, load)
         }
         // A leader that has never snapshotted: the chain starts at
         // segment 0 with an empty catalog.
-        None => (0, Vec::new(), Vec::new()),
+        None => (Vec::new(), SnapshotLoad::default()),
     };
     // The snapshot fetch can stall for a long time (slow leader, big
     // image). A PROMOTE that landed meanwhile must win: installing the
@@ -545,20 +593,29 @@ fn bootstrap(
     // As in recovery, a quarantined document's id counts toward the id
     // counter: a promoted follower must never hand it out again.
     let mut next_id = 1;
-    for (id, reason) in &quarantined {
+    for (id, reason) in &load.quarantined {
         eprintln!("[ruid-follower] leader snapshot quarantined document {id}: {reason}");
         shared.repl.note_quarantined();
         next_id = next_id.max(id + 1);
     }
-    install_recovered(shared, states, next_id);
+    let bodies = load.verified_bodies(&image);
+    let started = Instant::now();
+    install_recovered(shared, load.docs, next_id);
+    phases.install_s = started.elapsed().as_secs_f64();
     if let Some(d) = &shared.durability {
         // Our own snapshot pins the bootstrapped state so a promoted (or
-        // restarted) follower recovers without the leader.
-        if let Err(e) = d.snapshot(&shared.catalog) {
+        // restarted) follower recovers without the leader. The catalog
+        // was just installed from exactly these verified bodies, minus the
+        // quarantined ones, and a follower takes no writes, so re-framing
+        // them writes the file encoding the catalog would (DESIGN.md §16).
+        let started = Instant::now();
+        if let Err(e) = d.snapshot_bodies(&bodies) {
             eprintln!("[ruid-follower] local snapshot failed: {e}");
         }
+        phases.persist_s = started.elapsed().as_secs_f64();
     }
-    Ok(Some(start_segment))
+    shared.repl.note_bootstrap_phases(phases);
+    Ok(Some(load.generation))
 }
 
 /// One tail poll: request bytes at the tailer's position, validate,

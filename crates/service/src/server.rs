@@ -805,6 +805,7 @@ fn parse_fragment(fragment: &str) -> Result<durable::NodeContent, String> {
     if doc.children(node).next().is_some() {
         return Err("fragment must be childless (insert one node per request)".into());
     }
+    durable::check_attribute_limit(&doc).map_err(|e| format!("bad fragment: {e}"))?;
     Ok(durable::NodeContent::from_node(&doc, node))
 }
 

@@ -41,4 +41,4 @@ pub use order::DocOrder;
 pub use parser::ParseOptions;
 pub use serializer::SerializeOptions;
 pub use stats::TreeStats;
-pub use tree::{Attribute, Document, NodeId, NodeKind};
+pub use tree::{Attribute, AttributeOwners, Document, NodeId, NodeKind};

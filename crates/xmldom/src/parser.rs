@@ -8,7 +8,7 @@
 //! namespaces-as-semantics (prefixed names parse as plain names).
 
 use crate::error::{ParseError, ParseErrorKind, TextPos};
-use crate::tree::{Document, NodeId};
+use crate::tree::{AttributeOwners, Document, NodeId};
 
 /// Knobs for [`Document::parse_with`].
 #[derive(Debug, Clone, Copy)]
@@ -42,6 +42,7 @@ impl Document {
             doc: Document::new(),
             options,
             text_buf: String::new(),
+            attribute_owners: AttributeOwners::default(),
         };
         parser.parse_document()?;
         Ok(parser.doc)
@@ -55,6 +56,8 @@ struct Parser<'a> {
     options: ParseOptions,
     /// Workhorse buffer for decoding text runs (reused across nodes).
     text_buf: String,
+    /// Rules out a repeated attribute name without scanning the element.
+    attribute_owners: AttributeOwners,
 }
 
 impl<'a> Parser<'a> {
@@ -323,11 +326,11 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        if self.doc.attribute(elem, &name).is_some() {
+        let name_id = self.doc.intern(&name);
+        if !self.attribute_owners.claim(elem, name_id) {
             return self.err(ParseErrorKind::DuplicateAttribute(name));
         }
-        let value = self.text_buf.clone();
-        self.doc.set_attribute(elem, &name, &value);
+        self.doc.push_attribute(elem, name_id, &self.text_buf);
         Ok(())
     }
 

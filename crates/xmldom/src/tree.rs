@@ -62,6 +62,25 @@ pub enum NodeKind {
     },
 }
 
+/// Duplicate-attribute detection in O(1) per attribute, for a builder
+/// that appends attributes with [`Document::push_attribute`]: per name,
+/// the element that last took it. Element ids are never reused, so the
+/// table needs no reset between elements.
+#[derive(Debug, Default)]
+pub struct AttributeOwners(Vec<u32>);
+
+impl AttributeOwners {
+    /// Records that `element` takes an attribute named `name`; `false` if
+    /// it already took one.
+    pub fn claim(&mut self, element: NodeId, name: NameId) -> bool {
+        let slot = name.index();
+        if slot >= self.0.len() {
+            self.0.resize(slot + 1, NIL);
+        }
+        std::mem::replace(&mut self.0[slot], element.0) != element.0
+    }
+}
+
 /// Marks an absent link (or a non-element's name) in a [`Link`] row.
 const NIL: u32 = u32::MAX;
 
@@ -145,6 +164,13 @@ impl Document {
     /// Total number of arena slots, including detached nodes.
     pub fn arena_len(&self) -> usize {
         self.links.len()
+    }
+
+    /// Reserves link rows for `additional` more nodes, so a builder that
+    /// knows roughly how many it will create appends without regrowing
+    /// the table.
+    pub fn reserve(&mut self, additional: usize) {
+        self.links.reserve(additional);
     }
 
     /// Number of nodes reachable from the document root (O(n)).
@@ -311,6 +337,22 @@ impl Document {
                 }
             }
             other => panic!("set_attribute on non-element node {other:?}"),
+        }
+    }
+
+    /// Appends an attribute to an element without looking for one of the
+    /// same name — the O(1) form of [`Document::set_attribute`] for a
+    /// builder that creates each element with its attributes in one pass
+    /// and rules out duplicates itself, with [`AttributeOwners`].
+    ///
+    /// # Panics
+    /// Panics if `id` is not an element.
+    pub fn push_attribute(&mut self, id: NodeId, name: NameId, value: &str) {
+        match self.kind_mut(id) {
+            NodeKind::Element { attributes, .. } => {
+                attributes.push(Attribute { name, value: value.into() });
+            }
+            other => panic!("push_attribute on non-element node {other:?}"),
         }
     }
 

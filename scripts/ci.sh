@@ -257,9 +257,11 @@ fi
 "$RUID_XML" client 127.0.0.1:7445 --protocol binary SHUTDOWN >/dev/null
 wait "$SRV" 2>/dev/null || true
 
-# Replication smoke: boot a leader and a follower as real processes,
-# kill -9 the leader, promote the follower, and demand the promoted
-# replica serve the byte-identical pre-kill answer — then accept writes.
+# Replication smoke: boot a leader and a follower as real processes, ship
+# the leader's snapshot, kill -9 the follower and restart it on what it
+# persisted, then kill -9 the leader, promote the follower, and demand the
+# promoted replica serve the byte-identical pre-kill answer — then accept
+# writes.
 REPL_DIR=target/ci-replication
 rm -rf "$REPL_DIR"; mkdir -p "$REPL_DIR"
 printf '<catalog><book id="b1"><title>A</title><price>35</price></book><book id="b2"><title>B</title><price>20</price></book></catalog>' \
@@ -269,21 +271,39 @@ printf '<catalog><book id="b1"><title>A</title><price>35</price></book><book id=
 LEADER=$!
 wait_ping 127.0.0.1:7446
 "$RUID_XML" client 127.0.0.1:7446 "LOAD $REPL_DIR/sample.xml" >/dev/null
+# The follower bootstraps from this image, not from an empty chain.
+"$RUID_XML" client 127.0.0.1:7446 SNAPSHOT >/dev/null
 BEFORE=$("$RUID_XML" client 127.0.0.1:7446 "QUERY 1 //book/title")
 
-"$RUID_XML" serve --addr 127.0.0.1:7447 --data-dir "$REPL_DIR/follower" \
-    --fsync always --follow 127.0.0.1:7446 --repl-poll-ms 10 \
-    --metrics-addr 127.0.0.1:7448 &
-FOLLOWER=$!
-wait_ping 127.0.0.1:7447
-for _ in $(seq 1 100); do
-    REPLICA=$("$RUID_XML" client 127.0.0.1:7447 "QUERY 1 //book/title" 2>/dev/null || true)
-    [ "$REPLICA" = "$BEFORE" ] && break
-    sleep 0.1
-done
-if [ "$REPLICA" != "$BEFORE" ]; then
-    echo "ci: follower never converged: '$REPLICA' vs '$BEFORE'" >&2; exit 1
-fi
+start_follower() {
+    "$RUID_XML" serve --addr 127.0.0.1:7447 --data-dir "$REPL_DIR/follower" \
+        --fsync always --follow 127.0.0.1:7446 --repl-poll-ms 10 \
+        --metrics-addr 127.0.0.1:7448 &
+    FOLLOWER=$!
+    wait_ping 127.0.0.1:7447
+}
+await_replica() {
+    for _ in $(seq 1 100); do
+        REPLICA=$("$RUID_XML" client 127.0.0.1:7447 "QUERY 1 //book/title" 2>/dev/null || true)
+        [ "$REPLICA" = "$BEFORE" ] && break
+        sleep 0.1
+    done
+    if [ "$REPLICA" != "$BEFORE" ]; then
+        echo "ci: follower $1: '$REPLICA' vs '$BEFORE'" >&2; exit 1
+    fi
+}
+start_follower
+await_replica "never converged"
+
+# The follower persisted the image it was shipped: killed and restarted
+# on its own data directory, it recovers the document locally.
+kill -9 "$FOLLOWER"; wait "$FOLLOWER" 2>/dev/null || true
+start_follower
+case "$("$RUID_XML" client 127.0.0.1:7447 METRICS)" in
+    *" recovered_docs=1 "*) ;;
+    *) echo "ci: restarted follower recovered nothing from its own snapshot" >&2; exit 1 ;;
+esac
+await_replica "lost the document across a restart"
 
 # Writes bounce off the replica with a redirect to the leader.
 RO=$("$RUID_XML" client 127.0.0.1:7447 "LOAD $REPL_DIR/sample.xml" 2>/dev/null || true)
