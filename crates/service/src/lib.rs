@@ -34,16 +34,17 @@
 //!
 //! The serving path is hardened for hostile traffic:
 //!
-//! * **Frame-size limit** (`max_line_bytes`): request lines are framed by
-//!   a bounded reader; an oversized line gets `ERR line too long` and the
-//!   connection resynchronizes at the next newline — no unbounded
-//!   allocation.
-//! * **Read deadline** (`read_timeout_ms`): a request line must complete
+//! * **Frame-size limit** (`max_line_bytes`): an oversized text line gets
+//!   `ERR line too long` and the connection resynchronizes at the next
+//!   newline; an oversized binary frame is refused from its header — no
+//!   unbounded allocation either way.
+//! * **Read deadline** (`read_timeout_ms`): a request must complete
 //!   within the deadline of its first byte (slow-loris guard); idle
 //!   connections are unaffected.
-//! * **Write deadline** (`write_timeout_ms`) and an **overall per-request
-//!   deadline** (`request_timeout_ms`): overruns answer
-//!   `ERR request deadline exceeded`.
+//! * **Write deadline** (fixed, 2 s): replies still unwritten that long
+//!   after a write blocked drop the connection. An **overall per-request
+//!   deadline** (`request_timeout_ms`) answers `ERR request deadline
+//!   exceeded`.
 //! * **Load shedding**: when the bounded job queue is full, new
 //!   connections get a single `BUSY` line and are closed — the accept
 //!   thread never blocks. `BUSY` is retryable: nothing was executed.
@@ -75,7 +76,8 @@
 //! text line):
 //!
 //! * **Text** — one request per line, one response line per request
-//!   (`OK ...` or `ERR <message>`), served thread-per-connection.
+//!   (`OK ...` or `ERR <message>`), each connection on its own pool
+//!   thread.
 //! * **Binary** — length-prefixed frames with client-chosen request ids
 //!   (see [`wire`]), N-deep pipelining with out-of-order responses, and
 //!   the batch verbs `MQUERY`/`MLABEL` that answer many sub-queries
@@ -83,6 +85,11 @@
 //!   a small poll-loop multiplexer instead of parking one thread each;
 //!   [`BinaryClient`] is the pipelining client side. Responses carry the
 //!   exact bytes the text protocol would have written.
+//!
+//! Both are served by one connection state machine (the `mux` module):
+//! the byte format is a codec fixed from the first byte, and framing,
+//! deadlines, faults and accounting are one code path. The two differ
+//! only in how a thread waits for bytes.
 //!
 //! The text grammar (see [`proto`]):
 //!
@@ -152,7 +159,6 @@
 mod catalog;
 mod client;
 mod fault;
-mod framing;
 mod metrics;
 mod mux;
 mod persist;

@@ -375,14 +375,14 @@ pub struct Metrics {
     planner_time: Histogram,
     /// Committed structural updates, in [`UPDATE_OPS`] order.
     updates: [AtomicU64; UPDATE_OPS.len()],
-    /// Request bytes consumed off the wire (both protocols).
+    /// Request bytes read off the wire (both protocols).
     net_read: AtomicU64,
     /// Response bytes written to the wire (both protocols).
     net_written: AtomicU64,
     /// Requests per front end, in [`PROTOCOLS`] order.
     protocol_requests: [AtomicU64; PROTOCOLS.len()],
-    /// Frames decoded per multiplexer drain of one connection — the
-    /// realized pipelining depth.
+    /// Requests decoded per pass over one connection, text or binary —
+    /// the realized pipelining depth.
     pipeline_depth: ValueHistogram,
     /// Sub-queries per `MQUERY`/`MLABEL` frame.
     batch_size: ValueHistogram,
@@ -489,12 +489,6 @@ impl Metrics {
         self.net_written.load(Ordering::Relaxed)
     }
 
-    /// The wire-read byte counter itself, for the framing layer to feed
-    /// as it consumes.
-    pub(crate) fn net_read_counter(&self) -> &AtomicU64 {
-        &self.net_read
-    }
-
     /// Counts one request arriving on the given front end.
     pub fn record_protocol_request(&self, protocol: Protocol) {
         self.protocol_requests[protocol as usize].fetch_add(1, Ordering::Relaxed);
@@ -505,8 +499,8 @@ impl Metrics {
         std::array::from_fn(|i| self.protocol_requests[i].load(Ordering::Relaxed))
     }
 
-    /// Records the number of frames one multiplexer drain decoded on one
-    /// connection (only called when at least one frame arrived).
+    /// Records the number of requests one connection pass decoded, text
+    /// or binary (only called when at least one arrived).
     pub fn record_pipeline_depth(&self, frames: u64) {
         self.pipeline_depth.record(frames);
     }

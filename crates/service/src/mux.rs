@@ -1,30 +1,33 @@
-//! Connection multiplexer for the binary protocol.
+//! The connection state machine, for both protocols, and the multiplexer
+//! that drives binary connections.
 //!
-//! The text front end parks one pool worker per connection — fine for a
-//! handful of interactive clients, fatal for throughput: at 100k req/s
-//! the per-request syscall pair plus a thread handoff per connection
-//! dominates everything the rUID scheme made cheap. The binary front end
-//! inverts the model: a small fixed set of mux workers each *drains many
-//! sockets* from a single nonblocking poll loop, decoding every complete
-//! frame buffered on a socket in one pass (that burst size is what the
-//! `ruid_pipeline_depth` histogram measures), executing cheap verbs
-//! inline, and answering a whole burst with one buffered write.
+//! One [`Conn`] pass reads what the socket has, decodes every complete
+//! request in its buffer, applies the fault plan, runs each request
+//! through the [`serve`] core, enforces the read and write deadlines,
+//! counts, and writes every reply of the pass with one buffered write.
+//! The byte format — the codec — is fixed once per connection from its
+//! first byte: text lines or binary frames (both live in [`wire`]). The
+//! codec decides only the bytes: how an oversized request is refused,
+//! how a reply is framed, and what a deadline error says.
+//! Everything else — torn EOF, the fault plan, the read and write
+//! deadlines, the byte and per-protocol request counters, the
+//! `ruid_pipeline_depth` histogram (requests served per pass) — is one
+//! code path.
 //!
-//! Out-of-order responses: anything that can block — every request whose
-//! [`Request::blocks`] is true (LOAD does file I/O, SHUTDOWN fsyncs the
-//! WAL, REPL TAIL reads segment files) or a fault-stalled request — is
-//! offloaded to a private thread pool and its response frame lands in the
-//! connection's outbox when done, while the poll loop keeps serving later
-//! frames from the same socket. Request ids are how clients re-associate
-//! them. Either way the request runs through the same [`serve`] core as
-//! the text front end.
+//! Two drivers differ only in how a thread waits for bytes:
 //!
-//! Robustness mirrors the text path byte for byte: the same
-//! `max_line_bytes` cap bounds a frame's payload (an oversized header is
-//! rejected before any body is buffered), the same read deadline bounds
-//! a partial frame (slow-loris), the same write deadline bounds a
-//! blocked response, and every trip bumps the same metrics counter the
-//! text path uses.
+//! * a **text** connection keeps its pool thread and waits in a blocking
+//!   read bounded by the server's poll interval; it has no offload pool,
+//!   so every request runs inline and answers in request order;
+//! * **binary** connections are drained by a small fixed set of mux
+//!   workers, each pumping many nonblocking sockets and parking briefly
+//!   when none moved. Anything that can block — every request whose
+//!   [`Request::blocks`] is true (LOAD does file I/O, SHUTDOWN fsyncs the
+//!   WAL, REPL TAIL reads segment files) or a fault-stalled request — is
+//!   offloaded to a private thread pool and its response frame lands in
+//!   the connection's outbox when done, while the worker keeps serving
+//!   later frames from the same socket. Request ids are how clients
+//!   re-associate them.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -38,7 +41,7 @@ use par::{SubmitError, ThreadPool};
 
 use crate::fault::Fault;
 use crate::metrics::{Command, Protocol};
-use crate::proto::Request;
+use crate::proto::{self, Request};
 use crate::server::{serve, Shared};
 use crate::wire::{self, Decoded, WireResponse};
 
@@ -50,8 +53,18 @@ const IDLE_WAIT: Duration = Duration::from_micros(200);
 /// poll, so only adoption and shutdown can need it.
 const EMPTY_WAIT: Duration = Duration::from_millis(25);
 
-/// Read scratch size per worker (one `recv` worth of pipelined frames).
+/// Read scratch size per driver (one `recv` worth of pipelined requests).
 const SCRATCH_BYTES: usize = 64 * 1024;
+
+/// Unwritten reply bytes at which a pass stops decoding: the requests
+/// still buffered wait for the output to drain, so a client that
+/// pipelines many requests with large replies cannot make one pass hold
+/// all of them.
+const OUTPUT_LIMIT: usize = 64 * 1024;
+
+/// How long one blocked reply write may wait before the connection is
+/// dropped (and `deadline_write` ticks).
+const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// The offload pool, boxed separately from [`Mux`] so worker threads can
 /// hold it without a cycle. `ThreadPool::shutdown` consumes the pool,
@@ -117,9 +130,50 @@ impl Mux {
     }
 }
 
+/// Serves a sniffed-as-text connection on the calling pool thread until
+/// it closes or the server shuts down. The stream's read timeout (the
+/// poll interval) bounds each pass's wait for bytes.
+pub(crate) fn serve_text(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(WRITE_DEADLINE))?;
+    let mut conn = Conn::new(stream, Protocol::Text);
+    let mut scratch = vec![0u8; SCRATCH_BYTES];
+    let mut reply = Vec::new();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        if let Pump::Close = conn.pump(shared, None, &mut scratch, &mut reply) {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Appends one reply in a connection's byte format: a text line drops
+/// `id`, a binary frame carries it (0 for a connection-level error).
+fn encode(codec: Protocol, id: u64, response: &WireResponse, out: &mut Vec<u8>) {
+    match codec {
+        Protocol::Text => wire::encode_line(response, out),
+        Protocol::Binary => wire::encode_response(id, response, out),
+    }
+}
+
+/// One request as its codec split it off the buffer. A text line is
+/// parsed inside [`serve`], so its parse is traced like any other span.
+enum Incoming<'a> {
+    Line(&'a str),
+    Frame(Result<Request, String>),
+}
+
+impl Incoming<'_> {
+    fn into_request(self) -> Result<Request, String> {
+        match self {
+            Incoming::Line(line) => proto::parse(line),
+            Incoming::Frame(request) => request,
+        }
+    }
+}
+
 /// What one `Conn::pump` pass concluded.
 enum Pump {
-    /// Frames, bytes, or responses moved — poll again soon.
+    /// Requests, bytes, or responses moved — poll again soon.
     Progress,
     /// Nothing to do right now.
     Idle,
@@ -127,23 +181,31 @@ enum Pump {
     Close,
 }
 
-/// What dispatching one decoded frame asks of the poll loop.
+/// What dispatching one decoded request asks of the pass.
 enum Dispatch {
     Continue,
-    /// Sever immediately, dropping any buffered output (EarlyEof).
+    /// Write what earlier requests are owed, then sever (EarlyEof, a
+    /// binary stream that lost frame sync).
     CloseNow,
     /// Stop reading; close once buffered output is flushed.
     FlushClose,
 }
 
-/// One multiplexed binary connection and its buffered state.
+/// One connection and its buffered state.
 struct Conn {
     stream: TcpStream,
-    /// Bytes read but not yet decoded (partial trailing frame).
+    /// The byte format, fixed from the first byte (see [`encode`]).
+    codec: Protocol,
+    /// Bytes read but not yet decoded (partial trailing request).
     rbuf: Vec<u8>,
     /// Encoded responses that could not be written without blocking.
     wbuf: Vec<u8>,
-    /// When the current partial frame started arriving (read deadline).
+    /// Text only: an oversized line is being drained to its newline.
+    skipping: bool,
+    /// The last pass stopped at [`OUTPUT_LIMIT`] with complete requests
+    /// still buffered: serve those before reading more.
+    backlog: bool,
+    /// When the current partial request started arriving (read deadline).
     partial_since: Option<Instant>,
     /// When the current blocked write started (write deadline).
     blocked_since: Option<Instant>,
@@ -160,11 +222,14 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, codec: Protocol) -> Conn {
         Conn {
             stream,
+            codec,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
+            skipping: false,
+            backlog: false,
             partial_since: None,
             blocked_since: None,
             outbox: Arc::new(Mutex::new(Vec::new())),
@@ -175,131 +240,48 @@ impl Conn {
     }
 
     /// One full service pass: collect offloaded responses, read, decode
-    /// and dispatch every complete frame, enforce deadlines, write.
+    /// and dispatch every complete request, enforce deadlines, write.
+    /// Without an offload pool every request runs inline.
     fn pump(
         &mut self,
         shared: &Arc<Shared>,
-        offload: &Offload,
+        offload: Option<&Offload>,
         scratch: &mut [u8],
         reply: &mut Vec<u8>,
     ) -> Pump {
         reply.clear();
         let mut progressed = self.collect_outbox();
 
-        // Read everything available without blocking.
-        if !self.close_after_flush && !self.read_eof {
-            loop {
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        self.read_eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        shared.metrics.add_net_read(n as u64);
-                        self.rbuf.extend_from_slice(&scratch[..n]);
-                        progressed = true;
-                        if n < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => return Pump::Close,
+        if !self.close_after_flush && !self.read_eof && !self.backlog {
+            match self.stream.read(scratch) {
+                Ok(0) => self.read_eof = true,
+                Ok(n) => {
+                    shared.metrics.add_net_read(n as u64);
+                    self.rbuf.extend_from_slice(&scratch[..n]);
+                    progressed = true;
                 }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => return Pump::Close,
             }
         }
 
-        // Decode and dispatch every complete frame in the buffer. The
-        // number of frames served per pass is the realized pipeline
-        // depth of this burst.
         if !self.close_after_flush {
-            let cap = shared.config.max_line_bytes;
-            let mut off = 0;
-            let mut frames = 0u64;
-            loop {
-                // A TEXT line that does not parse is still a request: it
-                // is counted and faulted like one and answers its `ERR`.
-                let (id, request, consumed) = match wire::decode_request(&self.rbuf[off..], cap) {
-                    Decoded::Frame { frame, consumed } => (frame.id, Ok(frame.request), consumed),
-                    Decoded::Unparsed { id, reason, consumed } => (id, Err(reason), consumed),
-                    Decoded::Incomplete => break,
-                    Decoded::Malformed { id, reason, consumed } => {
-                        off += consumed;
-                        frames += 1;
-                        shared.metrics.record(Command::Invalid, true, Duration::ZERO);
-                        wire::encode_response(
-                            id,
-                            &WireResponse::Line(format!("ERR {reason}")),
-                            reply,
-                        );
-                        continue;
-                    }
-                    Decoded::Oversized { declared } => {
-                        shared.metrics.record_oversized();
-                        shared.metrics.record(Command::Invalid, true, Duration::ZERO);
-                        wire::encode_response(
-                            0,
-                            &WireResponse::Line(format!(
-                                "ERR frame too large ({declared} bytes declared, \
-                                 limit {cap})"
-                            )),
-                            reply,
-                        );
-                        self.close_after_flush = true;
-                        break;
-                    }
-                    Decoded::Corrupt { .. } => return Pump::Close,
-                };
-                off += consumed;
-                frames += 1;
-                shared.metrics.record_protocol_request(Protocol::Binary);
-                match self.dispatch(id, request, shared, offload, reply) {
-                    Dispatch::Continue => {}
-                    Dispatch::CloseNow => return Pump::Close,
-                    Dispatch::FlushClose => {
-                        self.close_after_flush = true;
-                        break;
-                    }
+            let buffered = self.rbuf.len();
+            match self.decode_all(shared, offload, reply) {
+                Dispatch::Continue => {}
+                Dispatch::CloseNow => {
+                    let _ = self.write_out(shared, reply);
+                    return Pump::Close;
                 }
+                Dispatch::FlushClose => self.close_after_flush = true,
             }
-            if off > 0 {
-                self.rbuf.drain(..off);
-                progressed = true;
-            }
-            if frames > 0 {
-                shared.metrics.record_pipeline_depth(frames);
-            }
-            // A leftover partial frame starts (or continues) the read
-            // deadline; a fully drained buffer clears it.
-            if self.rbuf.is_empty() {
-                self.partial_since = None;
-            } else if !self.read_eof && !self.close_after_flush {
-                let since = *self.partial_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= shared.config.read_deadline() {
-                    shared.metrics.record_deadline_read();
-                    shared.metrics.record(
-                        Command::Invalid,
-                        true,
-                        shared.config.read_deadline(),
-                    );
-                    wire::encode_response(
-                        0,
-                        &WireResponse::Line(format!(
-                            "ERR read deadline exceeded ({} ms to complete a frame)",
-                            shared.config.read_timeout_ms
-                        )),
-                        reply,
-                    );
-                    self.close_after_flush = true;
-                }
-            }
-            if self.read_eof && !self.close_after_flush {
-                if !self.rbuf.is_empty() {
-                    // Torn frame: the peer died mid-frame.
-                    shared.metrics.record_torn();
-                    self.rbuf.clear();
-                }
-                self.close_after_flush = true;
+            progressed |= self.rbuf.len() < buffered;
+            if !self.close_after_flush {
+                self.check_read_end(shared, reply);
             }
         }
 
@@ -310,7 +292,7 @@ impl Conn {
             Err(()) => return Pump::Close,
         }
         if let Some(since) = self.blocked_since {
-            if since.elapsed() >= shared.config.write_deadline() {
+            if since.elapsed() >= WRITE_DEADLINE {
                 shared.metrics.record_deadline_write();
                 return Pump::Close;
             }
@@ -332,6 +314,138 @@ impl Conn {
         }
     }
 
+    /// Decodes and dispatches every complete request in the buffer, or
+    /// as many as fit under [`OUTPUT_LIMIT`]. The number served in one
+    /// pass is the realized pipeline depth.
+    fn decode_all(
+        &mut self,
+        shared: &Arc<Shared>,
+        offload: Option<&Offload>,
+        reply: &mut Vec<u8>,
+    ) -> Dispatch {
+        let cap = shared.config.max_line_bytes;
+        let rbuf = std::mem::take(&mut self.rbuf);
+        let mut off = 0;
+        let mut served = 0u64;
+        let mut outcome = Dispatch::Continue;
+        self.backlog = false;
+        while let Dispatch::Continue = outcome {
+            if reply.len() + self.wbuf.len() >= OUTPUT_LIMIT {
+                self.backlog = true;
+                break;
+            }
+            if self.skipping {
+                let Some(newline) = rbuf[off..].iter().position(|&b| b == b'\n') else {
+                    off = rbuf.len();
+                    break;
+                };
+                off += newline + 1;
+                self.skipping = false;
+                self.partial_since = None;
+                self.line_too_long(shared, reply);
+            }
+            let decoded = match self.codec {
+                Protocol::Text => {
+                    wire::decode_line(&rbuf[off..], cap).map(|line| (0, Incoming::Line(line)))
+                }
+                Protocol::Binary => wire::decode_request(&rbuf[off..], cap)
+                    .map(|frame| (frame.id, Incoming::Frame(Ok(frame.request)))),
+            };
+            // A TEXT frame that does not parse is still a request: it is
+            // counted and faulted like one and answers its `ERR`.
+            let (id, incoming, consumed) = match decoded {
+                Decoded::Frame { frame: (id, incoming), consumed } => (id, incoming, consumed),
+                Decoded::Unparsed { id, reason, consumed } => {
+                    (id, Incoming::Frame(Err(reason)), consumed)
+                }
+                Decoded::Incomplete => break,
+                Decoded::Malformed { id, reason, consumed } => {
+                    off += consumed;
+                    served += 1;
+                    shared.metrics.record(Command::Invalid, true, Duration::ZERO);
+                    encode(self.codec, id, &WireResponse::Line(format!("ERR {reason}")), reply);
+                    continue;
+                }
+                // A line is drained to its newline and the connection
+                // resynchronizes; a frame's length is untrusted, so the
+                // connection cannot.
+                Decoded::Oversized { declared } => match self.codec {
+                    Protocol::Text => {
+                        self.skipping = true;
+                        continue;
+                    }
+                    Protocol::Binary => {
+                        shared.metrics.record_oversized();
+                        shared.metrics.record(Command::Invalid, true, Duration::ZERO);
+                        let message =
+                            format!("ERR frame too large ({declared} bytes declared, limit {cap})");
+                        encode(self.codec, 0, &WireResponse::Line(message), reply);
+                        outcome = Dispatch::FlushClose;
+                        break;
+                    }
+                },
+                Decoded::Corrupt { .. } => {
+                    shared.metrics.record(Command::Invalid, true, Duration::ZERO);
+                    outcome = Dispatch::CloseNow;
+                    break;
+                }
+            };
+            off += consumed;
+            served += 1;
+            shared.metrics.record_protocol_request(self.codec);
+            outcome = self.dispatch(id, incoming, shared, offload, reply);
+        }
+        if served > 0 {
+            shared.metrics.record_pipeline_depth(served);
+            self.partial_since = None;
+        }
+        self.rbuf = rbuf;
+        self.rbuf.drain(..off);
+        outcome
+    }
+
+    /// After a pass's requests: a leftover partial request starts (or
+    /// continues) the read deadline; EOF after one is a torn request.
+    /// Neither applies while complete requests wait in a backlog.
+    fn check_read_end(&mut self, shared: &Shared, reply: &mut Vec<u8>) {
+        if self.backlog {
+            return;
+        }
+        let partial = self.skipping || !self.rbuf.is_empty();
+        if self.read_eof {
+            if self.skipping {
+                self.line_too_long(shared, reply);
+            } else if partial {
+                shared.metrics.record_torn();
+            }
+            self.rbuf.clear();
+            self.close_after_flush = true;
+        } else if !partial {
+            self.partial_since = None;
+        } else if self.partial_since.get_or_insert_with(Instant::now).elapsed()
+            >= shared.config.read_deadline()
+        {
+            shared.metrics.record_deadline_read();
+            shared.metrics.record(Command::Invalid, true, shared.config.read_deadline());
+            let unit = if let Protocol::Text = self.codec { "request line" } else { "frame" };
+            let message = format!(
+                "ERR read deadline exceeded ({} ms to complete a {unit})",
+                shared.config.read_timeout_ms
+            );
+            encode(self.codec, 0, &WireResponse::Line(message), reply);
+            self.close_after_flush = true;
+        }
+    }
+
+    /// Refuses the text line just drained (or cut by EOF) for its length.
+    fn line_too_long(&self, shared: &Shared, reply: &mut Vec<u8>) {
+        shared.metrics.record_oversized();
+        shared.metrics.record(Command::Invalid, true, Duration::ZERO);
+        let cap = shared.config.max_line_bytes;
+        let message = format!("ERR line too long (limit {cap} bytes)");
+        encode(self.codec, 0, &WireResponse::Line(message), reply);
+    }
+
     /// Moves completed offloaded responses into the write buffer.
     fn collect_outbox(&mut self) -> bool {
         let mut outbox = self.outbox.lock().unwrap();
@@ -346,54 +460,56 @@ impl Conn {
 
     /// Serves one decoded request: apply the fault plan, run it inline
     /// (encoding straight into the pooled `reply` buffer) unless it can
-    /// block, and offload it if it can.
+    /// block and there is an offload pool to take it.
     fn dispatch(
         &mut self,
         id: u64,
-        request: Result<Request, String>,
+        incoming: Incoming<'_>,
         shared: &Arc<Shared>,
-        offload: &Offload,
+        offload: Option<&Offload>,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
-        let fault = shared.next_fault();
-        match fault {
+        let codec = self.codec;
+        let (mut stall_ms, mut delay_ms) = (None, None);
+        match shared.next_fault() {
             Some(Fault::ForceBusy) => {
                 shared.metrics.record_shed();
-                wire::encode_response(id, &WireResponse::Line("BUSY".into()), reply);
+                encode(codec, id, &WireResponse::Line("BUSY".into()), reply);
                 return Dispatch::Continue;
             }
             Some(Fault::EarlyEof) => return Dispatch::CloseNow,
             Some(Fault::TornWrite { bytes }) => {
                 // Serve, then truncate the encoded response and sever:
-                // the client sees a torn frame.
-                serve(shared, || request, None, |response| {
+                // the client sees a torn reply.
+                serve(shared, || incoming.into_request(), None, |response| {
                     let before = reply.len();
-                    wire::encode_response(id, &response, reply);
+                    encode(codec, id, &response, reply);
                     reply.truncate(before + bytes.min(reply.len() - before));
                 });
                 return Dispatch::FlushClose;
             }
-            Some(Fault::StallHandler { ms }) => {
-                // Stall off the poll loop: later pipelined frames on this
-                // very connection overtake the stalled one — the
-                // out-of-order case the protocol exists for.
-                return self.offload_request(id, request, Some(ms), None, shared, offload, reply);
-            }
-            Some(Fault::DelayMs { ms }) => {
-                return self.offload_request(id, request, None, Some(ms), shared, offload, reply);
-            }
-            Some(Fault::ForgeSeq) => {
-                // Replication-channel fault: arm the flag; the next
-                // `REPL TAIL` answer corrupts its first record's
-                // sequence field. The frame itself executes normally.
-                shared.repl.arm_forge();
-            }
+            // A stalled or delayed binary request goes off the poll loop:
+            // later pipelined frames on this very connection overtake it
+            // — the out-of-order case the protocol exists for.
+            Some(Fault::StallHandler { ms }) => stall_ms = Some(ms),
+            Some(Fault::DelayMs { ms }) => delay_ms = Some(ms),
+            // Replication-channel fault: arm the flag; the next
+            // `REPL TAIL` answer corrupts its first record's sequence
+            // field. The request itself executes normally.
+            Some(Fault::ForgeSeq) => shared.repl.arm_forge(),
             Some(Fault::OversizedFrame { .. }) | None => {}
         }
-        if request.as_ref().is_ok_and(Request::blocks) {
-            return self.offload_request(id, request, None, None, shared, offload, reply);
+        let blocks = matches!(&incoming, Incoming::Frame(Ok(request)) if request.blocks());
+        if let Some(offload) = offload.filter(|_| blocks || stall_ms.or(delay_ms).is_some()) {
+            let request = incoming.into_request();
+            return self.offload_request(id, request, stall_ms, delay_ms, shared, offload, reply);
         }
-        serve(shared, || request, None, |response| wire::encode_response(id, &response, reply));
+        serve(shared, || incoming.into_request(), stall_ms, |response| {
+            if let Some(ms) = delay_ms {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+            encode(codec, id, &response, reply);
+        });
         if shared.shutdown.load(Ordering::SeqCst) {
             Dispatch::FlushClose
         } else {
@@ -449,48 +565,53 @@ impl Conn {
     }
 
     /// Writes the backlog, then this pass's replies; whatever would
-    /// block is stashed in `wbuf` for the next pass.
-    fn write_out(
-        &mut self,
-        shared: &Shared,
-        reply: &mut Vec<u8>,
-    ) -> Result<bool, ()> {
-        let mut progressed = false;
-        while !self.wbuf.is_empty() {
-            match self.stream.write(&self.wbuf) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    shared.metrics.add_net_written(n as u64);
-                    self.wbuf.drain(..n);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.wbuf.extend_from_slice(reply);
-                    reply.clear();
-                    self.blocked_since.get_or_insert_with(Instant::now);
-                    return Ok(progressed);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Err(()),
-            }
+    /// block is stashed in `wbuf` for the next pass. The write deadline
+    /// runs from the first write that did not take everything (counted
+    /// from the start of this call, so a blocking socket's own timeout
+    /// expires it at once) until all output has drained.
+    fn write_out(&mut self, shared: &Shared, reply: &mut Vec<u8>) -> Result<bool, ()> {
+        if self.wbuf.is_empty() && reply.is_empty() {
+            return Ok(false);
         }
-        let mut off = 0;
-        while off < reply.len() {
-            match self.stream.write(&reply[off..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    shared.metrics.add_net_written(n as u64);
-                    off += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.wbuf.extend_from_slice(&reply[off..]);
+        let started = Instant::now();
+        let mut progressed = false;
+        for pending in [true, false] {
+            let mut off = 0;
+            let bytes: &[u8] = if pending { &self.wbuf } else { reply };
+            while off < bytes.len() {
+                let blocked = match self.stream.write(&bytes[off..]) {
+                    Ok(0) => return Err(()),
+                    Ok(n) => {
+                        shared.metrics.add_net_written(n as u64);
+                        off += n;
+                        progressed = true;
+                        // A short write: the peer is not keeping up. A
+                        // blocking socket still takes a trickle per call,
+                        // so the deadline is checked here too.
+                        off < bytes.len()
+                            && self.blocked_since.get_or_insert(started).elapsed()
+                                >= WRITE_DEADLINE
+                    }
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        self.blocked_since.get_or_insert(started);
+                        true
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => false,
+                    Err(_) => return Err(()),
+                };
+                if blocked {
+                    if pending {
+                        self.wbuf.drain(..off);
+                        self.wbuf.extend_from_slice(reply);
+                    } else {
+                        self.wbuf.extend_from_slice(&reply[off..]);
+                    }
                     reply.clear();
-                    self.blocked_since.get_or_insert_with(Instant::now);
                     return Ok(progressed);
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Err(()),
+            }
+            if pending {
+                self.wbuf.clear();
             }
         }
         reply.clear();
@@ -503,17 +624,9 @@ impl Conn {
     /// `SHUTDOWN`'s own `OK bye` still reaches its client.
     fn final_flush(&mut self, shared: &Shared) {
         self.collect_outbox();
-        if self.wbuf.is_empty() {
-            return;
-        }
         let _ = self.stream.set_nonblocking(false);
-        let _ = self.stream.set_write_timeout(Some(shared.config.write_deadline()));
-        let len = self.wbuf.len() as u64;
-        if self.stream.write_all(&self.wbuf).is_ok() {
-            shared.metrics.add_net_written(len);
-            let _ = self.stream.flush();
-        }
-        self.wbuf.clear();
+        let _ = self.stream.set_write_timeout(Some(WRITE_DEADLINE));
+        let _ = self.write_out(shared, &mut Vec::new());
     }
 }
 
@@ -534,12 +647,12 @@ fn worker(rx: &Receiver<TcpStream>, shared: &Arc<Shared>, offload: &Offload) {
             return;
         }
         while let Ok(stream) = rx.try_recv() {
-            conns.push(Conn::new(stream));
+            conns.push(Conn::new(stream, Protocol::Binary));
         }
         let mut progressed = false;
         let mut i = 0;
         while i < conns.len() {
-            match conns[i].pump(shared, offload, &mut scratch, &mut reply) {
+            match conns[i].pump(shared, Some(offload), &mut scratch, &mut reply) {
                 Pump::Progress => {
                     progressed = true;
                     i += 1;
@@ -553,7 +666,7 @@ fn worker(rx: &Receiver<TcpStream>, shared: &Arc<Shared>, offload: &Offload) {
         if !progressed {
             let wait = if conns.is_empty() { EMPTY_WAIT } else { IDLE_WAIT };
             match rx.recv_timeout(wait) {
-                Ok(stream) => conns.push(Conn::new(stream)),
+                Ok(stream) => conns.push(Conn::new(stream, Protocol::Binary)),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     // Acceptor gone without the flag — treat as shutdown.

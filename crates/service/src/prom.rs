@@ -170,7 +170,7 @@ pub fn render(ctx: &PromCtx<'_>) -> String {
         &mut out,
         "ruid_pipeline_depth",
         "histogram",
-        "Complete binary frames served per connection service pass.",
+        "Complete requests (text lines or binary frames) served per connection service pass.",
     );
     value_histogram(&mut out, "ruid_pipeline_depth", m.pipeline_depth());
     family(

@@ -1,23 +1,23 @@
-//! The TCP front end: accept loop, per-connection protocol driver, and
-//! the command dispatcher tying catalog, evaluators and metrics together.
+//! The TCP front end: accept loop, protocol sniff, and the command
+//! dispatcher tying catalog, evaluators and metrics together.
 //!
 //! Concurrency model: a dedicated acceptor thread hands each accepted
 //! connection to the fixed [`ThreadPool`] as one job (so `threads` bounds
-//! the number of concurrently served connections). The job queue is
+//! the number of concurrently served text connections). The job queue is
 //! bounded; when it is full the acceptor *sheds* the connection with a
 //! single `BUSY` line instead of blocking, so hostile connection floods
-//! cannot park the accept thread. Inside a connection, requests are
-//! processed strictly in order — one response line per request line,
-//! which is what lets clients pipeline naively.
+//! cannot park the accept thread. The job peeks the first byte: a binary
+//! connection goes to the multiplexer, a text one is served on the job's
+//! thread — both by the connection state machine in [`crate::mux`], which
+//! frames requests, enforces the read and write deadlines, applies the
+//! [`FaultPlan`], counts, and hands each request to [`serve`]. Text
+//! requests are answered strictly in order — one response line per
+//! request line, which is what lets clients pipeline naively.
 //!
-//! Robustness: request lines are framed by the bounded reader in
-//! [`crate::framing`] (frame-size limit + read deadline), response writes
-//! carry a write deadline, and request handling is held to an overall
-//! per-request deadline. Every limit trips a dedicated metrics counter.
-//! A [`FaultPlan`] wired into the config injects deterministic faults for
-//! the chaos tests.
+//! [`serve`] holds each request to an overall per-request deadline.
+//! Every limit trips a dedicated metrics counter.
 
-use std::io::{BufReader, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,14 +34,13 @@ use ruid_core::PartitionConfig;
 
 use crate::catalog::{Catalog, DocId, LoadedDoc};
 use crate::fault::{Fault, FaultPlan};
-use crate::framing::{read_request_line, ReadOutcome};
-use crate::metrics::{Command, Metrics, Protocol};
-use crate::mux::Mux;
+use crate::metrics::{Command, Metrics};
+use crate::mux::{self, Mux};
 use crate::persist::Durability;
 use crate::prom::PromCtx;
 use crate::proto::{self, Engine, Request, TraceCmd};
 use crate::replication::{self, ReplState};
-use crate::trace::{RequestTrace, Span, Tracer};
+use crate::trace::{RequestTrace, Span, Tracer, SLOWLOG_CAPACITY};
 use crate::wire::{self, WireResponse};
 use par::{PoolStats, SubmitError, ThreadPool};
 
@@ -80,8 +79,6 @@ pub struct ServerConfig {
     /// milliseconds of its first byte (slow-loris guard). Idle
     /// connections with no partial line pending are not affected.
     pub read_timeout_ms: u64,
-    /// Write deadline for one response write, in milliseconds.
-    pub write_timeout_ms: u64,
     /// Overall per-request deadline: handling that overruns it answers
     /// `ERR request deadline exceeded` instead of the result.
     pub request_timeout_ms: u64,
@@ -99,8 +96,6 @@ pub struct ServerConfig {
     /// this address answers every request with the text exposition
     /// (`serve --metrics-addr`). `None` keeps metrics wire-protocol only.
     pub metrics_addr: Option<String>,
-    /// Capacity of the slow-query ring served by `SLOWLOG`.
-    pub slowlog_capacity: usize,
     /// Capacity of the planned-query result cache (entries).
     pub plan_cache_cap: usize,
     /// Poll-loop threads for the binary protocol's connection
@@ -128,13 +123,11 @@ impl Default for ServerConfig {
             with_store: true,
             max_line_bytes: 64 * 1024,
             read_timeout_ms: 2_000,
-            write_timeout_ms: 2_000,
             request_timeout_ms: 30_000,
             fault_plan: None,
             data_dir: None,
             fsync: FsyncPolicy::Always,
             metrics_addr: None,
-            slowlog_capacity: 128,
             plan_cache_cap: 1024,
             mux_workers: 2,
             follow: None,
@@ -146,10 +139,6 @@ impl Default for ServerConfig {
 impl ServerConfig {
     pub(crate) fn read_deadline(&self) -> Duration {
         Duration::from_millis(self.read_timeout_ms.max(1))
-    }
-
-    pub(crate) fn write_deadline(&self) -> Duration {
-        Duration::from_millis(self.write_timeout_ms.max(1))
     }
 
     pub(crate) fn request_deadline(&self) -> Duration {
@@ -248,7 +237,7 @@ impl Server {
         let shared = Arc::new(Shared {
             catalog: Arc::new(Catalog::new(config.shards)),
             metrics: Arc::new(Metrics::new()),
-            tracer: Arc::new(Tracer::new(config.slowlog_capacity)),
+            tracer: Arc::new(Tracer::new(SLOWLOG_CAPACITY)),
             plan_cache: Arc::new(ResultCache::new(config.plan_cache_cap)),
             pool_stats: pool.stats(),
             repl: Arc::new(match &config.follow {
@@ -509,55 +498,21 @@ fn accept_loop(listener: &TcpListener, pool: &ThreadPool, shared: &Arc<Shared>, 
     }
 }
 
-/// Outcome of one deadline-guarded response write.
-enum WriteOutcome {
-    /// The line went out in full.
-    Written,
-    /// The write deadline expired or the peer vanished — close.
-    Lost,
-}
-
-/// Writes `response` + `\n`, translating write timeouts and broken pipes
-/// into [`WriteOutcome::Lost`] (with the deadline metric bumped).
-fn write_response(
-    writer: &mut TcpStream,
-    response: &str,
-    metrics: &Metrics,
-) -> WriteOutcome {
-    let write = writer
-        .write_all(response.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush());
-    match write {
-        Ok(()) => {
-            metrics.add_net_written(response.len() as u64 + 1);
-            WriteOutcome::Written
-        }
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-            metrics.record_deadline_write();
-            WriteOutcome::Lost
-        }
-        Err(_) => WriteOutcome::Lost,
-    }
-}
-
 /// Drives one connection: sniff the protocol from the first byte, then
-/// either hand the socket to the binary multiplexer or run the text
-/// loop — read a framed line, [`serve`] it, write one response line back.
-fn serve_connection(stream: TcpStream, shared: &Shared, mux: &Mux) -> std::io::Result<()> {
-    let Shared { config, metrics, shutdown, .. } = shared;
+/// hand the socket to the binary multiplexer, or serve it as text on this
+/// pool thread ([`mux::serve_text`]).
+fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, mux: &Mux) -> std::io::Result<()> {
     // The short poll timeout lets the worker notice server shutdown and
     // expired deadlines even while a client holds its connection open
     // silently; the real deadlines are enforced above it.
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_write_timeout(Some(config.write_deadline()))?;
     stream.set_nodelay(true)?;
     // Protocol negotiation is one peeked byte: [`wire::REQ_MAGIC`] can
     // never start a UTF-8 text line, so the first byte decides which
-    // front end drives the connection.
+    // codec the connection speaks.
     let mut first = [0u8; 1];
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
         match stream.peek(&mut first) {
@@ -575,97 +530,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, mux: &Mux) -> std::io::R
         mux.adopt(stream);
         return Ok(());
     }
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut buf = Vec::new();
-    loop {
-        let outcome = read_request_line(
-            &mut reader,
-            &mut buf,
-            config.max_line_bytes,
-            config.read_deadline(),
-            shutdown,
-            metrics.net_read_counter(),
-        )?;
-        match outcome {
-            ReadOutcome::Line => metrics.record_protocol_request(Protocol::Text),
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-            ReadOutcome::TornEof => {
-                metrics.record_torn();
-                return Ok(());
-            }
-            ReadOutcome::DeadlineExpired => {
-                metrics.record_deadline_read();
-                metrics.record(Command::Invalid, true, config.read_deadline());
-                let _ = write_response(
-                    &mut writer,
-                    &format!(
-                        "ERR read deadline exceeded ({} ms to complete a request line)",
-                        config.read_timeout_ms
-                    ),
-                    metrics,
-                );
-                return Ok(());
-            }
-            ReadOutcome::Oversized { drained } => {
-                metrics.record_oversized();
-                metrics.record(Command::Invalid, true, Duration::ZERO);
-                let reply = format!(
-                    "ERR line too long (limit {} bytes)",
-                    config.max_line_bytes
-                );
-                match write_response(&mut writer, &reply, metrics) {
-                    WriteOutcome::Written if drained => continue,
-                    _ => return Ok(()),
-                }
-            }
-            ReadOutcome::BadUtf8 => {
-                metrics.record(Command::Invalid, true, Duration::ZERO);
-                match write_response(&mut writer, "ERR invalid utf-8", metrics) {
-                    WriteOutcome::Written => continue,
-                    WriteOutcome::Lost => return Ok(()),
-                }
-            }
-        }
-        let line = std::str::from_utf8(&buf).expect("framing validated utf-8");
-        let fault = shared.next_fault();
-        match fault {
-            Some(Fault::ForceBusy) => {
-                metrics.record_shed();
-                match write_response(&mut writer, "BUSY", metrics) {
-                    WriteOutcome::Written => continue,
-                    WriteOutcome::Lost => return Ok(()),
-                }
-            }
-            Some(Fault::EarlyEof) => return Ok(()),
-            _ => {}
-        }
-        let stall_ms = match fault {
-            Some(Fault::StallHandler { ms }) => Some(ms),
-            _ => None,
-        };
-        let written = serve(shared, || proto::parse(line), stall_ms, |response| {
-            let WireResponse::Line(response) = response else {
-                unreachable!("the text grammar has no batch or blob verb")
-            };
-            if let Some(Fault::DelayMs { ms }) = fault {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            if let Some(Fault::TornWrite { bytes }) = fault {
-                let mut full = response;
-                full.push('\n');
-                let n = bytes.min(full.len());
-                if writer.write_all(&full.as_bytes()[..n]).and_then(|()| writer.flush()).is_ok() {
-                    metrics.add_net_written(n as u64);
-                }
-                return WriteOutcome::Lost;
-            }
-            write_response(&mut writer, &response, metrics)
-        });
-        if matches!(written, WriteOutcome::Lost) || shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-    }
+    mux::serve_text(stream, shared)
 }
 
 /// Runs `f`, charging its wall time to `span` when the request is traced.
@@ -690,12 +555,13 @@ fn err_line(message: &str) -> String {
     format!("ERR {}", proto::escape_line(message))
 }
 
-/// Serves one request for either driver: the trace, the fault stall, the
-/// per-request deadline, metrics, the hand-off to `deliver` (timed as the
-/// `Write` span), the slowlog entry, and the acceptor wake-up after a
-/// successful `SHUTDOWN`. `request` yields the request — the text driver
-/// parses its line there, so the parse is traced; the binary driver hands
-/// over a decoded frame's. Returns whatever `deliver` returned.
+/// Serves one request for either protocol: the trace, the fault stall,
+/// the per-request deadline, metrics, the hand-off to `deliver` (timed as
+/// the `Write` span; the connection encodes the reply there), the slowlog
+/// entry, and the acceptor wake-up after a successful `SHUTDOWN`.
+/// `request` yields the request — a text line is parsed there, so the
+/// parse is traced; a binary frame hands over its decoded request.
+/// Returns whatever `deliver` returned.
 pub(crate) fn serve<R>(
     shared: &Shared,
     request: impl FnOnce() -> Result<Request, String>,

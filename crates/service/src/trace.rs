@@ -103,6 +103,9 @@ pub struct SlowEntry {
 /// is a diagnostic ring, not a request archive.
 pub const LINE_CAP: usize = 128;
 
+/// Slots in the server's slow-query ring served by `SLOWLOG`.
+pub(crate) const SLOWLOG_CAPACITY: usize = 128;
+
 /// Default slow threshold when tracing is first enabled: 100 ms.
 pub const DEFAULT_THRESHOLD_NS: u64 = 100_000_000;
 

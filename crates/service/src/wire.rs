@@ -179,6 +179,22 @@ pub enum Decoded<T> {
     },
 }
 
+impl<T> Decoded<T> {
+    /// The same outcome with a complete frame mapped through `f`.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> Decoded<U> {
+        match self {
+            Decoded::Frame { frame, consumed } => Decoded::Frame { frame: f(frame), consumed },
+            Decoded::Incomplete => Decoded::Incomplete,
+            Decoded::Oversized { declared } => Decoded::Oversized { declared },
+            Decoded::Malformed { id, reason, consumed } => {
+                Decoded::Malformed { id, reason, consumed }
+            }
+            Decoded::Unparsed { id, reason, consumed } => Decoded::Unparsed { id, reason, consumed },
+            Decoded::Corrupt { reason } => Decoded::Corrupt { reason },
+        }
+    }
+}
+
 fn put_str_list(out: &mut Vec<u8>, items: &[String]) {
     out.extend_from_slice(&(items.len() as u32).to_le_bytes());
     for item in items {
@@ -511,6 +527,36 @@ pub fn decode_request(buf: &[u8], cap: usize) -> Decoded<RequestFrame> {
         };
         Ok(Ok(RequestFrame { id, request }))
     })
+}
+
+/// Splits one text request line off the front of `buf`: the bytes before
+/// its `\n`, one trailing `\r` stripped. A line longer than `cap` bytes
+/// (counting that `\r`) is `Oversized` as soon as `cap + 1` bytes show no
+/// terminator, so the caller never buffers more than that of it; a line
+/// that is not UTF-8 is `Malformed`. Never `Unparsed` or `Corrupt`.
+pub(crate) fn decode_line(buf: &[u8], cap: usize) -> Decoded<&str> {
+    let window = &buf[..buf.len().min(cap.saturating_add(1))];
+    let Some(end) = window.iter().position(|&b| b == b'\n') else {
+        return if buf.len() > cap {
+            Decoded::Oversized { declared: buf.len() }
+        } else {
+            Decoded::Incomplete
+        };
+    };
+    let line = buf[..end].strip_suffix(b"\r").unwrap_or(&buf[..end]);
+    match std::str::from_utf8(line) {
+        Ok(frame) => Decoded::Frame { frame, consumed: end + 1 },
+        Err(_) => Decoded::Malformed { id: 0, reason: "invalid utf-8".into(), consumed: end + 1 },
+    }
+}
+
+/// Appends one text reply: the response line and its `\n`.
+pub(crate) fn encode_line(response: &WireResponse, out: &mut Vec<u8>) {
+    let WireResponse::Line(line) = response else {
+        unreachable!("the text grammar has no batch or blob verb")
+    };
+    out.extend_from_slice(line.as_bytes());
+    out.push(b'\n');
 }
 
 /// Decodes one response frame off the front of `buf`. Responses have no
@@ -910,5 +956,55 @@ mod tests {
             }
         }
         assert_eq!(off, buf.len());
+    }
+
+    fn line(buf: &[u8], cap: usize) -> Decoded<&str> {
+        decode_line(buf, cap)
+    }
+
+    #[test]
+    fn plain_lines_and_crlf() {
+        assert_eq!(line(b"PING\n", 100), Decoded::Frame { frame: "PING", consumed: 5 });
+        assert_eq!(line(b"PING\r\nrest", 100), Decoded::Frame { frame: "PING", consumed: 6 });
+        // An empty line is a (malformed) request, not the end of input.
+        assert_eq!(line(b"\n", 100), Decoded::Frame { frame: "", consumed: 1 });
+        assert_eq!(line(b"PARTIAL", 100), Decoded::Incomplete);
+        assert_eq!(line(b"", 100), Decoded::Incomplete);
+    }
+
+    #[test]
+    fn consecutive_lines_resume_where_the_last_stopped() {
+        let buf = b"LIST\nPING\n";
+        assert_eq!(line(buf, 100), Decoded::Frame { frame: "LIST", consumed: 5 });
+        assert_eq!(line(&buf[5..], 100), Decoded::Frame { frame: "PING", consumed: 5 });
+        assert_eq!(line(&buf[10..], 100), Decoded::Incomplete);
+    }
+
+    #[test]
+    fn boundary_is_exact() {
+        assert_eq!(line(b"12345678\n", 8), Decoded::Frame { frame: "12345678", consumed: 9 });
+        assert_eq!(line(b"123456789\n", 8), Decoded::Oversized { declared: 10 });
+        // The CR counts against the cap; eight bytes without a newline
+        // may still complete, nine cannot.
+        assert_eq!(line(b"12345678\r\n", 8), Decoded::Oversized { declared: 10 });
+        assert_eq!(line(b"12345678", 8), Decoded::Incomplete);
+        assert_eq!(line(b"123456789", 8), Decoded::Oversized { declared: 9 });
+    }
+
+    #[test]
+    fn oversized_line_is_refused_before_its_terminator() {
+        // Refused from the first `cap + 1` bytes, however far the newline.
+        let long = [b"AAAAAAAAAAAAAAAAAAAA".as_slice(), b"\nPING\n"].concat();
+        assert_eq!(line(&long, 8), Decoded::Oversized { declared: long.len() });
+    }
+
+    #[test]
+    fn invalid_utf8_is_flagged_but_resynchronized() {
+        let buf = b"\xff\xfe\nPING\n";
+        assert_eq!(
+            line(buf, 100),
+            Decoded::Malformed { id: 0, reason: "invalid utf-8".into(), consumed: 3 }
+        );
+        assert_eq!(line(&buf[3..], 100), Decoded::Frame { frame: "PING", consumed: 5 });
     }
 }

@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ruid_service::wire::{WireRequest, WireResponse};
+use ruid_service::wire::{Decoded, WireRequest, WireResponse};
 use ruid_service::{
     BinaryClient, Client, Fault, FaultPlan, Metrics, Server, ServerConfig, ServerHandle,
 };
@@ -77,6 +77,26 @@ fn oversized_frame_is_rejected_and_connection_survives() {
     let metrics = metrics_of(&handle);
     assert_eq!(metrics.oversized(), 1);
     assert_eq!(handle.catalog().len(), 1, "no phantom documents");
+
+    // The cap is exact: a line of `max_line_bytes` is served, one byte
+    // more is refused, and the connection survives both.
+    let at_cap = format!("{}PING", " ".repeat(252));
+    assert_eq!(at_cap.len(), 256);
+    assert_eq!(client.request(&at_cap).unwrap(), "OK pong");
+    let over_cap = format!(" {at_cap}");
+    assert_eq!(client.request(&over_cap).unwrap(), "ERR line too long (limit 256 bytes)");
+    assert_eq!(client.request("PING").unwrap(), "OK pong");
+
+    // An oversized line cut by EOF still gets its `ERR`, then the close.
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&[b'A'; 300]).unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply).unwrap();
+    assert_eq!(reply, "ERR line too long (limit 256 bytes)\n");
+    assert!(wait_for(|| metrics.oversized() == 3), "oversized never ticked at EOF");
+    assert_eq!(metrics.torn(), 0, "an oversized line cut by EOF is not torn");
     handle.stop();
 }
 
@@ -99,6 +119,97 @@ fn empty_and_whitespace_lines_get_err_replies() {
     assert_eq!(lines[0], "ERR empty request");
     assert_eq!(lines[1], "ERR empty request");
     assert_eq!(lines[2], "OK pong");
+
+    // A trailing CR is stripped; invalid UTF-8 answers `ERR` and the next
+    // line resynchronizes; a line dripped over many writes is answered
+    // once its newline lands.
+    stream.write_all(b"PING\r\n\xff\xfe\nPING\n").unwrap();
+    for byte in b"PING\n" {
+        std::thread::sleep(Duration::from_millis(5));
+        stream.write_all(&[*byte]).unwrap();
+    }
+    for want in ["OK pong", "ERR invalid utf-8", "OK pong", "OK pong"] {
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+        assert_eq!(line, format!("{want}\n"));
+    }
+    handle.stop();
+}
+
+#[test]
+fn idle_text_connection_closes_on_shutdown_from_another() {
+    let handle = start_with(ServerConfig::default());
+    let mut idle = TcpStream::connect(handle.addr()).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    idle.write_all(b"PING\n").unwrap();
+    let mut pong = [0u8; 8];
+    idle.read_exact(&mut pong).unwrap();
+    assert_eq!(&pong, b"OK pong\n");
+
+    let mut other = Client::connect(handle.addr()).unwrap();
+    assert_eq!(other.request("SHUTDOWN").unwrap(), "OK bye");
+    // The idle connection sees a clean close, not a timeout.
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "unexpected bytes: {rest:?}");
+    handle.join();
+}
+
+#[test]
+fn a_client_that_never_reads_trips_the_write_deadline() {
+    // Both protocols pipeline requests with large replies and never read
+    // them: once the socket buffers fill, each connection's blocked write
+    // must hit the write deadline and close, with its counter ticked.
+    let handle = start_with(ServerConfig::default());
+    let mut text = TcpStream::connect(handle.addr()).unwrap();
+    let mut binary = TcpStream::connect(handle.addr()).unwrap();
+    let (mut lines, mut frames) = (Vec::new(), Vec::new());
+    // ~13 KB per reply, 13 MB in all, outgrows the socket buffers of a
+    // peer that never reads; the requests themselves stay small enough
+    // to be accepted whole.
+    for id in 0..1_000 {
+        lines.extend_from_slice(b"METRICS prom\n");
+        ruid_service::wire::encode_text(id, "METRICS prom", &mut frames);
+    }
+    text.write_all(&lines).unwrap();
+    binary.write_all(&frames).unwrap();
+    let metrics = metrics_of(&handle);
+    assert!(
+        wait_for(|| metrics.deadline_write() == 2),
+        "deadline_write = {}",
+        metrics.deadline_write()
+    );
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.request("PING").unwrap(), "OK pong");
+    handle.stop();
+}
+
+#[test]
+fn binary_stream_losing_frame_sync_counts_invalid() {
+    // A bad magic byte mid-stream means frame sync is lost: the
+    // connection closes, and the close is counted as an INVALID request
+    // error like any other limit trip.
+    let handle = start_with(ServerConfig::default());
+    let mut bytes = Vec::new();
+    ruid_service::wire::encode_request(1, &WireRequest::Ping, &mut bytes);
+    bytes.push(0x00);
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&bytes).unwrap();
+    // The PING before the bad byte is still answered, then the close.
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).unwrap();
+    match ruid_service::wire::decode_response(&reply) {
+        Decoded::Frame { frame, consumed } => {
+            assert_eq!((frame.id, consumed), (1, reply.len()));
+            assert_eq!(frame.response, WireResponse::Line("OK pong".into()));
+        }
+        other => panic!("expected the PING's answer, got {other:?}"),
+    }
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let metrics = client.request("METRICS").unwrap();
+    assert!(metrics.contains(" INVALID=1/1/"), "{metrics}");
     handle.stop();
 }
 

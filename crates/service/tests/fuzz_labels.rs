@@ -12,12 +12,20 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::time::Duration;
 
-use ruid_service::wire::{self, WireRequest};
-use ruid_service::{Client, Server, ServerConfig, ServerHandle};
+use ruid_service::wire::{self, WireRequest, WireResponse};
+use ruid_service::{BinaryClient, Client, Server, ServerConfig, ServerHandle};
+use xmlgen::SplitMix64;
 
 fn start() -> (ServerHandle, Client) {
+    start_with(|_| ServerConfig::default())
+}
+
+/// Starts a server configured from this test's scratch directory and
+/// loads the sample document as id 1.
+fn start_with(config: impl FnOnce(&Path) -> ServerConfig) -> (ServerHandle, Client) {
     let dir = std::env::temp_dir().join(format!(
         "ruid-fuzz-labels-{}-{}",
         std::process::id(),
@@ -27,7 +35,7 @@ fn start() -> (ServerHandle, Client) {
     std::fs::create_dir_all(&dir).unwrap();
     let xml = dir.join("doc.xml");
     std::fs::write(&xml, "<a><b><c/><c/></b><b/></a>").unwrap();
-    let handle = Server::start(ServerConfig::default()).unwrap();
+    let handle = Server::start(config(&dir)).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     let resp = client.request(&format!("LOAD {}", xml.display())).unwrap();
     assert!(resp.starts_with("OK id=1"), "{resp}");
@@ -195,6 +203,12 @@ fn corrupt_binary_frames_never_kill_the_server() {
             xpath: "//b".into(),
         },
         WireRequest::LoadStream { name: "feed".into(), events: "1:4:a 2:3:b".into() },
+        WireRequest::MQuery { doc: 1, xpaths: vec!["//b".into(), "//c".into()] },
+        WireRequest::MLabel { doc: 1, xpaths: vec!["//c".into()] },
+        WireRequest::ReplHello { follower: "fuzz".into() },
+        WireRequest::ReplSnapshot { generation: 1 },
+        WireRequest::ReplTail { generation: 1, offset: 0, max_bytes: 4096 },
+        WireRequest::ReplAck { generation: 1, seq: 0, bye: false, follower: "fuzz".into() },
     ];
     for request in &requests {
         let mut buf = Vec::new();
@@ -255,3 +269,120 @@ fn corrupt_binary_frames_never_kill_the_server() {
 
 /// Byte offset of the verb byte: magic (1) + length (4) + request id (8).
 const HEADER_ID_END: usize = 13;
+
+/// The replication and batch verbs with hostile arguments, on a server
+/// without a data directory and on a leader with one: every probe gets
+/// its answer (an `ERR`, a tail chunk, or a batch of the arity sent) and
+/// the server keeps serving the catalog as before.
+#[test]
+fn hostile_repl_and_batch_arguments_answer_in_kind() {
+    for durable in [false, true] {
+        let (handle, mut client) = start_with(|dir| ServerConfig {
+            data_dir: durable.then(|| dir.join("data")),
+            ..ServerConfig::default()
+        });
+        let before = client.request("QUERY 1 //c interval").unwrap();
+        let tail = |generation, offset, max_bytes| WireRequest::ReplTail {
+            generation,
+            offset,
+            max_bytes,
+        };
+        let probes = vec![
+            tail(u64::MAX, 0, 4096), // past the live generation
+            tail(1, u64::MAX, 4096), // past the segment end
+            tail(1, 0, 0),
+            tail(1, 0, u32::MAX),
+            WireRequest::ReplSnapshot { generation: 999_999 },
+            WireRequest::MQuery { doc: 1, xpaths: Vec::new() },
+            WireRequest::MQuery { doc: 999, xpaths: vec!["//c".into(); wire::MAX_BATCH] },
+        ];
+        let mut binary = BinaryClient::connect(handle.addr()).unwrap();
+        binary.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        let responses = binary.pipeline(&probes).unwrap();
+        for (probe, response) in probes.iter().zip(&responses) {
+            match (probe, response) {
+                (WireRequest::MQuery { xpaths, .. }, WireResponse::Batch(lines)) => {
+                    assert_eq!(lines.len(), xpaths.len(), "durable={durable}");
+                    assert!(lines.iter().all(|l| l.starts_with("ERR no document")), "{lines:?}");
+                }
+                // Only a leader with a log ships chunks.
+                (WireRequest::ReplTail { .. }, WireResponse::Blob(_)) => assert!(durable),
+                (_, WireResponse::Line(line)) => {
+                    assert!(line.starts_with("ERR"), "durable={durable} {probe:?} -> {line}");
+                }
+                _ => panic!("durable={durable} {probe:?} -> {response:?}"),
+            }
+        }
+        assert_eq!(client.request("PING").unwrap(), "OK pong");
+        assert_eq!(client.request("QUERY 1 //c interval").unwrap(), before);
+        handle.stop();
+    }
+}
+
+/// Sends `bytes` as one text connection, half-closes it, and returns
+/// everything the server answered before closing.
+fn fire_text(handle: &ServerHandle, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).unwrap();
+    String::from_utf8(answer).unwrap()
+}
+
+/// A seeded sweep of raw text lines — embedded `\r`, `\0` and `0xFF`,
+/// lengths around `max_line_bytes` — each batch on one connection: every
+/// line gets exactly the one answer the line codec owes it, and `PING`
+/// and the catalog answer as before after every batch.
+#[test]
+fn raw_text_bytes_answer_one_line_each() {
+    const CAP: usize = 256;
+    let (handle, mut client) =
+        start_with(|_| ServerConfig { max_line_bytes: CAP, ..ServerConfig::default() });
+    let before = client.request("QUERY 1 //c interval").unwrap();
+    let mut rng = SplitMix64::seed_from_u64(0x7E57_11E5);
+    let palette = [b'\r', 0, 0xFF, b' ', b'P', b'1', 0xC3, 0xA9];
+    for batch in 0..24 {
+        // The first byte is ASCII so the connection is sniffed as text.
+        let mut bytes = vec![b'x', b'\n'];
+        let mut lines: Vec<Vec<u8>> = vec![b"x".to_vec()];
+        for _ in 0..8 {
+            let len = match rng.gen_range(0..4u64) {
+                0 => CAP - 1 + rng.gen_range(0..3u64) as usize,
+                1 => rng.gen_range(0..8u64) as usize,
+                _ => rng.gen_range(0..(3 * CAP) as u64) as usize,
+            };
+            let line: Vec<u8> = (0..len)
+                .map(|_| match rng.gen_range(0..3u64) {
+                    0 => palette[rng.gen_range(0..palette.len() as u64) as usize],
+                    _ => loop {
+                        let b = rng.next_u64() as u8;
+                        if b != b'\n' {
+                            break b;
+                        }
+                    },
+                })
+                .collect();
+            bytes.extend_from_slice(&line);
+            bytes.push(b'\n');
+            lines.push(line);
+        }
+        let answer = fire_text(&handle, &bytes);
+        let answers: Vec<&str> = answer.lines().collect();
+        assert_eq!(answers.len(), lines.len(), "batch {batch}: {answer:?}");
+        for (line, got) in lines.iter().zip(&answers) {
+            let stripped = line.strip_suffix(b"\r").unwrap_or(line);
+            if line.len() > CAP {
+                assert_eq!(*got, "ERR line too long (limit 256 bytes)", "batch {batch}");
+            } else if std::str::from_utf8(stripped).is_err() {
+                assert_eq!(*got, "ERR invalid utf-8", "batch {batch}");
+            } else {
+                assert!(got.starts_with("ERR") || got.starts_with("OK"), "{got}");
+            }
+        }
+        assert_eq!(client.request("PING").unwrap(), "OK pong", "batch {batch}");
+    }
+    assert_eq!(client.request("QUERY 1 //c interval").unwrap(), before);
+    handle.stop();
+}

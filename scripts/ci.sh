@@ -67,6 +67,18 @@ if awk '
     echo "ci: catalog written outside commit / install_recovered" >&2
     exit 1
 fi
+# One connection state machine: only mux.rs's `Conn` splits requests off
+# the wire. A call to either request decoder anywhere else in non-test
+# service code is a second front end. (wire.rs defines them.)
+if awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test || FILENAME ~ /\/mux\.rs$/ || /^[ \t]*\/\// || /fn decode_(request|line)\(/ { next }
+    /decode_request\(|decode_line\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }' crates/service/src/*.rs; then
+    echo "ci: a request decoded outside the connection state machine (mux.rs)" >&2
+    exit 1
+fi
 
 # The scoreboard is a workspace of its own that calls deep into the
 # service's public API: build it, run its unit and smoke tests, and run
