@@ -1,28 +1,9 @@
 //! Integration tests for the `ruid-xml` command dispatcher.
 
-use std::path::PathBuf;
 use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ruid_cli::{run, serve_start};
-
-static COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-/// A sample document in a file of its own (pid + counter): tests run on
-/// parallel threads, and a shared path lets one test read the file while
-/// another has it truncated for rewriting.
-fn sample_file() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ruid-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("sample-{}.xml", COUNTER.fetch_add(1, Ordering::Relaxed)));
-    std::fs::write(
-        &path,
-        "<catalog><book id=\"b1\"><title>A</title><price>35</price></book>\
-         <book id=\"b2\"><title>B</title><price>20</price></book></catalog>",
-    )
-    .unwrap();
-    path
-}
+use testkit::{Scratch, SAMPLE_XML};
 
 fn args(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()
@@ -30,13 +11,15 @@ fn args(parts: &[&str]) -> Vec<String> {
 
 #[test]
 fn stats_runs() {
-    let file = sample_file();
+    let dir = Scratch::new("sample");
+    let file = dir.file("sample.xml", SAMPLE_XML);
     run(&args(&["stats", file.to_str().unwrap()])).unwrap();
 }
 
 #[test]
 fn label_runs_with_options() {
-    let file = sample_file();
+    let dir = Scratch::new("sample");
+    let file = dir.file("sample.xml", SAMPLE_XML);
     run(&args(&["label", file.to_str().unwrap(), "--depth", "2", "--limit", "5"])).unwrap();
 }
 
@@ -44,7 +27,8 @@ fn label_runs_with_options() {
 /// subtree per hit, on standard output) for the same query.
 #[test]
 fn query_all_engines_agree_on_success() {
-    let file = sample_file();
+    let dir = Scratch::new("sample");
+    let file = dir.file("sample.xml", SAMPLE_XML);
     let printed = |engine: &str| {
         let output = Command::new(env!("CARGO_BIN_EXE_ruid-xml"))
             .args(["query", file.to_str().unwrap(), "//book[price > 25]/title", "--engine", engine])
@@ -67,7 +51,8 @@ fn query_all_engines_agree_on_success() {
 
 #[test]
 fn axes_and_parent_run() {
-    let file = sample_file();
+    let dir = Scratch::new("sample");
+    let file = dir.file("sample.xml", SAMPLE_XML);
     run(&args(&["axes", file.to_str().unwrap(), "//title"])).unwrap();
     // The tree root's identifier always exists.
     run(&args(&["parent", file.to_str().unwrap(), "1", "1", "true"])).unwrap();
@@ -75,7 +60,8 @@ fn axes_and_parent_run() {
 
 #[test]
 fn errors_are_reported_not_panicked() {
-    let file = sample_file();
+    let dir = Scratch::new("sample");
+    let file = dir.file("sample.xml", SAMPLE_XML);
     let f = file.to_str().unwrap();
     assert!(run(&[]).is_err());
     assert!(run(&args(&["bogus"])).is_err());
@@ -91,7 +77,8 @@ fn errors_are_reported_not_panicked() {
 
 #[test]
 fn serve_preloads_files_and_client_talks_to_it() {
-    let file = sample_file();
+    let dir = Scratch::new("sample");
+    let file = dir.file("sample.xml", SAMPLE_XML);
     // Port 0 picks a free port; one worker thread is plenty here.
     let handle = serve_start(&args(&[
         file.to_str().unwrap(),
@@ -153,10 +140,8 @@ fn serve_hardening_flags_reach_the_server() {
 
 #[test]
 fn malformed_xml_is_an_error() {
-    let dir = std::env::temp_dir().join(format!("ruid-cli-bad-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bad.xml");
-    std::fs::write(&path, "<a><b></a>").unwrap();
+    let dir = Scratch::new("bad");
+    let path = dir.file("bad.xml", "<a><b></a>");
     let err = run(&args(&["stats", path.to_str().unwrap()])).unwrap_err();
     assert!(err.contains("parse error"), "{err}");
 }

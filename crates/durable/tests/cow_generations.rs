@@ -19,6 +19,7 @@ use std::collections::BTreeSet;
 use durable::{doc_fingerprint, DocState, NodeContent, WalOp};
 use ruid_core::{PartitionConfig, Ruid2, Ruid2Scheme};
 use schemes::NumberingScheme;
+use testkit::{trees, Tags};
 use xmldom::{NodeId, NodeKind, CHUNK};
 use xmlgen::SplitMix64;
 
@@ -244,34 +245,12 @@ fn run_chain(
     }
 }
 
-/// All ordered trees with exactly `n` nodes rooted at `depth`, tags
-/// cycled by depth.
-fn trees(n: usize, depth: usize) -> Vec<String> {
-    let tag = ["a", "b", "c"][depth % 3];
-    forests(n - 1, depth + 1).into_iter().map(|f| format!("<{tag}>{f}</{tag}>")).collect()
-}
-
-fn forests(m: usize, depth: usize) -> Vec<String> {
-    if m == 0 {
-        return vec![String::new()];
-    }
-    let mut out = Vec::new();
-    for k in 1..=m {
-        for first in trees(k, depth) {
-            for rest in forests(m - k, depth) {
-                out.push(format!("{first}{rest}"));
-            }
-        }
-    }
-    out
-}
-
 #[test]
 fn pinned_generations_are_isolated_on_every_small_tree() {
     let mut seen = Seen::default();
     let mut shapes = 0u64;
     for n in 1..=7 {
-        for xml in trees(n, 0) {
+        for xml in trees(n, Tags::ByDepth) {
             let config = PartitionConfig::by_depth(1 + (shapes as usize % 2));
             // Every generation of the chain stays pinned to its end.
             run_chain(&xml, config, 0xC0_0000 + shapes, 8, |_, _| true, &mut seen);

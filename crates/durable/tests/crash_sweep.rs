@@ -9,13 +9,7 @@ use durable::{
     WalWriter,
 };
 use ruid_core::{PartitionConfig, Ruid2};
-
-fn test_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("crash-sweep-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use testkit::Scratch;
 
 fn load_op(doc_id: u64, xml: &str) -> WalOp {
     WalOp::Load {
@@ -99,11 +93,11 @@ fn write_segment(dir: &std::path::Path, ops: &[WalOp]) -> Vec<u64> {
 fn every_wal_truncation_recovers_a_legal_state() {
     let ops = script();
     let states = legal_states(&ops);
-    let full_dir = test_dir("trunc_src");
+    let full_dir = Scratch::new("trunc_src");
     let boundaries = write_segment(&full_dir, &ops);
     let full = std::fs::read(full_dir.join(wal_file_name(0))).unwrap();
 
-    let dir = test_dir("trunc");
+    let dir = Scratch::new("trunc");
     for cut in 0..=full.len() {
         std::fs::write(dir.join(wal_file_name(0)), &full[..cut]).unwrap();
         let r = recover(&dir).unwrap();
@@ -124,7 +118,7 @@ fn torn_append_at_every_offset_recovers_the_pre_op_state() {
     let states = legal_states(&ops);
     for i in 0..ops.len() {
         // This op's full record length, measured on a scratch segment.
-        let scratch = test_dir(&format!("torn_len_{i}"));
+        let scratch = Scratch::new(format!("torn_len_{i}"));
         let mut w = WalWriter::create(&scratch, 0, FsyncPolicy::Never).unwrap();
         w.append(&ops[i]).unwrap();
         let record_len = w.bytes() as usize;
@@ -133,7 +127,7 @@ fn torn_append_at_every_offset_recovers_the_pre_op_state() {
         // records, a stride for big ones to keep the test quick).
         let stride = (record_len / 37).max(1);
         for at in (0..record_len).step_by(stride) {
-            let dir = test_dir(&format!("torn_{i}_{at}"));
+            let dir = Scratch::new(format!("torn_{i}_{at}"));
             let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Never).unwrap();
             for op in &ops[..i] {
                 w.append(op).unwrap();
@@ -147,11 +141,10 @@ fn torn_append_at_every_offset_recovers_the_pre_op_state() {
                 states[i],
                 "op {i} torn at {at}: a partial record must replay as if never written"
             );
-            std::fs::remove_dir_all(&dir).unwrap();
         }
         // A "tear" at the full record length persisted everything: the
         // post-op state is the legal outcome then.
-        let dir = test_dir(&format!("torn_full_{i}"));
+        let dir = Scratch::new(format!("torn_full_{i}"));
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Never).unwrap();
         for op in &ops[..i] {
             w.append(op).unwrap();
@@ -170,7 +163,7 @@ fn failed_fsync_leaves_the_post_op_state_recoverable() {
     let ops = script();
     let states = legal_states(&ops);
     for i in 0..ops.len() {
-        let dir = test_dir(&format!("fsync_{i}"));
+        let dir = Scratch::new(format!("fsync_{i}"));
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         for op in &ops[..i] {
             w.append(op).unwrap();
@@ -189,7 +182,7 @@ fn failed_fsync_leaves_the_post_op_state_recoverable() {
 fn short_read_at_recovery_yields_a_legal_prefix_state() {
     let ops = script();
     let states = legal_states(&ops);
-    let dir = test_dir("short_read");
+    let dir = Scratch::new("short_read");
     let boundaries = write_segment(&dir, &ops);
     let total = *boundaries.last().unwrap() as usize;
     for len in (0..=total).step_by(13) {
@@ -205,7 +198,7 @@ fn short_read_at_recovery_yields_a_legal_prefix_state() {
 fn snapshot_crash_points_never_lose_the_prior_state() {
     let ops = script();
     let states = legal_states(&ops);
-    let dir = test_dir("snap_crash");
+    let dir = Scratch::new("snap_crash");
     write_segment(&dir, &ops[..4]);
     let before = recover(&dir).unwrap();
     assert_eq!(fp(&before.docs), states[4]);
@@ -232,7 +225,7 @@ fn snapshot_crash_points_never_lose_the_prior_state() {
     // A clean install + tail segment: truncating the *new* segment at
     // every offset still recovers states[4 + k].
     write_snapshot_with(&dir, 1, &views, &IoFaultPlan::new()).unwrap();
-    let tail_dir = test_dir("snap_crash_tail");
+    let tail_dir = Scratch::new("snap_crash_tail");
     let tail_boundaries = write_segment(&tail_dir, &ops[4..]);
     let tail = std::fs::read(tail_dir.join(wal_file_name(0))).unwrap();
     for cut in 0..=tail.len() {

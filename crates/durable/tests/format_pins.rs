@@ -13,16 +13,10 @@ use durable::{
     crc32, read_snapshot_bytes, write_snapshot, Crc32, DocState, DocView, NodeContent, WalOp,
 };
 use ruid_core::{PartitionConfig, Ruid2Scheme};
+use testkit::{trees, Scratch, Tags};
 use xmldom::{Document, NodeId};
 use xmlgen::prng::SplitMix64;
 use xmlgen::xmark::{generate, XmarkConfig};
-
-fn test_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("format-pins-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// FNV-1a over the image: a digest that shares no code with the CRC
 /// under test.
@@ -58,11 +52,9 @@ fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
 
 /// The image `write_snapshot` installs for `docs` as generation 1.
 fn image(name: &str, docs: &[DocState]) -> Vec<u8> {
-    let dir = test_dir(name);
+    let dir = Scratch::new(name);
     let views: Vec<DocView<'_>> = docs.iter().map(DocState::view).collect();
-    let bytes = std::fs::read(write_snapshot(&dir, 1, &views).unwrap()).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    bytes
+    std::fs::read(write_snapshot(&dir, 1, &views).unwrap()).unwrap()
 }
 
 /// Decodes `bytes` and encodes what came out under the same generation.
@@ -107,29 +99,6 @@ fn mixed_state(id: u64) -> DocState {
         PartitionConfig::by_area_size(3),
         false,
     )
-}
-
-/// Every ordered tree with exactly `n` nodes (`forests` of the children
-/// under one `<n>`): 1, 1, 2, 5, 14, 42, 132 shapes for n = 1..=7.
-fn trees(n: usize) -> Vec<String> {
-    fn forests(m: usize) -> Vec<String> {
-        if m == 0 {
-            return vec![String::new()];
-        }
-        let mut out = Vec::new();
-        for k in 1..=m {
-            for first in trees(k) {
-                for rest in forests(m - k) {
-                    out.push(format!("{first}{rest}"));
-                }
-            }
-        }
-        out
-    }
-    forests(n - 1)
-        .into_iter()
-        .map(|f| format!("<n>{f}</n>"))
-        .collect()
 }
 
 #[test]
@@ -216,7 +185,7 @@ fn every_small_shape_round_trips_byte_for_byte() {
     ];
     let mut docs = Vec::new();
     for n in 1..=7 {
-        for xml in trees(n) {
+        for xml in trees(n, Tags::Plain) {
             let id = docs.len() as u64 + 1;
             let config = configs[docs.len() % configs.len()];
             docs.push(state_of(

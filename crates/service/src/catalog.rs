@@ -22,6 +22,8 @@ use schemes::NumberingScheme;
 use xmldom::{DocOrder, Document, NodeId};
 use xpath::NameIndex;
 
+use crate::lock;
+
 /// Identifies one loaded document within a [`Catalog`].
 pub type DocId = u64;
 
@@ -330,7 +332,7 @@ impl Catalog {
     /// this; concurrent writers to *any* document serialize here so each
     /// copy-on-write starts from the latest committed state.
     pub fn begin_write(&self) -> MutexGuard<'_, ()> {
-        self.write_lock.lock().unwrap()
+        lock(&self.write_lock)
     }
 
     fn shard(&self, id: DocId) -> &RwLock<HashMap<DocId, Arc<LoadedDoc>>> {

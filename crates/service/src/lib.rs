@@ -183,3 +183,13 @@ pub use trace::{RequestTrace, SlowEntry, Span, Tracer, SPANS, SPAN_COUNT};
 // server share one threading layer; re-exported here for compatibility.
 pub use par::{PoolClosed, SubmitError, ThreadPool};
 pub use server::{run_query, Server, ServerConfig, ServerHandle};
+
+/// Locks a bookkeeping mutex, poisoned or not. The crate's rule: the mux
+/// outbox, workers and pool slot, the replication gauges and follower map,
+/// and the catalog's writer lock guard data that is whole between
+/// statements, so a panic that poisoned one left nothing half-written and
+/// the next holder takes the data as it is. The durability mutex is the
+/// one exception (`persist.rs`): poisoned, it refuses every further write.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 use par::{SubmitError, ThreadPool};
 
 use crate::fault::Fault;
+use crate::lock;
 use crate::metrics::{Command, Protocol};
 use crate::proto::{self, Request};
 use crate::server::{serve, Shared};
@@ -121,10 +122,10 @@ impl Mux {
     /// Joins the workers (the shutdown flag must already be set), then
     /// shuts down the offload pool, joining any in-flight jobs.
     pub(crate) fn join(&self) {
-        for handle in self.workers.lock().unwrap().drain(..) {
+        for handle in lock(&self.workers).drain(..) {
             let _ = handle.join();
         }
-        if let Some(pool) = self.offload.pool.lock().unwrap().take() {
+        if let Some(pool) = lock(&self.offload.pool).take() {
             pool.shutdown();
         }
     }
@@ -302,7 +303,7 @@ impl Conn {
             // is still owed every offloaded response in flight — close
             // only once nothing more can land in the outbox.
             if self.pending.load(Ordering::Acquire) == 0
-                && self.outbox.lock().unwrap().is_empty()
+                && lock(&self.outbox).is_empty()
             {
                 return Pump::Close;
             }
@@ -448,7 +449,7 @@ impl Conn {
 
     /// Moves completed offloaded responses into the write buffer.
     fn collect_outbox(&mut self) -> bool {
-        let mut outbox = self.outbox.lock().unwrap();
+        let mut outbox = lock(&self.outbox);
         if outbox.is_empty() {
             return false;
         }
@@ -545,11 +546,11 @@ impl Conn {
                 wire::encode_response(id, &response, &mut buf);
                 // In the outbox before `serve` can flag a shutdown, so the
                 // final flush still finds a `SHUTDOWN`'s own answer.
-                outbox.lock().unwrap().push(buf);
+                lock(&outbox).push(buf);
                 pending.fetch_sub(1, Ordering::AcqRel);
             });
         };
-        let submitted = match offload.pool.lock().unwrap().as_ref() {
+        let submitted = match lock(&offload.pool).as_ref() {
             Some(pool) => pool.try_execute(job),
             None => Err(SubmitError::Closed),
         };

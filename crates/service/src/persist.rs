@@ -6,10 +6,16 @@
 //! *before* the catalog changes, and a snapshot freezes the catalog and
 //! rotates to a fresh segment inside the same critical section. Readers
 //! (queries) never touch the mutex.
+//!
+//! Poison is fatal to writes here, unlike the crate's bookkeeping locks
+//! ([`crate::lock`]): a poisoned mutex means a commit panicked between its
+//! WAL append and its install, so the log may hold a record the catalog
+//! never saw. From then on `log_with`, `persist` and snapshots answer
+//! `Err`; the counters still read.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use durable::{
     recover, snapshot_file_name, wal_file_name, write_snapshot, write_snapshot_bodies, DocState,
@@ -118,7 +124,7 @@ impl Durability {
     /// so a snapshot can never observe a catalog state whose WAL record
     /// landed in an already-rotated segment.
     pub fn log_with<R>(&self, op: &WalOp, apply: impl FnOnce() -> R) -> Result<R, String> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.for_write()?;
         inner.wal.append(op).map_err(|e| format!("wal append failed: {e}"))?;
         Ok(apply())
     }
@@ -129,13 +135,13 @@ impl Durability {
     /// reused — kill the server and recover, exactly like a real crash.
     #[doc(hidden)]
     pub fn arm_wal_faults(&self, plan: durable::IoFaultPlan) {
-        self.inner.lock().unwrap().wal.set_fault_plan(plan);
+        crate::lock(&self.inner).wal.set_fault_plan(plan);
     }
 
     /// Forces the WAL to stable storage (the `PERSIST` verb). Returns the
     /// records and bytes now durable.
     pub fn persist(&self) -> Result<(u64, u64), String> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.for_write()?;
         inner.wal.sync().map_err(|e| format!("wal fsync failed: {e}"))?;
         Ok((inner.wal.records(), inner.wal.bytes()))
     }
@@ -183,7 +189,7 @@ impl Durability {
         write: impl FnOnce(&Path, u64) -> std::io::Result<usize>,
     ) -> Result<(u64, usize), String> {
         let started = std::time::Instant::now();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.for_write()?;
         let new_gen = inner.generation + 1;
         let docs =
             write(&self.dir, new_gen).map_err(|e| format!("snapshot write failed: {e}"))?;
@@ -204,6 +210,19 @@ impl Durability {
         Ok((new_gen, docs))
     }
 
+    /// The mutex, for a write: `Err` once a commit panicked inside it.
+    fn for_write(&self) -> Result<MutexGuard<'_, Inner>, String> {
+        self.inner.lock().map_err(|_| {
+            "durability halted: a commit panicked between its WAL append and its install"
+                .to_string()
+        })
+    }
+
+    /// The mutex, for reading counters: poisoned or not, they are whole.
+    fn counters(&self) -> MutexGuard<'_, Inner> {
+        crate::lock(&self.inner)
+    }
+
     /// The data directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -216,7 +235,7 @@ impl Durability {
 
     /// The current snapshot/WAL generation.
     pub fn generation(&self) -> u64 {
-        self.inner.lock().unwrap().generation
+        self.counters().generation
     }
 
     /// The leader's WAL coordinates for replication, read atomically
@@ -226,7 +245,7 @@ impl Durability {
     /// race the read are simply not committed yet from the follower's
     /// point of view.
     pub fn wal_position(&self) -> (u64, u64, u64) {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.counters();
         (inner.generation, inner.wal.next_seq(), inner.wal.bytes())
     }
 
@@ -258,7 +277,7 @@ impl Durability {
 
     /// A consistent snapshot of the durability counters (one lock).
     pub fn stats(&self) -> DurabilityStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.counters();
         DurabilityStats {
             generation: inner.generation,
             wal_records: inner.wal.records(),
@@ -275,7 +294,7 @@ impl Durability {
     /// The durability segment of the `METRICS` line:
     /// `durability=on generation=.. wal_records=.. ... quarantined=..`.
     pub fn render_line(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.counters();
         format!(
             "durability=on fsync={} generation={} wal_records={} wal_bytes={} wal_fsyncs={} \
              wal_unsynced={} snapshots={} recovered_docs={} replayed={} truncated_bytes={} \
@@ -366,5 +385,24 @@ mod tests {
         assert_eq!(next, 3);
         assert_eq!(d.recovery().replayed, 3);
         assert_eq!(d.recovery().snapshot_generation, None);
+    }
+
+    /// A commit that panics between its WAL append and its install poisons
+    /// the mutex: every later write is refused, the counters still render.
+    #[test]
+    fn a_panicked_commit_halts_writes_but_not_metrics() {
+        let dir = test_dir("poisoned");
+        let (d, _, _) = Durability::open(&dir, FsyncPolicy::Always).unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            d.log_with(&load_op(1, "<x/>"), || panic!("install failed"))
+        }));
+        assert!(panicked.is_err());
+        let err = d.log_with(&load_op(2, "<y/>"), || ()).unwrap_err();
+        assert!(err.contains("durability halted"), "{err}");
+        assert!(d.persist().is_err());
+        assert!(d.snapshot(&Catalog::new(1)).is_err());
+        let line = d.render_line();
+        assert!(line.contains("wal_records=1 "), "{line}");
+        assert_eq!(d.stats().wal_records, 1);
     }
 }

@@ -30,6 +30,7 @@ use durable::{SnapshotLoad, WalOp};
 use repl::{Backoff, HelloInfo, SegmentTailer, TailChunk};
 
 use crate::client::BinaryClient;
+use crate::lock;
 use crate::persist::Durability;
 use crate::proto::Request;
 use crate::server::{commit, install_recovered, Shared};
@@ -165,7 +166,7 @@ impl ReplState {
     /// "behind": it has replicated nothing yet.
     pub fn new_follower(leader: String) -> ReplState {
         let state = ReplState::new(ROLE_FOLLOWER, Some(leader));
-        *state.behind_since.lock().unwrap() = Some(Instant::now());
+        *lock(&state.behind_since) = Some(Instant::now());
         state
     }
 
@@ -201,7 +202,7 @@ impl ReplState {
     /// The leader address writes should be redirected to, while following.
     pub fn leader_addr(&self) -> Option<String> {
         if self.is_follower() {
-            self.leader_addr.lock().unwrap().clone()
+            lock(&self.leader_addr).clone()
         } else {
             None
         }
@@ -226,7 +227,7 @@ impl ReplState {
         self.role.store(ROLE_LEADER, Ordering::SeqCst);
         self.promotions.fetch_add(1, Ordering::Relaxed);
         self.lag_records.store(0, Ordering::Relaxed);
-        *self.behind_since.lock().unwrap() = None;
+        *lock(&self.behind_since) = None;
     }
 
     /// Arms the `ForgeSeq` fault for the next `REPL TAIL` answer.
@@ -249,7 +250,7 @@ impl ReplState {
 
     pub(crate) fn note_ack(&self, follower: &str, generation: u64, seq: u64, bye: bool) {
         self.acks_received.fetch_add(1, Ordering::Relaxed);
-        let mut followers = self.followers.lock().unwrap();
+        let mut followers = lock(&self.followers);
         if bye {
             followers.remove(follower);
         } else {
@@ -266,7 +267,7 @@ impl ReplState {
     }
 
     pub(crate) fn note_bootstrap_phases(&self, phases: BootstrapPhases) {
-        *self.last_bootstrap.lock().unwrap() = phases;
+        *lock(&self.last_bootstrap) = phases;
     }
 
     pub(crate) fn note_reconnect(&self) {
@@ -287,7 +288,7 @@ impl ReplState {
 
     pub(crate) fn set_lag(&self, records: u64) {
         self.lag_records.store(records, Ordering::Relaxed);
-        let mut behind = self.behind_since.lock().unwrap();
+        let mut behind = lock(&self.behind_since);
         if records == 0 {
             *behind = None;
         } else if behind.is_none() {
@@ -298,9 +299,7 @@ impl ReplState {
     /// Seconds the follower has continuously been behind; 0 when caught
     /// up (or when leading).
     pub fn lag_seconds(&self) -> f64 {
-        self.behind_since
-            .lock()
-            .unwrap()
+        lock(&self.behind_since)
             .map(|t| t.elapsed().as_secs_f64())
             .unwrap_or(0.0)
     }
@@ -313,7 +312,7 @@ impl ReplState {
             bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
             snapshots_shipped: self.snapshots_shipped.load(Ordering::Relaxed),
             acks_received: self.acks_received.load(Ordering::Relaxed),
-            followers: self.followers.lock().unwrap().len() as u64,
+            followers: lock(&self.followers).len() as u64,
             records_applied: self.records_applied.load(Ordering::Relaxed),
             bootstraps: self.bootstraps.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
@@ -323,7 +322,7 @@ impl ReplState {
             promotions: self.promotions.load(Ordering::Relaxed),
             lag_records: self.lag_records.load(Ordering::Relaxed),
             lag_seconds: self.lag_seconds(),
-            last_bootstrap: *self.last_bootstrap.lock().unwrap(),
+            last_bootstrap: *lock(&self.last_bootstrap),
         }
     }
 

@@ -84,7 +84,8 @@
 use crate::proto::{self, Engine, Request};
 use ruid_core::Ruid2;
 
-/// The request type's former name on the binary side, kept as an alias.
+/// The request type's former name on the binary side. Its last user is
+/// the frozen scoreboard; once that names [`Request`], this line goes.
 pub use crate::proto::Request as WireRequest;
 
 /// First byte of every binary request frame (never a UTF-8 lead byte).

@@ -14,6 +14,7 @@ use ruid_core::{PartitionConfig, Ruid2, Ruid2Scheme};
 use ruid_service::proto::{escape_line, fmt_label};
 use ruid_service::{Client, Server, ServerConfig};
 use schemes::NumberingScheme;
+use testkit::{load_xml, metrics_field};
 use xmldom::Document;
 use xmlgen::{xmark, SplitMix64};
 use xmlstore::record::StoredKind;
@@ -102,10 +103,7 @@ impl Oracle {
 
 /// Pulls `NAME=count/errors/p50/p95/p99` out of a METRICS response line.
 fn metric(resp: &str, name: &str) -> (u64, u64, u64) {
-    let token = resp
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix(&format!("{name}=")))
-        .unwrap_or_else(|| panic!("no {name} in {resp}"));
+    let token = metrics_field(resp, name).unwrap_or_else(|| panic!("no {name} in {resp}"));
     let fields: Vec<u64> = token.split('/').map(|f| f.parse().unwrap()).collect();
     (fields[0], fields[1], fields[2]) // count, errors, p50 ns
 }
@@ -115,10 +113,6 @@ fn concurrent_clients_match_the_sequential_oracle() {
     // An XMark-style document of a few thousand nodes.
     let generated = xmark::generate(&xmark::XmarkConfig::scaled_to(3000, 7));
     let text = generated.to_xml_string();
-    let dir = std::env::temp_dir().join(format!("ruid-service-conc-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("xmark.xml");
-    std::fs::write(&path, &text).unwrap();
 
     let depth = ServerConfig::default().depth;
     let oracle = Oracle::build(&text, depth);
@@ -133,16 +127,7 @@ fn concurrent_clients_match_the_sequential_oracle() {
 
     // Load through a short-lived connection (its worker frees up before the
     // eight query threads claim all pool slots).
-    let id: u64 = {
-        let mut loader = Client::connect(handle.addr()).unwrap();
-        let resp = loader.request(&format!("LOAD {}", path.display())).unwrap();
-        assert!(resp.starts_with("OK id="), "{resp}");
-        resp.split_whitespace()
-            .find_map(|t| t.strip_prefix("id="))
-            .unwrap()
-            .parse()
-            .unwrap()
-    };
+    let id = load_xml(&mut Client::connect(handle.addr()).unwrap(), &text);
 
     // Precompute (request, expected) pairs single-threaded.
     let mut rng = SplitMix64::seed_from_u64(0xC0FFEE);

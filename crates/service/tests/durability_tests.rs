@@ -1,56 +1,17 @@
 //! Durability end-to-end: a server with a `--data-dir`, killed and
 //! restarted, must answer the same queries from its recovered catalog.
 
-use ruid_service::{Client, FsyncPolicy, Server, ServerConfig, ServerHandle};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("ruid-durability-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_sample(dir: &std::path::Path, name: &str, xml: &str) -> String {
-    let path = dir.join(name);
-    std::fs::write(&path, xml).unwrap();
-    path.display().to_string()
-}
-
-fn start(data_dir: &std::path::Path) -> (ServerHandle, Client) {
-    let config = ServerConfig {
-        data_dir: Some(data_dir.to_path_buf()),
-        fsync: FsyncPolicy::Always,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
-
-fn load(client: &mut Client, path: &str) -> u64 {
-    let resp = client.request(&format!("LOAD {path}")).unwrap();
-    assert!(resp.starts_with("OK id="), "{resp}");
-    resp.split_whitespace()
-        .find_map(|t| t.strip_prefix("id="))
-        .unwrap()
-        .parse()
-        .unwrap()
-}
+use ruid_service::{Client, Server, ServerConfig};
+use testkit::{load, start_durable, Scratch, SAMPLE_XML};
 
 #[test]
 fn restart_answers_the_same_queries() {
-    let dir = scratch("restart");
-    let books = write_sample(
-        &dir,
-        "books.xml",
-        "<catalog><book id=\"b1\"><title>A</title><price>35</price></book>\
-         <book id=\"b2\"><title>B</title><price>20</price></book></catalog>",
-    );
-    let site = write_sample(&dir, "site.xml", "<site><open/><closed><a/></closed></site>");
+    let dir = Scratch::new("restart");
+    let books = dir.file("books.xml", SAMPLE_XML);
+    let site = dir.file("site.xml", "<site><open/><closed><a/></closed></site>");
     let data_dir = dir.join("data");
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     let books_id = load(&mut client, &books);
     let site_id = load(&mut client, &site);
     let dropped = load(&mut client, &site);
@@ -63,7 +24,7 @@ fn restart_answers_the_same_queries() {
     // Abrupt stop: no SHUTDOWN, no SNAPSHOT — the WAL alone carries it.
     handle.stop();
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     assert_eq!(client.request(&query).unwrap(), before);
     assert_eq!(client.request(&site_query).unwrap(), site_before);
     // The unloaded id stayed unloaded, and fresh ids don't reuse it.
@@ -84,16 +45,11 @@ fn restart_answers_the_same_queries() {
 /// and WAL replay, with the result cache starting cold.
 #[test]
 fn recovery_rebuilds_path_summary_for_planned_queries() {
-    let dir = scratch("planner-recovery");
-    let books = write_sample(
-        &dir,
-        "books.xml",
-        "<catalog><book id=\"b1\"><title>A</title><price>35</price></book>\
-         <book id=\"b2\"><title>B</title><price>20</price></book></catalog>",
-    );
+    let dir = Scratch::new("planner-recovery");
+    let books = dir.file("books.xml", SAMPLE_XML);
     let data_dir = dir.join("data");
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     let id = load(&mut client, &books);
     // The pre-crash oracle: planned answers for structural, containment
     // and predicate queries, and the plan EXPLAIN renders for them.
@@ -114,7 +70,7 @@ fn recovery_rebuilds_path_summary_for_planned_queries() {
     // must rebuild the in-memory path summary from the recovered DOM.
     handle.stop();
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     // The cache is in-memory only: before any query, the first
     // post-restart EXPLAIN sees a miss, but the plan itself
     // (summary-derived) is unchanged.
@@ -132,12 +88,12 @@ fn recovery_rebuilds_path_summary_for_planned_queries() {
 
 #[test]
 fn snapshot_then_restart_recovers_from_snapshot_plus_tail() {
-    let dir = scratch("snapshot");
-    let sample = write_sample(&dir, "s.xml", "<r><a/><b>t</b></r>");
-    let other = write_sample(&dir, "t.xml", "<q><w/></q>");
+    let dir = Scratch::new("snapshot");
+    let sample = dir.file("s.xml", "<r><a/><b>t</b></r>");
+    let other = dir.file("t.xml", "<q><w/></q>");
     let data_dir = dir.join("data");
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     let first = load(&mut client, &sample);
     let resp = client.request("SNAPSHOT").unwrap();
     assert!(resp.starts_with("OK generation=1 docs=1"), "{resp}");
@@ -146,7 +102,7 @@ fn snapshot_then_restart_recovers_from_snapshot_plus_tail() {
     assert!(client.request("PERSIST").unwrap().starts_with("OK records="), "{resp}");
     handle.stop();
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     assert!(client.request(&format!("QUERY {first} //a")).unwrap().starts_with("OK 1 "));
     assert!(client.request(&format!("QUERY {second} //w")).unwrap().starts_with("OK 1 "));
     let metrics = client.request("METRICS").unwrap();
@@ -168,11 +124,11 @@ fn snapshot_and_persist_require_a_data_dir() {
 
 #[test]
 fn corrupt_wal_tail_is_truncated_not_fatal() {
-    let dir = scratch("torn");
-    let sample = write_sample(&dir, "s.xml", "<r><a/></r>");
+    let dir = Scratch::new("torn");
+    let sample = dir.file("s.xml", "<r><a/></r>");
     let data_dir = dir.join("data");
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     let id = load(&mut client, &sample);
     load(&mut client, &sample);
     handle.stop();
@@ -182,7 +138,7 @@ fn corrupt_wal_tail_is_truncated_not_fatal() {
     let bytes = std::fs::read(&wal).unwrap();
     std::fs::write(&wal, &bytes[..bytes.len() - 7]).unwrap();
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     // First load survives, the torn second one is gone.
     assert!(client.request(&format!("QUERY {id} //a")).unwrap().starts_with("OK 1 "));
     let list = client.request("LIST").unwrap();
@@ -195,12 +151,12 @@ fn corrupt_wal_tail_is_truncated_not_fatal() {
 
 #[test]
 fn corrupt_snapshot_quarantines_only_the_bad_document() {
-    let dir = scratch("quarantine");
-    let good = write_sample(&dir, "good.xml", "<g><ok/></g>");
-    let bad = write_sample(&dir, "bad.xml", "<b><broken/></b>");
+    let dir = Scratch::new("quarantine");
+    let good = dir.file("good.xml", "<g><ok/></g>");
+    let bad = dir.file("bad.xml", "<b><broken/></b>");
     let data_dir = dir.join("data");
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     let good_id = load(&mut client, &good);
     let bad_id = load(&mut client, &bad);
     assert!(client.request("SNAPSHOT").unwrap().starts_with("OK generation=1"));
@@ -218,7 +174,7 @@ fn corrupt_snapshot_quarantines_only_the_bad_document() {
     bytes[pos] ^= 0x40;
     std::fs::write(&snap, &bytes).unwrap();
 
-    let (handle, mut client) = start(&data_dir);
+    let (handle, mut client) = start_durable(&data_dir);
     assert!(client.request(&format!("QUERY {good_id} //ok")).unwrap().starts_with("OK 1 "));
     assert!(client
         .request(&format!("QUERY {bad_id} //broken"))

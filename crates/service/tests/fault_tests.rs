@@ -9,50 +9,14 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ruid_service::wire::{Decoded, WireRequest, WireResponse};
+use ruid_service::proto::Request;
+use ruid_service::wire::{Decoded, WireResponse};
 use ruid_service::{
     BinaryClient, Client, Fault, FaultPlan, Metrics, Server, ServerConfig, ServerHandle,
 };
-
-fn write_sample() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ruid-fault-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sample.xml");
-    std::fs::write(
-        &path,
-        "<catalog><book id=\"b1\"><title>A</title><price>35</price></book>\
-         <book id=\"b2\"><title>B</title><price>20</price></book></catalog>",
-    )
-    .unwrap();
-    path
-}
-
-fn start_with(config: ServerConfig) -> ServerHandle {
-    Server::start(config).unwrap()
-}
-
-/// Loads the sample through the wire; returns the document id.
-fn load_sample(handle: &ServerHandle) -> u64 {
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let resp = client.request(&format!("LOAD {}", write_sample().display())).unwrap();
-    assert!(resp.starts_with("OK id="), "{resp}");
-    resp.split_whitespace().find_map(|t| t.strip_prefix("id=")).unwrap().parse().unwrap()
-}
-
-/// Polls `probe` until it returns true or ~5 s elapse (worker threads
-/// process disconnects asynchronously, so counters lag a moment).
-fn wait_for(mut probe: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
-}
+use testkit::{load_xml, wait_until, SAMPLE_XML};
 
 fn metrics_of(handle: &ServerHandle) -> Arc<Metrics> {
     Arc::clone(handle.metrics())
@@ -61,8 +25,8 @@ fn metrics_of(handle: &ServerHandle) -> Arc<Metrics> {
 #[test]
 fn oversized_frame_is_rejected_and_connection_survives() {
     let config = ServerConfig { max_line_bytes: 256, ..ServerConfig::default() };
-    let handle = start_with(config);
-    let id = load_sample(&handle);
+    let handle = Server::start(config).unwrap();
+    let id = load_xml(&mut Client::connect(handle.addr()).unwrap(), SAMPLE_XML);
     let mut client = Client::connect(handle.addr()).unwrap();
 
     let giant = format!("LOAD {}", "A".repeat(10_000));
@@ -95,7 +59,7 @@ fn oversized_frame_is_rejected_and_connection_survives() {
     let mut reply = String::new();
     raw.read_to_string(&mut reply).unwrap();
     assert_eq!(reply, "ERR line too long (limit 256 bytes)\n");
-    assert!(wait_for(|| metrics.oversized() == 3), "oversized never ticked at EOF");
+    wait_until("oversized to tick at EOF", Duration::from_secs(5), || metrics.oversized() == 3);
     assert_eq!(metrics.torn(), 0, "an oversized line cut by EOF is not torn");
     handle.stop();
 }
@@ -105,7 +69,7 @@ fn empty_and_whitespace_lines_get_err_replies() {
     // Regression: empty/whitespace-only lines used to be silently
     // swallowed, desynchronizing pipelined clients. They must answer
     // `ERR` without closing the connection.
-    let handle = start_with(ServerConfig::default());
+    let handle = Server::start(ServerConfig::default()).unwrap();
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     stream.write_all(b"\n   \nPING\n").unwrap();
     stream.flush().unwrap();
@@ -138,7 +102,7 @@ fn empty_and_whitespace_lines_get_err_replies() {
 
 #[test]
 fn idle_text_connection_closes_on_shutdown_from_another() {
-    let handle = start_with(ServerConfig::default());
+    let handle = Server::start(ServerConfig::default()).unwrap();
     let mut idle = TcpStream::connect(handle.addr()).unwrap();
     idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     idle.write_all(b"PING\n").unwrap();
@@ -160,7 +124,7 @@ fn a_client_that_never_reads_trips_the_write_deadline() {
     // Both protocols pipeline requests with large replies and never read
     // them: once the socket buffers fill, each connection's blocked write
     // must hit the write deadline and close, with its counter ticked.
-    let handle = start_with(ServerConfig::default());
+    let handle = Server::start(ServerConfig::default()).unwrap();
     let mut text = TcpStream::connect(handle.addr()).unwrap();
     let mut binary = TcpStream::connect(handle.addr()).unwrap();
     let (mut lines, mut frames) = (Vec::new(), Vec::new());
@@ -174,11 +138,9 @@ fn a_client_that_never_reads_trips_the_write_deadline() {
     text.write_all(&lines).unwrap();
     binary.write_all(&frames).unwrap();
     let metrics = metrics_of(&handle);
-    assert!(
-        wait_for(|| metrics.deadline_write() == 2),
-        "deadline_write = {}",
-        metrics.deadline_write()
-    );
+    wait_until("deadline_write to reach 2", Duration::from_secs(5), || {
+        metrics.deadline_write() == 2
+    });
     let mut client = Client::connect(handle.addr()).unwrap();
     assert_eq!(client.request("PING").unwrap(), "OK pong");
     handle.stop();
@@ -189,9 +151,9 @@ fn binary_stream_losing_frame_sync_counts_invalid() {
     // A bad magic byte mid-stream means frame sync is lost: the
     // connection closes, and the close is counted as an INVALID request
     // error like any other limit trip.
-    let handle = start_with(ServerConfig::default());
+    let handle = Server::start(ServerConfig::default()).unwrap();
     let mut bytes = Vec::new();
-    ruid_service::wire::encode_request(1, &WireRequest::Ping, &mut bytes);
+    ruid_service::wire::encode_request(1, &Request::Ping, &mut bytes);
     bytes.push(0x00);
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -215,8 +177,8 @@ fn binary_stream_losing_frame_sync_counts_invalid() {
 
 #[test]
 fn torn_client_write_leaves_state_consistent() {
-    let handle = start_with(ServerConfig::default());
-    let id = load_sample(&handle);
+    let handle = Server::start(ServerConfig::default()).unwrap();
+    let id = load_xml(&mut Client::connect(handle.addr()).unwrap(), SAMPLE_XML);
     assert_eq!(handle.catalog().len(), 1);
 
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::TornWrite { bytes: 5 }));
@@ -225,7 +187,7 @@ fn torn_client_write_leaves_state_consistent() {
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
 
     let metrics = metrics_of(&handle);
-    assert!(wait_for(|| metrics.torn() == 1), "torn counter never ticked");
+    wait_until("the torn counter to tick", Duration::from_secs(5), || metrics.torn() == 1);
     // The half-written UNLOAD must not have executed.
     assert_eq!(handle.catalog().len(), 1, "torn request mutated the catalog");
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -237,7 +199,7 @@ fn torn_client_write_leaves_state_consistent() {
 #[test]
 fn slow_loris_write_trips_read_deadline() {
     let config = ServerConfig { read_timeout_ms: 200, ..ServerConfig::default() };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::DelayMs { ms: 1_200 }));
     let mut faulty = Client::connect_with_faults(handle.addr(), plan).unwrap();
     faulty.set_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -260,7 +222,7 @@ fn slow_loris_write_trips_read_deadline() {
         ),
     }
     let metrics = metrics_of(&handle);
-    assert!(wait_for(|| metrics.deadline_read() == 1), "deadline_read never ticked");
+    wait_until("deadline_read to tick", Duration::from_secs(5), || metrics.deadline_read() == 1);
     // Fresh connections are unaffected.
     let mut client = Client::connect(handle.addr()).unwrap();
     assert_eq!(client.request("PING").unwrap(), "OK pong");
@@ -269,8 +231,8 @@ fn slow_loris_write_trips_read_deadline() {
 
 #[test]
 fn early_eof_mid_session_is_harmless() {
-    let handle = start_with(ServerConfig::default());
-    let id = load_sample(&handle);
+    let handle = Server::start(ServerConfig::default()).unwrap();
+    let id = load_xml(&mut Client::connect(handle.addr()).unwrap(), SAMPLE_XML);
     let plan = Arc::new(FaultPlan::new().inject(1, Fault::EarlyEof));
     let mut faulty = Client::connect_with_faults(handle.addr(), plan).unwrap();
     assert_eq!(faulty.request("PING").unwrap(), "OK pong");
@@ -292,7 +254,7 @@ fn queue_full_sheds_with_busy() {
     // One worker, one queue slot: the third simultaneous connection must
     // be answered BUSY by the acceptor, not parked.
     let config = ServerConfig { threads: 1, queue_cap: 1, ..ServerConfig::default() };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
 
     // Connection A occupies the single worker (round-trip proves it).
     let mut a = Client::connect(handle.addr()).unwrap();
@@ -301,13 +263,13 @@ fn queue_full_sheds_with_busy() {
     let b = TcpStream::connect(handle.addr()).unwrap();
     let metrics = metrics_of(&handle);
     // Wait until the acceptor actually queued B (connections counter).
-    assert!(wait_for(|| metrics.shed() > 0 || {
+    wait_until("B to be queued", Duration::from_secs(5), || metrics.shed() > 0 || {
         // Probe with one more connection; it is shed once B is queued.
         let mut c = TcpStream::connect(handle.addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
         let mut response = String::new();
         matches!(c.read_to_string(&mut response), Ok(_) if response.starts_with("BUSY"))
-    }));
+    });
     assert!(metrics.shed() >= 1, "shed counter must account the refusal");
 
     // A still works; B gets served once A's connection closes.
@@ -327,7 +289,7 @@ fn queue_full_sheds_with_busy() {
 fn forced_busy_at_chosen_request_index() {
     let plan = Arc::new(FaultPlan::new().inject(2, Fault::ForceBusy));
     let config = ServerConfig { fault_plan: Some(plan), ..ServerConfig::default() };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     assert_eq!(client.request("PING").unwrap(), "OK pong");
     assert_eq!(client.request("PING").unwrap(), "OK pong");
@@ -345,7 +307,7 @@ fn forced_busy_at_chosen_request_index() {
 fn server_torn_write_truncates_response() {
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::TornWrite { bytes: 3 }));
     let config = ServerConfig { fault_plan: Some(plan), ..ServerConfig::default() };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
 
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     stream.write_all(b"PING\n").unwrap();
@@ -368,7 +330,7 @@ fn stall_trips_request_deadline() {
         fault_plan: Some(plan),
         ..ServerConfig::default()
     };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     assert_eq!(client.request("PING").unwrap(), "OK pong");
     assert_eq!(
@@ -386,7 +348,7 @@ fn stall_trips_request_deadline() {
 fn delayed_server_response_hits_client_timeout() {
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::DelayMs { ms: 600 }));
     let config = ServerConfig { fault_plan: Some(plan), ..ServerConfig::default() };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     client.set_timeout(Some(Duration::from_millis(100))).unwrap();
     let err = client.request("PING").unwrap_err();
@@ -407,16 +369,16 @@ fn delayed_server_response_hits_client_timeout() {
 fn torn_binary_frame_ticks_torn_counter() {
     // The binary front end must account a half-written frame followed by
     // EOF exactly like the text framer accounts a newline-less line.
-    let handle = start_with(ServerConfig::default());
-    let id = load_sample(&handle);
+    let handle = Server::start(ServerConfig::default()).unwrap();
+    let id = load_xml(&mut Client::connect(handle.addr()).unwrap(), SAMPLE_XML);
 
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::TornWrite { bytes: 8 }));
     let mut faulty = BinaryClient::connect_with_faults(handle.addr(), plan).unwrap();
-    let err = faulty.send(&WireRequest::Ping).unwrap_err();
+    let err = faulty.send(&Request::Ping).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
 
     let metrics = metrics_of(&handle);
-    assert!(wait_for(|| metrics.torn() == 1), "torn counter never ticked");
+    wait_until("the torn counter to tick", Duration::from_secs(5), || metrics.torn() == 1);
     assert_eq!(handle.catalog().len(), 1, "torn frame mutated the catalog");
     // Both front ends keep serving.
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
@@ -432,13 +394,13 @@ fn oversized_binary_frame_is_rejected_from_the_header() {
     // untrusted, so the server must reject from the header alone (no
     // allocation), answer an id-0 error frame, and close.
     let config = ServerConfig { max_line_bytes: 256, ..ServerConfig::default() };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
 
     let plan =
         Arc::new(FaultPlan::new().inject(0, Fault::OversizedFrame { declared: 10_000_000 }));
     let mut faulty = BinaryClient::connect_with_faults(handle.addr(), plan).unwrap();
     faulty.set_timeout(Some(Duration::from_secs(5))).unwrap();
-    faulty.send(&WireRequest::Ping).unwrap();
+    faulty.send(&Request::Ping).unwrap();
 
     let frame = faulty.recv().unwrap();
     assert_eq!(frame.id, 0, "connection-level errors carry id 0");
@@ -452,7 +414,9 @@ fn oversized_binary_frame_is_rejected_from_the_header() {
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "connection must close");
 
     let metrics = metrics_of(&handle);
-    assert!(wait_for(|| metrics.oversized() == 1), "oversized counter never ticked");
+    wait_until("the oversized counter to tick", Duration::from_secs(5), || {
+        metrics.oversized() == 1
+    });
     // Fresh connections are unaffected.
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
     assert_eq!(binary.request("PING").unwrap(), "OK pong");
@@ -464,7 +428,7 @@ fn slow_binary_frame_trips_read_deadline() {
     // A frame, like a line, must complete within `read_timeout_ms` of its
     // first byte.
     let config = ServerConfig { read_timeout_ms: 200, ..ServerConfig::default() };
-    let handle = start_with(config);
+    let handle = Server::start(config).unwrap();
 
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::DelayMs { ms: 1_200 }));
     let mut faulty = BinaryClient::connect_with_faults(handle.addr(), plan).unwrap();
@@ -473,7 +437,7 @@ fn slow_binary_frame_trips_read_deadline() {
     // The second half of the frame lands after the server gave up; the
     // client either reads the deadline error frame or finds the
     // connection severed, depending on timing.
-    let outcome = faulty.send(&WireRequest::Ping).and_then(|_| faulty.recv());
+    let outcome = faulty.send(&Request::Ping).and_then(|_| faulty.recv());
     match outcome {
         Ok(frame) => {
             assert_eq!(frame.id, 0);
@@ -495,7 +459,7 @@ fn slow_binary_frame_trips_read_deadline() {
         ),
     }
     let metrics = metrics_of(&handle);
-    assert!(wait_for(|| metrics.deadline_read() == 1), "deadline_read never ticked");
+    wait_until("deadline_read to tick", Duration::from_secs(5), || metrics.deadline_read() == 1);
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
     assert_eq!(binary.request("PING").unwrap(), "OK pong");
     handle.stop();
@@ -506,8 +470,8 @@ fn slow_binary_frame_trips_read_deadline() {
 /// counter must equal the number of torn writes injected.
 #[test]
 fn randomized_fault_storm_keeps_catalog_consistent() {
-    let handle = start_with(ServerConfig::default());
-    let id = load_sample(&handle);
+    let handle = Server::start(ServerConfig::default()).unwrap();
+    let id = load_xml(&mut Client::connect(handle.addr()).unwrap(), SAMPLE_XML);
     let baseline = {
         let mut client = Client::connect(handle.addr()).unwrap();
         (client.request("LIST").unwrap(), client.request(&format!("STATS {id}")).unwrap())
@@ -558,12 +522,9 @@ fn randomized_fault_storm_keeps_catalog_consistent() {
     }
 
     let metrics = metrics_of(&handle);
-    assert!(
-        wait_for(|| metrics.torn() == torn_injected),
-        "torn counter {} != injected torn writes {}",
-        metrics.torn(),
-        torn_injected
-    );
+    wait_until("the torn counter to match the injected torn writes", Duration::from_secs(5), || {
+        metrics.torn() == torn_injected
+    });
     assert_eq!(metrics.shed(), 0);
     assert_eq!(metrics.deadline_read(), 0);
     assert_eq!(metrics.deadline_request(), 0);

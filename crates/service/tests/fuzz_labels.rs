@@ -12,35 +12,16 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::Path;
 use std::time::Duration;
 
-use ruid_service::wire::{self, WireRequest, WireResponse};
-use ruid_service::{BinaryClient, Client, Server, ServerConfig, ServerHandle};
+use ruid_service::proto::Request;
+use ruid_service::wire::{self, WireResponse};
+use ruid_service::{BinaryClient, ServerConfig, ServerHandle};
+use testkit::{event_stream, load, load_xml, metrics_field, shapes, start, Scratch, Tags};
 use xmlgen::SplitMix64;
 
-fn start() -> (ServerHandle, Client) {
-    start_with(|_| ServerConfig::default())
-}
-
-/// Starts a server configured from this test's scratch directory and
-/// loads the sample document as id 1.
-fn start_with(config: impl FnOnce(&Path) -> ServerConfig) -> (ServerHandle, Client) {
-    let dir = std::env::temp_dir().join(format!(
-        "ruid-fuzz-labels-{}-{}",
-        std::process::id(),
-        std::thread::current().name().unwrap_or("t").replace("::", "-")
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let xml = dir.join("doc.xml");
-    std::fs::write(&xml, "<a><b><c/><c/></b><b/></a>").unwrap();
-    let handle = Server::start(config(&dir)).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let resp = client.request(&format!("LOAD {}", xml.display())).unwrap();
-    assert!(resp.starts_with("OK id=1"), "{resp}");
-    (handle, client)
-}
+/// The document every probe runs against, loaded as id 1.
+const DOC: &str = "<a><b><c/><c/></b><b/></a>";
 
 /// Every engine token the QUERY verb accepts.
 const ENGINES: &[&str] = &["tree", "ruid", "indexed", "interval", "ancestry", "planned"];
@@ -61,7 +42,8 @@ const BAD_LABELS: &[&str] = &[
 
 #[test]
 fn fabricated_labels_answer_err_on_every_verb() {
-    let (handle, mut client) = start();
+    let (handle, mut client) = start(ServerConfig::default());
+    assert_eq!(load_xml(&mut client, DOC), 1);
     let mut probes = Vec::new();
     for label in BAD_LABELS {
         probes.push(format!("PARENT 1 {label}"));
@@ -83,7 +65,8 @@ fn fabricated_labels_answer_err_on_every_verb() {
 /// tree and a reload of it would disagree.
 #[test]
 fn insert_under_a_non_element_answers_err() {
-    let (handle, mut client) = start();
+    let (handle, mut client) = start(ServerConfig::default());
+    assert_eq!(load_xml(&mut client, DOC), 1);
     let resp = client.request("INSERT 1 1 1 true 0 t").unwrap();
     assert!(resp.starts_with("OK"), "{resp}");
     let resp = client.request("INSERT 1 1 1 true 0 <!--c-->").unwrap();
@@ -118,7 +101,8 @@ fn insert_under_a_non_element_answers_err() {
 
 #[test]
 fn truncated_and_mangled_text_verbs_answer_err() {
-    let (handle, mut client) = start();
+    let (handle, mut client) = start(ServerConfig::default());
+    assert_eq!(load_xml(&mut client, DOC), 1);
     let probes: &[&str] = &[
         // Truncated label triples and arities.
         "PARENT",
@@ -164,6 +148,68 @@ fn truncated_and_mangled_text_verbs_answer_err() {
     handle.stop();
 }
 
+/// One seeded defect in an event stream: a swapped bound, a dropped `:`,
+/// a cut span (one event gone) or a stray `=text` leaf.
+fn mutate(events: &str, rng: &mut SplitMix64) -> String {
+    let mut tokens: Vec<String> = events.split(' ').map(str::to_owned).collect();
+    let at = rng.gen_range(0..tokens.len());
+    match rng.gen_range(0..4u64) {
+        0 => {
+            let mut parts: Vec<&str> = tokens[at].splitn(3, ':').collect();
+            parts.swap(0, 1);
+            tokens[at] = parts.join(":");
+        }
+        1 => {
+            let colons: Vec<usize> = tokens[at].match_indices(':').map(|(i, _)| i).collect();
+            let colon = colons[rng.gen_range(0..colons.len())];
+            tokens[at].remove(colon);
+        }
+        2 => {
+            tokens.remove(at);
+        }
+        _ => {
+            let start = rng.gen_range(1..=2 * tokens.len() as u64 + 1);
+            tokens.insert(at, format!("{start}:{start}:=stray"));
+        }
+    }
+    tokens.join(" ")
+}
+
+/// A fixed-seed LOADSTREAM sweep over the event streams of all 197 kit
+/// shapes, each sent as written and once mutated. Every line gets exactly
+/// one `OK id=` or `ERR` (the `PING` after it answers next), and each
+/// unmutated stream answers `//*` exactly as a `LOAD` of its XML does.
+#[test]
+fn seeded_loadstream_sweep_answers_in_kind() {
+    let mut rng = SplitMix64::seed_from_u64(0x10AD_57EA);
+    let (handle, mut client) = start(ServerConfig::default());
+    let dir = Scratch::new("loadstream");
+    let (mut accepted, mut refused) = (0, 0);
+    for (i, xml) in shapes(Tags::ByDepth).enumerate() {
+        let events = event_stream(&xml);
+        let reply = client.request(&format!("LOADSTREAM s{i} {events}")).unwrap();
+        let streamed = metrics_field(&reply, "id").unwrap_or_else(|| panic!("{events}: {reply}"));
+        let loaded = load(&mut client, dir.file("shape.xml", &xml));
+        assert_eq!(
+            client.request(&format!("QUERY {streamed} //*")).unwrap(),
+            client.request(&format!("QUERY {loaded} //*")).unwrap(),
+            "{events} vs {xml}"
+        );
+
+        let mutant = mutate(&events, &mut rng);
+        let reply = client.request(&format!("LOADSTREAM m{i} {mutant}")).unwrap();
+        if reply.starts_with("OK id=") {
+            accepted += 1;
+        } else {
+            assert!(reply.starts_with("ERR "), "{mutant} -> {reply}");
+            refused += 1;
+        }
+        assert_eq!(client.request("PING").unwrap(), "OK pong", "after {mutant}");
+    }
+    assert!(accepted > 0 && refused > 0, "accepted {accepted}, refused {refused}");
+    handle.stop();
+}
+
 /// Sends raw bytes on a fresh connection (first byte 0xB1 routes it to
 /// the binary mux), drains whatever comes back until the server closes
 /// or stops answering, and returns. The caller then proves the server
@@ -184,31 +230,32 @@ fn fire_raw(handle: &ServerHandle, bytes: &[u8]) {
 
 #[test]
 fn corrupt_binary_frames_never_kill_the_server() {
-    let (handle, mut client) = start();
+    let (handle, mut client) = start(ServerConfig::default());
+    assert_eq!(load_xml(&mut client, DOC), 1);
 
     // Valid frames to mutate: every label-carrying verb plus LOADSTREAM,
     // with both new engine codes exercised through Query.
     let mut seeds: Vec<Vec<u8>> = Vec::new();
     let requests = vec![
-        WireRequest::Parent { doc: 1, label: ruid_core::Ruid2::new(1, 2, false) },
-        WireRequest::Get { doc: 1, label: ruid_core::Ruid2::new(1, 2, false) },
-        WireRequest::Query {
+        Request::Parent { doc: 1, label: ruid_core::Ruid2::new(1, 2, false) },
+        Request::Get { doc: 1, label: ruid_core::Ruid2::new(1, 2, false) },
+        Request::Query {
             doc: 1,
             engine: ruid_service::proto::Engine::Interval,
             xpath: "//b".into(),
         },
-        WireRequest::Query {
+        Request::Query {
             doc: 1,
             engine: ruid_service::proto::Engine::Ancestry,
             xpath: "//b".into(),
         },
-        WireRequest::LoadStream { name: "feed".into(), events: "1:4:a 2:3:b".into() },
-        WireRequest::MQuery { doc: 1, xpaths: vec!["//b".into(), "//c".into()] },
-        WireRequest::MLabel { doc: 1, xpaths: vec!["//c".into()] },
-        WireRequest::ReplHello { follower: "fuzz".into() },
-        WireRequest::ReplSnapshot { generation: 1 },
-        WireRequest::ReplTail { generation: 1, offset: 0, max_bytes: 4096 },
-        WireRequest::ReplAck { generation: 1, seq: 0, bye: false, follower: "fuzz".into() },
+        Request::LoadStream { name: "feed".into(), events: "1:4:a 2:3:b".into() },
+        Request::MQuery { doc: 1, xpaths: vec!["//b".into(), "//c".into()] },
+        Request::MLabel { doc: 1, xpaths: vec!["//c".into()] },
+        Request::ReplHello { follower: "fuzz".into() },
+        Request::ReplSnapshot { generation: 1 },
+        Request::ReplTail { generation: 1, offset: 0, max_bytes: 4096 },
+        Request::ReplAck { generation: 1, seq: 0, bye: false, follower: "fuzz".into() },
     ];
     for request in &requests {
         let mut buf = Vec::new();
@@ -254,7 +301,7 @@ fn corrupt_binary_frames_never_kill_the_server() {
     let mut frame = Vec::new();
     wire::encode_request(
         9,
-        &WireRequest::LoadStream { name: "n".into(), events: "1:2:a".into() },
+        &Request::LoadStream { name: "n".into(), events: "1:2:a".into() },
         &mut frame,
     );
     frame[HEADER_ID_END + 1..HEADER_ID_END + 5].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -277,12 +324,14 @@ const HEADER_ID_END: usize = 13;
 #[test]
 fn hostile_repl_and_batch_arguments_answer_in_kind() {
     for durable in [false, true] {
-        let (handle, mut client) = start_with(|dir| ServerConfig {
+        let dir = Scratch::new("hostile");
+        let (handle, mut client) = start(ServerConfig {
             data_dir: durable.then(|| dir.join("data")),
             ..ServerConfig::default()
         });
+        assert_eq!(load_xml(&mut client, DOC), 1);
         let before = client.request("QUERY 1 //c interval").unwrap();
-        let tail = |generation, offset, max_bytes| WireRequest::ReplTail {
+        let tail = |generation, offset, max_bytes| Request::ReplTail {
             generation,
             offset,
             max_bytes,
@@ -292,21 +341,21 @@ fn hostile_repl_and_batch_arguments_answer_in_kind() {
             tail(1, u64::MAX, 4096), // past the segment end
             tail(1, 0, 0),
             tail(1, 0, u32::MAX),
-            WireRequest::ReplSnapshot { generation: 999_999 },
-            WireRequest::MQuery { doc: 1, xpaths: Vec::new() },
-            WireRequest::MQuery { doc: 999, xpaths: vec!["//c".into(); wire::MAX_BATCH] },
+            Request::ReplSnapshot { generation: 999_999 },
+            Request::MQuery { doc: 1, xpaths: Vec::new() },
+            Request::MQuery { doc: 999, xpaths: vec!["//c".into(); wire::MAX_BATCH] },
         ];
         let mut binary = BinaryClient::connect(handle.addr()).unwrap();
         binary.set_timeout(Some(Duration::from_secs(10))).unwrap();
         let responses = binary.pipeline(&probes).unwrap();
         for (probe, response) in probes.iter().zip(&responses) {
             match (probe, response) {
-                (WireRequest::MQuery { xpaths, .. }, WireResponse::Batch(lines)) => {
+                (Request::MQuery { xpaths, .. }, WireResponse::Batch(lines)) => {
                     assert_eq!(lines.len(), xpaths.len(), "durable={durable}");
                     assert!(lines.iter().all(|l| l.starts_with("ERR no document")), "{lines:?}");
                 }
                 // Only a leader with a log ships chunks.
-                (WireRequest::ReplTail { .. }, WireResponse::Blob(_)) => assert!(durable),
+                (Request::ReplTail { .. }, WireResponse::Blob(_)) => assert!(durable),
                 (_, WireResponse::Line(line)) => {
                     assert!(line.starts_with("ERR"), "durable={durable} {probe:?} -> {line}");
                 }
@@ -339,7 +388,8 @@ fn fire_text(handle: &ServerHandle, bytes: &[u8]) -> String {
 fn raw_text_bytes_answer_one_line_each() {
     const CAP: usize = 256;
     let (handle, mut client) =
-        start_with(|_| ServerConfig { max_line_bytes: CAP, ..ServerConfig::default() });
+        start(ServerConfig { max_line_bytes: CAP, ..ServerConfig::default() });
+    assert_eq!(load_xml(&mut client, DOC), 1);
     let before = client.request("QUERY 1 //c interval").unwrap();
     let mut rng = SplitMix64::seed_from_u64(0x7E57_11E5);
     let palette = [b'\r', 0, 0xFF, b' ', b'P', b'1', 0xC3, 0xA9];

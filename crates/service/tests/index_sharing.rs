@@ -18,6 +18,7 @@ use durable::{Applied, NodeContent, WalOp};
 use plan::PathSummary;
 use ruid_service::LoadedDoc;
 use schemes::NumberingScheme;
+use testkit::elements;
 use xmldom::NodeId;
 use xmlgen::SplitMix64;
 use xpath::{Evaluator, TreeAxes};
@@ -29,11 +30,6 @@ fn xmark(nodes: usize) -> LoadedDoc {
     let xml = xmlgen::xmark::generate(&xmlgen::xmark::XmarkConfig::scaled_to(nodes, 42))
         .to_xml_string();
     LoadedDoc::build("xmark.xml", &xml, 3, false).unwrap()
-}
-
-fn elements(loaded: &LoadedDoc) -> Vec<NodeId> {
-    let doc = &loaded.doc;
-    doc.descendants(doc.root_element().unwrap()).filter(|&n| doc.is_element(n)).collect()
 }
 
 fn named(loaded: &LoadedDoc, name: &str) -> Vec<NodeId> {

@@ -28,7 +28,8 @@ use std::thread;
 use durable::{doc_fingerprint, DocState, IoFault, IoFaultPlan, NodeContent, WalOp};
 use ruid_core::{PartitionConfig, Ruid2};
 use ruid_service::proto::{fmt_label, Engine};
-use ruid_service::{run_query, Catalog, Client, FsyncPolicy, LoadedDoc, Server, ServerConfig, ServerHandle};
+use ruid_service::{run_query, Catalog, Client, LoadedDoc};
+use testkit::{elements, load, metrics_field, start_durable, Scratch};
 use schemes::NumberingScheme;
 use xmlgen::SplitMix64;
 
@@ -44,44 +45,12 @@ const ENGINES: [Engine; 4] = [Engine::Tree, Engine::Ruid, Engine::Indexed, Engin
 /// the document with the same partition policy the server used.
 const DEPTH: usize = 3;
 
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("ruid-mvcc-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn start(data_dir: &std::path::Path) -> (ServerHandle, Client) {
-    let config = ServerConfig {
-        data_dir: Some(data_dir.to_path_buf()),
-        fsync: FsyncPolicy::Always,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
-
-fn load(client: &mut Client, path: &str) -> u64 {
-    let resp = client.request(&format!("LOAD {path}")).unwrap();
-    assert!(resp.starts_with("OK id="), "{resp}");
-    resp.split_whitespace().find_map(|t| t.strip_prefix("id=")).unwrap().parse().unwrap()
-}
-
 /// Pulls `generation=<n>` out of an update response.
 fn generation_of(resp: &str) -> u64 {
-    resp.split_whitespace()
-        .find_map(|t| t.strip_prefix("generation="))
+    metrics_field(resp, "generation")
         .unwrap_or_else(|| panic!("no generation in {resp:?}"))
         .parse()
         .unwrap()
-}
-
-/// All element nodes of a snapshot in preorder (root first).
-fn elements(loaded: &LoadedDoc) -> Vec<xmldom::NodeId> {
-    let root = loaded.doc.root_element().unwrap();
-    loaded.doc.descendants(root).filter(|&n| loaded.doc.element_name(n).is_some()).collect()
 }
 
 /// One writer-generated structural op: the wire line that was sent and
@@ -154,11 +123,9 @@ struct Observation {
 }
 
 fn run_oracle(seed: u64, writers: usize, readers: usize) {
-    let dir = scratch(&format!("oracle-{seed}-{writers}x{readers}"));
-    let xml_path = dir.join("doc.xml");
-    std::fs::write(&xml_path, SEED_XML).unwrap();
-    let path = xml_path.display().to_string();
-    let (handle, mut client) = start(&dir.join("data"));
+    let dir = Scratch::new(format!("oracle-{seed}-{writers}x{readers}"));
+    let path = dir.file("doc.xml", SEED_XML).display().to_string();
+    let (handle, mut client) = start_durable(&dir.join("data"));
     let doc_id = load(&mut client, &path);
     let catalog: Arc<Catalog> = Arc::clone(handle.catalog());
     let load_generation = catalog.get(doc_id).unwrap().generation;
@@ -357,12 +324,10 @@ fn crash_mid_commit_recovers_to_a_committed_generation() {
     let mut recovered_pre = 0usize;
     let mut recovered_post = 0usize;
     for (case, &at) in cuts.iter().enumerate() {
-        let dir = scratch(&format!("crash-{case}"));
-        let xml_path = dir.join("doc.xml");
-        std::fs::write(&xml_path, SEED_XML).unwrap();
+        let dir = Scratch::new(format!("crash-{case}"));
         let data_dir = dir.join("data");
-        let (handle, mut client) = start(&data_dir);
-        let doc_id = load(&mut client, &xml_path.display().to_string());
+        let (handle, mut client) = start_durable(&data_dir);
+        let doc_id = load(&mut client, dir.file("doc.xml", SEED_XML));
         assert_eq!(doc_id, 1);
 
         // Two acked commits before the crash window.
@@ -423,7 +388,7 @@ fn crash_mid_commit_recovers_to_a_committed_generation() {
         // writer is never appended to again.
         handle.stop();
 
-        let (handle, mut client) = start(&data_dir);
+        let (handle, mut client) = start_durable(&data_dir);
         let recovered = handle.catalog().get(doc_id).unwrap_or_else(|| {
             panic!("cut at {at}: document lost across the crash")
         });

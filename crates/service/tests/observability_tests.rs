@@ -5,44 +5,13 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-use ruid_service::{Client, FsyncPolicy, Server, ServerConfig, ServerHandle};
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("ruid-observability-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_sample(dir: &std::path::Path, name: &str, xml: &str) -> String {
-    let path = dir.join(name);
-    std::fs::write(&path, xml).unwrap();
-    path.display().to_string()
-}
-
-fn start(config: ServerConfig) -> (ServerHandle, Client) {
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
-
-fn load(client: &mut Client, path: &str) -> u64 {
-    let resp = client.request(&format!("LOAD {path}")).unwrap();
-    assert!(resp.starts_with("OK id="), "{resp}");
-    resp.split_whitespace()
-        .find_map(|t| t.strip_prefix("id="))
-        .unwrap()
-        .parse()
-        .unwrap()
-}
+use ruid_service::{FsyncPolicy, ServerConfig};
+use testkit::{durable, load_xml, metrics_field, start, start_durable, Scratch};
 
 #[test]
 fn trace_and_slowlog_capture_span_breakdowns() {
-    let dir = scratch("slowlog");
-    let sample = write_sample(&dir, "s.xml", "<r><a><b>x</b></a><a><b>y</b></a></r>");
     let (handle, mut client) = start(ServerConfig::default());
-    let id = load(&mut client, &sample);
+    let id = load_xml(&mut client, "<r><a><b>x</b></a><a><b>y</b></a></r>");
 
     // Tracing is off by default and free to query.
     let status = client.request("TRACE").unwrap();
@@ -63,24 +32,14 @@ fn trace_and_slowlog_capture_span_breakdowns() {
     }
     assert!(log.contains(&format!("line=QUERY {id} //a/b")), "{log}");
     // The traced spans hold real time: parse and eval both ran.
-    let eval_ns: u64 = log
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix("eval_ns="))
-        .unwrap()
-        .parse()
-        .unwrap();
+    let eval_ns: u64 = metrics_field(&log, "eval_ns").unwrap().parse().unwrap();
     assert!(eval_ns > 0, "eval span empty in {log}");
 
     // TRACE off stops new captures but keeps the ring. (The TRACE off
     // request itself still counts — it began while tracing was on.)
     assert!(client.request("TRACE off").unwrap().contains("trace=off"));
     let captured = |status: &str| -> u64 {
-        status
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("captured="))
-            .unwrap()
-            .parse()
-            .unwrap()
+        metrics_field(status, "captured").unwrap().parse().unwrap()
     };
     let before = captured(&client.request("TRACE").unwrap());
     assert!(client.request(&q).unwrap().starts_with("OK 2 "));
@@ -102,16 +61,13 @@ fn scrape(addr: std::net::SocketAddr) -> (String, String) {
 
 #[test]
 fn prometheus_exposition_over_wire_and_http() {
-    let dir = scratch("prom");
-    let sample = write_sample(&dir, "p.xml", "<r><x><y/></x><x><y/><y/></x></r>");
+    let dir = Scratch::new("prom");
     let config = ServerConfig {
-        data_dir: Some(dir.join("data")),
-        fsync: FsyncPolicy::Always,
         metrics_addr: Some("127.0.0.1:0".into()),
-        ..ServerConfig::default()
+        ..durable(&dir.join("data"))
     };
     let (handle, mut client) = start(config);
-    let id = load(&mut client, &sample);
+    let id = load_xml(&mut client, "<r><x><y/></x><x><y/><y/></x></r>");
     // Two planned (default engine; second one a cache hit) plus one
     // explicitly indexed, so both the plan-operator and the axis-step
     // families see traffic.
@@ -216,8 +172,7 @@ fn prometheus_exposition_over_wire_and_http() {
 
 #[test]
 fn shutdown_ack_makes_the_wal_durable_under_lazy_fsync() {
-    let dir = scratch("shutdown-fsync");
-    let sample = write_sample(&dir, "d.xml", "<r><k/></r>");
+    let dir = Scratch::new("shutdown-fsync");
     let data_dir = dir.join("data");
     // A huge fsync interval: nothing is synced unless shutdown forces it.
     let config = ServerConfig {
@@ -226,7 +181,7 @@ fn shutdown_ack_makes_the_wal_durable_under_lazy_fsync() {
         ..ServerConfig::default()
     };
     let (handle, mut client) = start(config);
-    let id = load(&mut client, &sample);
+    let id = load_xml(&mut client, "<r><k/></r>");
     let metrics = client.request("METRICS").unwrap();
     assert!(metrics.contains("wal_unsynced=1"), "lazy policy must defer: {metrics}");
 
@@ -235,11 +190,7 @@ fn shutdown_ack_makes_the_wal_durable_under_lazy_fsync() {
     assert_eq!(client.request("SHUTDOWN").unwrap(), "OK bye");
     handle.join();
 
-    let (handle, mut client) = start(ServerConfig {
-        data_dir: Some(data_dir),
-        fsync: FsyncPolicy::Always,
-        ..ServerConfig::default()
-    });
+    let (handle, mut client) = start_durable(&data_dir);
     let resp = client.request(&format!("QUERY {id} //k")).unwrap();
     assert!(resp.starts_with("OK 1 "), "record lost across shutdown: {resp}");
     let metrics = client.request("METRICS").unwrap();

@@ -2,33 +2,9 @@
 //! planned answers, and result-cache lifecycle (hits, generation keying,
 //! UNLOAD purge).
 
-use ruid_service::{Client, Server, ServerConfig};
+use ruid_service::ServerConfig;
 use schemes::NumberingScheme;
-
-fn write_sample(name: &str, xml: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("ruid-planner-test-{}-{name}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sample.xml");
-    std::fs::write(&path, xml).unwrap();
-    path
-}
-
-fn start() -> (ruid_service::ServerHandle, Client) {
-    let handle = Server::start(ServerConfig::default()).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
-
-fn load(client: &mut Client, path: &std::path::Path) -> u64 {
-    let resp = client.request(&format!("LOAD {}", path.display())).unwrap();
-    assert!(resp.starts_with("OK id="), "{resp}");
-    resp.split_whitespace()
-        .find_map(|t| t.strip_prefix("id="))
-        .unwrap()
-        .parse()
-        .unwrap()
-}
+use testkit::{load, load_xml, metrics_field, start, Scratch};
 
 const SAMPLE: &str = "<catalog><book id=\"b1\"><title>A</title><price>35</price></book>\
      <book id=\"b2\"><title>B</title><price>20</price></book>\
@@ -36,9 +12,8 @@ const SAMPLE: &str = "<catalog><book id=\"b1\"><title>A</title><price>35</price>
 
 #[test]
 fn explain_reports_plan_shape_and_cache_status() {
-    let sample = write_sample("explain", SAMPLE);
-    let (handle, mut client) = start();
-    let id = load(&mut client, &sample);
+    let (handle, mut client) = start(ServerConfig::default());
+    let id = load_xml(&mut client, SAMPLE);
 
     // Cold EXPLAIN: a miss, rendering the chosen operators with estimated
     // and actual cardinalities. (EXPLAIN itself never populates the cache.)
@@ -81,9 +56,8 @@ fn explain_reports_plan_shape_and_cache_status() {
 
 #[test]
 fn planned_answers_are_byte_identical_to_every_engine() {
-    let sample = write_sample("identical", SAMPLE);
-    let (handle, mut client) = start();
-    let id = load(&mut client, &sample);
+    let (handle, mut client) = start(ServerConfig::default());
+    let id = load_xml(&mut client, SAMPLE);
 
     for q in [
         "//book",
@@ -115,8 +89,9 @@ fn planned_answers_are_byte_identical_to_every_engine() {
 
 #[test]
 fn cache_serves_repeats_and_unload_purges() {
-    let sample = write_sample("cache", SAMPLE);
-    let (handle, mut client) = start();
+    let dir = Scratch::new("cache");
+    let sample = dir.file("sample.xml", SAMPLE);
+    let (handle, mut client) = start(ServerConfig::default());
     let id = load(&mut client, &sample);
     let cache = handle.plan_cache().clone();
 
@@ -153,9 +128,8 @@ fn cache_serves_repeats_and_unload_purges() {
 /// the new tree — the cache can never serve the pre-update answer.
 #[test]
 fn insert_invalidates_cached_answers_with_a_new_generation() {
-    let sample = write_sample("invalidate", SAMPLE);
-    let (handle, mut client) = start();
-    let id = load(&mut client, &sample);
+    let (handle, mut client) = start(ServerConfig::default());
+    let id = load_xml(&mut client, SAMPLE);
     let cache = handle.plan_cache().clone();
 
     // Cache the answer and prove the repeat hits.
@@ -178,12 +152,8 @@ fn insert_invalidates_cached_answers_with_a_new_generation() {
         ))
         .unwrap();
     assert!(resp.starts_with("OK label="), "{resp}");
-    let generation: u64 = resp
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix("generation="))
-        .expect("INSERT reports its generation")
-        .parse()
-        .unwrap();
+    let generation: u64 =
+        metrics_field(&resp, "generation").expect("INSERT reports its generation").parse().unwrap();
     assert!(generation > gen_before, "generation must advance: {gen_before} -> {generation}");
     assert_eq!(handle.catalog().get(id).unwrap().generation, generation);
 
@@ -203,9 +173,8 @@ fn insert_invalidates_cached_answers_with_a_new_generation() {
 /// the old entry — the first query against it recomputes.
 #[test]
 fn reused_doc_id_never_serves_a_stale_entry() {
-    let sample = write_sample("reuse", SAMPLE);
-    let (handle, mut client) = start();
-    let id = load(&mut client, &sample);
+    let (handle, mut client) = start(ServerConfig::default());
+    let id = load_xml(&mut client, SAMPLE);
     let cache = handle.plan_cache().clone();
 
     let before = client.request(&format!("QUERY {id} //book")).unwrap();

@@ -11,95 +11,15 @@
 //! differential corpus equal one of the prefix oracles — never a hybrid
 //! state that no single-node execution could have produced.
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ruid_core::Ruid2;
-use ruid_service::{Client, FsyncPolicy, Server, ServerConfig, ServerHandle};
+use ruid_service::{Client, Server, ServerConfig, ServerHandle};
 use schemes::NumberingScheme;
-
-/// The planner differential corpus (`tests/planner_differential.rs`):
-/// every axis/predicate family over a/b/c trees.
-const CORPUS: &[&str] = &[
-    "/a",
-    "/a/b",
-    "/a/b/c",
-    "//b",
-    "//c",
-    "//b/c",
-    "//b//a",
-    "/a//c",
-    "//*",
-    "/a/*",
-    "//b/*",
-    "/a/b[c]",
-    "//b[c]/c",
-    "//b[c]//a",
-    "//b[not(c)]",
-    "//b[c][a]",
-    "//b[1]",
-    "//b[last()]",
-    "//b[c][1]",
-    "//b/c/..",
-    "//c/parent::b",
-    "//b[count(c) >= 1]",
-    "//a[b or c]",
-];
-
-/// A small a/b/c document: fanout 3, three levels below the root.
-fn corpus_xml() -> String {
-    fn node(depth: usize, out: &mut String) {
-        let tag = ["a", "b", "c"][depth % 3];
-        if depth == 3 {
-            let _ = write!(out, "<{tag}/>");
-            return;
-        }
-        let _ = write!(out, "<{tag}>");
-        for _ in 0..3 {
-            node(depth + 1, out);
-        }
-        let _ = write!(out, "</{tag}>");
-    }
-    let mut xml = String::new();
-    node(0, &mut xml);
-    xml
-}
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("ruid-repl-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn start_leader(data_dir: &std::path::Path) -> (ServerHandle, Client) {
-    let config = ServerConfig {
-        data_dir: Some(data_dir.to_path_buf()),
-        fsync: FsyncPolicy::Always,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
-
-fn start_follower(
-    leader_addr: std::net::SocketAddr,
-    data_dir: Option<&std::path::Path>,
-    poll_ms: u64,
-) -> (ServerHandle, Client) {
-    let config = ServerConfig {
-        data_dir: data_dir.map(std::path::Path::to_path_buf),
-        fsync: FsyncPolicy::Always,
-        follow: Some(leader_addr.to_string()),
-        repl_poll_ms: poll_ms,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
+use testkit::{
+    corpus_xml, durable, metrics_field, start_durable, start_follower, wait_until, Scratch,
+    ABC_QUERIES,
+};
 
 /// The answer vector one server gives over the corpus for both document
 /// ids — including `ERR no document` for ids the prefix never loaded, so
@@ -107,19 +27,11 @@ fn start_follower(
 fn answer_vector(client: &mut Client) -> Vec<String> {
     let mut answers = Vec::new();
     for doc in [1u64, 2] {
-        for xpath in CORPUS {
+        for xpath in ABC_QUERIES {
             answers.push(client.request(&format!("QUERY {doc} {xpath}")).unwrap());
         }
     }
     answers
-}
-
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }
 
 /// First element named `name` in `doc`, as its current rUID label.
@@ -194,19 +106,12 @@ fn prefix_oracles(ops: &[String]) -> Vec<Vec<String>> {
     oracles
 }
 
-fn metrics_field(metrics: &str, key: &str) -> Option<String> {
-    metrics
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix(&format!("{key}=")).map(str::to_owned))
-}
-
 #[test]
 fn follower_serves_reads_and_rejects_writes() {
-    let dir = scratch("read-replica");
-    let corpus = dir.join("corpus.xml");
-    std::fs::write(&corpus, corpus_xml()).unwrap();
+    let dir = Scratch::new("read-replica");
+    let corpus = dir.file("corpus.xml", corpus_xml());
 
-    let (leader, mut lc) = start_leader(&dir.join("leader"));
+    let (leader, mut lc) = start_durable(&dir.join("leader"));
     let resp = lc.request(&format!("LOAD {}", corpus.display())).unwrap();
     assert!(resp.starts_with("OK id=1"), "{resp}");
     let root = label_of_first(&leader, 1, "a");
@@ -270,13 +175,11 @@ fn follower_serves_reads_and_rejects_writes() {
 /// single-node server that ran the same writes.
 #[test]
 fn follower_applies_all_six_record_kinds() {
-    let dir = scratch("six-kinds");
-    let corpus = dir.join("corpus.xml");
-    let site = dir.join("site.xml");
-    std::fs::write(&corpus, corpus_xml()).unwrap();
-    std::fs::write(&site, "<a><b>x</b><c/></a>").unwrap();
+    let dir = Scratch::new("six-kinds");
+    let corpus = dir.file("corpus.xml", corpus_xml());
+    let site = dir.file("site.xml", "<a><b>x</b><c/></a>");
 
-    let (leader, mut lc) = start_leader(&dir.join("leader"));
+    let (leader, mut lc) = start_durable(&dir.join("leader"));
     let (follower, mut fc) = start_follower(leader.addr(), None, 5);
     let oracle = Server::start(ServerConfig::default()).unwrap();
     let mut oc = Client::connect(oracle.addr()).unwrap();
@@ -320,14 +223,12 @@ fn follower_applies_all_six_record_kinds() {
 /// past quarantined ids, as a restart's recovery does.
 #[test]
 fn promoted_follower_never_reuses_a_quarantined_id() {
-    let dir = scratch("quarantined-id");
-    let good = dir.join("good.xml");
-    let bad = dir.join("bad.xml");
-    std::fs::write(&good, "<g><ok/></g>").unwrap();
-    std::fs::write(&bad, "<b><broken/></b>").unwrap();
+    let dir = Scratch::new("quarantined-id");
+    let good = dir.file("good.xml", "<g><ok/></g>");
+    let bad = dir.file("bad.xml", "<b><broken/></b>");
     let data_dir = dir.join("leader");
 
-    let (leader, mut lc) = start_leader(&data_dir);
+    let (leader, mut lc) = start_durable(&data_dir);
     assert!(lc.request(&format!("LOAD {}", good.display())).unwrap().starts_with("OK id=1"));
     assert!(lc.request(&format!("LOAD {}", bad.display())).unwrap().starts_with("OK id=2"));
     assert!(lc.request("SNAPSHOT").unwrap().starts_with("OK generation=1"));
@@ -341,7 +242,7 @@ fn promoted_follower_never_reuses_a_quarantined_id() {
     bytes[pos] ^= 0x40;
     std::fs::write(&snap, &bytes).unwrap();
 
-    let (leader, mut lc) = start_leader(&data_dir);
+    let (leader, mut lc) = start_durable(&data_dir);
     let (follower, mut fc) = start_follower(leader.addr(), None, 5);
     wait_until("follower bootstrap", Duration::from_secs(10), || {
         Client::connect(follower.addr()).unwrap().request("QUERY 1 //ok").unwrap().starts_with("OK 1 ")
@@ -364,11 +265,9 @@ fn promoted_follower_never_reuses_a_quarantined_id() {
 /// and nothing else.
 #[test]
 fn kill_the_leader_failover_sweep() {
-    let dir = scratch("failover-sweep");
-    let corpus = dir.join("corpus.xml");
-    let site = dir.join("site.xml");
-    std::fs::write(&corpus, corpus_xml()).unwrap();
-    std::fs::write(&site, "<a><b>x</b><c/></a>").unwrap();
+    let dir = Scratch::new("failover-sweep");
+    let corpus = dir.file("corpus.xml", corpus_xml());
+    let site = dir.file("site.xml", "<a><b>x</b><c/></a>");
 
     let ops = record_ops(&corpus.display().to_string(), &site.display().to_string());
     assert_eq!(ops.len(), 6, "{ops:?}");
@@ -377,7 +276,7 @@ fn kill_the_leader_failover_sweep() {
     // Caught-up kills after k ops: the promoted follower must equal
     // exactly the k-prefix oracle.
     for (case, k) in [2usize, 4, 6].into_iter().enumerate() {
-        let (leader, mut lc) = start_leader(&dir.join(format!("leader-{case}")));
+        let (leader, mut lc) = start_durable(&dir.join(format!("leader-{case}")));
         let follower_dir = dir.join(format!("follower-{case}"));
         let (follower, mut fc) = start_follower(leader.addr(), Some(&follower_dir), 5);
         for line in &ops[..k] {
@@ -418,7 +317,7 @@ fn kill_the_leader_failover_sweep() {
             // data dir: a restart from that dir alone recovers the
             // promoted state, writes included.
             follower.stop();
-            let (reborn, mut rc) = start_leader(&follower_dir);
+            let (reborn, mut rc) = start_durable(&follower_dir);
             assert_eq!(answer_vector(&mut rc), after_write, "restart lost promoted state");
             reborn.stop();
         } else {
@@ -431,7 +330,7 @@ fn kill_the_leader_failover_sweep() {
     // be byte-identical to one of the seven prefix oracles — never a
     // hybrid no single-node history could produce.
     for lagging in 0..2 {
-        let (leader, mut lc) = start_leader(&dir.join(format!("leader-mid-{lagging}")));
+        let (leader, mut lc) = start_durable(&dir.join(format!("leader-mid-{lagging}")));
         let (follower, mut fc) =
             start_follower(leader.addr(), None, if lagging == 0 { 150 } else { 40 });
         for line in &ops {
@@ -459,9 +358,8 @@ fn kill_the_leader_failover_sweep() {
 fn promote_during_bootstrap_does_not_install_the_snapshot() {
     use ruid_service::{Fault, FaultPlan};
 
-    let dir = scratch("promote-mid-bootstrap");
-    let corpus = dir.join("corpus.xml");
-    std::fs::write(&corpus, corpus_xml()).unwrap();
+    let dir = Scratch::new("promote-mid-bootstrap");
+    let corpus = dir.file("corpus.xml", corpus_xml());
 
     // Leader request indices are deterministic: 0 = LOAD, 1 = SNAPSHOT
     // (both text, below), 2 = the follower's REPL HELLO, 3 = its REPL
@@ -469,10 +367,8 @@ fn promote_during_bootstrap_does_not_install_the_snapshot() {
     // bootstrap, after the catalog-install decision point is armed.
     let plan = FaultPlan::new().inject(3, Fault::StallHandler { ms: 4_000 });
     let config = ServerConfig {
-        data_dir: Some(dir.join("leader")),
-        fsync: FsyncPolicy::Always,
         fault_plan: Some(std::sync::Arc::new(plan)),
-        ..ServerConfig::default()
+        ..durable(&dir.join("leader"))
     };
     let leader = Server::start(config).unwrap();
     let mut lc = Client::connect(leader.addr()).unwrap();
@@ -523,11 +419,10 @@ fn promote_during_bootstrap_does_not_install_the_snapshot() {
 /// re-bootstrap that converges back to the leader's state.
 #[test]
 fn forged_seq_is_refused_then_recovered_by_rebootstrap() {
-    let dir = scratch("forge-seq");
-    let corpus = dir.join("corpus.xml");
-    std::fs::write(&corpus, corpus_xml()).unwrap();
+    let dir = Scratch::new("forge-seq");
+    let corpus = dir.file("corpus.xml", corpus_xml());
 
-    let (leader, mut lc) = start_leader(&dir.join("leader"));
+    let (leader, mut lc) = start_durable(&dir.join("leader"));
     assert!(lc
         .request(&format!("LOAD {}", corpus.display()))
         .unwrap()
@@ -576,9 +471,8 @@ fn forged_seq_is_refused_then_recovered_by_rebootstrap() {
 fn replication_survives_a_randomized_fault_storm() {
     use ruid_service::{Fault, FaultPlan};
 
-    let dir = scratch("storm");
-    let corpus = dir.join("corpus.xml");
-    std::fs::write(&corpus, corpus_xml()).unwrap();
+    let dir = Scratch::new("storm");
+    let corpus = dir.file("corpus.xml", corpus_xml());
 
     let plan = FaultPlan::randomized(
         0x5EED_0017,
@@ -593,10 +487,8 @@ fn replication_survives_a_randomized_fault_storm() {
         ],
     );
     let config = ServerConfig {
-        data_dir: Some(dir.join("leader")),
-        fsync: FsyncPolicy::Always,
         fault_plan: Some(std::sync::Arc::new(plan)),
-        ..ServerConfig::default()
+        ..durable(&dir.join("leader"))
     };
     let leader = Server::start(config).unwrap();
     let (follower, _fc) = start_follower(leader.addr(), None, 5);
@@ -623,7 +515,7 @@ fn replication_survives_a_randomized_fault_storm() {
         let mut c = Client::connect(addr).ok()?;
         let mut answers = Vec::new();
         for doc in [1u64, 2] {
-            for xpath in CORPUS {
+            for xpath in ABC_QUERIES {
                 answers.push(c.request(&format!("QUERY {doc} {xpath}")).ok()?);
             }
         }

@@ -11,55 +11,16 @@
 //! replayed the shipped log.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ruid_service::proto::{escape_line, fmt_label};
-use ruid_service::{Client, FsyncPolicy, LoadedDoc, Server, ServerConfig, ServerHandle};
+use ruid_service::{Client, LoadedDoc, ServerConfig, ServerHandle};
 use schemes::NumberingScheme;
+use testkit::{corpus_xml, durable, elements, start, start_follower, wait_until, Scratch};
 use xmldom::NodeId;
 use xmlgen::{xmark, SplitMix64};
 use xmlstore::record::StoredKind;
 use xmlstore::XmlStore;
-
-/// The 23-query corpus document: a/b/c tags, fanout 3, three levels.
-fn corpus_xml() -> String {
-    fn node(depth: usize, out: &mut String) {
-        let tag = ["a", "b", "c"][depth % 3];
-        if depth == 3 {
-            let _ = write!(out, "<{tag}/>");
-            return;
-        }
-        let _ = write!(out, "<{tag}>");
-        for _ in 0..3 {
-            node(depth + 1, out);
-        }
-        let _ = write!(out, "</{tag}>");
-    }
-    let mut xml = String::new();
-    node(0, &mut xml);
-    xml
-}
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ruid-scan-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn start(config: ServerConfig) -> (ServerHandle, Client) {
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
-
-fn durable(data_dir: &std::path::Path) -> ServerConfig {
-    ServerConfig {
-        data_dir: Some(data_dir.to_path_buf()),
-        fsync: FsyncPolicy::Always,
-        ..ServerConfig::default()
-    }
-}
 
 /// Every area of the document's table K, plus one global no area has.
 fn globals(loaded: &LoadedDoc) -> Vec<u64> {
@@ -115,9 +76,7 @@ fn assert_scan_reads_as_the_store(handle: &ServerHandle, client: &mut Client, id
 /// One seeded structural commit over the wire.
 fn commit(handle: &ServerHandle, client: &mut Client, id: u64, rng: &mut SplitMix64) -> String {
     let loaded = handle.catalog().get(id).unwrap();
-    let root = loaded.doc.root_element().unwrap();
-    let elems: Vec<NodeId> =
-        loaded.doc.descendants(root).filter(|&n| loaded.doc.element_name(n).is_some()).collect();
+    let elems = elements(&loaded);
     let arg = |node: NodeId| {
         let l = loaded.scheme.label_of(node);
         format!("{} {} {}", l.global, l.local, l.is_root)
@@ -139,18 +98,9 @@ fn commit(handle: &ServerHandle, client: &mut Client, id: u64, rng: &mut SplitMi
     request
 }
 
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 fn scan_reads_as_the_store_through_every_life(name: &str, xml: &str, seed: u64, commits: usize) {
-    let dir = scratch(name);
-    let path = dir.join("doc.xml");
-    std::fs::write(&path, xml).unwrap();
+    let dir = Scratch::new(name);
+    let path = dir.file("doc.xml", xml);
     let data = dir.join("data");
 
     let (leader, mut client) = start(durable(&data));
@@ -172,11 +122,7 @@ fn scan_reads_as_the_store_through_every_life(name: &str, xml: &str, seed: u64, 
     let all = globals(&leader.catalog().get(1).unwrap());
     assert_eq!(scan_replies(&mut client, 1, &all), live, "rows changed across restart");
 
-    let (follower, mut fc) = start(ServerConfig {
-        follow: Some(leader.addr().to_string()),
-        repl_poll_ms: 20,
-        ..ServerConfig::default()
-    });
+    let (follower, mut fc) = start_follower(leader.addr(), None, 20);
     wait_until("follower catch-up", Duration::from_secs(20), || {
         follower.catalog().get(1).is_some() && scan_replies(&mut fc, 1, &all) == live
     });
@@ -198,9 +144,8 @@ fn xmark_scan_reads_as_the_store_through_every_life() {
 
 #[test]
 fn scan_without_a_store_is_still_refused() {
-    let dir = scratch("no-store");
-    let path = dir.join("doc.xml");
-    std::fs::write(&path, corpus_xml()).unwrap();
+    let dir = Scratch::new("no-store");
+    let path = dir.file("doc.xml", corpus_xml());
     let (handle, mut client) = start(ServerConfig { with_store: false, ..ServerConfig::default() });
     assert!(client.request(&format!("LOAD {}", path.display())).unwrap().starts_with("OK id=1 "));
     assert_eq!(

@@ -15,25 +15,18 @@
 //! text) must survive a WAL restart and ship to a follower replica,
 //! answering identically on every engine in all three lives.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use durable::{NodeContent, WalOp};
-use ruid_service::{Client, FsyncPolicy, LoadedDoc, Server, ServerConfig, ServerHandle};
+use ruid_service::{Client, LoadedDoc};
 use schemes::ancestry::AncestryScheme;
 use schemes::interval::IntervalScheme;
 use schemes::NumberingScheme;
+use testkit::{elements, start_durable, start_follower, wait_until, Scratch};
 use xmlgen::SplitMix64;
 
 const SEED_XML: &str =
     "<r><a><b><c/></b><c/></a><b><a/><c/><c/></b><a><c/></a><c/></r>";
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("ruid-scheme-identity-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Asserts the snapshot's incrementally maintained interval/ancestry
 /// numberings are byte-identical to from-scratch rebuilds: same label for
@@ -63,12 +56,7 @@ fn run_chain(mut loaded: LoadedDoc, seed: u64, steps: usize, ctx: &str) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     assert_byte_identical(&loaded, &format!("{ctx} before any update"));
     for step in 0..steps {
-        let root = loaded.doc.root_element().unwrap();
-        let elems: Vec<_> = loaded
-            .doc
-            .descendants(root)
-            .filter(|&n| loaded.doc.element_name(n).is_some())
-            .collect();
+        let elems = elements(&loaded);
         let kind = rng.gen_range(0..100);
         let op = if kind < 55 || elems.len() < 2 {
             let parent = loaded.scheme.label_of(elems[rng.gen_range(0..elems.len())]);
@@ -98,19 +86,17 @@ fn run_chain(mut loaded: LoadedDoc, seed: u64, steps: usize, ctx: &str) {
 
 #[test]
 fn update_chain_keeps_span_schemes_byte_identical() {
-    let dir = scratch("chain");
-    let xml = dir.join("doc.xml");
-    std::fs::write(&xml, SEED_XML).unwrap();
+    let dir = Scratch::new("chain");
+    let xml = dir.file("doc.xml", SEED_XML);
     let loaded = LoadedDoc::from_file(&xml.display().to_string(), 3, false).unwrap();
     run_chain(loaded, 0x5EED_2026, 60, "seeded chain");
 }
 
 #[test]
 fn xmark_update_chain_keeps_span_schemes_byte_identical() {
-    let dir = scratch("xmark-chain");
-    let xml = dir.join("xmark.xml");
+    let dir = Scratch::new("xmark-chain");
     let doc = xmlgen::xmark::generate(&xmlgen::xmark::XmarkConfig::scaled_to(600, 42));
-    std::fs::write(&xml, doc.to_xml_string()).unwrap();
+    let xml = dir.file("xmark.xml", doc.to_xml_string());
     let loaded = LoadedDoc::from_file(&xml.display().to_string(), 3, false).unwrap();
     run_chain(loaded, 0x5EED_2027, 30, "xmark chain");
 }
@@ -122,17 +108,6 @@ fn xmark_update_chain_keeps_span_schemes_byte_identical() {
 /// Interval-encoded event stream for `<a><b><c/></b><b><c/>t</b></a>`:
 /// five elements plus one text leaf, nested by interval containment.
 const STREAM_EVENTS: &str = "1:20:a 2:7:b 3:4:c 8:17:b 9:10:c 11:12:=t0";
-
-fn start_durable(data_dir: &std::path::Path) -> (ServerHandle, Client) {
-    let config = ServerConfig {
-        data_dir: Some(data_dir.to_path_buf()),
-        fsync: FsyncPolicy::Always,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
 
 /// Every engine's answers over the streamed document — the vector two
 /// servers must agree on byte for byte.
@@ -146,17 +121,9 @@ fn stream_answers(client: &mut Client) -> Vec<String> {
     answers
 }
 
-fn wait_until(what: &str, timeout: Duration, mut pred: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !pred() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 #[test]
 fn loadstream_survives_restart_and_ships_to_a_follower() {
-    let dir = scratch("loadstream");
+    let dir = Scratch::new("loadstream");
     let data = dir.join("data");
 
     // First life: ingest the stream, record every engine's answers.
@@ -179,13 +146,7 @@ fn loadstream_survives_restart_and_ships_to_a_follower() {
 
     // Third life: a follower bootstrapping from the recovered leader
     // must serve the streamed document identically.
-    let follower_config = ServerConfig {
-        follow: Some(handle.addr().to_string()),
-        repl_poll_ms: 20,
-        ..ServerConfig::default()
-    };
-    let follower = Server::start(follower_config).unwrap();
-    let mut fc = Client::connect(follower.addr()).unwrap();
+    let (follower, mut fc) = start_follower(handle.addr(), None, 20);
     wait_until("follower to serve the streamed doc", Duration::from_secs(10), || {
         fc.request("QUERY 1 //b interval").unwrap().starts_with("OK")
     });

@@ -1,30 +1,12 @@
 //! End-to-end protocol tests: a real server on a loopback port, a real
 //! client, every command exercised over the wire.
 
-use ruid_service::{Client, Server, ServerConfig};
-
-fn write_sample() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ruid-service-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sample.xml");
-    std::fs::write(
-        &path,
-        "<catalog><book id=\"b1\"><title>A</title><price>35</price></book>\
-         <book id=\"b2\"><title>B</title><price>20</price></book></catalog>",
-    )
-    .unwrap();
-    path
-}
-
-fn start() -> (ruid_service::ServerHandle, Client) {
-    let handle = Server::start(ServerConfig::default()).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
+use ruid_service::{Client, ServerConfig};
+use testkit::{load_xml, start, SAMPLE_XML};
 
 #[test]
 fn ping_and_unknown() {
-    let (handle, mut client) = start();
+    let (handle, mut client) = start(ServerConfig::default());
     assert_eq!(client.request("PING").unwrap(), "OK pong");
     assert!(client.request("FROB 1").unwrap().starts_with("ERR unknown command"));
     assert!(client.request("LOAD").unwrap().starts_with("ERR usage:"));
@@ -33,17 +15,9 @@ fn ping_and_unknown() {
 
 #[test]
 fn full_session_load_query_scan_stats() {
-    let sample = write_sample();
-    let (handle, mut client) = start();
+    let (handle, mut client) = start(ServerConfig::default());
 
-    let resp = client.request(&format!("LOAD {}", sample.display())).unwrap();
-    assert!(resp.starts_with("OK id="), "{resp}");
-    let id: u64 = resp
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix("id="))
-        .unwrap()
-        .parse()
-        .unwrap();
+    let id = load_xml(&mut client, SAMPLE_XML);
 
     // LIST shows it.
     let resp = client.request("LIST").unwrap();
@@ -108,7 +82,7 @@ fn full_session_load_query_scan_stats() {
 
 #[test]
 fn errors_do_not_kill_the_connection() {
-    let (handle, mut client) = start();
+    let (handle, mut client) = start(ServerConfig::default());
     assert!(client.request("STATS 999").unwrap().starts_with("ERR"));
     assert!(client.request("LOAD /nonexistent/never.xml").unwrap().starts_with("ERR"));
     assert!(client.request("QUERY 1 //a warp").unwrap().starts_with("ERR"));
@@ -118,9 +92,8 @@ fn errors_do_not_kill_the_connection() {
 
 #[test]
 fn shutdown_command_stops_the_server() {
-    let sample = write_sample();
-    let (handle, mut client) = start();
-    client.request(&format!("LOAD {}", sample.display())).unwrap();
+    let (handle, mut client) = start(ServerConfig::default());
+    load_xml(&mut client, SAMPLE_XML);
     assert_eq!(client.request("SHUTDOWN").unwrap(), "OK bye");
     handle.join();
     // New connections are refused or dropped without a response.
@@ -138,22 +111,10 @@ fn handle_addr_after_join() -> std::net::SocketAddr {
 
 #[test]
 fn several_documents_across_shards() {
-    let (handle, mut client) = start();
-    let dir = std::env::temp_dir().join(format!("ruid-service-multi-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let (handle, mut client) = start(ServerConfig::default());
     let mut ids = Vec::new();
     for i in 0..5 {
-        let path = dir.join(format!("doc{i}.xml"));
-        std::fs::write(&path, format!("<root><x n=\"{i}\"/><y/></root>")).unwrap();
-        let resp = client.request(&format!("LOAD {}", path.display())).unwrap();
-        assert!(resp.starts_with("OK id="), "{resp}");
-        let id: u64 = resp
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("id="))
-            .unwrap()
-            .parse()
-            .unwrap();
-        ids.push(id);
+        ids.push(load_xml(&mut client, &format!("<root><x n=\"{i}\"/><y/></root>")));
     }
     for &id in &ids {
         let resp = client.request(&format!("QUERY {id} //x")).unwrap();

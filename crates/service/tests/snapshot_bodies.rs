@@ -8,31 +8,10 @@
 //!   `SNAPSHOT` and further writes still succeed.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ruid_service::{Client, FsyncPolicy, Server, ServerConfig, ServerHandle};
-
-fn scratch(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("ruid-snapshot-bodies-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn start(data_dir: &Path, follow: Option<String>) -> (ServerHandle, Client) {
-    let config = ServerConfig {
-        data_dir: Some(data_dir.to_path_buf()),
-        fsync: FsyncPolicy::Always,
-        follow,
-        repl_poll_ms: 10,
-        max_line_bytes: 4 << 20,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(config).unwrap();
-    let client = Client::connect(handle.addr()).unwrap();
-    (handle, client)
-}
+use ruid_service::{Client, ServerConfig};
+use testkit::{durable, start, start_durable, start_follower, wait_until, Scratch};
 
 fn ok(client: &mut Client, line: &str) -> String {
     let resp = client.request(line).unwrap();
@@ -64,16 +43,15 @@ fn bodies(image: &[u8]) -> Vec<(u64, Vec<u8>)> {
 
 #[test]
 fn a_bootstrapped_follower_persists_the_shipped_bodies() {
-    let dir = scratch("follower");
+    let dir = Scratch::new("follower");
     let docs = [
         "<site><people><person id=\"p1\"><name>Ann</name></person></people></site>",
         "<?pi x?><!--c--><a k=\"v\">mixed <b>text</b> ü<c/></a>",
         "<r><s/><s><t>deep</t></s></r>",
     ];
-    let (leader, mut lc) = start(&dir.join("leader"), None);
+    let (leader, mut lc) = start_durable(&dir.join("leader"));
     for (i, xml) in docs.iter().enumerate() {
-        let path = dir.join(format!("doc{i}.xml"));
-        std::fs::write(&path, xml).unwrap();
+        let path = dir.file(&format!("doc{i}.xml"), xml);
         ok(&mut lc, &format!("LOAD {}", path.display()));
     }
     ok(&mut lc, "SNAPSHOT");
@@ -89,15 +67,11 @@ fn a_bootstrapped_follower_persists_the_shipped_bodies() {
     std::fs::write(&leader_snap, &image).unwrap();
 
     let follower_dir = dir.join("follower");
-    let (follower, _fc) = start(&follower_dir, Some(leader.addr().to_string()));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let persisted = loop {
-        if let Some(path) = snapshot_in(&follower_dir) {
-            break std::fs::read(path).unwrap();
-        }
-        assert!(Instant::now() < deadline, "the follower never persisted a snapshot");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let (follower, _fc) = start_follower(leader.addr(), Some(&follower_dir), 10);
+    wait_until("the follower to persist a snapshot", Duration::from_secs(30), || {
+        snapshot_in(&follower_dir).is_some()
+    });
+    let persisted = std::fs::read(snapshot_in(&follower_dir).unwrap()).unwrap();
     assert_eq!(bodies(&persisted), vec![shipped[0].clone(), shipped[2].clone()]);
     assert!(follower.catalog().get(2).is_none());
     follower.stop();
@@ -116,16 +90,15 @@ fn wide_element(count: usize) -> String {
 
 #[test]
 fn an_element_over_the_attribute_limit_is_refused_before_the_wal() {
-    let dir = scratch("attributes");
+    let dir = Scratch::new("attributes");
     let data_dir = dir.join("data");
-    let (handle, mut client) = start(&data_dir, None);
-    let wide = dir.join("wide.xml");
-    std::fs::write(&wide, format!("<r>{}</r>", wide_element(70_000))).unwrap();
+    let (handle, mut client) =
+        start(ServerConfig { max_line_bytes: 4 << 20, ..durable(&data_dir) });
+    let wide = dir.file("wide.xml", format!("<r>{}</r>", wide_element(70_000)));
     let resp = client.request(&format!("LOAD {}", wide.display())).unwrap();
     assert!(resp.starts_with("ERR") && resp.contains("65535"), "{resp}");
 
-    let small = dir.join("small.xml");
-    std::fs::write(&small, "<r><s/></r>").unwrap();
+    let small = dir.file("small.xml", "<r><s/></r>");
     assert!(ok(&mut client, &format!("LOAD {}", small.display())).starts_with("OK id=1 "));
     let resp = client.request(&format!("INSERT 1 1 1 true 0 {}", wide_element(70_000))).unwrap();
     assert!(resp.starts_with("ERR") && resp.contains("65535"), "{resp}");

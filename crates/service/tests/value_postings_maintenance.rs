@@ -19,6 +19,7 @@ use plan::PathSummary;
 use ruid_service::proto::Engine;
 use ruid_service::{run_query, LoadedDoc};
 use schemes::NumberingScheme;
+use testkit::{elements, pick};
 use xmldom::NodeId;
 use xmlgen::SplitMix64;
 
@@ -56,15 +57,6 @@ const TEXTS: &[&str] = &["2", " 2 ", "2.0", "7.5", "asia", "gold", "NaN", ""];
 /// a list after the path, separated by a space).
 fn paths(canonical: &[(String, Vec<NodeId>)]) -> BTreeSet<&str> {
     canonical.iter().map(|(row, _)| row.as_str()).filter(|row| !row.contains(' ')).collect()
-}
-
-fn elements(loaded: &LoadedDoc) -> Vec<NodeId> {
-    let root = loaded.doc.root_element().unwrap();
-    loaded.doc.descendants(root).filter(|&n| loaded.doc.is_element(n)).collect()
-}
-
-fn pick<T: Copy>(rng: &mut SplitMix64, from: &[T]) -> Option<T> {
-    (!from.is_empty()).then(|| from[rng.gen_range(0..from.len())])
 }
 
 fn text(rng: &mut SplitMix64) -> NodeContent {

@@ -3,79 +3,20 @@
 //! text/binary byte-identity on one shared port, and the batch verbs.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ruid_core::Ruid2;
-use ruid_service::proto::Engine;
-use ruid_service::wire::{
-    self, Decoded, RequestFrame, ResponseFrame, WireRequest, WireResponse,
-};
+use ruid_service::proto::{Engine, Request};
+use ruid_service::wire::{self, Decoded, RequestFrame, ResponseFrame, WireResponse};
 use ruid_service::{
-    BinaryClient, Client, Command, Fault, FaultPlan, Server, ServerConfig, ServerHandle,
+    BinaryClient, Client, Command, Fault, FaultPlan, Server, ServerConfig,
 };
+use testkit::{load_xml, wait_until, ABC_QUERIES};
 use xmlgen::SplitMix64;
-
-/// The differential-test query corpus (mirrors `tests/planner_differential.rs`):
-/// every axis/predicate family the planner distinguishes, over a/b/c trees.
-const CORPUS: &[&str] = &[
-    "/a",
-    "/a/b",
-    "/a/b/c",
-    "//b",
-    "//c",
-    "//b/c",
-    "//b//a",
-    "/a//c",
-    "//*",
-    "/a/*",
-    "//b/*",
-    "/a/b[c]",
-    "//b[c]/c",
-    "//b[c]//a",
-    "//b[not(c)]",
-    "//b[c][a]",
-    "//b[1]",
-    "//b[last()]",
-    "//b[c][1]",
-    "//b/c/..",
-    "//c/parent::b",
-    "//b[count(c) >= 1]",
-    "//a[b or c]",
-];
 
 /// A small a/b/c document exercising every corpus query shape: `b` nodes
 /// with and without `c` children, nested `a` descendants, positional mixes.
 const CORPUS_XML: &str = "<a><b><c/><c/><a/></b><b><c><a/></c></b><b/><c/><b><a/><c/></b></a>";
-
-fn write_corpus() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("ruid-wire-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("corpus.xml");
-    std::fs::write(&path, CORPUS_XML).unwrap();
-    path
-}
-
-fn start() -> ServerHandle {
-    Server::start(ServerConfig::default()).unwrap()
-}
-
-fn load_corpus(handle: &ServerHandle) -> u64 {
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let resp = client.request(&format!("LOAD {}", write_corpus().display())).unwrap();
-    assert!(resp.starts_with("OK id="), "{resp}");
-    resp.split_whitespace().find_map(|t| t.strip_prefix("id=")).unwrap().parse().unwrap()
-}
-
-fn wait_for(mut probe: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
-}
 
 // ---------------------------------------------------------------- codec --
 
@@ -94,10 +35,10 @@ fn random_label(rng: &mut SplitMix64) -> Ruid2 {
 
 /// Every verb, random field content, seeded: the `i % 8` cycle guarantees
 /// full verb coverage regardless of what the generator draws.
-fn random_request(i: usize, rng: &mut SplitMix64) -> WireRequest {
+fn random_request(i: usize, rng: &mut SplitMix64) -> Request {
     let doc = rng.gen_range(0..u64::MAX);
     match i % 8 {
-        0 => WireRequest::Ping,
+        0 => Request::Ping,
         1 => {
             let engine = match rng.gen_range(0..4u32) {
                 0 => Engine::Planned,
@@ -105,20 +46,20 @@ fn random_request(i: usize, rng: &mut SplitMix64) -> WireRequest {
                 2 => Engine::Ruid,
                 _ => Engine::Indexed,
             };
-            WireRequest::Query { doc, engine, xpath: random_xpath(rng) }
+            Request::Query { doc, engine, xpath: random_xpath(rng) }
         }
-        2 => WireRequest::Label { doc, xpath: random_xpath(rng) },
-        3 => WireRequest::Parent { doc, label: random_label(rng) },
-        4 => WireRequest::Get { doc, label: random_label(rng) },
+        2 => Request::Label { doc, xpath: random_xpath(rng) },
+        3 => Request::Parent { doc, label: random_label(rng) },
+        4 => Request::Get { doc, label: random_label(rng) },
         5 => {
             let n = rng.gen_range(0..9usize);
-            WireRequest::MQuery { doc, xpaths: (0..n).map(|_| random_xpath(rng)).collect() }
+            Request::MQuery { doc, xpaths: (0..n).map(|_| random_xpath(rng)).collect() }
         }
         6 => {
             let n = rng.gen_range(0..9usize);
-            WireRequest::MLabel { doc, xpaths: (0..n).map(|_| random_xpath(rng)).collect() }
+            Request::MLabel { doc, xpaths: (0..n).map(|_| random_xpath(rng)).collect() }
         }
-        _ => WireRequest::Stats(rng.gen_range(0..100u64)),
+        _ => Request::Stats(rng.gen_range(0..100u64)),
     }
 }
 
@@ -216,8 +157,8 @@ fn pipelined_replies_interleave_out_of_order() {
 
     let mut client = BinaryClient::connect(handle.addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(5))).unwrap();
-    let stalled = client.send(&WireRequest::Ping).unwrap();
-    let quick = client.send(&WireRequest::Ping).unwrap();
+    let stalled = client.send(&Request::Ping).unwrap();
+    let quick = client.send(&Request::Ping).unwrap();
     assert_ne!(stalled, quick);
     client.flush().unwrap();
 
@@ -238,9 +179,9 @@ fn pipelined_replies_interleave_out_of_order() {
     client2.set_timeout(Some(Duration::from_secs(5))).unwrap();
     let responses = client2
         .pipeline(&[
-            WireRequest::Ping,
-            WireRequest::List,
-            WireRequest::Ping,
+            Request::Ping,
+            Request::List,
+            Request::Ping,
         ])
         .unwrap();
     assert_eq!(responses[0], WireResponse::Line("OK pong".to_owned()));
@@ -255,18 +196,16 @@ fn pipelined_replies_interleave_out_of_order() {
 /// `ruid_pipeline_depth` histogram.
 #[test]
 fn pipeline_depth_is_recorded() {
-    let handle = start();
+    let handle = Server::start(ServerConfig::default()).unwrap();
     let mut client = BinaryClient::connect(handle.addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(5))).unwrap();
-    let requests: Vec<WireRequest> = (0..16).map(|_| WireRequest::Ping).collect();
+    let requests: Vec<Request> = (0..16).map(|_| Request::Ping).collect();
     let responses = client.pipeline(&requests).unwrap();
     assert_eq!(responses.len(), 16);
     let metrics = Arc::clone(handle.metrics());
-    assert!(
-        wait_for(|| metrics.pipeline_depth().total() >= 1
-            && metrics.pipeline_depth().sum() >= 16),
-        "pipeline depth histogram never accounted the burst"
-    );
+    wait_until("the pipeline depth histogram to account the burst", Duration::from_secs(5), || {
+        metrics.pipeline_depth().total() >= 1 && metrics.pipeline_depth().sum() >= 16
+    });
     handle.stop();
 }
 
@@ -277,16 +216,16 @@ fn pipeline_depth_is_recorded() {
 /// and the `MQUERY` batch must return the exact same response string.
 #[test]
 fn text_and_binary_clients_share_a_port_byte_identically() {
-    let handle = start();
-    let doc = load_corpus(&handle);
+    let handle = Server::start(ServerConfig::default()).unwrap();
+    let doc = load_xml(&mut Client::connect(handle.addr()).unwrap(), CORPUS_XML);
 
     let mut text = Client::connect(handle.addr()).unwrap();
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
     binary.set_timeout(Some(Duration::from_secs(5))).unwrap();
 
-    let batch = binary.mquery(doc, CORPUS).unwrap();
-    assert_eq!(batch.len(), CORPUS.len());
-    for (i, xpath) in CORPUS.iter().enumerate() {
+    let batch = binary.mquery(doc, ABC_QUERIES).unwrap();
+    assert_eq!(batch.len(), ABC_QUERIES.len());
+    for (i, xpath) in ABC_QUERIES.iter().enumerate() {
         let via_text = text.request(&format!("QUERY {doc} {xpath}")).unwrap();
         let via_compat = binary.request(&format!("QUERY {doc} {xpath}")).unwrap();
         let via_native = binary.query(doc, xpath).unwrap();
@@ -299,8 +238,8 @@ fn text_and_binary_clients_share_a_port_byte_identically() {
     // Both protocols were accounted on their own counters.
     let metrics = Arc::clone(handle.metrics());
     let [text_n, binary_n] = metrics.protocol_requests();
-    assert!(text_n >= CORPUS.len() as u64, "text counter: {text_n}");
-    assert!(binary_n > 2 * CORPUS.len() as u64, "binary counter: {binary_n}");
+    assert!(text_n >= ABC_QUERIES.len() as u64, "text counter: {text_n}");
+    assert!(binary_n > 2 * ABC_QUERIES.len() as u64, "binary counter: {binary_n}");
     handle.stop();
 }
 
@@ -309,15 +248,15 @@ fn text_and_binary_clients_share_a_port_byte_identically() {
 /// down the batch.
 #[test]
 fn batch_verbs_match_single_requests() {
-    let handle = start();
-    let doc = load_corpus(&handle);
+    let handle = Server::start(ServerConfig::default()).unwrap();
+    let doc = load_xml(&mut Client::connect(handle.addr()).unwrap(), CORPUS_XML);
 
     let mut text = Client::connect(handle.addr()).unwrap();
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
     binary.set_timeout(Some(Duration::from_secs(5))).unwrap();
 
-    let labels = binary.mlabel(doc, CORPUS).unwrap();
-    for (i, xpath) in CORPUS.iter().enumerate() {
+    let labels = binary.mlabel(doc, ABC_QUERIES).unwrap();
+    for (i, xpath) in ABC_QUERIES.iter().enumerate() {
         let single = text.request(&format!("LABEL {doc} {xpath}")).unwrap();
         assert_eq!(labels[i], single, "MLABEL line differs for {xpath}");
     }
@@ -331,11 +270,11 @@ fn batch_verbs_match_single_requests() {
     // Batch sizes landed in the histogram (23-query batch ⇒ sum ≥ 23).
     let metrics = Arc::clone(handle.metrics());
     assert!(metrics.batch_size().total() >= 2);
-    assert!(metrics.batch_size().sum() >= CORPUS.len() as u64 + 2);
+    assert!(metrics.batch_size().sum() >= ABC_QUERIES.len() as u64 + 2);
 
     // Oversized batches are rejected as malformed, connection intact.
     let too_many: Vec<String> = (0..=wire::MAX_BATCH).map(|i| format!("/a{i}")).collect();
-    let id = binary.send(&WireRequest::MQuery { doc, xpaths: too_many }).unwrap();
+    let id = binary.send(&Request::MQuery { doc, xpaths: too_many }).unwrap();
     binary.flush().unwrap();
     let frame = binary.recv().unwrap();
     assert_eq!(frame.id, id);
@@ -351,7 +290,7 @@ fn batch_verbs_match_single_requests() {
 /// listener dies — the mux flushes its outbox on the way down.
 #[test]
 fn binary_shutdown_answers_then_stops() {
-    let handle = start();
+    let handle = Server::start(ServerConfig::default()).unwrap();
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
     binary.set_timeout(Some(Duration::from_secs(5))).unwrap();
     assert_eq!(binary.request("SHUTDOWN").unwrap(), "OK bye");
@@ -366,7 +305,7 @@ fn binary_shutdown_answers_then_stops() {
 /// sub-queries fail and a replication verb the server cannot serve.
 #[test]
 fn every_front_end_counts_one_error_per_failing_request() {
-    let handle = start();
+    let handle = Server::start(ServerConfig::default()).unwrap();
     let metrics = Arc::clone(handle.metrics());
     let errors = |command: Command| {
         metrics
@@ -394,7 +333,7 @@ fn every_front_end_counts_one_error_per_failing_request() {
     assert_eq!(errors(Command::MQuery), before + 1, "MQUERY on a missing document");
 
     let before = errors(Command::ReplTail);
-    let tail = WireRequest::ReplTail { generation: 1, offset: 0, max_bytes: 4096 };
+    let tail = Request::ReplTail { generation: 1, offset: 0, max_bytes: 4096 };
     match &binary.pipeline(&[tail]).unwrap()[0] {
         WireResponse::Line(line) => assert!(line.starts_with("ERR "), "{line}"),
         other => panic!("REPL TAIL without durability answered {other:?}"),
@@ -407,14 +346,14 @@ fn every_front_end_counts_one_error_per_failing_request() {
 /// be replayed as a request: the engine shows as its `QUERY` keyword.
 #[test]
 fn binary_slowlog_line_replays_as_a_request() {
-    let handle = start();
-    let doc = load_corpus(&handle);
+    let handle = Server::start(ServerConfig::default()).unwrap();
+    let doc = load_xml(&mut Client::connect(handle.addr()).unwrap(), CORPUS_XML);
     assert_eq!(doc, 1);
     let mut text = Client::connect(handle.addr()).unwrap();
     assert!(text.request("TRACE 0").unwrap().contains("trace=on"));
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
     binary.set_timeout(Some(Duration::from_secs(5))).unwrap();
-    let query = WireRequest::Query { doc, engine: Engine::Tree, xpath: "//b".into() };
+    let query = Request::Query { doc, engine: Engine::Tree, xpath: "//b".into() };
     match &binary.pipeline(&[query]).unwrap()[0] {
         WireResponse::Line(line) => assert!(line.starts_with("OK "), "{line}"),
         other => panic!("QUERY answered {other:?}"),

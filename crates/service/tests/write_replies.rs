@@ -9,6 +9,7 @@ use ruid_core::Ruid2;
 use ruid_service::proto;
 use ruid_service::{BinaryClient, Client, FsyncPolicy, Server, ServerConfig, ServerHandle};
 use schemes::NumberingScheme;
+use testkit::Scratch;
 
 /// The replies [`run_script`] draws, in order; `<dir>` stands for the
 /// scratch directory.
@@ -31,14 +32,6 @@ const REPLIES: &[&str] = &[
     "OK unloaded 2",
     "ERR no document 2",
 ];
-
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("ruid-write-replies-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// `g l r` of the first element named `name` in document order, or of the
 /// first text node when `name` is empty.
@@ -114,7 +107,7 @@ fn run_script(handle: &ServerHandle, dir: &Path, send: &mut dyn FnMut(&str) -> S
 #[test]
 fn write_replies_match_the_recorded_fixtures_over_both_front_ends() {
     for binary in [false, true] {
-        let dir = scratch(if binary { "binary" } else { "text" });
+        let dir = Scratch::new(if binary { "binary" } else { "text" });
         let config = ServerConfig {
             data_dir: Some(dir.join("data")),
             fsync: FsyncPolicy::Never,

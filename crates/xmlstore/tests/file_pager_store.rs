@@ -5,20 +5,14 @@
 
 use ruid_core::{PartitionConfig, Ruid2Scheme};
 use schemes::NumberingScheme;
+use testkit::Scratch;
 use xmlgen::xmark::{generate, XmarkConfig};
 use xmlstore::record::StoredNode;
 use xmlstore::{fragment_from_rows, FilePager, Pager, XmlStore, PAGE_SIZE};
 
-fn test_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("xmlstore-it-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn xmark_round_trip_over_file_pager() {
-    let dir = test_dir("round_trip");
+    let dir = Scratch::new("round_trip");
     let doc = generate(&XmarkConfig::scaled_to(800, 42));
     let scheme = Ruid2Scheme::build(&doc, &PartitionConfig::by_depth(3));
 
@@ -50,7 +44,7 @@ fn xmark_round_trip_over_file_pager() {
 
 #[test]
 fn reopened_file_pager_serves_the_same_pages() {
-    let dir = test_dir("reopen");
+    let dir = Scratch::new("reopen");
     let doc = generate(&XmarkConfig::scaled_to(200, 7));
     let scheme = Ruid2Scheme::build(&doc, &PartitionConfig::by_depth(2));
     let (heap_pages, index_pages);
@@ -74,7 +68,7 @@ fn reopened_file_pager_serves_the_same_pages() {
 
 #[test]
 fn torn_tail_is_reported_on_open() {
-    let dir = test_dir("torn");
+    let dir = Scratch::new("torn");
     let doc = generate(&XmarkConfig::scaled_to(120, 3));
     let scheme = Ruid2Scheme::build(&doc, &PartitionConfig::by_depth(2));
     {

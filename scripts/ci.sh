@@ -80,6 +80,17 @@ if awk '
     exit 1
 fi
 
+# One testkit: the integration suites take their tree shapes, scratch
+# directories, waits and server fixtures from crates/testkit, and write
+# nothing into the system temp dir (the kit's scratch directories live
+# under target/ and go when their test passes). A suite that defines its
+# own copy again, or reaches for temp_dir(), is the drift the kit removed.
+if grep -nE 'fn (scratch|test_dir|wait_until|wait_for|trees|forests)\(|temp_dir\(' \
+    tests/*.rs crates/*/tests/*.rs; then
+    echo "ci: a test suite defines a testkit helper or writes into the system temp dir" >&2
+    exit 1
+fi
+
 # The scoreboard is a workspace of its own that calls deep into the
 # service's public API: build it, run its unit and smoke tests, and run
 # all four workloads at smoke scale (every answer checked against its

@@ -16,30 +16,7 @@ use ruid::{
     AncestryScheme, ContainmentScheme, DeweyScheme, IntervalScheme, PartitionConfig as Pc,
     PrePostScheme, UidScheme,
 };
-
-/// All forests (ordered sequences of subtrees) with exactly `m` nodes,
-/// rendered as concatenated XML fragments.
-fn forests(m: usize) -> Vec<String> {
-    if m == 0 {
-        return vec![String::new()];
-    }
-    let mut out = Vec::new();
-    // First subtree takes k nodes, the remaining forest takes m - k.
-    for k in 1..=m {
-        for first in trees(k) {
-            for rest in forests(m - k) {
-                out.push(format!("{first}{rest}"));
-            }
-        }
-    }
-    out
-}
-
-/// All ordered rooted trees with exactly `n` nodes, as XML strings.
-fn trees(n: usize) -> Vec<String> {
-    assert!(n >= 1);
-    forests(n - 1).into_iter().map(|f| format!("<n>{f}</n>")).collect()
-}
+use testkit::{trees, Tags};
 
 /// DOM ground truth for one document, precomputed once.
 struct GroundTruth {
@@ -259,22 +236,6 @@ fn check_all_schemes(doc: &Document) {
     }
 }
 
-/// The enumeration itself is part of the contract: tree counts must follow
-/// the Catalan numbers, so nothing is silently skipped.
-#[test]
-fn enumeration_matches_catalan_numbers() {
-    let expected = [1usize, 1, 2, 5, 14, 42, 132];
-    for (n, &count) in (1..=7).zip(expected.iter()) {
-        let shapes = trees(n);
-        assert_eq!(shapes.len(), count, "ordered trees with {n} nodes");
-        // No duplicates: every rendered shape is distinct.
-        let mut unique = shapes.clone();
-        unique.sort();
-        unique.dedup();
-        assert_eq!(unique.len(), count, "duplicate shapes at n = {n}");
-    }
-}
-
 /// The precomputed order keys agree with every document-order oracle on
 /// every tree shape: `rank(a) < rank(b)` ⟺ `cmp_doc_order(a, b) == Less`,
 /// for the DOM walk, UID and rUID label arithmetic alike. This is the
@@ -286,7 +247,7 @@ fn order_keys_agree_with_every_oracle_on_every_small_tree() {
         AxisProvider, DocOrder, NameIndex, NameIndexed, RuidAxes, SpanAxes, TreeAxes, UidAxes,
     };
     for n in 1..=7 {
-        for xml in trees(n) {
+        for xml in trees(n, Tags::Plain) {
             let doc = Document::parse(&xml).unwrap();
             let order = DocOrder::build(&doc);
             let uid = UidScheme::build(&doc);
@@ -329,7 +290,7 @@ fn order_keys_agree_with_every_oracle_on_every_small_tree() {
 fn all_schemes_agree_on_every_small_tree() {
     let mut total = 0usize;
     for n in 1..=7 {
-        for xml in trees(n) {
+        for xml in trees(n, Tags::Plain) {
             let doc = Document::parse(&xml)
                 .unwrap_or_else(|e| panic!("generated XML {xml} must parse: {e}"));
             assert_eq!(doc.descendants(doc.root_element().unwrap()).count(), n);

@@ -21,64 +21,7 @@ use ruid::{
     planned_query, xmark, AncestryScheme, DocOrder, IntervalScheme, NameIndex, NameIndexed,
     NodeId, PartitionConfig as Pc, PathSummary, SpanAxes, SplitMix64, UidScheme,
 };
-
-/// All forests (ordered sequences of subtrees) with exactly `m` nodes
-/// rooted at `depth`, rendered as concatenated XML fragments. Tags cycle
-/// `a`/`b`/`c` by depth so distinct depths become distinct summary paths.
-fn forests(m: usize, depth: usize) -> Vec<String> {
-    if m == 0 {
-        return vec![String::new()];
-    }
-    let mut out = Vec::new();
-    for k in 1..=m {
-        for first in trees(k, depth) {
-            for rest in forests(m - k, depth) {
-                out.push(format!("{first}{rest}"));
-            }
-        }
-    }
-    out
-}
-
-/// All ordered rooted trees with exactly `n` nodes whose root sits at
-/// `depth`, as XML strings.
-fn trees(n: usize, depth: usize) -> Vec<String> {
-    assert!(n >= 1);
-    let tag = ["a", "b", "c"][depth % 3];
-    forests(n - 1, depth + 1)
-        .into_iter()
-        .map(|f| format!("<{tag}>{f}</{tag}>"))
-        .collect()
-}
-
-/// Queries whose steps exercise every planner path on the small trees:
-/// pure scans, `//` collapse, child joins after predicates, containment
-/// joins, positional predicates (never planned), and unplannable suffixes.
-const SMALL_TREE_QUERIES: &[&str] = &[
-    "/a",
-    "/a/b",
-    "/a/b/c",
-    "//b",
-    "//c",
-    "//b/c",
-    "//b//a",
-    "/a//c",
-    "//*",
-    "/a/*",
-    "//b/*",
-    "/a/b[c]",
-    "//b[c]/c",
-    "//b[c]//a",
-    "//b[not(c)]",
-    "//b[c][a]",
-    "//b[1]",
-    "//b[last()]",
-    "//b[c][1]",
-    "//b/c/..",
-    "//c/parent::b",
-    "//b[count(c) >= 1]",
-    "//a[b or c]",
-];
+use testkit::{shapes, trees, Tags, ABC_QUERIES};
 
 /// Runs one query through the planner and through every engine, asserting
 /// byte-identical (node-for-node) answers with the plain tree walk as the
@@ -173,26 +116,16 @@ fn assert_planner_agrees(doc: &Document, xml: &str, queries: &[&str]) {
     );
 }
 
-/// The depth-cycled enumeration still follows the Catalan numbers, so the
-/// sweep below covers every shape.
-#[test]
-fn tagged_enumeration_matches_catalan_numbers() {
-    let expected = [1usize, 1, 2, 5, 14, 42, 132];
-    for (n, &count) in (1..=7).zip(expected.iter()) {
-        assert_eq!(trees(n, 0).len(), count, "ordered trees with {n} nodes");
-    }
-}
-
 /// Planned execution equals every engine on all 197 tree shapes × the
 /// query corpus.
 #[test]
 fn planner_agrees_with_every_engine_on_every_small_tree() {
     let mut total = 0usize;
     for n in 1..=7 {
-        for xml in trees(n, 0) {
+        for xml in trees(n, Tags::ByDepth) {
             let doc = Document::parse(&xml)
                 .unwrap_or_else(|e| panic!("generated XML {xml} must parse: {e}"));
-            assert_planner_agrees(&doc, &xml, SMALL_TREE_QUERIES);
+            assert_planner_agrees(&doc, &xml, ABC_QUERIES);
             total += 1;
         }
     }
@@ -241,7 +174,7 @@ fn updates_preserve_engine_agreement_on_every_small_tree() {
     let mut shape = 0usize;
     let mut deletes = 0usize;
     for n in 1..=7 {
-        for xml in trees(n, 0) {
+        for xml in trees(n, Tags::ByDepth) {
             let mut doc = Document::parse(&xml)
                 .unwrap_or_else(|e| panic!("generated XML {xml} must parse: {e}"));
             let mut scheme = Ruid2Scheme::build(&doc, &Pc::by_depth(2));
@@ -282,7 +215,7 @@ fn updates_preserve_engine_agreement_on_every_small_tree() {
             let ctx = format!("shape #{shape} seed {SEED:#x} after insert (from {xml})");
             assert_span_schemes_match_rebuild(&doc, &interval, &ancestry, &ctx);
             assert_engines_agree(
-                &doc, &summary, &scheme, &interval, &ancestry, &ctx, SMALL_TREE_QUERIES,
+                &doc, &summary, &scheme, &interval, &ancestry, &ctx, ABC_QUERIES,
             );
 
             // Seeded delete of a random non-root subtree, when one exists.
@@ -316,7 +249,7 @@ fn updates_preserve_engine_agreement_on_every_small_tree() {
                     format!("shape #{shape} seed {SEED:#x} after insert+delete (from {xml})");
                 assert_span_schemes_match_rebuild(&doc, &interval, &ancestry, &ctx);
                 assert_engines_agree(
-                    &doc, &summary, &scheme, &interval, &ancestry, &ctx, SMALL_TREE_QUERIES,
+                    &doc, &summary, &scheme, &interval, &ancestry, &ctx, ABC_QUERIES,
                 );
                 deletes += 1;
             }
@@ -437,7 +370,7 @@ fn spliced_span_table_equals_a_rebuild_after_every_edit() {
     let mut mode_flips = 0usize;
     let mut shape = 0usize;
     for n in 1..=7 {
-        for xml in trees(n, 0) {
+        for xml in trees(n, Tags::ByDepth) {
             let mut doc = Document::parse(&xml).expect("generated XML parses");
             let mut spans = SplicedSpans::build(&doc);
             let mut rng = SplitMix64::seed_from_u64(SEED ^ shape as u64);
@@ -620,7 +553,7 @@ fn borrowed_string_value_equals_the_built_one() {
     let mixed = "<a>t<b>u<!--c-->v</b><c/><d>w</d><?p q?><e><f>x</f>y</e>\
                  <g><![CDATA[z]]>z</g><h><!--only--></h></a>";
     let corpus =
-        (1..=7).flat_map(|n| trees(n, 0)).chain([mixed.to_string(), VALUE_DOC.to_string()]);
+        shapes(Tags::ByDepth).chain([mixed.to_string(), VALUE_DOC.to_string()]);
     let mut lent = 0usize;
     for xml in corpus {
         let doc = Document::parse(&xml).unwrap();
