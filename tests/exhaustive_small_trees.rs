@@ -236,6 +236,22 @@ fn check_all_schemes(doc: &Document) {
     }
 }
 
+/// The enumeration itself is part of the contract: tree counts must follow
+/// the Catalan numbers, so nothing is silently skipped.
+#[test]
+fn enumeration_matches_catalan_numbers() {
+    let expected = [1usize, 1, 2, 5, 14, 42, 132];
+    for (n, &count) in (1..=7).zip(expected.iter()) {
+        let shapes = trees(n, Tags::Plain);
+        assert_eq!(shapes.len(), count, "ordered trees with {n} nodes");
+        // No duplicates: every rendered shape is distinct.
+        let mut unique = shapes.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), count, "duplicate shapes at n = {n}");
+    }
+}
+
 /// The precomputed order keys agree with every document-order oracle on
 /// every tree shape: `rank(a) < rank(b)` ⟺ `cmp_doc_order(a, b) == Less`,
 /// for the DOM walk, UID and rUID label arithmetic alike. This is the

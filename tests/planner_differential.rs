@@ -116,6 +116,16 @@ fn assert_planner_agrees(doc: &Document, xml: &str, queries: &[&str]) {
     );
 }
 
+/// The depth-cycled enumeration still follows the Catalan numbers, so the
+/// sweep below covers every shape.
+#[test]
+fn tagged_enumeration_matches_catalan_numbers() {
+    let expected = [1usize, 1, 2, 5, 14, 42, 132];
+    for (n, &count) in (1..=7).zip(expected.iter()) {
+        assert_eq!(trees(n, Tags::ByDepth).len(), count, "ordered trees with {n} nodes");
+    }
+}
+
 /// Planned execution equals every engine on all 197 tree shapes × the
 /// query corpus.
 #[test]
