@@ -29,7 +29,6 @@ pub const USAGE: &str = "usage:
   ruid-xml parent <file.xml> <global> <local> <true|false>
   ruid-xml serve  [<file.xml>...] [--addr 127.0.0.1:PORT] [--threads N] [--depth D]
                   [--queue-cap N] [--max-line-bytes N] [--read-timeout-ms MS]
-                  [--mux-workers N]
                   [--data-dir DIR] [--fsync always|never|every=<n>]
                   [--metrics-addr 127.0.0.1:PORT]
                   [--follow LEADER_ADDR] [--repl-poll-ms MS]
@@ -222,9 +221,6 @@ pub fn serve_start(args: &[String]) -> Result<ServerHandle, String> {
     if let Some(threads) = option(args, "--threads") {
         config.threads =
             threads.parse().map_err(|e: std::num::ParseIntError| e.to_string())?;
-        // One knob for both budgets: serving concurrency and build fan-out
-        // (`--threads 1` forces the fully sequential path end to end).
-        config.build_threads = config.threads;
     }
     if let Some(depth) = option(args, "--depth") {
         config.depth =
@@ -233,10 +229,6 @@ pub fn serve_start(args: &[String]) -> Result<ServerHandle, String> {
     if let Some(cap) = option(args, "--queue-cap") {
         config.queue_cap =
             cap.parse().map_err(|e: std::num::ParseIntError| e.to_string())?;
-    }
-    if let Some(workers) = option(args, "--mux-workers") {
-        config.mux_workers =
-            workers.parse().map_err(|e: std::num::ParseIntError| e.to_string())?;
     }
     if let Some(bytes) = option(args, "--max-line-bytes") {
         config.max_line_bytes =

@@ -30,7 +30,8 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
 
 // ---------------------------------------------------------------- writer
 
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
+/// Appends one byte.
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
@@ -38,11 +39,13 @@ pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian u32.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Appends a little-endian u64.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -54,14 +57,16 @@ pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
 
 // ---------------------------------------------------------------- reader
 
-/// A bounds-checked cursor over a byte slice.
-pub(crate) struct Reader<'a> {
+/// A bounds-checked cursor over a byte slice. `what` names the field
+/// being read in the error of a read that runs past the end.
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
@@ -73,7 +78,8 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
-    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
         match self.bytes.get(self.pos..self.pos.saturating_add(n)) {
             Some(slice) => {
                 self.pos += n;
@@ -86,7 +92,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, CodecError> {
+    /// The next byte.
+    pub fn u8(&mut self, what: &str) -> Result<u8, CodecError> {
         Ok(self.take(1, what)?[0])
     }
 
@@ -94,11 +101,13 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("2 bytes")))
     }
 
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
+    /// The next little-endian u32.
+    pub fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
     }
 
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
+    /// The next little-endian u64.
+    pub fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
     }
 
@@ -116,7 +125,8 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(bytes).map_err(|_| CodecError(format!("{what}: invalid utf-8")))
     }
 
-    pub(crate) fn expect_end(&self, what: &str) -> Result<(), CodecError> {
+    /// `Ok` once every byte was read.
+    pub fn expect_end(&self, what: &str) -> Result<(), CodecError> {
         if self.is_empty() {
             Ok(())
         } else {

@@ -55,12 +55,45 @@ pub use wal::{
     WalOp, WalReadResult, WalWriter,
 };
 
-/// A scratch directory for this crate's tests, unique per test name and
-/// process, wiped on entry.
+/// A directory for one unit test under `<target>/tmp`, removed when the
+/// test passes and kept to inspect when it panics. Unit tests cannot link
+/// the `testkit` crate, whose `Scratch` this mirrors.
 #[cfg(test)]
-pub(crate) fn test_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("durable-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create test dir");
-    dir
+pub(crate) struct Scratch(std::path::PathBuf);
+
+#[cfg(test)]
+impl Scratch {
+    pub(crate) fn new(name: &str) -> Scratch {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // The test binary is `<target>/<profile>/deps/<crate>-<hash>`.
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let target = exe.ancestors().nth(3).expect("a binary under the target directory");
+        let dir = target.join("tmp").join(format!(
+            "{}-{name}-{}-{n}",
+            env!("CARGO_PKG_NAME"),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create a scratch dir");
+        Scratch(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for Scratch {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }

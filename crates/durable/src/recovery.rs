@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_dir_recovers_empty_catalog() {
-        let dir = crate::test_dir("rec_empty");
+        let dir = crate::Scratch::new("rec_empty");
         let r = recover(&dir).unwrap();
         assert!(r.docs.is_empty());
         assert_eq!(r.next_doc_id, 1);
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn wal_only_recovery_replays_everything() {
-        let dir = crate::test_dir("rec_wal_only");
+        let dir = crate::Scratch::new("rec_wal_only");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         w.append(&load_op(1, "<a><b/><c>t</c></a>")).unwrap();
         w.append(&load_op(2, "<x><y/></x>")).unwrap();
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn snapshot_plus_tail_wal_recovery() {
-        let dir = crate::test_dir("rec_snap_tail");
+        let dir = crate::Scratch::new("rec_snap_tail");
         // Generation 0: two loads.
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         w.append(&load_op(1, "<a><b/></a>")).unwrap();
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_snapshot_falls_back_across_generations() {
-        let dir = crate::test_dir("rec_fallback");
+        let dir = crate::Scratch::new("rec_fallback");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         w.append(&load_op(1, "<a><b/><c/></a>")).unwrap();
         let r0 = recover(&dir).unwrap();
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn orphaned_segment_is_never_applied() {
-        let dir = crate::test_dir("rec_orphan");
+        let dir = crate::Scratch::new("rec_orphan");
         // wal-3 exists with no snapshot-3 and no chain below it.
         let mut w = WalWriter::create(&dir, 3, FsyncPolicy::Always).unwrap();
         w.append(&load_op(9, "<a/>")).unwrap();
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn quarantined_doc_mutations_do_not_resurrect_it() {
-        let dir = crate::test_dir("rec_quarantine_mut");
+        let dir = crate::Scratch::new("rec_quarantine_mut");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         // An unparseable load (simulates a doc quarantined at replay).
         w.append(&load_op(5, "<broken")).unwrap();
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn insert_under_a_text_node_quarantines_on_replay() {
         use schemes::NumberingScheme;
-        let dir = crate::test_dir("rec_insert_under_text");
+        let dir = crate::Scratch::new("rec_insert_under_text");
         let xml = "<a>t<b/></a>";
         let mut state =
             DocState::build(1, "doc1.xml".into(), xml, PartitionConfig::by_depth(2), false)

@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_whole_catalog() {
-        let dir = crate::test_dir("snap_round_trip");
+        let dir = crate::Scratch::new("snap_round_trip");
         let states = [sample_state(1), sample_state(2), sample_state(7)];
         let views: Vec<DocView<'_>> = states.iter().map(DocState::view).collect();
         let path = write_snapshot(&dir, 3, &views).unwrap();
@@ -559,7 +559,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_detected_or_harmless() {
-        let dir = crate::test_dir("snap_flip");
+        let dir = crate::Scratch::new("snap_flip");
         let states = [sample_state(1), sample_state(2)];
         let views: Vec<DocView<'_>> = states.iter().map(DocState::view).collect();
         let path = write_snapshot(&dir, 0, &views).unwrap();
@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn quarantine_is_per_document() {
-        let dir = crate::test_dir("snap_quarantine");
+        let dir = crate::Scratch::new("snap_quarantine");
         let states = [sample_state(1), sample_state(2), sample_state(3)];
         let views: Vec<DocView<'_>> = states.iter().map(DocState::view).collect();
         let path = write_snapshot(&dir, 0, &views).unwrap();
@@ -675,7 +675,7 @@ mod tests {
             ("listed_twice", listed_twice, Some("listed twice")),
             ("unlabelled", unlabelled, Some("has no label")),
         ] {
-            let dir = crate::test_dir(&format!("snap_labels_{name}"));
+            let dir = crate::Scratch::new(&format!("snap_labels_{name}"));
             let bodies = [
                 (1, encode_doc_body(&states[0].view())),
                 (2, with_labels_rewritten(&encode_doc_body(&states[1].view()), edit)),
@@ -703,7 +703,7 @@ mod tests {
 
     #[test]
     fn torn_snapshot_write_leaves_no_snap_file() {
-        let dir = crate::test_dir("snap_torn");
+        let dir = crate::Scratch::new("snap_torn");
         let state = sample_state(1);
         let err = write_snapshot_with(
             &dir,

@@ -655,7 +655,7 @@ mod tests {
 
     #[test]
     fn append_then_read_round_trips() {
-        let dir = crate::test_dir("wal_round_trip");
+        let dir = crate::Scratch::new("wal_round_trip");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         for op in &sample_ops() {
             w.append(op).unwrap();
@@ -671,7 +671,7 @@ mod tests {
 
     #[test]
     fn missing_segment_reads_empty() {
-        let dir = crate::test_dir("wal_missing");
+        let dir = crate::Scratch::new("wal_missing");
         let r = read_wal(&dir.join(wal_file_name(0)), &IoFaultPlan::new()).unwrap();
         assert!(r.ops.is_empty());
         assert_eq!((r.valid_bytes, r.torn_bytes, r.next_seq), (0, 0, 0));
@@ -679,7 +679,7 @@ mod tests {
 
     #[test]
     fn every_truncation_yields_a_record_prefix() {
-        let dir = crate::test_dir("wal_truncate");
+        let dir = crate::Scratch::new("wal_truncate");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Never).unwrap();
         let ops = sample_ops();
         let mut boundaries = vec![0u64];
@@ -708,7 +708,7 @@ mod tests {
 
     #[test]
     fn corrupt_byte_stops_replay_at_that_record() {
-        let dir = crate::test_dir("wal_corrupt");
+        let dir = crate::Scratch::new("wal_corrupt");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Never).unwrap();
         let ops = sample_ops();
         let mut boundaries = vec![0u64];
@@ -735,7 +735,7 @@ mod tests {
 
     #[test]
     fn resume_truncates_torn_tail_and_continues() {
-        let dir = crate::test_dir("wal_resume");
+        let dir = crate::Scratch::new("wal_resume");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         let ops = sample_ops();
         w.append(&ops[0]).unwrap();
@@ -765,7 +765,7 @@ mod tests {
 
     #[test]
     fn injected_faults_behave_as_documented() {
-        let dir = crate::test_dir("wal_faults");
+        let dir = crate::Scratch::new("wal_faults");
         // Torn write: prefix persisted, call errors, reader sees old state.
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         let ops = sample_ops();
@@ -861,7 +861,7 @@ mod tests {
     /// and ends in the same status.
     #[test]
     fn stream_and_file_decoding_agree_on_every_cut_and_corruption() {
-        let dir = crate::test_dir("wal_one_decoder");
+        let dir = crate::Scratch::new("wal_one_decoder");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Never).unwrap();
         for op in &sample_ops() {
             w.append(op).unwrap();
@@ -918,7 +918,7 @@ mod tests {
 
     #[test]
     fn read_segment_clamps_and_errors_on_missing() {
-        let dir = crate::test_dir("wal_read_segment");
+        let dir = crate::Scratch::new("wal_read_segment");
         let mut w = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         for op in &sample_ops() {
             w.append(op).unwrap();
@@ -936,7 +936,7 @@ mod tests {
 
     #[test]
     fn fsync_policy_counts() {
-        let dir = crate::test_dir("wal_policy");
+        let dir = crate::Scratch::new("wal_policy");
         let ops = sample_ops();
         let mut always = WalWriter::create(&dir, 0, FsyncPolicy::Always).unwrap();
         let mut every2 = WalWriter::create(&dir, 1, FsyncPolicy::EveryN(2)).unwrap();

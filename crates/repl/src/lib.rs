@@ -26,6 +26,7 @@
 
 use std::time::Duration;
 
+use durable::codec::{put_u32, put_u64, put_u8, CodecError, Reader};
 use durable::{RecordStream, StreamStatus, WalOp};
 use xmlgen::SplitMix64;
 
@@ -33,55 +34,6 @@ use xmlgen::SplitMix64;
 /// to decode absurd length prefixes. A `TailChunk` claiming more is
 /// corruption, not data.
 pub const MAX_CHUNK_BYTES: u32 = 1 << 26;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        match self.bytes.get(self.pos..self.pos.saturating_add(n)) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => Err(format!("truncated {what}")),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn expect_end(&self, what: &str) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!("{what}: trailing bytes"))
-        }
-    }
-}
 
 /// The leader's answer to `REPL HELLO`: where its log currently stands
 /// and which snapshot (if any) a bootstrap should start from.
@@ -104,24 +56,23 @@ impl HelloInfo {
         let mut out = Vec::with_capacity(25);
         put_u64(&mut out, self.generation);
         put_u64(&mut out, self.next_seq);
-        out.push(u8::from(self.snapshot.is_some()));
+        put_u8(&mut out, u8::from(self.snapshot.is_some()));
         put_u64(&mut out, self.snapshot.unwrap_or(0));
         out
     }
 
     /// Decodes a wire payload.
     pub fn decode(bytes: &[u8]) -> Result<HelloInfo, String> {
-        let mut c = Cursor::new(bytes);
-        let generation = c.u64("hello generation")?;
-        let next_seq = c.u64("hello next_seq")?;
-        let has_snapshot = c.u8("hello snapshot flag")? != 0;
-        let snapshot_gen = c.u64("hello snapshot generation")?;
-        c.expect_end("hello payload")?;
-        Ok(HelloInfo {
-            generation,
-            next_seq,
-            snapshot: has_snapshot.then_some(snapshot_gen),
-        })
+        let read = || -> Result<HelloInfo, CodecError> {
+            let mut r = Reader::new(bytes);
+            let generation = r.u64("hello generation")?;
+            let next_seq = r.u64("hello next_seq")?;
+            let has_snapshot = r.u8("hello snapshot flag")? != 0;
+            let snapshot_gen = r.u64("hello snapshot generation")?;
+            r.expect_end("hello payload")?;
+            Ok(HelloInfo { generation, next_seq, snapshot: has_snapshot.then_some(snapshot_gen) })
+        };
+        read().map_err(|e| e.0)
     }
 }
 
@@ -155,7 +106,7 @@ impl TailChunk {
         put_u64(&mut out, self.segment);
         put_u64(&mut out, self.start_offset);
         put_u64(&mut out, self.segment_len);
-        out.push(u8::from(self.sealed));
+        put_u8(&mut out, u8::from(self.sealed));
         put_u64(&mut out, self.leader_generation);
         put_u64(&mut out, self.leader_seq);
         put_u32(&mut out, u32::try_from(self.data.len()).expect("chunk exceeds u32"));
@@ -166,28 +117,31 @@ impl TailChunk {
     /// Decodes a wire payload, refusing implausible data lengths before
     /// any allocation.
     pub fn decode(bytes: &[u8]) -> Result<TailChunk, String> {
-        let mut c = Cursor::new(bytes);
-        let segment = c.u64("tail segment")?;
-        let start_offset = c.u64("tail start offset")?;
-        let segment_len = c.u64("tail segment len")?;
-        let sealed = c.u8("tail sealed flag")? != 0;
-        let leader_generation = c.u64("tail leader generation")?;
-        let leader_seq = c.u64("tail leader seq")?;
-        let data_len = c.u32("tail data len")?;
-        if data_len > MAX_CHUNK_BYTES {
-            return Err(format!("implausible tail chunk length {data_len}"));
-        }
-        let data = c.take(data_len as usize, "tail data")?.to_vec();
-        c.expect_end("tail payload")?;
-        Ok(TailChunk {
-            segment,
-            start_offset,
-            segment_len,
-            sealed,
-            leader_generation,
-            leader_seq,
-            data,
-        })
+        let read = || -> Result<TailChunk, CodecError> {
+            let mut r = Reader::new(bytes);
+            let segment = r.u64("tail segment")?;
+            let start_offset = r.u64("tail start offset")?;
+            let segment_len = r.u64("tail segment len")?;
+            let sealed = r.u8("tail sealed flag")? != 0;
+            let leader_generation = r.u64("tail leader generation")?;
+            let leader_seq = r.u64("tail leader seq")?;
+            let data_len = r.u32("tail data len")?;
+            if data_len > MAX_CHUNK_BYTES {
+                return Err(CodecError(format!("implausible tail chunk length {data_len}")));
+            }
+            let data = r.take(data_len as usize, "tail data")?.to_vec();
+            r.expect_end("tail payload")?;
+            Ok(TailChunk {
+                segment,
+                start_offset,
+                segment_len,
+                sealed,
+                leader_generation,
+                leader_seq,
+                data,
+            })
+        };
+        read().map_err(|e| e.0)
     }
 }
 

@@ -11,57 +11,19 @@
 //! abrupt EOF. That is how the chaos tests drive the server's deadlines
 //! and framing limits from the outside.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
-
-use repl::Backoff;
 
 use crate::fault::{Fault, FaultPlan};
 use crate::proto::{Engine, Request};
 use crate::wire::{self, Decoded, ResponseFrame, WireResponse};
 
-/// Process-wide retry counter across every in-process [`Client`]:
-/// reconnects after a refused connect plus `BUSY` resends. Surfaced as
-/// `ruid_client_retries_total` in the Prometheus exposition.
-static CLIENT_RETRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Total retries in-process clients have performed (see
-/// [`RetryPolicy`]).
-pub fn client_retries_total() -> u64 {
-    CLIENT_RETRIES.load(Ordering::Relaxed)
-}
-
-/// Bounded exponential backoff with jitter for the client retry
-/// helpers. `BUSY` and a refused connect are the *retryable* outcomes:
-/// both mean "nothing was executed, try again later".
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts (the first try included); at least 1.
-    pub max_attempts: u32,
-    /// First delay, in milliseconds.
-    pub base_ms: u64,
-    /// Delay cap, in milliseconds.
-    pub max_ms: u64,
-    /// Jitter seed — fix it for reproducible test schedules.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 5, base_ms: 20, max_ms: 500, seed: 0x5eed }
-    }
-}
-
 /// One connection to a running service.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Peer address, kept so the retry helper can reconnect after the
-    /// server shed this connection.
-    addr: Option<SocketAddr>,
     plan: Option<Arc<FaultPlan>>,
     sent: u64,
 }
@@ -71,36 +33,8 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let addr = stream.peer_addr().ok();
         let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer, addr, plan: None, sent: 0 })
-    }
-
-    /// Connects with bounded exponential backoff + jitter on a refused
-    /// connection (the server not up yet, or restarting). Every retry
-    /// bumps the process-wide [`client_retries_total`] counter; any
-    /// other error is returned immediately.
-    pub fn connect_with_retry<A: ToSocketAddrs>(
-        addr: A,
-        policy: RetryPolicy,
-    ) -> std::io::Result<Client> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let mut backoff = Backoff::new(policy.base_ms, policy.max_ms, policy.seed);
-        let mut attempt = 0u32;
-        loop {
-            match Client::connect(&addrs[..]) {
-                Ok(client) => return Ok(client),
-                Err(e)
-                    if e.kind() == ErrorKind::ConnectionRefused
-                        && attempt + 1 < policy.max_attempts.max(1) =>
-                {
-                    attempt += 1;
-                    CLIENT_RETRIES.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(backoff.next_delay());
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        Ok(Client { reader: BufReader::new(stream), writer, plan: None, sent: 0 })
     }
 
     /// Connects with a fault plan: each [`Client::request`] consumes one
@@ -189,55 +123,6 @@ impl Client {
             ));
         }
         Ok(response.trim_end_matches(['\r', '\n']).to_owned())
-    }
-
-    /// [`Client::request`] with bounded retries on `BUSY` (load-shed or
-    /// forced — nothing was executed) and on a dead connection, with
-    /// exponential backoff + jitter between attempts. A shed `BUSY`
-    /// closes the connection, so a failed resend reconnects to the
-    /// original peer address first. Retries are counted in
-    /// [`client_retries_total`]; the last outcome is returned when the
-    /// attempt budget runs out.
-    pub fn request_with_retry(
-        &mut self,
-        line: &str,
-        policy: RetryPolicy,
-    ) -> std::io::Result<String> {
-        let mut backoff = Backoff::new(policy.base_ms, policy.max_ms, policy.seed);
-        let mut attempt = 0u32;
-        loop {
-            let result = self.request(line);
-            let (retryable, reconnect) = match &result {
-                Ok(response) => (response == "BUSY", false),
-                Err(e) => (
-                    matches!(
-                        e.kind(),
-                        ErrorKind::UnexpectedEof
-                            | ErrorKind::ConnectionReset
-                            | ErrorKind::ConnectionRefused
-                            | ErrorKind::ConnectionAborted
-                            | ErrorKind::BrokenPipe
-                    ) && self.plan.is_none(),
-                    true,
-                ),
-            };
-            if !retryable || attempt + 1 >= policy.max_attempts.max(1) {
-                return result;
-            }
-            attempt += 1;
-            CLIENT_RETRIES.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(backoff.next_delay());
-            if reconnect {
-                let Some(addr) = self.addr else { return result };
-                match Client::connect(addr) {
-                    Ok(fresh) => {
-                        self.reader = fresh.reader;
-                        self.writer = fresh.writer;
-                    }
-                    Err(_) => continue, // next attempt retries the connect
-                }
-            }
-        }
     }
 }
 

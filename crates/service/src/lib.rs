@@ -170,7 +170,7 @@ mod trace;
 pub mod wire;
 
 pub use catalog::{Catalog, DocId, LoadedDoc};
-pub use client::{client_retries_total, BinaryClient, Client, RetryPolicy};
+pub use client::{BinaryClient, Client};
 // Durability building blocks, re-exported so embedders configure the
 // server without naming the `durable` crate directly.
 pub use durable::{FsyncPolicy, WalOp};
@@ -192,4 +192,47 @@ pub use server::{run_query, Server, ServerConfig, ServerHandle};
 /// one exception (`persist.rs`): poisoned, it refuses every further write.
 pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+/// A directory for one unit test under `<target>/tmp`, removed when the
+/// test passes and kept to inspect when it panics. Unit tests cannot link
+/// the `testkit` crate, whose `Scratch` this mirrors.
+pub(crate) struct Scratch(std::path::PathBuf);
+
+#[cfg(test)]
+impl Scratch {
+    pub(crate) fn new(name: &str) -> Scratch {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // The test binary is `<target>/<profile>/deps/<crate>-<hash>`.
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let target = exe.ancestors().nth(3).expect("a binary under the target directory");
+        let dir = target.join("tmp").join(format!(
+            "{}-{name}-{}-{n}",
+            env!("CARGO_PKG_NAME"),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create a scratch dir");
+        Scratch(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for Scratch {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }

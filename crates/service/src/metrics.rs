@@ -399,8 +399,7 @@ pub const UPDATE_OPS: [&str; 3] = ["insert", "delete", "relabel"];
 pub const PLAN_OPERATORS: [&str; 5] =
     ["scan", "child-join", "containment-join", "value-probe", "fallback-step"];
 
-/// One command's row of the per-command metrics, the single source both
-/// wire renderings and the Prometheus exposition format from.
+/// One command's row of the per-command metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandSummary {
     /// Which command.
@@ -633,10 +632,8 @@ impl Metrics {
         &self.per_command[command as usize].latency
     }
 
-    /// One summary row per command with traffic, in wire order — the
-    /// single formatter behind [`Metrics::render_line`],
-    /// [`Metrics::render_table`], and the Prometheus exposition, so the
-    /// three can never drift apart.
+    /// One summary row per command with traffic, in wire order — what
+    /// both renderings of the series table (`prom.rs`) read.
     pub fn command_summaries(&self) -> Vec<CommandSummary> {
         COMMANDS
             .iter()
@@ -656,93 +653,6 @@ impl Metrics {
                 })
             })
             .collect()
-    }
-
-    /// The six robustness counters as `(name, value)` pairs, in the wire
-    /// rendering order.
-    pub fn robustness_counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("shed", self.shed()),
-            ("oversized", self.oversized()),
-            ("torn", self.torn()),
-            ("deadline_read", self.deadline_read()),
-            ("deadline_write", self.deadline_write()),
-            ("deadline_request", self.deadline_request()),
-        ]
-    }
-
-    /// The single-line wire rendering served by `METRICS`:
-    ///
-    /// ```text
-    /// OK connections=3 total=17 errors=1 PING=1/0/512/512/512 LOAD=... ...
-    /// ```
-    ///
-    /// Each command segment is `NAME=count/errors/p50ns/p95ns/p99ns`;
-    /// commands with no traffic are omitted.
-    pub fn render_line(&self) -> String {
-        let mut out = format!(
-            "connections={} total={} errors={}",
-            self.connections(),
-            self.total_requests(),
-            self.total_errors(),
-        );
-        for (name, value) in self.robustness_counters() {
-            out.push_str(&format!(" {name}={value}"));
-        }
-        for s in self.command_summaries() {
-            out.push_str(&format!(
-                " {}={}/{}/{}/{}/{}",
-                s.command.name(),
-                s.count,
-                s.errors,
-                s.p50_ns,
-                s.p95_ns,
-                s.p99_ns,
-            ));
-        }
-        out
-    }
-
-    /// A human-readable multi-line table (dumped on server shutdown).
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "{:<10} {:>9} {:>7} {:>12} {:>12} {:>12}\n",
-            "command", "count", "errors", "p50", "p95", "p99"
-        );
-        for s in self.command_summaries() {
-            out.push_str(&format!(
-                "{:<10} {:>9} {:>7} {:>12} {:>12} {:>12}\n",
-                s.command.name(),
-                s.count,
-                s.errors,
-                fmt_ns(s.p50_ns),
-                fmt_ns(s.p95_ns),
-                fmt_ns(s.p99_ns),
-            ));
-        }
-        out.push_str(&format!(
-            "{:<10} {:>9} {:>7}   ({} connections)\n",
-            "total",
-            self.total_requests(),
-            self.total_errors(),
-            self.connections(),
-        ));
-        out.push_str("robustness");
-        for (name, value) in self.robustness_counters() {
-            out.push_str(&format!(" {name}={value}"));
-        }
-        out.push('\n');
-        out
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("~{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("~{:.1} µs", ns as f64 / 1_000.0)
-    } else {
-        format!("~{:.1} ms", ns as f64 / 1_000_000.0)
     }
 }
 
@@ -844,6 +754,11 @@ mod tests {
         assert_eq!(Histogram::bucket_upper_ns(10), Some(2_048));
     }
 
+    /// The `METRICS` line of `m` alone.
+    fn line(m: &Metrics) -> String {
+        crate::prom::render_line(&crate::prom::Sources::of(m))
+    }
+
     #[test]
     fn summaries_drive_both_renderings() {
         let m = Metrics::new();
@@ -853,8 +768,8 @@ mod tests {
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].command, Command::Ping, "wire order");
         assert_eq!(summaries[1].command, Command::Query);
-        let line = m.render_line();
-        let table = m.render_table();
+        let line = line(&m);
+        let body = crate::prom::render_exposition(&crate::prom::Sources::of(&m));
         for s in &summaries {
             assert!(
                 line.contains(&format!(
@@ -863,7 +778,9 @@ mod tests {
                 )),
                 "{line}"
             );
-            assert!(table.contains(s.command.name()), "{table}");
+            let name = s.command.name().to_ascii_lowercase();
+            let sample = format!("ruid_requests_total{{command=\"{name}\"}} {}", s.count);
+            assert!(body.contains(&sample), "{body}");
         }
     }
 
@@ -892,13 +809,11 @@ mod tests {
         assert_eq!(m.count_of(Command::Query), 2);
         assert_eq!(m.count_of(Command::Scan), 0);
         assert_eq!(m.latency_of(Command::Parent).total(), 1);
-        let line = m.render_line();
+        let line = line(&m);
         assert!(line.contains("total=3"), "{line}");
         assert!(line.contains("QUERY=2/1/"), "{line}");
         assert!(line.contains("PARENT=1/0/"), "{line}");
         assert!(!line.contains("SCAN="), "{line}");
-        let table = m.render_table();
-        assert!(table.contains("QUERY") && table.contains("p99"), "{table}");
     }
 
     #[test]
@@ -917,7 +832,7 @@ mod tests {
         assert_eq!(m.deadline_write(), 1);
         assert_eq!(m.deadline_request(), 1);
         assert_eq!(m.torn(), 1);
-        let line = m.render_line();
+        let line = line(&m);
         for token in [
             "shed=2",
             "oversized=1",
@@ -928,7 +843,6 @@ mod tests {
         ] {
             assert!(line.contains(token), "{token} missing in {line}");
         }
-        assert!(m.render_table().contains("shed=2"), "{}", m.render_table());
     }
 
     #[test]
@@ -981,7 +895,7 @@ mod tests {
         assert_eq!(m.batch_size().sum(), 64);
         m.record(Command::MQuery, false, Duration::from_micros(9));
         assert_eq!(m.count_of(Command::MQuery), 1);
-        assert!(m.render_line().contains("MQUERY=1/0/"));
+        assert!(line(&m).contains("MQUERY=1/0/"));
     }
 
     #[test]

@@ -46,6 +46,10 @@ use crate::proto::{self, Request};
 use crate::server::{serve, Shared};
 use crate::wire::{self, Decoded, WireResponse};
 
+/// Poll-loop threads; each drains many binary sockets. The text
+/// protocol's thread-per-connection pool (`threads`) is separate.
+const MUX_WORKERS: usize = 2;
+
 /// How long an idle worker parks waiting for adopted connections before
 /// re-polling its sockets.
 const IDLE_WAIT: Duration = Duration::from_micros(200);
@@ -84,19 +88,18 @@ pub(crate) struct Mux {
 }
 
 impl Mux {
-    /// Spawns `config.mux_workers` poll-loop threads plus the offload
-    /// pool for blocking verbs.
+    /// Spawns [`MUX_WORKERS`] poll-loop threads plus the offload pool for
+    /// blocking verbs.
     pub(crate) fn start(shared: Arc<Shared>) -> Mux {
-        let workers = shared.config.mux_workers.max(1);
         let offload = Arc::new(Offload {
             pool: Mutex::new(Some(ThreadPool::new(
                 shared.config.threads,
                 shared.config.queue_cap,
             ))),
         });
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
+        let mut senders = Vec::with_capacity(MUX_WORKERS);
+        let mut handles = Vec::with_capacity(MUX_WORKERS);
+        for i in 0..MUX_WORKERS {
             let (tx, rx) = mpsc::channel();
             let shared = Arc::clone(&shared);
             let offload = Arc::clone(&offload);

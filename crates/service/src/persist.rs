@@ -59,8 +59,8 @@ pub struct Durability {
     recovery: RecoverySummary,
 }
 
-/// A consistent point-in-time view of the durability counters, for
-/// Prometheus exposition.
+/// A consistent point-in-time view of the durability counters, for the
+/// series table (`prom.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityStats {
     /// Current snapshot/WAL generation.
@@ -290,30 +290,6 @@ impl Durability {
             snapshot_ns: self.snapshot_ns.load(Ordering::Relaxed),
         }
     }
-
-    /// The durability segment of the `METRICS` line:
-    /// `durability=on generation=.. wal_records=.. ... quarantined=..`.
-    pub fn render_line(&self) -> String {
-        let inner = self.counters();
-        format!(
-            "durability=on fsync={} generation={} wal_records={} wal_bytes={} wal_fsyncs={} \
-             wal_unsynced={} snapshots={} recovered_docs={} replayed={} truncated_bytes={} \
-             orphaned_segments={} snapshots_skipped={} quarantined={}",
-            self.policy,
-            inner.generation,
-            inner.wal.records(),
-            inner.wal.bytes(),
-            inner.wal.fsyncs(),
-            inner.wal.unsynced_records(),
-            self.snapshots.load(Ordering::Relaxed),
-            self.recovery.snapshot_docs,
-            self.recovery.replayed,
-            self.recovery.truncated_bytes,
-            self.recovery.orphaned_segments,
-            self.recovery.snapshots_skipped,
-            self.recovery.quarantined.len(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -321,10 +297,13 @@ mod tests {
     use super::*;
     use ruid_core::PartitionConfig;
 
-    fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("persist-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    use crate::prom::{render_line, Sources};
+    use crate::{Metrics, Scratch};
+
+    /// The `METRICS` line of a server whose only source besides empty
+    /// metrics is `d`.
+    fn line(d: &Durability) -> String {
+        render_line(&Sources { durability: Some(d), ..Sources::of(&Metrics::new()) })
     }
 
     fn load_op(id: u64, xml: &str) -> WalOp {
@@ -339,7 +318,7 @@ mod tests {
 
     #[test]
     fn log_snapshot_reopen_round_trip() {
-        let dir = test_dir("round_trip");
+        let dir = Scratch::new("round_trip");
         let catalog = Catalog::new(4);
         {
             let (d, docs, next) = Durability::open(&dir, FsyncPolicy::Always).unwrap();
@@ -356,7 +335,7 @@ mod tests {
             assert_eq!((generation, count), (1, 1));
             assert_eq!(d.generation(), 1);
             assert_eq!(d.snapshots(), 1);
-            let line = d.render_line();
+            let line = line(&d);
             assert!(line.contains("durability=on"), "{line}");
             assert!(line.contains("generation=1"), "{line}");
         }
@@ -372,7 +351,7 @@ mod tests {
 
     #[test]
     fn wal_tail_survives_without_snapshot() {
-        let dir = test_dir("wal_tail");
+        let dir = Scratch::new("wal_tail");
         {
             let (d, _, _) = Durability::open(&dir, FsyncPolicy::Always).unwrap();
             d.log_with(&load_op(1, "<x><y/></x>"), || ()).unwrap();
@@ -391,7 +370,7 @@ mod tests {
     /// the mutex: every later write is refused, the counters still render.
     #[test]
     fn a_panicked_commit_halts_writes_but_not_metrics() {
-        let dir = test_dir("poisoned");
+        let dir = Scratch::new("poisoned");
         let (d, _, _) = Durability::open(&dir, FsyncPolicy::Always).unwrap();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             d.log_with(&load_op(1, "<x/>"), || panic!("install failed"))
@@ -401,7 +380,7 @@ mod tests {
         assert!(err.contains("durability halted"), "{err}");
         assert!(d.persist().is_err());
         assert!(d.snapshot(&Catalog::new(1)).is_err());
-        let line = d.render_line();
+        let line = line(&d);
         assert!(line.contains("wal_records=1 "), "{line}");
         assert_eq!(d.stats().wal_records, 1);
     }

@@ -64,8 +64,8 @@ pub struct ReplState {
     leader_addr: Mutex<Option<String>>,
     promote_requested: AtomicBool,
     /// Armed by the mux when the fault plan schedules `Fault::ForgeSeq`;
-    /// consumed by the next `REPL TAIL` answer, which corrupts the
-    /// sequence field of the first shipped record.
+    /// consumed by the next `REPL TAIL` answer that ships a record, which
+    /// corrupts the sequence field of that first record.
     forge_next_tail: AtomicBool,
     // Leader side.
     chunks_shipped: AtomicU64,
@@ -103,21 +103,8 @@ pub struct BootstrapPhases {
     pub persist_s: f64,
 }
 
-impl BootstrapPhases {
-    /// `(phase, seconds)` in bootstrap order — the `phase` label values
-    /// of `ruid_repl_bootstrap_seconds`.
-    pub fn phases(&self) -> [(&'static str, f64); 4] {
-        [
-            ("fetch", self.fetch_s),
-            ("decode", self.decode_s),
-            ("install", self.install_s),
-            ("persist", self.persist_s),
-        ]
-    }
-}
-
 /// A point-in-time copy of every replication counter and gauge, for the
-/// Prometheus renderer.
+/// series table (`prom.rs`).
 #[derive(Debug, Clone)]
 pub struct ReplSample {
     /// True when this process currently accepts writes.
@@ -239,12 +226,12 @@ impl ReplState {
         self.forge_next_tail.swap(false, Ordering::SeqCst)
     }
 
-    fn note_chunk(&self, bytes: usize) {
+    pub(crate) fn note_chunk(&self, bytes: usize) {
         self.chunks_shipped.fetch_add(1, Ordering::Relaxed);
         self.bytes_shipped.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    fn note_snapshot_shipped(&self) {
+    pub(crate) fn note_snapshot_shipped(&self) {
         self.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -262,7 +249,7 @@ impl ReplState {
         self.records_applied.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_bootstrap(&self) {
+    pub(crate) fn note_bootstrap(&self) {
         self.bootstraps.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -274,15 +261,15 @@ impl ReplState {
         self.reconnects.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_backoff(&self) {
+    pub(crate) fn note_backoff(&self) {
         self.backoff_waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_refusal(&self) {
+    pub(crate) fn note_refusal(&self) {
         self.refusals.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_quarantined(&self) {
+    pub(crate) fn note_quarantined(&self) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -324,38 +311,6 @@ impl ReplState {
             lag_seconds: self.lag_seconds(),
             last_bootstrap: *lock(&self.last_bootstrap),
         }
-    }
-
-    /// The `key=value` block `METRICS` appends for replication.
-    pub fn render_line(&self) -> String {
-        let s = self.sample();
-        format!(
-            "repl_role={} repl_lag_records={} repl_lag_seconds={:.3} repl_applied={} \
-             repl_bootstraps={} repl_reconnects={} repl_backoff_waits={} repl_refusals={} \
-             repl_quarantined={} repl_promotions={} repl_chunks_shipped={} \
-             repl_bytes_shipped={} repl_snapshots_shipped={} repl_acks={} repl_followers={} \
-             repl_bootstrap_fetch_ms={:.1} repl_bootstrap_decode_ms={:.1} \
-             repl_bootstrap_install_ms={:.1} repl_bootstrap_persist_ms={:.1}",
-            if s.is_leader { "leader" } else { "follower" },
-            s.lag_records,
-            s.lag_seconds,
-            s.records_applied,
-            s.bootstraps,
-            s.reconnects,
-            s.backoff_waits,
-            s.refusals,
-            s.quarantined,
-            s.promotions,
-            s.chunks_shipped,
-            s.bytes_shipped,
-            s.snapshots_shipped,
-            s.acks_received,
-            s.followers,
-            s.last_bootstrap.fetch_s * 1e3,
-            s.last_bootstrap.decode_s * 1e3,
-            s.last_bootstrap.install_s * 1e3,
-            s.last_bootstrap.persist_s * 1e3,
-        )
     }
 }
 
@@ -423,7 +378,9 @@ pub(crate) fn handle_tail(
     } else {
         durable::read_segment(&path, offset, want as usize).map_err(unavailable)?
     };
-    if shared.repl.take_forge() && data.len() >= durable::wal::RECORD_HEADER_LEN {
+    // Only an answer that ships a record takes the armed fault: a
+    // caught-up follower's empty polls must not use it up.
+    if data.len() >= durable::wal::RECORD_HEADER_LEN && shared.repl.take_forge() {
         // Record layout: [len u32][seq u64][crc u32][payload] — flip the
         // sequence field of the first shipped record. The CRC covers
         // seq‖payload, so the follower sees it as corruption either way.

@@ -37,7 +37,7 @@ use crate::fault::{Fault, FaultPlan};
 use crate::metrics::{Command, Metrics};
 use crate::mux::{self, Mux};
 use crate::persist::Durability;
-use crate::prom::PromCtx;
+use crate::prom::{self, Sources};
 use crate::proto::{self, Engine, Request, TraceCmd};
 use crate::replication::{self, ReplState};
 use crate::trace::{RequestTrace, Span, Tracer, SLOWLOG_CAPACITY};
@@ -55,11 +55,9 @@ pub struct ServerConfig {
     /// Worker threads = maximum concurrently served text connections.
     /// Also the size of the binary multiplexer's offload pool, which runs
     /// the verbs that block (LOAD, SNAPSHOT, the commits, …) off its
-    /// poll loops.
+    /// poll loops, and, capped at the host's cores, the fan-out of one
+    /// document build; 1 forces the sequential build.
     pub threads: usize,
-    /// Thread budget for building one document on `LOAD` (area labeling +
-    /// name indexing fan out); 1 forces the sequential build.
-    pub build_threads: usize,
     /// Catalog shard count.
     pub shards: usize,
     /// Bounded job-queue capacity (pending connections beyond the
@@ -98,10 +96,6 @@ pub struct ServerConfig {
     pub metrics_addr: Option<String>,
     /// Capacity of the planned-query result cache (entries).
     pub plan_cache_cap: usize,
-    /// Poll-loop threads for the binary protocol's connection
-    /// multiplexer; each drains many sockets. The text protocol's
-    /// thread-per-connection pool (`threads`) is unaffected.
-    pub mux_workers: usize,
     /// Follow a leader at this address (`serve --follow`): bootstrap
     /// from its newest snapshot, tail its WAL, serve reads, and reject
     /// writes with a redirect until `PROMOTE`.
@@ -116,7 +110,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             threads: 8,
-            build_threads: par::available_threads(),
             shards: 16,
             queue_cap: 64,
             depth: 3,
@@ -129,7 +122,6 @@ impl Default for ServerConfig {
             fsync: FsyncPolicy::Always,
             metrics_addr: None,
             plan_cache_cap: 1024,
-            mux_workers: 2,
             follow: None,
             repl_poll_ms: 40,
         }
@@ -187,8 +179,8 @@ impl Shared {
         self.config.fault_plan.as_ref().and_then(|plan| plan.fault_at(index)).cloned()
     }
 
-    fn prom_ctx(&self) -> PromCtx<'_> {
-        PromCtx {
+    fn sources(&self) -> Sources<'_> {
+        Sources {
             metrics: &self.metrics,
             catalog: Some(&self.catalog),
             durability: self.durability.as_deref(),
@@ -298,10 +290,7 @@ impl Server {
                     if let Some(http_addr) = metrics_http_addr {
                         let _ = TcpStream::connect(http_addr);
                     }
-                    eprint!("[ruid-service] final metrics\n{}", shared.metrics.render_table());
-                    if let Some(d) = &shared.durability {
-                        eprintln!("{}", d.render_line());
-                    }
+                    eprintln!("[ruid-service] final metrics\n{}", prom::render_line(&shared.sources()));
                 })
                 .expect("spawn acceptor thread")
         };
@@ -345,7 +334,7 @@ fn serve_metrics_http(listener: &TcpListener, shared: &Shared) {
                 }
             }
         }
-        let body = crate::prom::render(&shared.prom_ctx());
+        let body = prom::render_exposition(&shared.sources());
         let response = format!(
             "HTTP/1.0 200 OK\r\n\
              Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -729,7 +718,7 @@ pub(crate) fn commit(
     let Shared { config, catalog, metrics, durability, plan_cache, .. } = shared;
     let built = match op {
         WalOp::Load { .. } | WalOp::LoadStream { .. } => {
-            let exec = par::Executor::new(config.build_threads);
+            let exec = par::Executor::new(config.threads.min(par::available_threads()));
             Some(timed(trace, Span::Eval, || LoadedDoc::build_op(&op, &exec))?)
         }
         _ => None,
@@ -992,24 +981,10 @@ fn execute(
             ))
         }
         Request::Metrics { prom: true } => {
-            let body = crate::prom::render(&shared.prom_ctx());
+            let body = prom::render_exposition(&shared.sources());
             Ok(format!("OK {}", proto::escape_line(&body)))
         }
-        Request::Metrics { prom: false } => {
-            Ok(match durability {
-                Some(d) => format!(
-                    "OK {} {} {}",
-                    metrics.render_line(),
-                    d.render_line(),
-                    repl.render_line()
-                ),
-                None => format!(
-                    "OK {} durability=off {}",
-                    metrics.render_line(),
-                    repl.render_line()
-                ),
-            })
-        }
+        Request::Metrics { prom: false } => Ok(format!("OK {}", prom::render_line(&shared.sources()))),
         Request::Snapshot => {
             let d = durability.ok_or("durability disabled (start with --data-dir)")?;
             let (generation, docs) = d.snapshot(catalog)?;

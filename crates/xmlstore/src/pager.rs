@@ -232,8 +232,7 @@ mod tests {
 
     #[test]
     fn file_pager_round_trip() {
-        let dir = std::env::temp_dir().join(format!("xmlstore-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::Scratch::new("round_trip");
         let path = dir.join("pager.db");
         {
             let mut pager = FilePager::create(&path).unwrap();
@@ -246,15 +245,17 @@ mod tests {
             pager.read_page(PageId(1), &mut buf);
             assert_eq!(buf[0], 0xAB);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_read_panics() {
-        let dir = std::env::temp_dir().join(format!("xmlstore-oor-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let fp = FilePager::create(&dir.join("p.db")).unwrap();
+        // The directory goes before the expected panic (a panicking test
+        // keeps its scratch dir); the open file reads on.
+        let fp = {
+            let dir = crate::Scratch::new("out_of_range");
+            FilePager::create(&dir.join("p.db")).unwrap()
+        };
         let mut buf = [0u8; PAGE_SIZE];
         fp.read_page(PageId(0), &mut buf);
     }
@@ -272,8 +273,7 @@ mod tests {
 
     #[test]
     fn open_rejects_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("xmlstore-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::Scratch::new("torn");
         let path = dir.join("torn.db");
         {
             let mut pager = FilePager::create(&path).unwrap();
@@ -294,6 +294,5 @@ mod tests {
         bytes.truncate(PAGE_SIZE);
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(FilePager::open(&path).unwrap().page_count(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

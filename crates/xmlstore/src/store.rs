@@ -237,8 +237,7 @@ mod tests {
 
     #[test]
     fn file_backed_store_round_trips() {
-        let dir = std::env::temp_dir()
-            .join(format!("xmlstore-file-{}", std::process::id()));
+        let dir = crate::Scratch::new("file_store");
         let doc = Document::parse("<a><b>text</b><c x=\"1\"/></a>").unwrap();
         let scheme = Ruid2Scheme::build(&doc, &PartitionConfig::by_depth(2));
         let mut store = XmlStore::create_in_dir(&dir).unwrap();
@@ -250,7 +249,6 @@ mod tests {
             assert_eq!(row.label, scheme.label_of(node));
         }
         assert_eq!(store.scan_all().len(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn setup() -> (Document, Ruid2Scheme, XmlStore<MemPager>) {

@@ -81,13 +81,27 @@ if awk '
 fi
 
 # One testkit: the integration suites take their tree shapes, scratch
-# directories, waits and server fixtures from crates/testkit, and write
-# nothing into the system temp dir (the kit's scratch directories live
-# under target/ and go when their test passes). A suite that defines its
-# own copy again, or reaches for temp_dir(), is the drift the kit removed.
-if grep -nE 'fn (scratch|test_dir|wait_until|wait_for|trees|forests)\(|temp_dir\(' \
-    tests/*.rs crates/*/tests/*.rs; then
+# directories, waits and server fixtures from crates/testkit. No test,
+# integration or unit, writes into the system temp dir: the kit's scratch
+# directories, and the `Scratch` of each crate whose unit tests touch
+# disk, live under target/tmp and go when their test passes. A suite that
+# defines its own copy again, or reaches for temp_dir(), is the drift the
+# kit removed.
+if grep -nE 'fn (scratch|test_dir|wait_until|wait_for|trees|forests)\(' \
+    tests/*.rs crates/*/tests/*.rs || grep -rn 'temp_dir(' tests crates/*/tests crates/*/src; then
     echo "ci: a test suite defines a testkit helper or writes into the system temp dir" >&2
+    exit 1
+fi
+# One declaration per series: every Prometheus family is named in the
+# series table (prom.rs) and nowhere else. A "ruid_…" string literal in
+# any other non-test service code is a second spelling of one.
+if awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test || FILENAME ~ /\/prom\.rs$/ || /^[ \t]*\/\// { next }
+    /"ruid_/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit !bad }' crates/service/src/*.rs; then
+    echo "ci: a Prometheus family named outside the series table (prom.rs)" >&2
     exit 1
 fi
 
