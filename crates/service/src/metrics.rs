@@ -386,6 +386,23 @@ pub struct Metrics {
     pipeline_depth: ValueHistogram,
     /// Sub-queries per `MQUERY`/`MLABEL` frame.
     batch_size: ValueHistogram,
+    /// Timed parks taken by mux workers holding connections.
+    mux_parks: AtomicU64,
+    /// Mux passes that found work while their worker spun instead of
+    /// parking.
+    mux_spin_catches: AtomicU64,
+    /// Offloaded replies announced on their mux worker's wake channel.
+    mux_outbox_wakes: AtomicU64,
+}
+
+/// The mux workers' wait counters, read together.
+pub(crate) struct MuxWaits {
+    /// Timed parks taken by workers holding connections.
+    pub(crate) parks: u64,
+    /// Passes that found work while their worker spun.
+    pub(crate) spin_catches: u64,
+    /// Offloaded replies announced on their worker's wake channel.
+    pub(crate) outbox_wakes: u64,
 }
 
 /// The structural update kinds the service counts (the
@@ -517,6 +534,30 @@ impl Metrics {
     /// The batch-size histogram.
     pub fn batch_size(&self) -> &ValueHistogram {
         &self.batch_size
+    }
+
+    /// Counts one timed park of a mux worker that holds connections.
+    pub(crate) fn record_mux_park(&self) {
+        self.mux_parks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one mux pass that found work while its worker spun.
+    pub(crate) fn record_mux_spin_catch(&self) {
+        self.mux_spin_catches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one offloaded reply announced on its worker's wake channel.
+    pub(crate) fn record_mux_outbox_wake(&self) {
+        self.mux_outbox_wakes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The mux wait counters so far.
+    pub(crate) fn mux_waits(&self) -> MuxWaits {
+        MuxWaits {
+            parks: self.mux_parks.load(Ordering::Relaxed),
+            spin_catches: self.mux_spin_catches.load(Ordering::Relaxed),
+            outbox_wakes: self.mux_outbox_wakes.load(Ordering::Relaxed),
+        }
     }
 
     /// Accumulates per-axis XPath step counts from one evaluation.

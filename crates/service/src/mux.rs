@@ -20,20 +20,23 @@
 //!   read bounded by the server's poll interval; it has no offload pool,
 //!   so every request runs inline and answers in request order;
 //! * **binary** connections are drained by a small fixed set of mux
-//!   workers, each pumping many nonblocking sockets and parking briefly
-//!   when none moved. Anything that can block — every request whose
-//!   [`Request::blocks`] is true (LOAD does file I/O, SHUTDOWN fsyncs the
-//!   WAL, REPL TAIL reads segment files) or a fault-stalled request — is
-//!   offloaded to a private thread pool and its response frame lands in
-//!   the connection's outbox when done, while the worker keeps serving
-//!   later frames from the same socket. Request ids are how clients
-//!   re-associate them.
+//!   workers, each pumping many nonblocking sockets. After a pass that
+//!   moved anything a worker keeps passing, yielding the CPU between
+//!   passes, for a short budget sized from how soon work came back
+//!   before ([`Spin`]); then it parks on its wake channel until an
+//!   adoption, an offload completion or [`IDLE_WAIT`]. Anything that can
+//!   block — every request whose [`Request::blocks`] is true (LOAD does
+//!   file I/O, SHUTDOWN fsyncs the WAL, REPL TAIL reads segment files) or
+//!   a fault-stalled request — is offloaded to a private thread pool; its
+//!   response frame lands in the connection's outbox when done and wakes
+//!   the worker, which meanwhile keeps serving later frames from the
+//!   same socket. Request ids are how clients re-associate them.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,13 +53,13 @@ use crate::wire::{self, Decoded, WireResponse};
 /// protocol's thread-per-connection pool (`threads`) is separate.
 const MUX_WORKERS: usize = 2;
 
-/// How long an idle worker parks waiting for adopted connections before
-/// re-polling its sockets.
+/// How long an idle worker parks on its wake channel before re-polling
+/// its sockets: the most that bytes arriving after a spin can wait.
 const IDLE_WAIT: Duration = Duration::from_micros(200);
 
-/// Park length when the worker has no connections at all — nothing to
-/// poll, so only adoption and shutdown can need it.
-const EMPTY_WAIT: Duration = Duration::from_millis(25);
+/// The longest a worker spins after a pass that moved something, and the
+/// longest typical gap between such passes for which it spins at all.
+const SPIN_MAX: Duration = Duration::from_micros(200);
 
 /// Read scratch size per driver (one `recv` worth of pipelined requests).
 const SCRATCH_BYTES: usize = 64 * 1024;
@@ -78,10 +81,30 @@ struct Offload {
     pool: Mutex<Option<ThreadPool>>,
 }
 
-/// The running multiplexer: adoption channels to the workers plus the
-/// join handles the acceptor reaps at shutdown.
+/// What a worker's channel carries: the two events, besides bytes on a
+/// socket, that can give it work.
+enum Wake {
+    /// A sniffed-as-binary connection to adopt.
+    Adopt(TcpStream),
+    /// An offloaded reply landed in the outbox of one of its connections.
+    Outbox,
+}
+
+/// Where a binary connection's pass sends a request that can block: the
+/// shared pool, and the wake channel of the worker that owns the
+/// connection. The worker holds that channel only weakly, so it sees it
+/// disconnect once the [`Mux`] and every job in flight are gone.
+#[derive(Clone, Copy)]
+struct OffloadTo<'a> {
+    pool: &'a Offload,
+    wake: &'a Weak<Sender<Wake>>,
+}
+
+/// The running multiplexer: wake channels to the workers plus the join
+/// handles the acceptor reaps at shutdown.
 pub(crate) struct Mux {
-    senders: Vec<Sender<TcpStream>>,
+    /// Each worker's wake channel; emptied by [`Mux::join`].
+    wakes: Mutex<Vec<Arc<Sender<Wake>>>>,
     next: AtomicUsize,
     workers: Mutex<Vec<JoinHandle<()>>>,
     offload: Arc<Offload>,
@@ -97,34 +120,42 @@ impl Mux {
                 shared.config.queue_cap,
             ))),
         });
-        let mut senders = Vec::with_capacity(MUX_WORKERS);
+        let mut wakes = Vec::with_capacity(MUX_WORKERS);
         let mut handles = Vec::with_capacity(MUX_WORKERS);
         for i in 0..MUX_WORKERS {
             let (tx, rx) = mpsc::channel();
+            let tx = Arc::new(tx);
+            let wake = Arc::downgrade(&tx);
             let shared = Arc::clone(&shared);
             let offload = Arc::clone(&offload);
             let handle = std::thread::Builder::new()
                 .name(format!("ruid-mux-{i}"))
-                .spawn(move || worker(&rx, &shared, &offload))
+                .spawn(move || worker(&rx, &wake, &shared, &offload))
                 .expect("spawn mux worker");
-            senders.push(tx);
+            wakes.push(tx);
             handles.push(handle);
         }
-        Mux { senders, next: AtomicUsize::new(0), workers: Mutex::new(handles), offload }
+        Mux { wakes: Mutex::new(wakes), next: AtomicUsize::new(0), workers: Mutex::new(handles), offload }
     }
 
     /// Hands a sniffed-as-binary connection to a worker (round-robin).
     /// The stream must already be in nonblocking mode.
     pub(crate) fn adopt(&self, stream: TcpStream) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.senders.len();
-        // A send can only fail after shutdown, when the worker is gone —
-        // dropping the stream is exactly what a closing server should do.
-        let _ = self.senders[i].send(stream);
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % MUX_WORKERS;
+        // No channel, or a failed send, only after shutdown — dropping the
+        // stream is exactly what a closing server should do.
+        if let Some(wake) = lock(&self.wakes).get(i) {
+            let _ = wake.send(Wake::Adopt(stream));
+        }
     }
 
     /// Joins the workers (the shutdown flag must already be set), then
-    /// shuts down the offload pool, joining any in-flight jobs.
+    /// shuts down the offload pool, joining any in-flight jobs. Dropping
+    /// the wake channels first is what ends a worker parked with no
+    /// connections: its channel disconnects once the jobs in flight are
+    /// done.
     pub(crate) fn join(&self) {
+        lock(&self.wakes).clear();
         for handle in lock(&self.workers).drain(..) {
             let _ = handle.join();
         }
@@ -249,7 +280,7 @@ impl Conn {
     fn pump(
         &mut self,
         shared: &Arc<Shared>,
-        offload: Option<&Offload>,
+        offload: Option<OffloadTo<'_>>,
         scratch: &mut [u8],
         reply: &mut Vec<u8>,
     ) -> Pump {
@@ -324,7 +355,7 @@ impl Conn {
     fn decode_all(
         &mut self,
         shared: &Arc<Shared>,
-        offload: Option<&Offload>,
+        offload: Option<OffloadTo<'_>>,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
         let cap = shared.config.max_line_bytes;
@@ -470,7 +501,7 @@ impl Conn {
         id: u64,
         incoming: Incoming<'_>,
         shared: &Arc<Shared>,
-        offload: Option<&Offload>,
+        offload: Option<OffloadTo<'_>>,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
         let codec = self.codec;
@@ -533,12 +564,13 @@ impl Conn {
         stall_ms: Option<u64>,
         delay_ms: Option<u64>,
         shared: &Arc<Shared>,
-        offload: &Offload,
+        offload: OffloadTo<'_>,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
         let outbox = Arc::clone(&self.outbox);
         let pending = Arc::clone(&self.pending);
         let job_shared = Arc::clone(shared);
+        let wake = offload.wake.upgrade().map(|tx| Sender::clone(&tx));
         pending.fetch_add(1, Ordering::AcqRel);
         let job = move || {
             serve(&job_shared, || request, stall_ms, |response| {
@@ -551,9 +583,13 @@ impl Conn {
                 // final flush still finds a `SHUTDOWN`'s own answer.
                 lock(&outbox).push(buf);
                 pending.fetch_sub(1, Ordering::AcqRel);
+                // `None` once the `Mux` is gone: no worker is left to wake.
+                if let Some(wake) = &wake {
+                    let _ = wake.send(Wake::Outbox);
+                }
             });
         };
-        let submitted = match lock(&offload.pool).as_ref() {
+        let submitted = match lock(&offload.pool.pool).as_ref() {
             Some(pool) => pool.try_execute(job),
             None => Err(SubmitError::Closed),
         };
@@ -634,25 +670,98 @@ impl Conn {
     }
 }
 
-/// One mux worker: adopt connections from `rx`, pump them all, park
-/// briefly when nothing moved.
-fn worker(rx: &Receiver<TcpStream>, shared: &Arc<Shared>, offload: &Offload) {
+/// A worker's wait policy. After a pass that moved anything the worker
+/// passes again at once; after a pass that moved nothing it yields the
+/// CPU and passes again while a spin budget lasts, and parks only then.
+/// The budget is twice the moving average of the gap between one
+/// productive pass's end and the next one's start, at most [`SPIN_MAX`],
+/// and none once that average exceeds [`SPIN_MAX`]. A spin starts only
+/// from a productive pass, so a worker whose park timed out with nothing
+/// to do parks again without spinning: an idle connection costs one pass
+/// per [`IDLE_WAIT`], no more.
+///
+/// It yields rather than busy-waits, so a client that is runnable on the
+/// worker's own CPU gets it at once instead of after the spin.
+struct Spin {
+    /// Moving average (weight 1/8) of the gap between productive passes.
+    gap: Duration,
+    /// When the last productive pass ended.
+    last: Option<Instant>,
+    /// Spin until then.
+    until: Option<Instant>,
+    /// Half the last park, when nothing woke it: work that a pass found
+    /// right after it arrived during that park, so its midpoint stands
+    /// for the arrival.
+    censored: Duration,
+}
+
+impl Spin {
+    fn new() -> Spin {
+        Spin { gap: SPIN_MAX / 2, last: None, until: None, censored: Duration::ZERO }
+    }
+
+    fn budget(&self) -> Duration {
+        if self.gap > SPIN_MAX {
+            Duration::ZERO
+        } else {
+            (2 * self.gap).min(SPIN_MAX)
+        }
+    }
+
+    /// A pass from `start` to `end` moved something. One gap is counted
+    /// at most at twice [`SPIN_MAX`], so a single long silence does not
+    /// switch the spin off: a run of them does.
+    fn progressed(&mut self, start: Instant, end: Instant) {
+        if let Some(last) = self.last {
+            let gap = start.saturating_duration_since(last).saturating_sub(self.censored);
+            self.gap = (self.gap * 7 + gap.min(2 * SPIN_MAX)) / 8;
+        }
+        self.last = Some(end);
+        self.censored = Duration::ZERO;
+        self.until = Some(end + self.budget());
+    }
+
+    /// Whether a worker whose pass moved nothing passes again at `now`
+    /// instead of parking.
+    fn spinning(&self, now: Instant) -> bool {
+        self.until.is_some_and(|until| now < until)
+    }
+
+    /// The worker parked for `slept`; `timed_out` when nothing woke it.
+    fn parked(&mut self, slept: Duration, timed_out: bool) {
+        self.until = None;
+        self.censored = if timed_out { slept / 2 } else { Duration::ZERO };
+    }
+}
+
+/// One mux worker: adopt connections and take offload wakes from `rx`,
+/// pump every connection, spin or park as [`Spin`] says. It returns at
+/// shutdown, or once its channel disconnects — nothing can adopt or wake
+/// it any more — after a final flush of its connections.
+fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, pool: &Offload) {
+    let offload = OffloadTo { pool, wake };
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_BYTES];
     // The worker's pooled reply buffer: every inline response of a pass
     // is encoded into it and written from it, so steady-state serving
     // allocates nothing per request.
     let mut reply: Vec<u8> = Vec::with_capacity(SCRATCH_BYTES);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            for conn in &mut conns {
-                conn.final_flush(shared);
+    let mut spin = Spin::new();
+    // The last pass moved nothing and the worker yielded, not parked.
+    let mut spun = false;
+    let take = |wake: Wake, conns: &mut Vec<Conn>| match wake {
+        Wake::Adopt(stream) => conns.push(Conn::new(stream, Protocol::Binary)),
+        Wake::Outbox => shared.metrics.record_mux_outbox_wake(),
+    };
+    'serve: while !shared.shutdown.load(Ordering::SeqCst) {
+        loop {
+            match rx.try_recv() {
+                Ok(wake) => take(wake, &mut conns),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => break 'serve,
             }
-            return;
         }
-        while let Ok(stream) = rx.try_recv() {
-            conns.push(Conn::new(stream, Protocol::Binary));
-        }
+        let start = Instant::now();
         let mut progressed = false;
         let mut i = 0;
         while i < conns.len() {
@@ -667,16 +776,152 @@ fn worker(rx: &Receiver<TcpStream>, shared: &Arc<Shared>, offload: &Offload) {
                 }
             }
         }
-        if !progressed {
-            let wait = if conns.is_empty() { EMPTY_WAIT } else { IDLE_WAIT };
-            match rx.recv_timeout(wait) {
-                Ok(stream) => conns.push(Conn::new(stream, Protocol::Binary)),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Acceptor gone without the flag — treat as shutdown.
-                    std::thread::sleep(EMPTY_WAIT);
-                }
+        let end = Instant::now();
+        if progressed {
+            if spun {
+                shared.metrics.record_mux_spin_catch();
             }
+            spun = false;
+            spin.progressed(start, end);
+            continue;
         }
+        spun = spin.spinning(end);
+        if spun {
+            std::thread::yield_now();
+            continue;
+        }
+        // With no connection only a wake can bring work.
+        let woke = if conns.is_empty() {
+            rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        } else {
+            shared.metrics.record_mux_park();
+            rx.recv_timeout(IDLE_WAIT)
+        };
+        spin.parked(end.elapsed(), matches!(woke, Err(RecvTimeoutError::Timeout)));
+        match woke {
+            Ok(wake) => take(wake, &mut conns),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    for conn in &mut conns {
+        conn.final_flush(shared);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    use crate::ServerConfig;
+
+    /// Instants `us` microseconds after `base`.
+    fn at(base: Instant, us: u64) -> Instant {
+        base + Duration::from_micros(us)
+    }
+
+    #[test]
+    fn a_spin_follows_progress_and_never_a_timed_out_park() {
+        let t = Instant::now();
+        let mut spin = Spin::new();
+        assert!(!spin.spinning(t), "no spin before any work");
+        spin.progressed(t, at(t, 1));
+        assert!(spin.spinning(at(t, 2)));
+        assert!(!spin.spinning(at(t, 1) + SPIN_MAX), "the budget is at most SPIN_MAX");
+        // The park after the spin timed out: the next idle pass parks
+        // again at once, however soon it runs.
+        spin.parked(IDLE_WAIT, true);
+        assert!(!spin.spinning(at(t, 2)));
+        // A pass that moves something arms the spin again.
+        spin.progressed(at(t, 600), at(t, 601));
+        assert!(spin.spinning(at(t, 602)));
+    }
+
+    #[test]
+    fn the_budget_tracks_the_gap_between_productive_passes() {
+        let t = Instant::now();
+        let mut spin = Spin::new();
+        let mut now = 0;
+        let mut pass = |spin: &mut Spin, gap_us: u64| {
+            now += gap_us;
+            spin.progressed(at(t, now), at(t, now + 1));
+            now += 1;
+        };
+        // Work back every 10 µs: the budget settles near twice that.
+        for _ in 0..64 {
+            pass(&mut spin, 10);
+        }
+        let budget = spin.budget();
+        assert!(budget >= Duration::from_micros(18) && budget <= Duration::from_micros(24), "{budget:?}");
+        // One long silence does not switch the spin off...
+        pass(&mut spin, 1_000_000);
+        assert!(spin.budget() > Duration::ZERO);
+        // ...a run of them does.
+        for _ in 0..16 {
+            pass(&mut spin, 1_000_000);
+        }
+        assert_eq!(spin.budget(), Duration::ZERO);
+        assert!(!spin.spinning(at(t, now)));
+    }
+
+    #[test]
+    fn work_that_arrives_within_the_first_park_brings_the_spin_back() {
+        let t = Instant::now();
+        let mut spin = Spin::new();
+        spin.gap = 2 * SPIN_MAX;
+        assert_eq!(spin.budget(), Duration::ZERO);
+        let mut now = 0;
+        spin.progressed(at(t, now), at(t, now + 1));
+        for _ in 0..32 {
+            // No spin: park at once; nothing wakes the park, and the pass
+            // after it finds the work that arrived meanwhile.
+            now += 1 + IDLE_WAIT.as_micros() as u64;
+            spin.parked(IDLE_WAIT, true);
+            spin.progressed(at(t, now), at(t, now + 1));
+        }
+        assert!(spin.budget() > Duration::ZERO, "{:?}", spin.gap);
+    }
+
+    #[test]
+    fn a_worker_whose_channel_disconnects_flushes_and_returns() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let pool = ThreadPool::new(1, 1);
+        let config = ServerConfig::default();
+        let shared = Arc::new(Shared::new(config, listener.local_addr().unwrap(), None, pool.stats()));
+        let offload = Offload { pool: Mutex::new(Some(pool)) };
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+
+        let (tx, rx) = mpsc::channel();
+        tx.send(Wake::Adopt(stream)).unwrap();
+        let (done_tx, done) = mpsc::channel();
+        std::thread::spawn(move || {
+            worker(&rx, &Weak::new(), &shared, &offload);
+            let _ = done_tx.send(());
+        });
+
+        // The adopted connection is served.
+        let mut frame = Vec::new();
+        wire::encode_request(7, &Request::Ping, &mut frame);
+        client.write_all(&frame).unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 256];
+        let reply = loop {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "connection closed before the reply");
+            buf.extend_from_slice(&chunk[..n]);
+            if let Decoded::Frame { frame, .. } = wire::decode_response(&buf) {
+                break frame;
+            }
+        };
+        assert_eq!(reply.id, 7);
+
+        // Every sender is gone: nothing can adopt or wake the worker.
+        drop(tx);
+        done.recv_timeout(Duration::from_secs(10)).expect("the worker returns");
+        assert_eq!(client.read(&mut chunk).unwrap(), 0, "its connection closed with it");
     }
 }

@@ -172,6 +172,32 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Fresh state for a server bound at `listen_addr`: an empty catalog,
+    /// zeroed counters, no shutdown requested.
+    pub(crate) fn new(
+        config: ServerConfig,
+        listen_addr: SocketAddr,
+        durability: Option<Arc<Durability>>,
+        pool_stats: Arc<PoolStats>,
+    ) -> Shared {
+        Shared {
+            catalog: Arc::new(Catalog::new(config.shards)),
+            metrics: Arc::new(Metrics::new()),
+            tracer: Arc::new(Tracer::new(SLOWLOG_CAPACITY)),
+            plan_cache: Arc::new(ResultCache::new(config.plan_cache_cap)),
+            pool_stats,
+            repl: Arc::new(match &config.follow {
+                Some(leader) => ReplState::new_follower(leader.clone()),
+                None => ReplState::new_leader(),
+            }),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            request_counter: AtomicU64::new(0),
+            listen_addr,
+            config,
+            durability,
+        }
+    }
+
     /// Takes the next fault-plan index and returns the fault scheduled
     /// there, if any.
     pub(crate) fn next_fault(&self) -> Option<Fault> {
@@ -226,22 +252,7 @@ impl Server {
             None => (None, Vec::new(), 1),
         };
         let pool = ThreadPool::new(config.threads, config.queue_cap);
-        let shared = Arc::new(Shared {
-            catalog: Arc::new(Catalog::new(config.shards)),
-            metrics: Arc::new(Metrics::new()),
-            tracer: Arc::new(Tracer::new(SLOWLOG_CAPACITY)),
-            plan_cache: Arc::new(ResultCache::new(config.plan_cache_cap)),
-            pool_stats: pool.stats(),
-            repl: Arc::new(match &config.follow {
-                Some(leader) => ReplState::new_follower(leader.clone()),
-                None => ReplState::new_leader(),
-            }),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            request_counter: AtomicU64::new(0),
-            listen_addr: addr,
-            config,
-            durability,
-        });
+        let shared = Arc::new(Shared::new(config, addr, durability, pool.stats()));
         install_recovered(&shared, docs, next_id);
 
         // Optional plain-HTTP Prometheus endpoint: a dedicated listener
