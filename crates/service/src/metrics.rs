@@ -395,16 +395,6 @@ pub struct Metrics {
     mux_outbox_wakes: AtomicU64,
 }
 
-/// The mux workers' wait counters, read together.
-pub(crate) struct MuxWaits {
-    /// Timed parks taken by workers holding connections.
-    pub(crate) parks: u64,
-    /// Passes that found work while their worker spun.
-    pub(crate) spin_catches: u64,
-    /// Offloaded replies announced on their worker's wake channel.
-    pub(crate) outbox_wakes: u64,
-}
-
 /// The structural update kinds the service counts (the
 /// `ruid_updates_total` Prometheus family), in counter order.
 pub const UPDATE_OPS: [&str; 3] = ["insert", "delete", "relabel"];
@@ -551,13 +541,19 @@ impl Metrics {
         self.mux_outbox_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The mux wait counters so far.
-    pub(crate) fn mux_waits(&self) -> MuxWaits {
-        MuxWaits {
-            parks: self.mux_parks.load(Ordering::Relaxed),
-            spin_catches: self.mux_spin_catches.load(Ordering::Relaxed),
-            outbox_wakes: self.mux_outbox_wakes.load(Ordering::Relaxed),
-        }
+    /// Timed parks taken by mux workers holding connections.
+    pub(crate) fn mux_parks(&self) -> u64 {
+        self.mux_parks.load(Ordering::Relaxed)
+    }
+
+    /// Mux passes that found work while their worker spun.
+    pub(crate) fn mux_spin_catches(&self) -> u64 {
+        self.mux_spin_catches.load(Ordering::Relaxed)
+    }
+
+    /// Offloaded replies announced on their mux worker's wake channel.
+    pub(crate) fn mux_outbox_wakes(&self) -> u64 {
+        self.mux_outbox_wakes.load(Ordering::Relaxed)
     }
 
     /// Accumulates per-axis XPath step counts from one evaluation.

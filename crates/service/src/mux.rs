@@ -22,8 +22,7 @@
 //! * **binary** connections are drained by a small fixed set of mux
 //!   workers, each pumping many nonblocking sockets. After a pass that
 //!   moved anything a worker keeps passing, yielding the CPU between
-//!   passes, for a short budget sized from how soon work came back
-//!   before ([`Spin`]); then it parks on its wake channel until an
+//!   passes, for [`SPIN_MAX`]; then it parks on its wake channel until an
 //!   adoption, an offload completion or [`IDLE_WAIT`]. Anything that can
 //!   block — every request whose [`Request::blocks`] is true (LOAD does
 //!   file I/O, SHUTDOWN fsyncs the WAL, REPL TAIL reads segment files) or
@@ -57,8 +56,8 @@ const MUX_WORKERS: usize = 2;
 /// its sockets: the most that bytes arriving after a spin can wait.
 const IDLE_WAIT: Duration = Duration::from_micros(200);
 
-/// The longest a worker spins after a pass that moved something, and the
-/// longest typical gap between such passes for which it spins at all.
+/// How long a worker keeps yielding and passing again after a pass that
+/// moved something before it parks.
 const SPIN_MAX: Duration = Duration::from_micros(200);
 
 /// Read scratch size per driver (one `recv` worth of pipelined requests).
@@ -670,74 +669,20 @@ impl Conn {
     }
 }
 
-/// A worker's wait policy. After a pass that moved anything the worker
-/// passes again at once; after a pass that moved nothing it yields the
-/// CPU and passes again while a spin budget lasts, and parks only then.
-/// The budget is twice the moving average of the gap between one
-/// productive pass's end and the next one's start, at most [`SPIN_MAX`],
-/// and none once that average exceeds [`SPIN_MAX`]. A spin starts only
-/// from a productive pass, so a worker whose park timed out with nothing
-/// to do parks again without spinning: an idle connection costs one pass
-/// per [`IDLE_WAIT`], no more.
-///
-/// It yields rather than busy-waits, so a client that is runnable on the
-/// worker's own CPU gets it at once instead of after the spin.
-struct Spin {
-    /// Moving average (weight 1/8) of the gap between productive passes.
-    gap: Duration,
-    /// When the last productive pass ended.
-    last: Option<Instant>,
-    /// Spin until then.
-    until: Option<Instant>,
-    /// Half the last park, when nothing woke it: work that a pass found
-    /// right after it arrived during that park, so its midpoint stands
-    /// for the arrival.
-    censored: Duration,
-}
-
-impl Spin {
-    fn new() -> Spin {
-        Spin { gap: SPIN_MAX / 2, last: None, until: None, censored: Duration::ZERO }
-    }
-
-    fn budget(&self) -> Duration {
-        if self.gap > SPIN_MAX {
-            Duration::ZERO
-        } else {
-            (2 * self.gap).min(SPIN_MAX)
-        }
-    }
-
-    /// A pass from `start` to `end` moved something. One gap is counted
-    /// at most at twice [`SPIN_MAX`], so a single long silence does not
-    /// switch the spin off: a run of them does.
-    fn progressed(&mut self, start: Instant, end: Instant) {
-        if let Some(last) = self.last {
-            let gap = start.saturating_duration_since(last).saturating_sub(self.censored);
-            self.gap = (self.gap * 7 + gap.min(2 * SPIN_MAX)) / 8;
-        }
-        self.last = Some(end);
-        self.censored = Duration::ZERO;
-        self.until = Some(end + self.budget());
-    }
-
-    /// Whether a worker whose pass moved nothing passes again at `now`
-    /// instead of parking.
-    fn spinning(&self, now: Instant) -> bool {
-        self.until.is_some_and(|until| now < until)
-    }
-
-    /// The worker parked for `slept`; `timed_out` when nothing woke it.
-    fn parked(&mut self, slept: Duration, timed_out: bool) {
-        self.until = None;
-        self.censored = if timed_out { slept / 2 } else { Duration::ZERO };
-    }
-}
-
 /// One mux worker: adopt connections and take offload wakes from `rx`,
-/// pump every connection, spin or park as [`Spin`] says. It returns at
-/// shutdown, or once its channel disconnects — nothing can adopt or wake
-/// it any more — after a final flush of its connections.
+/// pump every connection, then spin or park. After a pass that moved
+/// anything the worker passes again at once; after a pass that moved
+/// nothing it yields the CPU and passes again until [`SPIN_MAX`] after
+/// the last productive pass, and parks only then. A park ends the spin,
+/// so a worker whose park timed out with nothing to do parks again
+/// without spinning: an idle connection costs one pass per
+/// [`IDLE_WAIT`], no more. The spin yields rather than busy-waits as a
+/// precaution for hosts that do not preempt on wake-up, where a client
+/// runnable on the worker's own CPU would otherwise wait out the spin;
+/// where the kernel does preempt, a `spin_loop()` spin measured the same.
+///
+/// It returns at shutdown, or once its channel disconnects — nothing can
+/// adopt or wake it any more — after a final flush of its connections.
 fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, pool: &Offload) {
     let offload = OffloadTo { pool, wake };
     let mut conns: Vec<Conn> = Vec::new();
@@ -746,7 +691,8 @@ fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, 
     // is encoded into it and written from it, so steady-state serving
     // allocates nothing per request.
     let mut reply: Vec<u8> = Vec::with_capacity(SCRATCH_BYTES);
-    let mut spin = Spin::new();
+    // Spin until then: set by a productive pass, cleared by a park.
+    let mut spin_until: Option<Instant> = None;
     // The last pass moved nothing and the worker yielded, not parked.
     let mut spun = false;
     let take = |wake: Wake, conns: &mut Vec<Conn>| match wake {
@@ -761,7 +707,6 @@ fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, 
                 Err(TryRecvError::Disconnected) => break 'serve,
             }
         }
-        let start = Instant::now();
         let mut progressed = false;
         let mut i = 0;
         while i < conns.len() {
@@ -776,16 +721,16 @@ fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, 
                 }
             }
         }
-        let end = Instant::now();
+        let now = Instant::now();
         if progressed {
             if spun {
                 shared.metrics.record_mux_spin_catch();
             }
             spun = false;
-            spin.progressed(start, end);
+            spin_until = Some(now + SPIN_MAX);
             continue;
         }
-        spun = spin.spinning(end);
+        spun = spin_until.is_some_and(|until| now < until);
         if spun {
             std::thread::yield_now();
             continue;
@@ -797,7 +742,7 @@ fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, 
             shared.metrics.record_mux_park();
             rx.recv_timeout(IDLE_WAIT)
         };
-        spin.parked(end.elapsed(), matches!(woke, Err(RecvTimeoutError::Timeout)));
+        spin_until = None;
         match woke {
             Ok(wake) => take(wake, &mut conns),
             Err(RecvTimeoutError::Timeout) => {}
@@ -815,73 +760,6 @@ mod tests {
     use std::net::TcpListener;
 
     use crate::ServerConfig;
-
-    /// Instants `us` microseconds after `base`.
-    fn at(base: Instant, us: u64) -> Instant {
-        base + Duration::from_micros(us)
-    }
-
-    #[test]
-    fn a_spin_follows_progress_and_never_a_timed_out_park() {
-        let t = Instant::now();
-        let mut spin = Spin::new();
-        assert!(!spin.spinning(t), "no spin before any work");
-        spin.progressed(t, at(t, 1));
-        assert!(spin.spinning(at(t, 2)));
-        assert!(!spin.spinning(at(t, 1) + SPIN_MAX), "the budget is at most SPIN_MAX");
-        // The park after the spin timed out: the next idle pass parks
-        // again at once, however soon it runs.
-        spin.parked(IDLE_WAIT, true);
-        assert!(!spin.spinning(at(t, 2)));
-        // A pass that moves something arms the spin again.
-        spin.progressed(at(t, 600), at(t, 601));
-        assert!(spin.spinning(at(t, 602)));
-    }
-
-    #[test]
-    fn the_budget_tracks_the_gap_between_productive_passes() {
-        let t = Instant::now();
-        let mut spin = Spin::new();
-        let mut now = 0;
-        let mut pass = |spin: &mut Spin, gap_us: u64| {
-            now += gap_us;
-            spin.progressed(at(t, now), at(t, now + 1));
-            now += 1;
-        };
-        // Work back every 10 µs: the budget settles near twice that.
-        for _ in 0..64 {
-            pass(&mut spin, 10);
-        }
-        let budget = spin.budget();
-        assert!(budget >= Duration::from_micros(18) && budget <= Duration::from_micros(24), "{budget:?}");
-        // One long silence does not switch the spin off...
-        pass(&mut spin, 1_000_000);
-        assert!(spin.budget() > Duration::ZERO);
-        // ...a run of them does.
-        for _ in 0..16 {
-            pass(&mut spin, 1_000_000);
-        }
-        assert_eq!(spin.budget(), Duration::ZERO);
-        assert!(!spin.spinning(at(t, now)));
-    }
-
-    #[test]
-    fn work_that_arrives_within_the_first_park_brings_the_spin_back() {
-        let t = Instant::now();
-        let mut spin = Spin::new();
-        spin.gap = 2 * SPIN_MAX;
-        assert_eq!(spin.budget(), Duration::ZERO);
-        let mut now = 0;
-        spin.progressed(at(t, now), at(t, now + 1));
-        for _ in 0..32 {
-            // No spin: park at once; nothing wakes the park, and the pass
-            // after it finds the work that arrived meanwhile.
-            now += 1 + IDLE_WAIT.as_micros() as u64;
-            spin.parked(IDLE_WAIT, true);
-            spin.progressed(at(t, now), at(t, now + 1));
-        }
-        assert!(spin.budget() > Duration::ZERO, "{:?}", spin.gap);
-    }
 
     #[test]
     fn a_worker_whose_channel_disconnects_flushes_and_returns() {

@@ -20,9 +20,7 @@ use par::{ExecutorStats, PoolStats};
 use plan::{CacheStats, ResultCache};
 
 use crate::catalog::Catalog;
-use crate::metrics::{
-    CommandSummary, Histogram, Metrics, MuxWaits, ValueHistogram, PLAN_OPERATORS, PROTOCOLS, UPDATE_OPS,
-};
+use crate::metrics::{CommandSummary, Histogram, Metrics, ValueHistogram, PLAN_OPERATORS, PROTOCOLS, UPDATE_OPS};
 use crate::persist::{Durability, DurabilityStats};
 use crate::replication::{ReplSample, ReplState};
 use crate::trace::Tracer;
@@ -50,7 +48,6 @@ pub(crate) struct Sources<'a> {
 struct Sample<'a> {
     metrics: &'a Metrics,
     commands: Vec<CommandSummary>,
-    mux: MuxWaits,
     generation: Option<u64>,
     durability: Option<&'a Durability>,
     wal: Option<DurabilityStats>,
@@ -66,7 +63,6 @@ impl<'a> Sample<'a> {
         Sample {
             metrics: src.metrics,
             commands: src.metrics.command_summaries(),
-            mux: src.metrics.mux_waits(),
             generation: src.catalog.map(Catalog::generation),
             durability: src.durability,
             wal: src.durability.map(Durability::stats),
@@ -225,12 +221,12 @@ static SERIES: &[Row] = &[
         "Complete requests (text lines or binary frames) served per connection service pass."),
         |s| one(Some(s.metrics.pipeline_depth()), V::Counts)),
     exported(counter("ruid_mux_parks_total", "Timed parks taken by mux workers holding connections."),
-        |s| n(Some(&s.mux), |m| m.parks)),
+        |s| n(Some(s.metrics), Metrics::mux_parks)),
     exported(counter("ruid_mux_spin_catches_total",
         "Mux passes that found work while their worker yield-spun instead of parking."),
-        |s| n(Some(&s.mux), |m| m.spin_catches)),
+        |s| n(Some(s.metrics), Metrics::mux_spin_catches)),
     exported(counter("ruid_mux_outbox_wakes_total", "Offloaded replies announced on their mux worker's wake channel."),
-        |s| n(Some(&s.mux), |m| m.outbox_wakes)),
+        |s| n(Some(s.metrics), Metrics::mux_outbox_wakes)),
     exported(histogram("ruid_batch_size", "Sub-queries per MQUERY/MLABEL batch frame."),
         |s| one(Some(s.metrics.batch_size()), V::Counts)),
     exported(counter("ruid_xpath_steps_total", "XPath location steps evaluated, per axis.").by("axis"), |s| {

@@ -1,7 +1,7 @@
 //! How a mux worker waits, observed through its counters: after serving
-//! it spins only while work may come back, then parks; and an offloaded
-//! reply announces itself on the worker's wake channel instead of
-//! waiting for the next re-check. No assertion here reads a clock.
+//! it spins for a bounded time, then parks and stops spinning; and an
+//! offloaded reply announces itself on the worker's wake channel instead
+//! of waiting for the next re-check. No assertion here reads a clock.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,7 +32,7 @@ fn an_idle_binary_connection_stops_spinning() {
     let mut binary = BinaryClient::connect(handle.addr()).unwrap();
     assert_eq!(binary.request("PING").unwrap(), "OK pong");
 
-    // The connection is idle from here: its worker spins out its budget
+    // The connection is idle from here: its worker spins out `SPIN_MAX`
     // and parks, and once a park has timed out it parks without spinning.
     let parks = prom_value(&mut text, PARKS);
     wait_until("three parks", Duration::from_secs(10), || {

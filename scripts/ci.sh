@@ -22,15 +22,6 @@ cargo build --release --offline --manifest-path scoreboard/Cargo.toml
 for _ in 1 2 3; do
     cargo test -q --offline --no-fail-fast
 done
-# Once more for the service suites with every thread on one CPU, where
-# client and server threads must take turns: the placement in which a
-# server thread that waits without giving up the CPU delays the very
-# client it waits for.
-if command -v taskset >/dev/null; then
-    taskset -c 0 cargo test -q --offline -p ruid-service
-else
-    echo "ci: taskset not found, skipping the one-CPU run of the service suites"
-fi
 cargo clippy --offline -- -D warnings
 
 # The robustness and differential suites must run entirely: an
