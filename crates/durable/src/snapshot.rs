@@ -528,7 +528,7 @@ mod tests {
             format!("doc{id}.xml"),
             xml,
             ruid_core::PartitionConfig::by_depth(2),
-            id % 2 == 0,
+            id.is_multiple_of(2),
         )
         .unwrap()
     }

@@ -12,7 +12,7 @@
 //!   the same control flow, which is what lets `--threads 1` force the
 //!   sequential path everywhere.
 //! * [`ThreadPool`] — the fixed pool of OS workers behind a bounded job
-//!   queue that `ruid-service` serves connections from (extracted here so
+//!   queue that runs `ruid-service`'s blocking requests (extracted here so
 //!   the build pipeline and the server share one threading crate).
 //!
 //! The rUID construction is the motivating workload: UID-local areas are

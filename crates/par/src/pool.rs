@@ -1,24 +1,24 @@
-//! A fixed pool of OS worker threads behind a bounded MPSC job queue.
+//! A fixed pool of OS worker threads behind a bounded job queue.
 //!
-//! Jobs are `FnOnce` closures; the queue is a `sync_channel`, so producers
-//! block once `queue_cap` jobs are waiting — backpressure instead of
-//! unbounded memory growth when clients outpace the workers. Shutdown is
-//! graceful: one poison pill per worker, then `join` on every thread (a
-//! worker drains its current job before it swallows a pill).
+//! Jobs are `FnOnce` closures. An idle worker waits on a hand-off
+//! channel of its own, and a new job goes to the worker that went idle
+//! last: jobs that arrive one at a time then all run on one thread, whose
+//! allocator arena and caches stay warm, instead of rotating through
+//! every worker and growing each one's arena. A job that finds every
+//! worker busy waits in a queue of at most `queue_cap`; once it is full
+//! `execute` blocks — backpressure instead of unbounded memory growth
+//! when clients outpace the workers — and `try_execute` sheds. Shutdown
+//! is graceful: every job already accepted runs, then every worker is
+//! joined.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// A unit of work for the pool.
 type Task = Box<dyn FnOnce() + Send + 'static>;
-
-enum Job {
-    Run(Task),
-    /// The poison pill: the receiving worker exits its loop.
-    Poison,
-}
 
 /// Error returned by [`ThreadPool::execute`] when the pool has shut down.
 #[derive(Debug, PartialEq, Eq)]
@@ -97,10 +97,10 @@ impl PoolStats {
         self.max_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Rollback for a failed send. The rejected job is dropped inside the
-    /// send error, which fires its [`CompleteGuard`] (completed+1,
-    /// depth-1); undoing `submitted` and `completed` leaves every counter
-    /// net-zero for the failed submit.
+    /// Rollback for a failed submit. The rejected job is dropped with the
+    /// error, which fires its [`CompleteGuard`] (completed+1, depth-1);
+    /// undoing `submitted` and `completed` leaves every counter net-zero
+    /// for the failed submit.
     fn on_reject(&self) {
         self.submitted.fetch_sub(1, Ordering::Relaxed);
         self.completed.fetch_sub(1, Ordering::Relaxed);
@@ -121,9 +121,34 @@ impl Drop for CompleteGuard {
     }
 }
 
+/// What the workers and the submitters share.
+struct Queue {
+    state: Mutex<State>,
+    /// Signalled when a worker takes a queued job, for a blocked
+    /// [`ThreadPool::execute`].
+    space: Condvar,
+    cap: usize,
+}
+
+struct State {
+    /// Accepted jobs that found no idle worker, oldest first.
+    jobs: VecDeque<Task>,
+    /// The idle workers' hand-off channels, the most recently idle last.
+    idle: Vec<Sender<Task>>,
+    closed: bool,
+}
+
+impl Queue {
+    /// The state never holds a half-made update (each is one push, pop
+    /// or store), so a guard poisoned by a panicking thread is sound.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A fixed-size worker pool with a bounded job queue.
 pub struct ThreadPool {
-    sender: SyncSender<Job>,
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<PoolStats>,
 }
@@ -133,18 +158,21 @@ impl ThreadPool {
     /// `queue_cap` pending jobs (min 1).
     pub fn new(threads: usize, queue_cap: usize) -> ThreadPool {
         let threads = threads.max(1);
-        let (sender, receiver) = sync_channel::<Job>(queue_cap.max(1));
-        let receiver = Arc::new(Mutex::new(receiver));
+        let queue = Arc::new(Queue {
+            state: Mutex::new(State { jobs: VecDeque::new(), idle: Vec::new(), closed: false }),
+            space: Condvar::new(),
+            cap: queue_cap.max(1),
+        });
         let workers = (0..threads)
             .map(|i| {
-                let receiver = Arc::clone(&receiver);
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("ruid-worker-{i}"))
-                    .spawn(move || worker_loop(&receiver))
+                    .spawn(move || worker_loop(&queue))
                     .expect("spawn worker thread")
             })
             .collect();
-        ThreadPool { sender, workers, stats: Arc::new(PoolStats::default()) }
+        ThreadPool { queue, workers, stats: Arc::new(PoolStats::default()) }
     }
 
     /// Number of worker threads.
@@ -165,16 +193,44 @@ impl ThreadPool {
         })
     }
 
+    /// Hands `task` to the most recently idle worker, else queues it;
+    /// with the queue full it waits for room when `block`, else fails.
+    /// A failed submit drops the task.
+    fn submit(&self, mut task: Task, block: bool) -> Result<(), SubmitError> {
+        self.stats.on_submit();
+        let mut state = self.queue.lock();
+        let refused = loop {
+            if state.closed {
+                break SubmitError::Closed;
+            }
+            if let Some(worker) = state.idle.pop() {
+                // A worker leaves `idle` only through this pop or a
+                // shutdown, so its receiver is waiting; a failed send
+                // means its thread died, and the next idle one is tried.
+                match worker.send(task) {
+                    Ok(()) => return Ok(()),
+                    Err(mpsc::SendError(back)) => task = back,
+                }
+            } else if state.jobs.len() < self.queue.cap {
+                state.jobs.push_back(task);
+                return Ok(());
+            } else if block {
+                state = self.queue.space.wait(state).unwrap_or_else(PoisonError::into_inner);
+            } else {
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                break SubmitError::Full;
+            }
+        };
+        drop(state);
+        drop(task); // fires the job's guard
+        self.stats.on_reject();
+        Err(refused)
+    }
+
     /// Queues `job`, blocking while the queue is full. Fails only after
     /// shutdown.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), PoolClosed> {
-        let task = self.wrap(job);
-        self.stats.on_submit();
-        self.sender.send(Job::Run(task)).map_err(|e| {
-            drop(e); // drops the job, firing its guard
-            self.stats.on_reject();
-            PoolClosed
-        })
+        self.submit(self.wrap(job), true).map_err(|_| PoolClosed)
     }
 
     /// Queues `job` without blocking: [`SubmitError::Full`] when the
@@ -184,50 +240,57 @@ impl ThreadPool {
         &self,
         job: F,
     ) -> Result<(), SubmitError> {
-        let task = self.wrap(job);
-        self.stats.on_submit();
-        self.sender.try_send(Job::Run(task)).map_err(|e| {
-            let err = match e {
-                TrySendError::Full(job) => {
-                    drop(job); // fires the job's guard
-                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    SubmitError::Full
-                }
-                TrySendError::Disconnected(job) => {
-                    drop(job);
-                    SubmitError::Closed
-                }
-            };
-            self.stats.on_reject();
-            err
-        })
+        self.submit(self.wrap(job), false)
     }
 
-    /// Graceful shutdown: sends one poison pill per worker, then joins
-    /// them all. Jobs already queued ahead of the pills run to completion.
-    pub fn shutdown(self) {
-        for _ in &self.workers {
-            // Err means every worker is already gone; joining still works.
-            let _ = self.sender.send(Job::Poison);
-        }
-        drop(self.sender);
-        for worker in self.workers {
+    /// Refuses new jobs and releases the idle workers; busy ones finish
+    /// the queue first.
+    fn close(&self) {
+        let mut state = self.queue.lock();
+        state.closed = true;
+        state.idle.clear();
+    }
+
+    /// Graceful shutdown: every job already accepted runs to completion,
+    /// then every worker is joined.
+    pub fn shutdown(mut self) {
+        self.close();
+        for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
+impl Drop for ThreadPool {
+    /// Without [`ThreadPool::shutdown`] the workers still finish the
+    /// accepted jobs and exit, detached.
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+fn worker_loop(queue: &Queue) {
     loop {
-        // Hold the queue lock only while receiving, never while working.
-        let job = match receiver.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return, // a worker panicked mid-recv; bail out
+        // Hold the lock only to take a job or go idle, never while working.
+        let task = {
+            let mut state = queue.lock();
+            if let Some(task) = state.jobs.pop_front() {
+                queue.space.notify_one();
+                task
+            } else if state.closed {
+                return;
+            } else {
+                let (hand_off, next) = mpsc::channel();
+                state.idle.push(hand_off);
+                drop(state);
+                // Disconnected once shutdown drops the idle channels.
+                match next.recv() {
+                    Ok(task) => task,
+                    Err(_) => return,
+                }
+            }
         };
-        match job {
-            Ok(Job::Run(task)) => task(),
-            Ok(Job::Poison) | Err(_) => return,
-        }
+        task();
     }
 }
 
@@ -334,6 +397,26 @@ mod tests {
         assert_eq!(stats.submitted(), accepted);
         assert_eq!(stats.completed(), accepted);
         assert_eq!(stats.queue_depth(), 0);
+    }
+
+    #[test]
+    fn one_job_at_a_time_stays_on_one_worker() {
+        let pool = ThreadPool::new(4, 4);
+        let mut ran_on = Vec::new();
+        for _ in 0..20 {
+            // Every worker idle again, the last one to finish on top.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while pool.queue.lock().idle.len() < 4 {
+                assert!(std::time::Instant::now() < deadline, "workers never went idle");
+                std::thread::yield_now();
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            pool.execute(move || tx.send(std::thread::current().name().map(str::to_owned)).unwrap())
+                .unwrap();
+            ran_on.push(rx.recv().unwrap());
+        }
+        assert!(ran_on.iter().all(|name| *name == ran_on[0]), "{ran_on:?}");
+        pool.shutdown();
     }
 
     #[test]

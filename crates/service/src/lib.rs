@@ -18,8 +18,8 @@
 //!   `QUERY`, `SCAN`, `GET`) take a shard's *shared* lock just long enough
 //!   to clone the `Arc`; `LOAD`/`UNLOAD` take one shard's exclusive lock.
 //! * [`ThreadPool`] — a fixed pool of OS worker threads fed by a *bounded*
-//!   MPSC job queue (backpressure on accept), shut down gracefully with
-//!   poison pills and `join`.
+//!   job queue, which runs the requests that can block off the
+//!   multiplexer's poll loops, shut down gracefully with `join`.
 //! * [`Metrics`] — lock-free per-command atomic counters, error counts and
 //!   fixed-bucket latency histograms; `METRICS` reports p50/p95/p99
 //!   computed on demand, and the server dumps the table on shutdown.
@@ -45,9 +45,11 @@
 //!   after a write blocked drop the connection. An **overall per-request
 //!   deadline** (`request_timeout_ms`) answers `ERR request deadline
 //!   exceeded`.
-//! * **Load shedding**: when the bounded job queue is full, new
-//!   connections get a single `BUSY` line and are closed — the accept
-//!   thread never blocks. `BUSY` is retryable: nothing was executed.
+//! * **Load shedding**: once `threads + queue_cap` connections are open,
+//!   a new one gets a single `BUSY` line and is closed, and a blocking
+//!   request that finds the pool's queue full answers `BUSY` — neither
+//!   the accept thread nor a mux worker ever waits for room. `BUSY` is
+//!   retryable: nothing was executed.
 //! * Every limit trips a dedicated [`Metrics`] counter (`shed`,
 //!   `oversized`, `torn`, `deadline_read`, `deadline_write`,
 //!   `deadline_request`), reported by `METRICS`.

@@ -1,35 +1,35 @@
 //! The connection state machine, for both protocols, and the multiplexer
-//! that drives binary connections.
+//! that drives every connection.
 //!
 //! One [`Conn`] pass reads what the socket has, decodes every complete
 //! request in its buffer, applies the fault plan, runs each request
 //! through the [`serve`] core, enforces the read and write deadlines,
 //! counts, and writes every reply of the pass with one buffered write.
-//! The byte format — the codec — is fixed once per connection from its
-//! first byte: text lines or binary frames (both live in [`wire`]). The
-//! codec decides only the bytes: how an oversized request is refused,
-//! how a reply is framed, and what a deadline error says.
-//! Everything else — torn EOF, the fault plan, the read and write
-//! deadlines, the byte and per-protocol request counters, the
-//! `ruid_pipeline_depth` histogram (requests served per pass) — is one
-//! code path.
+//! The byte format — the codec — is fixed once per connection from the
+//! first byte it reads: [`wire::REQ_MAGIC`], which can never start a
+//! UTF-8 text line, means binary frames, anything else text lines (both
+//! live in [`wire`]). The codec decides only the bytes: how an oversized
+//! request is refused, how a reply is framed, what a deadline error says,
+//! and whether replies may overtake each other. Everything else — torn
+//! EOF, the fault plan, the read and write deadlines, the byte and
+//! per-protocol request counters, the `ruid_pipeline_depth` histogram
+//! (requests served per pass) — is one code path.
 //!
-//! Two drivers differ only in how a thread waits for bytes:
-//!
-//! * a **text** connection keeps its pool thread and waits in a blocking
-//!   read bounded by the server's poll interval; it has no offload pool,
-//!   so every request runs inline and answers in request order;
-//! * **binary** connections are drained by a small fixed set of mux
-//!   workers, each pumping many nonblocking sockets. After a pass that
-//!   moved anything a worker keeps passing, yielding the CPU between
-//!   passes, for [`SPIN_MAX`]; then it parks on its wake channel until an
-//!   adoption, an offload completion or [`IDLE_WAIT`]. Anything that can
-//!   block — every request whose [`Request::blocks`] is true (LOAD does
-//!   file I/O, SHUTDOWN fsyncs the WAL, REPL TAIL reads segment files) or
-//!   a fault-stalled request — is offloaded to a private thread pool; its
-//!   response frame lands in the connection's outbox when done and wakes
-//!   the worker, which meanwhile keeps serving later frames from the
-//!   same socket. Request ids are how clients re-associate them.
+//! A small fixed set of mux workers drains every connection, each pumping
+//! many nonblocking sockets; a connection that has sent nothing holds no
+//! thread. After a pass that moved anything a worker keeps passing,
+//! yielding the CPU between passes, for [`SPIN_MAX`]; then it parks on its
+//! wake channel until an adoption, an offload completion or [`IDLE_WAIT`].
+//! Anything that can block — every request whose [`Request::blocks`] is
+//! true (LOAD does file I/O, SHUTDOWN fsyncs the WAL, REPL TAIL reads
+//! segment files) or a fault-stalled request — is offloaded to the
+//! server's thread pool, whatever its codec; its reply lands in the
+//! connection's outbox when done and wakes the worker. A binary
+//! connection keeps being served meanwhile, so later frames overtake the
+//! offloaded one (request ids are how clients re-associate them). A text
+//! connection decodes nothing more until the reply has landed, so its
+//! answers stay in request order. A request served inline holds its
+//! worker's other connections for as long as it runs.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -48,8 +48,8 @@ use crate::proto::{self, Request};
 use crate::server::{serve, Shared};
 use crate::wire::{self, Decoded, WireResponse};
 
-/// Poll-loop threads; each drains many binary sockets. The text
-/// protocol's thread-per-connection pool (`threads`) is separate.
+/// Poll-loop threads; each drains many sockets of either codec. The
+/// server's thread pool (`threads`) runs their offloaded requests.
 const MUX_WORKERS: usize = 2;
 
 /// How long an idle worker parks on its wake channel before re-polling
@@ -60,7 +60,7 @@ const IDLE_WAIT: Duration = Duration::from_micros(200);
 /// moved something before it parks.
 const SPIN_MAX: Duration = Duration::from_micros(200);
 
-/// Read scratch size per driver (one `recv` worth of pipelined requests).
+/// Read scratch size per worker (one `recv` worth of pipelined requests).
 const SCRATCH_BYTES: usize = 64 * 1024;
 
 /// Unwritten reply bytes at which a pass stops decoding: the requests
@@ -80,19 +80,29 @@ struct Offload {
     pool: Mutex<Option<ThreadPool>>,
 }
 
+/// A connection's claim on one of the server's `threads + queue_cap`
+/// connection slots, given back when it drops.
+struct Held(Arc<AtomicUsize>);
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// What a worker's channel carries: the two events, besides bytes on a
 /// socket, that can give it work.
 enum Wake {
-    /// A sniffed-as-binary connection to adopt.
-    Adopt(TcpStream),
+    /// A freshly accepted connection to adopt.
+    Adopt(TcpStream, Held),
     /// An offloaded reply landed in the outbox of one of its connections.
     Outbox,
 }
 
-/// Where a binary connection's pass sends a request that can block: the
-/// shared pool, and the wake channel of the worker that owns the
-/// connection. The worker holds that channel only weakly, so it sees it
-/// disconnect once the [`Mux`] and every job in flight are gone.
+/// Where a pass sends a request that can block: the shared pool, and the
+/// wake channel of the worker that owns the connection. The worker holds
+/// that channel only weakly, so it sees it disconnect once the [`Mux`]
+/// and every job in flight are gone.
 #[derive(Clone, Copy)]
 struct OffloadTo<'a> {
     pool: &'a Offload,
@@ -107,18 +117,17 @@ pub(crate) struct Mux {
     next: AtomicUsize,
     workers: Mutex<Vec<JoinHandle<()>>>,
     offload: Arc<Offload>,
+    /// Connections adopted and not yet dropped.
+    held: Arc<AtomicUsize>,
+    /// How many connections the server holds before it sheds.
+    capacity: usize,
 }
 
 impl Mux {
-    /// Spawns [`MUX_WORKERS`] poll-loop threads plus the offload pool for
-    /// blocking verbs.
-    pub(crate) fn start(shared: Arc<Shared>) -> Mux {
-        let offload = Arc::new(Offload {
-            pool: Mutex::new(Some(ThreadPool::new(
-                shared.config.threads,
-                shared.config.queue_cap,
-            ))),
-        });
+    /// Spawns [`MUX_WORKERS`] poll-loop threads that offload blocking
+    /// requests to `pool`.
+    pub(crate) fn start(shared: Arc<Shared>, pool: ThreadPool) -> Mux {
+        let offload = Arc::new(Offload { pool: Mutex::new(Some(pool)) });
         let mut wakes = Vec::with_capacity(MUX_WORKERS);
         let mut handles = Vec::with_capacity(MUX_WORKERS);
         for i in 0..MUX_WORKERS {
@@ -134,18 +143,33 @@ impl Mux {
             wakes.push(tx);
             handles.push(handle);
         }
-        Mux { wakes: Mutex::new(wakes), next: AtomicUsize::new(0), workers: Mutex::new(handles), offload }
+        Mux {
+            wakes: Mutex::new(wakes),
+            next: AtomicUsize::new(0),
+            workers: Mutex::new(handles),
+            offload,
+            held: Arc::new(AtomicUsize::new(0)),
+            capacity: shared.config.threads + shared.config.queue_cap,
+        }
     }
 
-    /// Hands a sniffed-as-binary connection to a worker (round-robin).
-    /// The stream must already be in nonblocking mode.
-    pub(crate) fn adopt(&self, stream: TcpStream) {
+    /// Hands a connection to a worker (round-robin); the stream must
+    /// already be in nonblocking mode. A server that already holds
+    /// `threads + queue_cap` connections gives the stream back instead,
+    /// for the caller to shed. Only the acceptor adopts.
+    pub(crate) fn adopt(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        if self.held.load(Ordering::Acquire) >= self.capacity {
+            return Err(stream);
+        }
+        self.held.fetch_add(1, Ordering::AcqRel);
+        let held = Held(Arc::clone(&self.held));
         let i = self.next.fetch_add(1, Ordering::Relaxed) % MUX_WORKERS;
         // No channel, or a failed send, only after shutdown — dropping the
         // stream is exactly what a closing server should do.
         if let Some(wake) = lock(&self.wakes).get(i) {
-            let _ = wake.send(Wake::Adopt(stream));
+            let _ = wake.send(Wake::Adopt(stream, held));
         }
+        Ok(())
     }
 
     /// Joins the workers (the shutdown flag must already be set), then
@@ -164,44 +188,12 @@ impl Mux {
     }
 }
 
-/// Serves a sniffed-as-text connection on the calling pool thread until
-/// it closes or the server shuts down. The stream's read timeout (the
-/// poll interval) bounds each pass's wait for bytes.
-pub(crate) fn serve_text(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(WRITE_DEADLINE))?;
-    let mut conn = Conn::new(stream, Protocol::Text);
-    let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut reply = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        if let Pump::Close = conn.pump(shared, None, &mut scratch, &mut reply) {
-            break;
-        }
-    }
-    Ok(())
-}
-
 /// Appends one reply in a connection's byte format: a text line drops
 /// `id`, a binary frame carries it (0 for a connection-level error).
 fn encode(codec: Protocol, id: u64, response: &WireResponse, out: &mut Vec<u8>) {
     match codec {
         Protocol::Text => wire::encode_line(response, out),
         Protocol::Binary => wire::encode_response(id, response, out),
-    }
-}
-
-/// One request as its codec split it off the buffer. A text line is
-/// parsed inside [`serve`], so its parse is traced like any other span.
-enum Incoming<'a> {
-    Line(&'a str),
-    Frame(Result<Request, String>),
-}
-
-impl Incoming<'_> {
-    fn into_request(self) -> Result<Request, String> {
-        match self {
-            Incoming::Line(line) => proto::parse(line),
-            Incoming::Frame(request) => request,
-        }
     }
 }
 
@@ -228,8 +220,10 @@ enum Dispatch {
 /// One connection and its buffered state.
 struct Conn {
     stream: TcpStream,
-    /// The byte format, fixed from the first byte (see [`encode`]).
+    /// The byte format (see [`encode`]), fixed by the first byte read.
     codec: Protocol,
+    /// Whether that first byte has been read.
+    sniffed: bool,
     /// Bytes read but not yet decoded (partial trailing request).
     rbuf: Vec<u8>,
     /// Encoded responses that could not be written without blocking.
@@ -253,13 +247,16 @@ struct Conn {
     close_after_flush: bool,
     /// Peer closed its write side (EOF seen).
     read_eof: bool,
+    /// The server's connection slot, given back when the connection drops.
+    _held: Held,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, codec: Protocol) -> Conn {
+    fn new(stream: TcpStream, held: Held) -> Conn {
         Conn {
             stream,
-            codec,
+            codec: Protocol::Text,
+            sniffed: false,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             skipping: false,
@@ -270,16 +267,16 @@ impl Conn {
             pending: Arc::new(AtomicU64::new(0)),
             close_after_flush: false,
             read_eof: false,
+            _held: held,
         }
     }
 
     /// One full service pass: collect offloaded responses, read, decode
     /// and dispatch every complete request, enforce deadlines, write.
-    /// Without an offload pool every request runs inline.
     fn pump(
         &mut self,
         shared: &Arc<Shared>,
-        offload: Option<OffloadTo<'_>>,
+        offload: OffloadTo<'_>,
         scratch: &mut [u8],
         reply: &mut Vec<u8>,
     ) -> Pump {
@@ -290,15 +287,18 @@ impl Conn {
             match self.stream.read(scratch) {
                 Ok(0) => self.read_eof = true,
                 Ok(n) => {
+                    if !self.sniffed {
+                        self.sniffed = true;
+                        if scratch[0] == wire::REQ_MAGIC {
+                            self.codec = Protocol::Binary;
+                        }
+                    }
                     shared.metrics.add_net_read(n as u64);
                     self.rbuf.extend_from_slice(&scratch[..n]);
                     progressed = true;
                 }
                 Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) => {}
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
                 Err(_) => return Pump::Close,
             }
         }
@@ -354,7 +354,7 @@ impl Conn {
     fn decode_all(
         &mut self,
         shared: &Arc<Shared>,
-        offload: Option<OffloadTo<'_>>,
+        offload: OffloadTo<'_>,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
         let cap = shared.config.max_line_bytes;
@@ -364,7 +364,7 @@ impl Conn {
         let mut outcome = Dispatch::Continue;
         self.backlog = false;
         while let Dispatch::Continue = outcome {
-            if reply.len() + self.wbuf.len() >= OUTPUT_LIMIT {
+            if reply.len() + self.wbuf.len() >= OUTPUT_LIMIT || self.owes_text_reply() {
                 self.backlog = true;
                 break;
             }
@@ -378,19 +378,27 @@ impl Conn {
                 self.partial_since = None;
                 self.line_too_long(shared, reply);
             }
+            // One relaxed load decides whether the request is traced
+            // (`parse_ns` is `Some` exactly then); a text line is parsed
+            // here, so that is where its parse is timed.
+            let traced = shared.tracer.enabled();
             let decoded = match self.codec {
-                Protocol::Text => {
-                    wire::decode_line(&rbuf[off..], cap).map(|line| (0, Incoming::Line(line)))
-                }
+                Protocol::Text => wire::decode_line(&rbuf[off..], cap).map(|line| {
+                    let started = traced.then(Instant::now);
+                    let request = proto::parse(line);
+                    (0, request, started.map(|t| t.elapsed().as_nanos() as u64))
+                }),
                 Protocol::Binary => wire::decode_request(&rbuf[off..], cap)
-                    .map(|frame| (frame.id, Incoming::Frame(Ok(frame.request)))),
+                    .map(|frame| (frame.id, Ok(frame.request), traced.then_some(0))),
             };
             // A TEXT frame that does not parse is still a request: it is
             // counted and faulted like one and answers its `ERR`.
-            let (id, incoming, consumed) = match decoded {
-                Decoded::Frame { frame: (id, incoming), consumed } => (id, incoming, consumed),
+            let (id, request, parse_ns, consumed) = match decoded {
+                Decoded::Frame { frame: (id, request, parse_ns), consumed } => {
+                    (id, request, parse_ns, consumed)
+                }
                 Decoded::Unparsed { id, reason, consumed } => {
-                    (id, Incoming::Frame(Err(reason)), consumed)
+                    (id, Err(reason), traced.then_some(0), consumed)
                 }
                 Decoded::Incomplete => break,
                 Decoded::Malformed { id, reason, consumed } => {
@@ -427,7 +435,7 @@ impl Conn {
             off += consumed;
             served += 1;
             shared.metrics.record_protocol_request(self.codec);
-            outcome = self.dispatch(id, incoming, shared, offload, reply);
+            outcome = self.dispatch(id, request, parse_ns, shared, offload, reply);
         }
         if served > 0 {
             shared.metrics.record_pipeline_depth(served);
@@ -480,6 +488,16 @@ impl Conn {
         encode(self.codec, 0, &WireResponse::Line(message), reply);
     }
 
+    /// Whether a text reply is still owed by the offload pool or waits
+    /// uncollected in the outbox: either holds every later request of the
+    /// connection, so text answers stay in request order. `pending` is
+    /// read first; a job fills the outbox before it decrements it, so a
+    /// reply that has landed is seen in one or the other.
+    fn owes_text_reply(&self) -> bool {
+        self.codec == Protocol::Text
+            && (self.pending.load(Ordering::Acquire) > 0 || !lock(&self.outbox).is_empty())
+    }
+
     /// Moves completed offloaded responses into the write buffer.
     fn collect_outbox(&mut self) -> bool {
         let mut outbox = lock(&self.outbox);
@@ -492,15 +510,16 @@ impl Conn {
         true
     }
 
-    /// Serves one decoded request: apply the fault plan, run it inline
-    /// (encoding straight into the pooled `reply` buffer) unless it can
-    /// block and there is an offload pool to take it.
+    /// Serves one decoded request: apply the fault plan, then offload it
+    /// if it can block, or run it inline, encoding straight into the
+    /// pooled `reply` buffer.
     fn dispatch(
         &mut self,
         id: u64,
-        incoming: Incoming<'_>,
+        request: Result<Request, String>,
+        parse_ns: Option<u64>,
         shared: &Arc<Shared>,
-        offload: Option<OffloadTo<'_>>,
+        offload: OffloadTo<'_>,
         reply: &mut Vec<u8>,
     ) -> Dispatch {
         let codec = self.codec;
@@ -515,16 +534,14 @@ impl Conn {
             Some(Fault::TornWrite { bytes }) => {
                 // Serve, then truncate the encoded response and sever:
                 // the client sees a torn reply.
-                serve(shared, || incoming.into_request(), None, |response| {
+                serve(shared, request, parse_ns, None, |response| {
                     let before = reply.len();
                     encode(codec, id, &response, reply);
                     reply.truncate(before + bytes.min(reply.len() - before));
                 });
                 return Dispatch::FlushClose;
             }
-            // A stalled or delayed binary request goes off the poll loop:
-            // later pipelined frames on this very connection overtake it
-            // — the out-of-order case the protocol exists for.
+            // A stalled or delayed request goes off the poll loop.
             Some(Fault::StallHandler { ms }) => stall_ms = Some(ms),
             Some(Fault::DelayMs { ms }) => delay_ms = Some(ms),
             // Replication-channel fault: arm the flag; the next
@@ -533,17 +550,11 @@ impl Conn {
             Some(Fault::ForgeSeq) => shared.repl.arm_forge(),
             Some(Fault::OversizedFrame { .. }) | None => {}
         }
-        let blocks = matches!(&incoming, Incoming::Frame(Ok(request)) if request.blocks());
-        if let Some(offload) = offload.filter(|_| blocks || stall_ms.or(delay_ms).is_some()) {
-            let request = incoming.into_request();
-            return self.offload_request(id, request, stall_ms, delay_ms, shared, offload, reply);
+        if request.as_ref().is_ok_and(Request::blocks) || stall_ms.or(delay_ms).is_some() {
+            self.offload(id, request, parse_ns, stall_ms, delay_ms, shared, offload, reply);
+            return Dispatch::Continue;
         }
-        serve(shared, || incoming.into_request(), stall_ms, |response| {
-            if let Some(ms) = delay_ms {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            encode(codec, id, &response, reply);
-        });
+        serve(shared, request, parse_ns, None, |response| encode(codec, id, &response, reply));
         if shared.shutdown.load(Ordering::SeqCst) {
             Dispatch::FlushClose
         } else {
@@ -551,33 +562,35 @@ impl Conn {
         }
     }
 
-    /// Serves a request on the offload pool; its response frame arrives
-    /// via the outbox. Queue-full sheds with `BUSY` (same policy as the
+    /// Serves a request on the offload pool; its reply arrives via the
+    /// outbox. Queue-full sheds with `BUSY` (same policy as the
     /// acceptor), pool-closed means shutdown is racing us — also `BUSY`,
     /// the client is about to lose the connection anyway.
     #[allow(clippy::too_many_arguments)]
-    fn offload_request(
+    fn offload(
         &mut self,
         id: u64,
         request: Result<Request, String>,
+        parse_ns: Option<u64>,
         stall_ms: Option<u64>,
         delay_ms: Option<u64>,
         shared: &Arc<Shared>,
         offload: OffloadTo<'_>,
         reply: &mut Vec<u8>,
-    ) -> Dispatch {
+    ) {
+        let codec = self.codec;
         let outbox = Arc::clone(&self.outbox);
         let pending = Arc::clone(&self.pending);
         let job_shared = Arc::clone(shared);
         let wake = offload.wake.upgrade().map(|tx| Sender::clone(&tx));
         pending.fetch_add(1, Ordering::AcqRel);
         let job = move || {
-            serve(&job_shared, || request, stall_ms, |response| {
+            serve(&job_shared, request, parse_ns, stall_ms, |response| {
                 if let Some(ms) = delay_ms {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 let mut buf = Vec::new();
-                wire::encode_response(id, &response, &mut buf);
+                encode(codec, id, &response, &mut buf);
                 // In the outbox before `serve` can flag a shutdown, so the
                 // final flush still finds a `SHUTDOWN`'s own answer.
                 lock(&outbox).push(buf);
@@ -598,9 +611,8 @@ impl Conn {
             // the rejected submit — shed with BUSY, same as the acceptor.
             self.pending.fetch_sub(1, Ordering::AcqRel);
             shared.metrics.record_shed();
-            wire::encode_response(id, &WireResponse::Line("BUSY".into()), reply);
+            encode(codec, id, &WireResponse::Line("BUSY".into()), reply);
         }
-        Dispatch::Continue
     }
 
     /// Writes the backlog, then this pass's replies; whatever would
@@ -659,7 +671,7 @@ impl Conn {
     }
 
     /// Final best-effort flush at server shutdown: switch back to
-    /// blocking writes with the write deadline as timeout so a binary
+    /// blocking writes with the write deadline as timeout so a
     /// `SHUTDOWN`'s own `OK bye` still reaches its client.
     fn final_flush(&mut self, shared: &Shared) {
         self.collect_outbox();
@@ -696,7 +708,7 @@ fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, 
     // The last pass moved nothing and the worker yielded, not parked.
     let mut spun = false;
     let take = |wake: Wake, conns: &mut Vec<Conn>| match wake {
-        Wake::Adopt(stream) => conns.push(Conn::new(stream, Protocol::Binary)),
+        Wake::Adopt(stream, held) => conns.push(Conn::new(stream, held)),
         Wake::Outbox => shared.metrics.record_mux_outbox_wake(),
     };
     'serve: while !shared.shutdown.load(Ordering::SeqCst) {
@@ -710,7 +722,7 @@ fn worker(rx: &Receiver<Wake>, wake: &Weak<Sender<Wake>>, shared: &Arc<Shared>, 
         let mut progressed = false;
         let mut i = 0;
         while i < conns.len() {
-            match conns[i].pump(shared, Some(offload), &mut scratch, &mut reply) {
+            match conns[i].pump(shared, offload, &mut scratch, &mut reply) {
                 Pump::Progress => {
                     progressed = true;
                     i += 1;
@@ -774,7 +786,8 @@ mod tests {
         stream.set_nonblocking(true).unwrap();
 
         let (tx, rx) = mpsc::channel();
-        tx.send(Wake::Adopt(stream)).unwrap();
+        let held = Arc::new(AtomicUsize::new(1));
+        tx.send(Wake::Adopt(stream, Held(Arc::clone(&held)))).unwrap();
         let (done_tx, done) = mpsc::channel();
         std::thread::spawn(move || {
             worker(&rx, &Weak::new(), &shared, &offload);
@@ -801,5 +814,6 @@ mod tests {
         drop(tx);
         done.recv_timeout(Duration::from_secs(10)).expect("the worker returns");
         assert_eq!(client.read(&mut chunk).unwrap(), 0, "its connection closed with it");
+        assert_eq!(held.load(Ordering::Acquire), 0, "and gave its slot back");
     }
 }

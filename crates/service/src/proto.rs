@@ -294,8 +294,9 @@ impl Request {
     }
 
     /// Whether serving this request can block on file I/O, a WAL append
-    /// or fsync, or the follower thread — the binary driver runs these off
-    /// its poll loop. Everything else answers from memory, inline.
+    /// or fsync, or the follower thread — the mux runs these on its
+    /// offload pool, off its poll loop. Everything else answers from
+    /// memory, inline.
     pub(crate) fn blocks(&self) -> bool {
         match self {
             Request::Load { .. }

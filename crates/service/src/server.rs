@@ -1,23 +1,23 @@
-//! The TCP front end: accept loop, protocol sniff, and the command
-//! dispatcher tying catalog, evaluators and metrics together.
+//! The TCP front end: accept loop and the command dispatcher tying
+//! catalog, evaluators and metrics together.
 //!
-//! Concurrency model: a dedicated acceptor thread hands each accepted
-//! connection to the fixed [`ThreadPool`] as one job (so `threads` bounds
-//! the number of concurrently served text connections). The job queue is
-//! bounded; when it is full the acceptor *sheds* the connection with a
-//! single `BUSY` line instead of blocking, so hostile connection floods
-//! cannot park the accept thread. The job peeks the first byte: a binary
-//! connection goes to the multiplexer, a text one is served on the job's
-//! thread — both by the connection state machine in [`crate::mux`], which
-//! frames requests, enforces the read and write deadlines, applies the
-//! [`FaultPlan`], counts, and hands each request to [`serve`]. Text
-//! requests are answered strictly in order — one response line per
-//! request line, which is what lets clients pipeline naively.
+//! Concurrency model: a dedicated acceptor thread counts each accepted
+//! connection and hands it to the multiplexer ([`crate::mux`]), whose
+//! few workers drain every connection of either protocol. The server
+//! holds at most `threads + queue_cap` connections; beyond that the
+//! acceptor *sheds* a new one with a single `BUSY` line instead of
+//! holding it, so hostile connection floods cannot pile up. The mux's
+//! connection state machine fixes the codec from the first byte, frames
+//! requests, enforces the read and write deadlines, applies the
+//! [`FaultPlan`], counts, and hands each request to [`serve`] — inline,
+//! or on the fixed [`ThreadPool`] when it can block. Text requests are
+//! answered strictly in order — one response line per request line,
+//! which is what lets clients pipeline naively.
 //!
 //! [`serve`] holds each request to an overall per-request deadline.
 //! Every limit trips a dedicated metrics counter.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,35 +35,31 @@ use ruid_core::PartitionConfig;
 use crate::catalog::{Catalog, DocId, LoadedDoc};
 use crate::fault::{Fault, FaultPlan};
 use crate::metrics::{Command, Metrics};
-use crate::mux::{self, Mux};
+use crate::mux::Mux;
 use crate::persist::Durability;
 use crate::prom::{self, Sources};
 use crate::proto::{self, Engine, Request, TraceCmd};
 use crate::replication::{self, ReplState};
 use crate::trace::{RequestTrace, Span, Tracer, SLOWLOG_CAPACITY};
-use crate::wire::{self, WireResponse};
-use par::{PoolStats, SubmitError, ThreadPool};
-
-/// How often a parked read wakes up to check deadlines and shutdown.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
+use crate::wire::WireResponse;
+use par::{PoolStats, ThreadPool};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address; port 0 picks a free port (see [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads = maximum concurrently served text connections.
-    /// Also the size of the binary multiplexer's offload pool, which runs
-    /// the verbs that block (LOAD, SNAPSHOT, the commits, …) off its
-    /// poll loops, and, capped at the host's cores, the fan-out of one
-    /// document build; 1 forces the sequential build.
+    /// Size of the thread pool that runs the requests that block (LOAD,
+    /// SNAPSHOT, the commits, …) off the multiplexer's poll loops, and,
+    /// capped at the host's cores, the fan-out of one document build; 1
+    /// forces the sequential build.
     pub threads: usize,
     /// Catalog shard count.
     pub shards: usize,
-    /// Bounded job-queue capacity (pending connections beyond the
-    /// workers); connections beyond that are answered `BUSY` and closed.
-    /// Also bounds the multiplexer's offload queue: a blocking binary
-    /// request beyond it is answered `BUSY`.
+    /// Bounds the thread pool's job queue: a blocking request beyond it
+    /// is answered `BUSY`. With `threads` it also bounds the connections
+    /// held: once `threads + queue_cap` connections of either protocol
+    /// are open, a new one is answered `BUSY` and closed.
     pub queue_cap: usize,
     /// `LOAD` partition depth default (`PartitionConfig::by_depth`).
     pub depth: usize,
@@ -151,14 +147,13 @@ pub struct ServerHandle {
 }
 
 /// Everything serving a request reads, owned once per server and shared
-/// by the text workers, the mux workers, the offload pool and the
-/// follower thread.
+/// by the mux workers, the offload pool and the follower thread.
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) durability: Option<Arc<Durability>>,
-    tracer: Arc<Tracer>,
+    pub(crate) tracer: Arc<Tracer>,
     pool_stats: Arc<PoolStats>,
     pub(crate) plan_cache: Arc<ResultCache>,
     pub(crate) repl: Arc<ReplState>,
@@ -219,8 +214,8 @@ impl Shared {
 }
 
 impl Server {
-    /// Binds `config.addr`, spawns the worker pool and the acceptor
-    /// thread, and returns immediately.
+    /// Binds `config.addr`, spawns the multiplexer, its thread pool and
+    /// the acceptor thread, and returns immediately.
     ///
     /// With `config.data_dir` set, the catalog is first recovered from
     /// the newest valid snapshot plus the WAL chain; documents whose
@@ -271,9 +266,7 @@ impl Server {
             None => (None, None),
         };
 
-        // The binary protocol's poll-loop multiplexer; sniffed-as-binary
-        // connections are handed to it and their pool worker is freed.
-        let mux = Arc::new(Mux::start(Arc::clone(&shared)));
+        let mux = Mux::start(Arc::clone(&shared), pool);
 
         // Follower mode: one dedicated thread bootstraps from the leader
         // and tails its WAL; the serving path above answers reads from
@@ -289,8 +282,7 @@ impl Server {
             std::thread::Builder::new()
                 .name("ruid-acceptor".into())
                 .spawn(move || {
-                    accept_loop(&listener, &pool, &shared, &mux);
-                    pool.shutdown();
+                    accept_loop(&listener, &shared, &mux);
                     mux.join();
                     // Best-effort: whatever reached the WAL is on disk
                     // before the process can exit.
@@ -396,7 +388,8 @@ impl ServerHandle {
         &self.shared.tracer
     }
 
-    /// The worker pool's queue statistics.
+    /// The queue statistics of the thread pool that runs the requests
+    /// that can block.
     pub fn pool_stats(&self) -> &Arc<PoolStats> {
         &self.shared.pool_stats
     }
@@ -463,74 +456,26 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, pool: &ThreadPool, shared: &Arc<Shared>, mux: &Arc<Mux>) {
+fn accept_loop(listener: &TcpListener, shared: &Shared, mux: &Mux) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
         shared.metrics.record_connection();
-        // A second handle to the socket, kept out of the job closure so
-        // the acceptor can still answer BUSY if the queue rejects it.
-        let shed_handle = stream.try_clone();
-        let job_shared = Arc::clone(shared);
-        let mux = Arc::clone(mux);
-        let submitted = pool.try_execute(move || {
-            let _ = serve_connection(stream, &job_shared, &mux);
-        });
-        match submitted {
-            Ok(()) => {}
-            Err(SubmitError::Full) => {
-                // Load shedding: one BUSY line, then close — never park
-                // the accept thread on a full queue. (The job closure
-                // holding the primary stream handle was dropped by the
-                // rejected submit.)
-                shared.metrics.record_shed();
-                if let Ok(mut stream) = shed_handle {
-                    let _ = stream
-                        .set_write_timeout(Some(Duration::from_millis(500)));
-                    let _ = stream.write_all(b"BUSY\n");
-                    let _ = stream.flush();
-                }
-            }
-            Err(SubmitError::Closed) => break,
+        let adopted = match stream.set_nodelay(true).and_then(|()| stream.set_nonblocking(true)) {
+            Ok(()) => mux.adopt(stream),
+            Err(_) => continue,
+        };
+        if let Err(mut stream) = adopted {
+            // Load shedding: one BUSY line, then close — never hold a
+            // connection beyond the bound.
+            shared.metrics.record_shed();
+            let _ = stream.set_nonblocking(false);
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
+            let _ = stream.write_all(b"BUSY\n");
         }
     }
-}
-
-/// Drives one connection: sniff the protocol from the first byte, then
-/// hand the socket to the binary multiplexer, or serve it as text on this
-/// pool thread ([`mux::serve_text`]).
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, mux: &Mux) -> std::io::Result<()> {
-    // The short poll timeout lets the worker notice server shutdown and
-    // expired deadlines even while a client holds its connection open
-    // silently; the real deadlines are enforced above it.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true)?;
-    // Protocol negotiation is one peeked byte: [`wire::REQ_MAGIC`] can
-    // never start a UTF-8 text line, so the first byte decides which
-    // codec the connection speaks.
-    let mut first = [0u8; 1];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match stream.peek(&mut first) {
-            Ok(0) => return Ok(()), // closed before the first byte
-            Ok(_) => break,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    if first[0] == wire::REQ_MAGIC {
-        // Binary: this worker's job ends here — the multiplexer drains
-        // the socket from its poll loop, freeing the pool slot.
-        stream.set_nonblocking(true)?;
-        mux.adopt(stream);
-        return Ok(());
-    }
-    mux::serve_text(stream, shared)
 }
 
 /// Runs `f`, charging its wall time to `span` when the request is traced.
@@ -559,25 +504,29 @@ fn err_line(message: &str) -> String {
 /// the per-request deadline, metrics, the hand-off to `deliver` (timed as
 /// the `Write` span; the connection encodes the reply there), the slowlog
 /// entry, and the acceptor wake-up after a successful `SHUTDOWN`.
-/// `request` yields the request — a text line is parsed there, so the
-/// parse is traced; a binary frame hands over its decoded request.
-/// Returns whatever `deliver` returned.
+/// `request` is what the codec decoded; `parse_ns` is `Some` exactly when
+/// the request is traced, holding how long its text line took to parse
+/// (0 for a binary frame). Returns whatever `deliver` returned.
 pub(crate) fn serve<R>(
     shared: &Shared,
-    request: impl FnOnce() -> Result<Request, String>,
+    request: Result<Request, String>,
+    parse_ns: Option<u64>,
     stall_ms: Option<u64>,
     deliver: impl FnOnce(WireResponse) -> R,
 ) -> R {
     let started = Instant::now();
-    // One relaxed load decides the whole per-request tracing cost.
-    let mut trace = shared.tracer.enabled().then(|| shared.tracer.begin());
+    let mut trace = parse_ns.map(|ns| {
+        let mut trace = shared.tracer.begin();
+        trace.record(Span::Parse, ns);
+        trace
+    });
     if let Some(ms) = stall_ms {
         // The stall happens "inside" handling, so it counts against the
         // per-request deadline.
         std::thread::sleep(Duration::from_millis(ms));
     }
     let mut batch_failed = false;
-    let (command, slowlog_line, result) = match timed(&mut trace.as_mut(), Span::Parse, request) {
+    let (command, slowlog_line, result) = match request {
         Ok(request) => {
             let slowlog_line = trace.as_ref().map(|_| request.to_string());
             let command = request.command();
@@ -602,7 +551,8 @@ pub(crate) fn serve<R>(
     let delivered = timed(&mut trace.as_mut(), Span::Write, || deliver(response));
     if let Some(t) = &trace {
         let line = slowlog_line.as_deref().unwrap_or("");
-        shared.tracer.observe(command, line, started.elapsed().as_nanos() as u64, t);
+        let total_ns = started.elapsed().as_nanos() as u64 + parse_ns.unwrap_or(0);
+        shared.tracer.observe(command, line, total_ns, t);
     }
     if command == Command::Shutdown && !is_error {
         shared.shutdown.store(true, Ordering::SeqCst);

@@ -125,8 +125,8 @@ fn concurrent_clients_match_the_sequential_oracle() {
 
     let handle = Server::start(ServerConfig::default()).unwrap();
 
-    // Load through a short-lived connection (its worker frees up before the
-    // eight query threads claim all pool slots).
+    // Load through a short-lived connection, before the eight query
+    // connections open.
     let id = load_xml(&mut Client::connect(handle.addr()).unwrap(), &text);
 
     // Precompute (request, expected) pairs single-threaded.

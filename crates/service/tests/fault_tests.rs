@@ -268,7 +268,7 @@ fn queue_full_sheds_with_busy() {
         let mut c = TcpStream::connect(handle.addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
         let mut response = String::new();
-        matches!(c.read_to_string(&mut response), Ok(_) if response.starts_with("BUSY"))
+        c.read_to_string(&mut response).is_ok() && response.starts_with("BUSY")
     });
     assert!(metrics.shed() >= 1, "shed counter must account the refusal");
 

@@ -2,11 +2,8 @@
 //! the Prometheus exposition over both transports, and the graceful-
 //! shutdown durability promise.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
 use ruid_service::{FsyncPolicy, ServerConfig};
-use testkit::{durable, load_xml, metrics_field, start, start_durable, Scratch};
+use testkit::{durable, load_xml, metrics_field, scrape, start, start_durable, Scratch};
 
 #[test]
 fn trace_and_slowlog_capture_span_breakdowns() {
@@ -46,17 +43,6 @@ fn trace_and_slowlog_capture_span_breakdowns() {
     let status = client.request("TRACE").unwrap();
     assert_eq!(captured(&status), before, "{status}");
     handle.stop();
-}
-
-/// Reads one HTTP response from the metrics endpoint, returning
-/// `(head, body)`.
-fn scrape(addr: std::net::SocketAddr) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(b"GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("header/body split");
-    (head.to_string(), body.to_string())
 }
 
 #[test]

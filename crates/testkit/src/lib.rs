@@ -7,7 +7,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -214,6 +215,18 @@ pub fn load(client: &mut Client, path: impl AsRef<Path>) -> u64 {
 /// `LOAD`s `xml` from a file that lives only as long as the request.
 pub fn load_xml(client: &mut Client, xml: &str) -> u64 {
     load(client, Scratch::new("load").file("doc.xml", xml))
+}
+
+/// Reads one HTTP response from a server's Prometheus endpoint
+/// (`ServerConfig::metrics_addr`), returning `(head, body)`. The endpoint
+/// runs on its own thread, so a scrape moves no connection counter.
+pub fn scrape(addr: SocketAddr) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(b"GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").expect("header/body split");
+    (head.to_string(), body.to_string())
 }
 
 /// The value of the first `key=value` token of a reply line.

@@ -40,4 +40,4 @@ pub use eval::{expr_is_position_sensitive, parse_number, EvalError, Evaluator, S
 pub use join::{containment_join, parent_join};
 pub use nameindex::{NameIndex, NameIndexed};
 pub use lexer::{LexError, Token};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_DEPTH};

@@ -26,10 +26,18 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deep an expression may nest. Each predicate, parenthesis,
+/// function argument and `not(…)` is one level, and so is every operand
+/// of an `or`/`and` chain after the first (a chain is left-nested in the
+/// AST). The parser and every later walk of the AST recurse once per
+/// level, so the bound is what keeps a hostile query line from
+/// overflowing a thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses an XPath location path.
 pub fn parse(input: &str) -> Result<LocationPath, ParseError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let path = parser.location_path()?;
     if parser.pos != parser.tokens.len() {
         return Err(ParseError {
@@ -45,6 +53,8 @@ pub fn parse(input: &str) -> Result<LocationPath, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at `pos` (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -84,6 +94,15 @@ impl Parser {
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError { message: message.into() })
+    }
+
+    /// Opens one more nesting level; refuses one past [`MAX_DEPTH`].
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(format!("expression nested deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
     }
 
     fn location_path(&mut self) -> Result<LocationPath, ParseError> {
@@ -210,22 +229,29 @@ impl Parser {
 
     // Expr ::= AndExpr ('or' AndExpr)*
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
+        self.deeper()?;
         let mut left = self.and_expr()?;
         while self.peek() == Some(&Token::Name("or".into())) {
             self.pos += 1;
+            self.deeper()?;
             let right = self.and_expr()?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut left = self.unary_expr()?;
         while self.peek() == Some(&Token::Name("and".into())) {
             self.pos += 1;
+            self.deeper()?;
             let right = self.unary_expr()?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
@@ -280,7 +306,9 @@ impl Parser {
     }
 
     fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek().cloned() {
+        let outer = self.depth;
+        self.deeper()?;
+        let value = match self.peek().cloned() {
             Some(Token::Literal(s)) => {
                 self.pos += 1;
                 Ok(Value::Literal(s))
@@ -350,7 +378,9 @@ impl Parser {
             ) => self.path_value(),
             Some(t) => self.err(format!("expected a value, found {t}")),
             None => self.err("expected a value, found end of input"),
-        }
+        };
+        self.depth = outer;
+        value
     }
 
     fn path_value(&mut self) -> Result<Value, ParseError> {
@@ -507,6 +537,45 @@ mod tests {
         assert!(parse("unknown-axis::a").is_err());
         assert!(parse("a[blah()]").is_err());
         assert!(parse("a b").is_err());
+    }
+
+    /// `//a[` + `open` × n + `b` + `close` × n + `]`.
+    fn nested(n: usize, open: &str, close: &str) -> String {
+        format!("//a[{}b{}]", open.repeat(n), close.repeat(n))
+    }
+
+    /// `//a[b op b op …]` with `terms` operands.
+    fn chain(terms: usize, op: &str) -> String {
+        format!("//a[{}]", vec!["b"; terms].join(op))
+    }
+
+    /// `query(at_bound)` parses and `query(at_bound + 1)` is refused.
+    fn assert_bound(shape: &str, query: impl Fn(usize) -> String, at_bound: usize) {
+        let at = query(at_bound);
+        assert!(parse(&at).is_ok(), "{shape} at the bound: {:?}", parse(&at));
+        let err = parse(&query(at_bound + 1)).expect_err(shape);
+        assert!(err.message.contains("nested deeper than 64"), "{shape}: {err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        // A predicate level opens an expression and a path value: two
+        // levels each. The innermost `b` is the last value.
+        assert_bound("predicates", |n| nested(n - 1, "b[", "]"), MAX_DEPTH / 2);
+        assert_bound("parens", |n| nested(n, "(", ")"), MAX_DEPTH - 2);
+        assert_bound("not", |n| nested(n, "not(", ")"), MAX_DEPTH - 2);
+        assert_bound("or", |n| chain(n, " or "), MAX_DEPTH - 1);
+        assert_bound("and", |n| chain(n, " and "), MAX_DEPTH - 1);
+    }
+
+    #[test]
+    fn siblings_do_not_add_up() {
+        // Depth is what is open at once: many shallow predicates, steps
+        // and comparisons parse however many there are.
+        let steps = vec!["b[c][d = 1][not(e)]"; 200].join("/");
+        assert!(parse(&format!("/a/{steps}")).is_ok());
+        let wide = vec!["(b and c)"; 40].join(" or ");
+        assert!(parse(&format!("//a[{wide}]")).is_ok());
     }
 
     #[test]

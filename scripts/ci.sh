@@ -22,7 +22,7 @@ cargo build --release --offline --manifest-path scoreboard/Cargo.toml
 for _ in 1 2 3; do
     cargo test -q --offline --no-fail-fast
 done
-cargo clippy --offline -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # The robustness and differential suites must run entirely: an
 # `#[ignore]` slipped into the service crate would silently skip exactly

@@ -31,6 +31,9 @@ impl GroundTruth {
     }
 }
 
+/// A scheme's parent computation on labels, for the schemes that have one.
+type ParentOf<'a, L> = &'a dyn Fn(&L) -> Option<L>;
+
 /// Checks one scheme's relational answers against the DOM, through erased
 /// closures so every label type goes through identical logic.
 #[allow(clippy::too_many_arguments)]
@@ -40,7 +43,7 @@ fn check_relations<L: Clone + std::fmt::Debug + PartialEq>(
     truth: &GroundTruth,
     label_of: &dyn Fn(NodeId) -> L,
     node_of: &dyn Fn(&L) -> Option<NodeId>,
-    parent_label: Option<&dyn Fn(&L) -> Option<L>>,
+    parent_label: Option<ParentOf<'_, L>>,
     is_ancestor: &dyn Fn(&L, &L) -> bool,
     cmp_order: &dyn Fn(&L, &L) -> Ordering,
 ) {

@@ -149,8 +149,7 @@ fn overflow_error_is_deterministic_across_thread_counts() {
     let doc = ruid::deep_tree(70, 2);
     let config = Pc::by_depth(100); // one giant area
     let seq_err = Ruid2Scheme::try_build_with(&doc, &config, &Executor::new(1))
-        .err()
-        .expect("expected LocalOverflow on a 70-deep single area");
+        .expect_err("expected LocalOverflow on a 70-deep single area");
     for threads in [2, 4, 8] {
         let par = Ruid2Scheme::try_build_with(&doc, &config, &Executor::new(threads));
         assert_eq!(par.err(), Some(seq_err), "threads={threads}");
