@@ -103,6 +103,33 @@ fn serve_preloads_files_and_client_talks_to_it() {
     handle.stop();
 }
 
+/// A request prints the same bytes over either protocol (PING, QUERY, LABEL,
+/// PARENT and GET under their own binary verbs, STATS in a TEXT frame); an
+/// `ERR` exits non-zero over binary too, and an unknown protocol is refused.
+#[test]
+fn client_prints_the_same_over_text_and_binary() {
+    let dir = Scratch::new("fork");
+    let file = dir.file("sample.xml", "<a><b><c/><a/></b><b/></a>");
+    let handle = serve_start(&args(&[file.to_str().unwrap(), "--addr", "127.0.0.1:0"])).unwrap();
+    let addr = handle.addr().to_string();
+    let client = |protocol: &str, line: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_ruid-xml")).args(["client", &addr, "--protocol", protocol, line]).output().unwrap();
+        (out.status.success(), String::from_utf8(out.stdout).unwrap(), String::from_utf8(out.stderr).unwrap())
+    };
+    // `OK 1 (g,l,true)` names the <c> as `g l true`.
+    let c = client("text", "LABEL 1 //c").1.split_whitespace().nth(2).unwrap().trim_matches(['(', ')']).replace(',', " ");
+    for line in ["PING", "QUERY 1 //b[c]", "LABEL 1 //b", &format!("PARENT 1 {c}"), &format!("GET 1 {c}"), "STATS 1"] {
+        let text = client("text", line);
+        assert!(text.0, "{line}: {text:?}");
+        assert_eq!(client("binary", line), text, "{line}");
+    }
+    let (ok, out, _) = client("binary", "STATS 999");
+    assert!(!ok && out.starts_with("ERR "), "{out}");
+    let (ok, _, err) = client("pigeon", "PING");
+    assert!(!ok && err.contains("unknown protocol \"pigeon\""), "{err}");
+    handle.stop();
+}
+
 #[test]
 fn serve_rejects_bad_arguments() {
     assert!(serve_start(&args(&["/nonexistent/never.xml"])).is_err());

@@ -391,17 +391,12 @@ fn promote_during_bootstrap_does_not_install_the_snapshot() {
     let m = fc.request("METRICS").unwrap();
     assert_eq!(metrics_field(&m, "repl_role").as_deref(), Some("leader"), "{m}");
     assert_eq!(metrics_field(&m, "repl_promotions").as_deref(), Some("1"), "{m}");
+    // PROMOTE answers only once the follower thread has returned, and
+    // that thread is the only one that installs a fetched image: the
+    // catalog checked here is final, so the image cannot land late either.
     assert!(
         fc.request("QUERY 1 /a").unwrap().starts_with("ERR no document"),
         "the old leader's snapshot must not be installed after promotion"
-    );
-
-    // Give the stalled bootstrap ample time to have unwound, then check
-    // again: the image must not land late either.
-    std::thread::sleep(Duration::from_millis(1_500));
-    assert!(
-        fc.request("QUERY 1 /a").unwrap().starts_with("ERR no document"),
-        "the fetched snapshot leaked into the catalog after the stall elapsed"
     );
 
     // The promoted node is a real leader: local writes flow again.
@@ -521,12 +516,12 @@ fn replication_survives_a_randomized_fault_storm() {
         }
         Some(answers)
     };
-    let want = loop {
-        if let Some(answers) = try_answers(leader.addr()) {
-            break answers;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let mut want = None;
+    wait_until("the healed leader's answers", Duration::from_secs(30), || {
+        want = try_answers(leader.addr());
+        want.is_some()
+    });
+    let want = want.unwrap();
     wait_until("post-storm convergence", Duration::from_secs(30), || {
         try_answers(follower.addr()) == Some(want.clone())
     });
